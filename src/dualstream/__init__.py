@@ -28,7 +28,7 @@ from .filtering import (
     pruning_sweep,
 )
 from .fusion import DsspParams, KnowledgeStream, dssp_forward, make_dssp_hook
-from .model import TinyTransformer, forward, generate, layer_distributions
+from .model import TinyTransformer, forward, generate, infer, layer_distributions
 from .pipeline import PipelineTrace, RunConfig, evaluate, load_bundle, pipeline_run
 from .training import Hyperparams, TrainExample, grid_search, train
 
@@ -42,7 +42,7 @@ __all__ = [
     "FilterProfile", "classify_layers", "compute_filter_profile",
     "energy_quotient", "entropy_gate", "filter_knowledge", "pruning_sweep",
     "DsspParams", "KnowledgeStream", "dssp_forward", "make_dssp_hook",
-    "TinyTransformer", "forward", "generate", "layer_distributions",
+    "TinyTransformer", "forward", "generate", "infer", "layer_distributions",
     "PipelineTrace", "RunConfig", "evaluate", "load_bundle", "pipeline_run",
     "Hyperparams", "TrainExample", "grid_search", "train",
     "__version__",

@@ -18,17 +18,18 @@ import sys
 import time
 
 from .dataset import load_records
-from .detector import detect, divergence_profile
 from .errors import ContractViolationError, TrainingDivergedError
-from .filtering import SamplingSpec, classify_layers, compute_filter_profile, entropy_gate, pruning_sweep
+from .filtering import SamplingSpec, classify_layers, entropy_gate, pruning_sweep
 from .fixtures import fixture_dataset
 from .fusion import load_dssp_params, save_dssp_params
-from .model import layer_distributions, load_model, forward
+from .model import load_model
+from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .pipeline import (
     RunConfig,
     calibrate,
-    context_tokens,
+    detect_stage,
     evaluate,
+    filter_stage,
     load_bundle,
     load_config,
     make_train_examples,
@@ -36,7 +37,6 @@ from .pipeline import (
     probe_questions,
     run_records,
     trace_from_json,
-    variant_tokens,
     write_config_echo,
 )
 from .synth import suppression_study
@@ -198,10 +198,7 @@ def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
     records = _resolve_records(args, config)
     rows = []
     for record in records:
-        profile = divergence_profile(
-            layer_distributions(model, list(record.question)),
-            layer_distributions(model, variant_tokens(record, vocab)))
-        verdict = detect(profile, delta=config.delta, aggregation=config.aggregation)
+        verdict, _ = detect_stage(model, record, vocab, config)
         rows.append({"record_id": record.record_id, **verdict.to_json()})
     _write_jsonl(os.path.join(out_dir, "detect.jsonl"), rows)
     flagged = sum(r["hallucination"] for r in rows)
@@ -249,11 +246,7 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     cal = calibrate(model, probe_questions(vocab), SamplingSpec(seed=config.seed))
     rows = []
     for record in records:
-        ctx = context_tokens(record, vocab)
-        span = (len(record.question) + 1, len(ctx))
-        profile = compute_filter_profile(
-            forward(model, ctx), cal.classification, span,
-            cal.entropy_orig, cal.entropy_offset, config.lam)
+        profile, _ = filter_stage(model, record, vocab, cal, config.lam)
         rows.append({
             "record_id": record.record_id,
             "key_layer": profile.key_layer,

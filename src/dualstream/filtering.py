@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, LayerStructureError
 from .fusion import KnowledgeStream
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer
 
 Array = np.ndarray
 
@@ -74,12 +74,12 @@ def _query_seed(seed: int, query_index: int) -> int:
     return int(np.random.SeedSequence([seed, query_index]).generate_state(1)[0])
 
 
-def _pooled_entropy(model: TinyTransformer, queries, spec: SamplingSpec,
+def _pooled_entropy(model: TinyTransformer, queries, first_logits, spec: SamplingSpec,
                     options: ForwardOptions | None) -> float:
     answers: list[tuple[int, ...]] = []
-    for qi, query in enumerate(queries):
-        samples = generate(
-            model, query, spec.n_samples, spec.temperature,
+    for qi, (query, first) in enumerate(zip(queries, first_logits)):
+        samples = generate_from(
+            model, query, first, spec.n_samples, spec.temperature,
             _query_seed(spec.seed, qi), spec.max_new_tokens, options)
         answers.extend(tuple(s) for s in samples)
     return semantic_entropy(answers)
@@ -87,15 +87,35 @@ def _pooled_entropy(model: TinyTransformer, queries, spec: SamplingSpec,
 
 def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
                   spec: SamplingSpec = SamplingSpec()) -> PruningSweep:
-    """Measure pooled answer entropy with each layer skipped in turn."""
+    """Measure pooled answer entropy with each layer skipped in turn.
+
+    Queries of one length run as one batch.  Layers below a skipped one are
+    the baseline's, so the run that skips layer l resumes from the
+    baseline's ``hidden[l - 1]``.
+    """
     if len(queries) < 1:
         raise ContractViolationError("pruning sweep needs at least one query")
-    baseline = _pooled_entropy(model, queries, spec, None)
-    entropies = [
-        _pooled_entropy(model, queries, spec, ForwardOptions(skip_layers=frozenset({l})))
-        for l in range(model.config.n_layers)
-    ]
-    return PruningSweep(baseline_entropy=baseline, layer_entropies=np.array(entropies))
+    n_layers = model.config.n_layers
+    runs = [None] + [ForwardOptions(skip_layers=frozenset({l})) for l in range(n_layers)]
+    firsts = [[None] * len(queries) for _ in runs]   # last-position logits per run and query
+    by_length: dict[int, list[int]] = {}
+    for qi, query in enumerate(queries):
+        by_length.setdefault(len(query), []).append(qi)
+    for group in by_length.values():
+        tokens = [queries[qi] for qi in group]
+        base = infer(model, tokens)
+        for r, options in enumerate(runs):
+            if options is None:
+                trace = base
+            else:
+                l = r - 1
+                resume = (l, base.hidden[l - 1]) if l else None
+                trace = infer(model, tokens, options, resume)
+            for row, qi in enumerate(group):
+                firsts[r][qi] = trace.logits[row, -1]
+    entropies = [_pooled_entropy(model, queries, firsts[r], spec, options)
+                 for r, options in enumerate(runs)]
+    return PruningSweep(baseline_entropy=entropies[0], layer_entropies=np.array(entropies[1:]))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """A small decoder-only transformer exposing per-layer states and attention.
 
 Pre-norm blocks, causal masking, learned positional embeddings, and a
-weight-tied unembedding.  The forward pass runs on the autodiff kernels, so a
-fusion hook carrying taped parameters makes the path from the hook to the
-logits differentiable while plain inference records nothing.
+weight-tied unembedding.  Two forward passes compute the same numbers:
+``forward`` runs on the autodiff kernels, so a fusion hook carrying taped
+parameters makes the path from the hook to the logits differentiable; it
+serves training and is the reference.  ``infer`` is plain numpy, takes token
+batches and can resume from a cached hidden state; every inference caller
+(detection, the pruning sweep, filtering, decoding) runs on it.
 
 Layer removal (``skip_layers``) is identity pass-through of the whole block;
 a hooked layer has its self-attention output replaced by the hook's output.
@@ -146,7 +149,7 @@ def forward(
     options: ForwardOptions | None = None,
     weight_tensors: dict[str, Tensor] | None = None,
 ) -> ForwardTrace:
-    """Run the decoder over ``tokens`` and return the full trace.
+    """Run the decoder over ``tokens`` on the tape and return the full trace.
 
     Host weights enter as constants, so nothing is recorded unless the fusion
     hook (or a ``weight_tensors`` override carrying taped leaves, for host
@@ -212,12 +215,135 @@ def forward(
     )
 
 
-def _readout(model: TinyTransformer, h_last: Array) -> Array:
-    """Final layer-norm + tied unembedding + softmax on one hidden row."""
+# ---------------------------------------------------------------------------
+# tape-free inference
+# ---------------------------------------------------------------------------
+#
+# ``infer`` repeats ``forward``'s arithmetic operation for operation, so the
+# two agree bit for bit.  That holds only while every matmul keeps the shapes
+# and memory layout of its ``forward`` counterpart: numpy runs a stacked
+# matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from the
+# slice shape, so packing heads into one projection or batching (1, d) rows
+# into one (B, d) matmul changes the rounding.
+
+def _layer_norm(x: Array, gain: Array, bias: Array) -> Array:
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LN_EPS)
+    return xc * inv * gain + bias
+
+
+def _softmax(z: Array) -> Array:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
+    """Validated (B, n) token array, and whether the caller passed one sequence."""
+    try:
+        ndim = np.ndim(tokens)
+    except ValueError:
+        raise ContractViolationError("batched token rows must share one length") from None
+    if ndim not in (1, 2):
+        raise ContractViolationError(f"tokens must be (n,) or (B, n), got {ndim} dimensions")
+    rows = [tokens] if ndim == 1 else list(tokens)
+    if not rows:
+        raise ContractViolationError("empty token batch")
+    return np.array([_validate_tokens(config, r) for r in rows], dtype=np.int64), ndim == 1
+
+
+def infer(
+    model: TinyTransformer,
+    tokens,
+    options: ForwardOptions | None = None,
+    resume: tuple[int, Array] | None = None,
+) -> ForwardTrace:
+    """``forward`` in plain numpy, for a sequence or a (B, n) batch of them.
+
+    Returns the hidden states, attention patterns and logits ``forward``
+    returns, bit for bit, with a leading batch axis when ``tokens`` is 2-d.
+    Nothing is recorded, so a taped fusion hook gets no gradients here.
+
+    ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
+    entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
+    the trace then starts at layer ``k`` too: ``hidden[i]`` and
+    ``attention[i]`` belong to layer ``k + i``.  Skipped and hooked layers
+    must lie at or above ``k``.
+    """
+    cfg = model.config
+    opts = options or ForwardOptions()
+    opts.validate(cfg.n_layers)
+    toks, single = _token_batch(cfg, tokens)
+    b, n = toks.shape
+    d, heads = cfg.d_model, cfg.n_heads
     w = model.weights
-    normed = ad.layer_norm(Tensor(h_last), Tensor(w["lnf.gain"]), Tensor(w["lnf.bias"]))
-    logits = normed.value @ w["tok_emb"].T
-    return ad.softmax_rows(Tensor(logits), 1.0).value.ravel()
+
+    start = 0
+    if resume is None:
+        x = w["tok_emb"][toks] + w["pos_emb"][:n]
+    else:
+        start = int(resume[0])
+        x = np.asarray(resume[1], dtype=np.float64)
+        if not 0 <= start <= cfg.n_layers:
+            raise ContractViolationError(f"resume layer {start} outside 0..{cfg.n_layers}")
+        if x.shape != ((n, d) if single else (b, n, d)):
+            raise ContractViolationError(f"resume state has shape {x.shape} for tokens {toks.shape}")
+        hooked = set() if opts.dssp_layer is None else {opts.dssp_layer}
+        if any(l < start for l in opts.skip_layers | hooked):
+            raise ContractViolationError("skipped or hooked layer below the resume layer")
+        x = x.reshape(b, n, d)
+    mask = _causal_mask(n)
+    eye = np.broadcast_to(np.eye(n), (b, heads, n, n))
+    scale = 1.0 / np.sqrt(cfg.d_head)
+
+    hidden: list[Array] = []
+    attention: list[Array] = []
+    for l in range(start, cfg.n_layers):
+        if l in opts.skip_layers:
+            hidden.append(x)
+            attention.append(eye.copy())
+            continue
+        xn = _layer_norm(x, w[f"l{l}.ln1.gain"], w[f"l{l}.ln1.bias"])
+        if opts.dssp_layer == l:
+            outs = [opts.dssp_hook(Tensor(row)) for row in xn]
+            if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
+                raise ContractViolationError("hook must return a Tensor shaped like its input")
+            attn_out = np.stack([o.value for o in outs])
+            attention.append(eye.copy())
+        else:
+            # one (n, d) x (d, d_head) matmul per batch row and head
+            proj = lambda part: xn[:, None] @ np.stack(
+                [w[f"l{l}.attn.{part}.h{h}"] for h in range(heads)])
+            q, k, v = proj("wq"), proj("wk"), proj("wv")
+            kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+            pattern = _softmax((q @ kt + mask) * scale)
+            attention.append(pattern)
+            merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+            attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
+        x = x + attn_out
+        yn = _layer_norm(x, w[f"l{l}.ln2.gain"], w[f"l{l}.ln2.bias"])
+        h1 = yn @ w[f"l{l}.ffn.w1"] + w[f"l{l}.ffn.b1"]
+        h1 = h1 * (h1 > 0.0)
+        x = x + (h1 @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
+        hidden.append(x)
+
+    final = _layer_norm(x, w["lnf.gain"], w["lnf.bias"])
+    logits = final @ w["tok_emb"].T.copy()
+    if single:
+        return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention], logits[0])
+    return ForwardTrace(hidden, attention, logits)
+
+
+def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> list[Array]:
+    """Next-token distribution at the last position of each hidden state.
+
+    Final layer-norm, tied unembedding and softmax, one (1, d) row per
+    matmul: stacking the rows into one matmul rounds differently.
+    """
+    w = model.weights
+    return [_softmax(_layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
+            for h in hidden]
 
 
 def layer_distributions(
@@ -226,8 +352,7 @@ def layer_distributions(
     options: ForwardOptions | None = None,
 ) -> list[Array]:
     """Logit-lens profile: per-layer next-token distribution at the last position."""
-    trace = forward(model, tokens, options)
-    return [_readout(model, h[-1:]) for h in trace.hidden]
+    return logit_lens(model, infer(model, tokens, options).hidden)
 
 
 def generate(
@@ -241,6 +366,26 @@ def generate(
     eos_id: int | None = None,
 ) -> list[list[int]]:
     """Sample answer continuations; temperature 0 is greedy (lowest-index ties)."""
+    return generate_from(model, prompt, infer(model, prompt, options).logits[-1],
+                         n_samples, temperature, seed, max_new_tokens, options, eos_id)
+
+
+def generate_from(
+    model: TinyTransformer,
+    prompt: Sequence[int],
+    first_logits: Array,
+    n_samples: int,
+    temperature: float,
+    seed: int,
+    max_new_tokens: int = 1,
+    options: ForwardOptions | None = None,
+    eos_id: int | None = None,
+) -> list[list[int]]:
+    """``generate`` from the prompt's last-position logits, already computed.
+
+    Every sample draws its first token from ``first_logits``; each later
+    token re-runs the whole prefix through ``infer``.
+    """
     if n_samples < 1:
         raise ContractViolationError("n_samples must be >= 1")
     if temperature < 0:
@@ -250,19 +395,19 @@ def generate(
     prompt = _validate_tokens(model.config, prompt)
     if len(prompt) + max_new_tokens > model.config.max_seq:
         raise ContractViolationError("prompt plus max_new_tokens exceeds max_seq")
-
     samples: list[list[int]] = []
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])
         seq = list(prompt)
         answer: list[int] = []
-        for _ in range(max_new_tokens):
-            trace = forward(model, seq, options)
-            logits = trace.logits[-1]
+        logits = first_logits
+        for step in range(max_new_tokens):
+            if step:
+                logits = infer(model, seq, options).logits[-1]
             if temperature == 0.0:
                 tok = int(np.argmax(logits))
             else:
-                probs = ad.softmax_rows(Tensor(logits), 1.0 / temperature).value.ravel()
+                probs = _softmax(logits * (1.0 / temperature))
                 tok = int(rng.choice(len(probs), p=probs))
             answer.append(tok)
             seq.append(tok)

@@ -45,7 +45,8 @@ from .filtering import (
     pruning_sweep,
 )
 from .fusion import DsspParams, KnowledgeStream, load_dssp_params, make_dssp_hook
-from .model import ForwardOptions, TinyTransformer, forward, generate, layer_distributions
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer, logit_lens
+from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .training import TrainExample
 
 PROBE_SUBJECTS_PER_HALF = 8
@@ -288,6 +289,23 @@ def context_tokens(record: QARecord, vocab: Vocab) -> list[int]:
     return toks
 
 
+@dataclass
+class Evidence:
+    """One record's question-plus-evidence context and its host trace."""
+    tokens: list[int]
+    span: tuple[int, int]      # where the evidence documents sit in ``tokens``
+    trace: ForwardTrace
+
+
+def read_evidence(model: TinyTransformer, record: QARecord, vocab: Vocab | None) -> Evidence:
+    """The context forward the filter scores and the fused block reads from."""
+    if vocab is None:
+        raise ContractViolationError(
+            "retrieval path needs the checkpoint vocabulary to build context")
+    ctx = context_tokens(record, vocab)
+    return Evidence(ctx, (len(record.question) + 1, len(ctx)), infer(model, ctx))
+
+
 def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
                         layer: int) -> np.ndarray:
     """Evidence rows exactly as the fused block at ``layer`` will read them."""
@@ -309,6 +327,30 @@ def variant_tokens(record: QARecord, vocab: Vocab | None) -> list[int]:
     return make_variant(list(record.question), {vocab.WH}, {vocab.AUX})
 
 
+def detect_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
+                 config: RunConfig) -> tuple[DetectionVerdict, np.ndarray]:
+    """Stage 1: compare the question with its variant, run as one (2, n) batch.
+
+    Also returns the question's last-position logits, from which the plain
+    decode draws its first token.
+    """
+    pair = infer(model, [list(record.question), variant_tokens(record, vocab)])
+    profile = divergence_profile(
+        *(logit_lens(model, [h[row] for h in pair.hidden]) for row in (0, 1)))
+    verdict = detect(profile, delta=config.delta, aggregation=config.aggregation)
+    return verdict, pair.logits[0, -1]
+
+
+def filter_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
+                 calibration: Calibration, lam: float) -> tuple[FilterProfile, Evidence]:
+    """Stage 2: score the record's evidence tokens from its context forward."""
+    evidence = read_evidence(model, record, vocab)
+    profile = compute_filter_profile(
+        evidence.trace, calibration.classification, evidence.span,
+        calibration.entropy_orig, calibration.entropy_offset, lam)
+    return profile, evidence
+
+
 def pipeline_run(record: QARecord, config: RunConfig,
                  bundle: Bundle | None = None) -> PipelineTrace:
     """Run one record through detect -> (filter -> fused decode) | plain decode."""
@@ -318,46 +360,37 @@ def pipeline_run(record: QARecord, config: RunConfig,
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    profile = divergence_profile(
-        layer_distributions(model, list(record.question)),
-        layer_distributions(model, variant_tokens(record, vocab)),
-    )
-    verdict = detect(profile, delta=config.delta, aggregation=config.aggregation)
+    verdict, first_logits = detect_stage(model, record, vocab, config)
     timings["detect"] = time.perf_counter() - t0
 
     retrieve = verdict.hallucination or config.force_retrieval
     filter_profile: FilterProfile | None = None
     options = None
+    prompt = list(record.question)
     if retrieve:
-        if vocab is None:
-            raise ContractViolationError(
-                "retrieval path needs the checkpoint vocabulary to build context")
         t0 = time.perf_counter()
-        ctx = context_tokens(record, vocab)
-        span = (len(record.question) + 1, len(ctx))
-        ctx_trace = forward(model, ctx)
-        filter_profile = compute_filter_profile(
-            ctx_trace, cal.classification, span,
-            cal.entropy_orig, cal.entropy_offset, config.lam)
+        filter_profile, evidence = filter_stage(model, record, vocab, cal, config.lam)
         hook_layer = cal.offset_layer
         if verdict.hallucination and verdict.insertion_layer >= 1:
             hook_layer = verdict.insertion_layer
-        raw = offset_layer_stream(model, ctx_trace, span, hook_layer)
+        raw = offset_layer_stream(model, evidence.trace, evidence.span, hook_layer)
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), filter_profile.eq,
             filter_profile.epsilon, filter_profile.delta_entropy,
             rescale=config.rescale)
         options = ForwardOptions(dssp_layer=hook_layer,
                                  dssp_hook=make_dssp_hook(filtered.tokens, bundle.params))
-        prompt = ctx
+        prompt = evidence.tokens
         timings["filter"] = time.perf_counter() - t0
-    else:
-        prompt = list(record.question)
 
     t0 = time.perf_counter()
-    answer = generate(model, prompt, 1, 0.0, config.seed,
-                      max_new_tokens=max(1, len(record.answer)),
-                      options=options)[0]
+    if retrieve:
+        # layers below the hook are the context forward's
+        resume = (hook_layer, evidence.trace.hidden[hook_layer - 1])
+        first_logits = infer(model, prompt, options, resume).logits[-1]
+    answer = generate_from(model, prompt, first_logits, 1, 0.0, config.seed,
+                           max_new_tokens=max(1, len(record.answer)),
+                           options=options)[0]
     timings["decode"] = time.perf_counter() - t0
 
     return PipelineTrace(record.record_id, verdict, filter_profile, answer,
@@ -405,11 +438,9 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
     """Freeze each record's context and raw evidence rows into a training example."""
     examples = []
     for record in records:
-        ctx = context_tokens(record, vocab)
-        span = (len(record.question) + 1, len(ctx))
-        trace = forward(model, ctx)
-        dhat = offset_layer_stream(model, trace, span, insertion_layer)
-        examples.append(TrainExample(tokens=tuple(ctx),
+        evidence = read_evidence(model, record, vocab)
+        dhat = offset_layer_stream(model, evidence.trace, evidence.span, insertion_layer)
+        examples.append(TrainExample(tokens=tuple(evidence.tokens),
                                      answer_id=int(record.answer[0]),
                                      dhat=dhat))
     return examples

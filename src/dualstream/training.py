@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError
 from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook
-from .model import ForwardOptions, TinyTransformer, forward
+from .model import ForwardOptions, TinyTransformer, forward, infer
 from .tensorstore import container_bytes
 
 Array = np.ndarray
@@ -142,8 +142,7 @@ def checkpoint_id(params: DsspParams) -> str:
 
 
 def _base_distribution(model: TinyTransformer, tokens: Sequence[int]) -> Array:
-    trace = forward(model, list(tokens))
-    z = trace.logits[-1]
+    z = infer(model, list(tokens)).logits[-1]
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()

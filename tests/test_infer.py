@@ -1,0 +1,192 @@
+"""The tape-free ``infer`` path against the taped ``forward`` reference, bit for bit.
+
+Every comparison uses ``np.array_equal``: the detector, the calibration sweep
+and decoding all run on ``infer``, and their outputs are only reproducible if
+it rounds exactly as ``forward`` does.  No BLAS or SIMD settings are pinned.
+"""
+import numpy as np
+import pytest
+
+from dualstream import autodiff as ad
+from dualstream.autodiff import Tensor
+from dualstream.divergence import semantic_entropy
+from dualstream.errors import ContractViolationError
+from dualstream.filtering import SamplingSpec, _query_seed, pruning_sweep
+from dualstream.fixtures import (
+    OFFSET_LAYER,
+    build_copier_params,
+    build_fixture_model,
+    fixture_dataset,
+)
+from dualstream.fusion import make_dssp_hook
+from dualstream.model import ForwardOptions, forward, generate, infer, layer_distributions
+from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, variant_tokens
+
+
+@pytest.fixture(scope="module")
+def host():
+    return build_fixture_model()
+
+
+@pytest.fixture(scope="module")
+def cases(host):
+    """(question, variant, context, evidence span) for all 64 fixture records."""
+    _, layout = host
+    out = []
+    for record in fixture_dataset(noise_rate=1.0, seed=0):
+        ctx = context_tokens(record, layout.vocab)
+        out.append((list(record.question), variant_tokens(record, layout.vocab), ctx,
+                    (len(record.question) + 1, len(ctx))))
+    assert len(out) == 64
+    return out
+
+
+def assert_same(trace, ref, first_layer=0):
+    """``trace`` equals ``ref`` from ``first_layer`` on, in every array."""
+    assert np.array_equal(trace.logits, ref.logits)
+    assert len(trace.hidden) == len(ref.hidden) - first_layer
+    for got, want in zip(trace.hidden, ref.hidden[first_layer:]):
+        assert np.array_equal(got, want)
+    assert len(trace.attention) == len(ref.attention) - first_layer
+    for got, want in zip(trace.attention, ref.attention[first_layer:]):
+        assert np.array_equal(got, want)
+
+
+def row(trace, i):
+    return type(trace)([h[i] for h in trace.hidden], [a[i] for a in trace.attention],
+                       trace.logits[i])
+
+
+def test_plain(host, cases):
+    model, _ = host
+    for question, _, ctx, _ in cases:
+        for tokens in (question, ctx):
+            assert_same(infer(model, tokens), forward(model, tokens))
+
+
+def test_each_single_skipped_layer(host, cases):
+    model, _ = host
+    for _, _, ctx, _ in cases:
+        for l in range(model.config.n_layers):
+            opts = ForwardOptions(skip_layers=frozenset({l}))
+            assert_same(infer(model, ctx, opts), forward(model, ctx, opts))
+
+
+def test_fusion_hook_at_the_offset_layer(host, cases):
+    model, layout = host
+    params = build_copier_params(layout)
+    for _, _, ctx, span in cases:
+        dhat = offset_layer_stream(model, forward(model, ctx), span, OFFSET_LAYER)
+        opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_dssp_hook(dhat, params))
+        assert_same(infer(model, ctx, opts), forward(model, ctx, opts))
+
+
+def test_question_and_variant_batch(host, cases):
+    model, _ = host
+    for question, variant, _, _ in cases:
+        pair = infer(model, np.array([question, variant]))
+        assert pair.logits.shape == (2, len(question), model.config.vocab_size)
+        assert_same(row(pair, 0), forward(model, question))
+        assert_same(row(pair, 1), forward(model, variant))
+
+
+def test_resume_from_every_layer(host, cases):
+    model, _ = host
+    n_layers = model.config.n_layers
+    for _, _, ctx, _ in cases:
+        ref = forward(model, ctx)
+        for l in range(1, n_layers + 1):
+            assert_same(infer(model, ctx, resume=(l, ref.hidden[l - 1])), ref, first_layer=l)
+        # a skipped layer at the resume point, as the pruning sweep runs it
+        for l in range(1, n_layers):
+            opts = ForwardOptions(skip_layers=frozenset({l}))
+            assert_same(infer(model, ctx, opts, resume=(l, ref.hidden[l - 1])),
+                        forward(model, ctx, opts), first_layer=l)
+
+
+def test_resumed_batch(host, cases):
+    model, _ = host
+    questions = [c[0] for c in cases[:16]]
+    base = infer(model, questions)
+    for l in range(1, model.config.n_layers):
+        opts = ForwardOptions(skip_layers=frozenset({l}))
+        trace = infer(model, questions, opts, resume=(l, base.hidden[l - 1]))
+        for i, question in enumerate(questions):
+            assert_same(row(trace, i), forward(model, question, opts), first_layer=l)
+
+
+def taped_generate(model, prompt, n_samples, temperature, seed, max_new_tokens, options=None):
+    """Sampling exactly as it ran on the taped forward."""
+    samples = []
+    for i in range(n_samples):
+        rng = np.random.default_rng([seed, i])
+        seq, answer = list(prompt), []
+        for _ in range(max_new_tokens):
+            logits = forward(model, seq, options).logits[-1]
+            if temperature == 0.0:
+                tok = int(np.argmax(logits))
+            else:
+                probs = ad.softmax_rows(Tensor(logits), 1.0 / temperature).value.ravel()
+                tok = int(rng.choice(len(probs), p=probs))
+            answer.append(tok)
+            seq.append(tok)
+        samples.append(answer)
+    return samples
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_multi_token_generate(host, cases, temperature):
+    model, _ = host
+    skip = ForwardOptions(skip_layers=frozenset({OFFSET_LAYER}))
+    for i, (question, _, _, _) in enumerate(cases):
+        for opts in (None, skip):
+            got = generate(model, question, 2, temperature, i, max_new_tokens=3, options=opts)
+            assert got == taped_generate(model, question, 2, temperature, i, 3, opts)
+
+
+def test_layer_distributions_match_the_taped_readout(host, cases):
+    model, _ = host
+    w = model.weights
+    for question, _, _, _ in cases:
+        want = []
+        for h in forward(model, question).hidden:
+            normed = ad.layer_norm(Tensor(h[-1:]), Tensor(w["lnf.gain"]), Tensor(w["lnf.bias"]))
+            logits = normed.value @ w["tok_emb"].T
+            want.append(ad.softmax_rows(Tensor(logits), 1.0).value.ravel())
+        got = layer_distributions(model, question)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_pruning_sweep_matches_the_taped_reference(host, cases):
+    model, layout = host
+    # the probe set has one length; two record questions add a second batch
+    queries = probe_questions(layout.vocab) + [cases[0][2][:7], cases[1][2][:7]]
+    spec = SamplingSpec(n_samples=2, temperature=1.0, seed=5, max_new_tokens=2)
+
+    def entropy(options):
+        answers = []
+        for qi, q in enumerate(queries):
+            answers += [tuple(s) for s in taped_generate(
+                model, q, spec.n_samples, spec.temperature, _query_seed(spec.seed, qi),
+                spec.max_new_tokens, options)]
+        return semantic_entropy(answers)
+
+    sweep = pruning_sweep(model, queries, spec)
+    assert sweep.baseline_entropy == entropy(None)
+    assert list(sweep.layer_entropies) == [
+        entropy(ForwardOptions(skip_layers=frozenset({l})))
+        for l in range(model.config.n_layers)]
+
+
+def test_input_validation(host):
+    model, _ = host
+    ref = forward(model, [7, 8, 9])
+    with pytest.raises(ContractViolationError):
+        infer(model, [[7, 8, 9], [7, 8]])                 # ragged batch
+    with pytest.raises(ContractViolationError):
+        infer(model, [])
+    with pytest.raises(ContractViolationError):
+        infer(model, [7, 8, 9], resume=(2, ref.hidden[0][:2]))   # wrong state shape
+    with pytest.raises(ContractViolationError):
+        infer(model, [7, 8, 9], ForwardOptions(skip_layers=frozenset({1})),
+              resume=(2, ref.hidden[1]))                  # skipped layer below the resume layer
