@@ -12,7 +12,7 @@ tape to one thread.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -356,12 +356,3 @@ def finite_diff_grad(f: Callable[[Array], float], theta: Array, h: float = 1e-5)
         down = f((flat - bump).reshape(theta.shape))
         grad.ravel()[i] = (up - down) / (2.0 * h)
     return grad
-
-
-def leaves(tensors: Iterable[Tensor], tape: GradTape) -> list[Tensor]:
-    """Attach ``tape`` to each tensor and return them (training convenience)."""
-    out = []
-    for t in tensors:
-        t.tape = tape
-        out.append(t)
-    return out

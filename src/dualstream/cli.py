@@ -19,24 +19,24 @@ import time
 
 from .dataset import load_records
 from .errors import ContractViolationError, TrainingDivergedError
-from .filtering import SamplingSpec, classify_layers, entropy_gate, pruning_sweep
+from .filtering import SamplingSpec, pruning_sweep
 from .fixtures import fixture_dataset
 from .fusion import load_dssp_params, save_dssp_params
-from .model import load_model
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .pipeline import (
+    Calibration,
+    PipelineTrace,
     RunConfig,
-    calibrate,
     detect_stage,
     evaluate,
     filter_stage,
     load_bundle,
     load_config,
+    load_host,
     make_train_examples,
-    meta_vocab,
+    probe_calibration,
     probe_questions,
     run_records,
-    trace_from_json,
     write_config_echo,
 )
 from .synth import suppression_study
@@ -150,11 +150,12 @@ def _resolve_records(args, config: RunConfig):
     raise ContractViolationError("provide --records or --fixture")
 
 
-def _load_host(config: RunConfig):
-    if not config.model_checkpoint:
-        raise ContractViolationError("config names no model checkpoint")
-    model, meta = load_model(config.model_checkpoint)
-    return model, meta_vocab(meta)
+def _training_setup(args, config: RunConfig):
+    """The bundle, plus one training example per record."""
+    bundle = load_bundle(config)
+    records = _resolve_records(args, config)
+    return bundle, make_train_examples(bundle.model, records, bundle.vocab,
+                                       bundle.calibration.offset_layer)
 
 
 def _queries_for_sweep(args, config: RunConfig, vocab):
@@ -194,7 +195,7 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
-    model, vocab = _load_host(config)
+    model, vocab = load_host(config)
     records = _resolve_records(args, config)
     rows = []
     for record in records:
@@ -211,21 +212,19 @@ def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
 
 
 def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
-    model, vocab = _load_host(config)
+    model, vocab = load_host(config)
     queries = _queries_for_sweep(args, config, vocab)
     sweep = pruning_sweep(model, queries, SamplingSpec(seed=config.seed))
-    cls = classify_layers(sweep)
-    epsilon, delta_entropy = entropy_gate(
-        sweep.baseline_entropy, float(sweep.layer_entropies[cls.offset_layer]))
+    cal = Calibration.from_sweep(sweep)
     doc = {
         "n_queries": len(queries),
         "baseline_entropy": float(sweep.baseline_entropy),
         "layer_entropies": [float(h) for h in sweep.layer_entropies],
         "deltas": [float(d) for d in sweep.deltas],
-        "key_layer": cls.key_layer,
-        "offset_layer": cls.offset_layer,
-        "epsilon": epsilon,
-        "delta_entropy": delta_entropy,
+        "key_layer": cal.key_layer,
+        "offset_layer": cal.offset_layer,
+        "epsilon": cal.epsilon,
+        "delta_entropy": cal.delta_entropy,
     }
     _write_json(os.path.join(out_dir, "layers.json"), doc)
     if args.csv:
@@ -233,40 +232,26 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
                    ["layer", "entropy_without_layer", "delta"],
                    [(i, doc["layer_entropies"][i], doc["deltas"][i])
                     for i in range(len(doc["deltas"]))])
-    return (f"key layer {cls.key_layer}, offset layer {cls.offset_layer}, "
-            f"epsilon {epsilon:.4f} -> {out_dir}/layers.json")
+    return (f"key layer {cal.key_layer}, offset layer {cal.offset_layer}, "
+            f"epsilon {cal.epsilon:.4f} -> {out_dir}/layers.json")
 
 
 def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
-    model, vocab = _load_host(config)
-    if vocab is None:
-        raise ContractViolationError(
-            "checkpoint metadata has no vocabulary; cannot build evidence contexts")
+    model, vocab = load_host(config)
+    cal = probe_calibration(model, vocab, config.seed)
     records = _resolve_records(args, config)
-    cal = calibrate(model, probe_questions(vocab), SamplingSpec(seed=config.seed))
     rows = []
     for record in records:
         profile, _ = filter_stage(model, record, vocab, cal, config.lam)
-        rows.append({
-            "record_id": record.record_id,
-            "key_layer": profile.key_layer,
-            "offset_layer": profile.offset_layer,
-            "epsilon": profile.epsilon,
-            "delta_entropy": profile.delta_entropy,
-            "eq": [float(x) for x in profile.eq],
-        })
+        row = {"record_id": record.record_id, **profile.to_json()}
+        row.pop("delta_a")
+        rows.append(row)
     _write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
 
 
 def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
-    bundle = load_bundle(config)
-    if bundle.vocab is None:
-        raise ContractViolationError(
-            "checkpoint metadata has no vocabulary; cannot build training contexts")
-    records = _resolve_records(args, config)
-    examples = make_train_examples(bundle.model, records, bundle.vocab,
-                                   bundle.calibration.offset_layer)
+    bundle, examples = _training_setup(args, config)
     hyper = Hyperparams(mu=config.mu, nu=config.nu, seed=config.seed)
     overrides = {}
     if args.epochs is not None:
@@ -304,7 +289,7 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
 def _cmd_eval(args, config: RunConfig, out_dir: str) -> str:
     records = load_records(args.records)
     with open(args.traces, "r", encoding="utf-8") as fh:
-        traces = [trace_from_json(json.loads(line)) for line in fh if line.strip()]
+        traces = [PipelineTrace.from_json(json.loads(line)) for line in fh if line.strip()]
     report = evaluate(traces, records)
     _write_json(os.path.join(out_dir, "eval_report.json"), report)
     return (f"accuracy {report['answer_token_accuracy']:.3f} on {report['n_records']} "
@@ -322,13 +307,7 @@ def _cmd_demo_decompose(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
     if args.records or args.fixture:
-        bundle = load_bundle(config)
-        if bundle.vocab is None:
-            raise ContractViolationError(
-                "checkpoint metadata has no vocabulary; cannot build training contexts")
-        records = _resolve_records(args, config)
-        examples = make_train_examples(bundle.model, records, bundle.vocab,
-                                       bundle.calibration.offset_layer)
+        bundle, examples = _training_setup(args, config)
 
         def objective(mu: float, nu: float) -> float:
             params = load_dssp_params(config.dssp_checkpoint)

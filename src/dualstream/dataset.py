@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-
-DEFAULT_N_RECORDS = 64
+from .detector import make_variant
+from .errors import ContractViolationError, read_field
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,18 @@ class QARecord:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QARecord":
-        try:
-            return cls(
-                record_id=str(payload["id"]),
-                question=[int(t) for t in payload["question"]],
-                answer=[int(t) for t in payload["answer"]],
-                documents=[[int(t) for t in doc] for doc in payload["documents"]],
-                variant=None
-                if payload.get("variant") is None
-                else [int(t) for t in payload["variant"]],
-                noise_mask=None
-                if payload.get("noise_mask") is None
-                else [[bool(b) for b in mask] for mask in payload["noise_mask"]],
-            )
-        except KeyError as exc:
-            raise ContractViolationError(f"record is missing field {exc}") from exc
+        tokens = lambda row: [int(t) for t in row]
+        return cls(
+            record_id=read_field(payload, "id", str),
+            question=read_field(payload, "question", tokens),
+            answer=read_field(payload, "answer", tokens),
+            documents=read_field(payload, "documents", lambda docs: [tokens(d) for d in docs]),
+            variant=read_field(payload, "variant",
+                               lambda v: None if v is None else tokens(v), None),
+            noise_mask=read_field(
+                payload, "noise_mask",
+                lambda m: None if m is None else [[bool(b) for b in row] for row in m], None),
+        )
 
 
 def save_records(path, records: list[QARecord]) -> None:
@@ -196,7 +192,7 @@ def make_conflict_dataset(
         subject = order[i % len(order)]
         gold = vocab.gold_object(subject)
         question = make_question(vocab, subject)
-        variant = [question[2], question[1], question[3], question[0]]
+        variant = make_variant(question, {vocab.WH}, {vocab.AUX})
         documents = [make_fact_document(vocab, subject, gold)]
         noise_mask = [[False] * len(documents[0])]
         if float(rng.random()) < float(noise_rate):

@@ -8,7 +8,6 @@ fusion module will be inserted.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import jsd
-from .errors import ContractViolationError, VariantRuleError
+from .errors import ContractViolationError, VariantRuleError, read_field
 
 Array = np.ndarray
 
@@ -59,6 +58,17 @@ class DetectionVerdict:
             "insertion_layer": self.insertion_layer,
             "per_layer": list(self.per_layer),
         }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "DetectionVerdict":
+        return cls(
+            hallucination=read_field(doc, "hallucination", bool),
+            statistic=read_field(doc, "statistic", float),
+            delta=read_field(doc, "delta", float),
+            aggregation=read_field(doc, "aggregation", str),
+            insertion_layer=read_field(doc, "insertion_layer", int),
+            per_layer=read_field(doc, "per_layer", lambda v: tuple(float(x) for x in v)),
+        )
 
 
 def divergence_profile(profile_x: Sequence[Array], profile_xhat: Sequence[Array]) -> DivergenceProfile:
@@ -109,13 +119,6 @@ def detect(
     )
 
 
-def verdict_to_json_line(verdict: DetectionVerdict, record_id=None) -> str:
-    doc = verdict.to_json()
-    if record_id is not None:
-        doc = {"id": record_id, **doc}
-    return json.dumps(doc, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # variant construction
 # ---------------------------------------------------------------------------
@@ -124,15 +127,12 @@ def make_variant(
     tokens: Sequence[int],
     wh_ids: frozenset[int] | set[int],
     aux_ids: frozenset[int] | set[int],
-    rule: str = "cleft",
 ) -> list[int]:
     """Length-preserving question reorder: [wh aux subj rest...] -> [subj aux rest... wh].
 
     The rule needs the wh-word first and an auxiliary second; anything else
     must ship its variant in the dataset (VariantRuleError says so).
     """
-    if rule != "cleft":
-        raise ContractViolationError(f"unknown variant rule {rule!r}")
     toks = [int(t) for t in tokens]
     if len(toks) < 3 or toks[0] not in wh_ids or toks[1] not in aux_ids:
         raise VariantRuleError(
@@ -141,10 +141,3 @@ def make_variant(
     variant = [toks[2], toks[1], *toks[3:], toks[0]]
     assert len(variant) == len(toks)
     return variant
-
-
-def validate_variant_pair(question: Sequence[int], variant: Sequence[int]) -> None:
-    """Paired queries must tokenize to the same length for profile comparison."""
-    if len(question) != len(variant):
-        raise ContractViolationError(
-            f"variant length {len(variant)} != question length {len(question)}")

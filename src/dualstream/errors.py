@@ -2,9 +2,12 @@
 
 Every public operation raises ContractViolationError (or a subclass) when its
 input contract is broken, so callers -- including the CLI -- can map failures
-to a single machine-parseable error line.
+to a single machine-parseable error line.  ``read_field`` applies the same
+rule to fields of parsed JSON documents.
 """
 from __future__ import annotations
+
+_REQUIRED = object()
 
 
 class ContractViolationError(ValueError):
@@ -28,3 +31,21 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step
+
+
+def read_field(doc, name: str, convert, default=_REQUIRED):
+    """``convert(doc[name])``; a missing or malformed field raises ContractViolationError.
+
+    ``default`` is returned when the field is absent; without one the field
+    is required.  The error names the field, nested readers included.
+    """
+    if not isinstance(doc, dict):
+        raise ContractViolationError(f"expected a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        if default is _REQUIRED:
+            raise ContractViolationError(f"missing field {name!r}")
+        return default
+    try:
+        return convert(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(f"field {name!r}: {exc}") from exc

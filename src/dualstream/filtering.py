@@ -10,7 +10,6 @@ entropy.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import semantic_entropy, validate_prob_vector
-from .errors import ContractViolationError, LayerStructureError
+from .errors import ContractViolationError, LayerStructureError, read_field
 from .fusion import KnowledgeStream
 from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer
 
@@ -62,9 +61,6 @@ class PruningSweep:
     def deltas(self) -> Array:
         """Entropy change caused by removing each layer (skip minus baseline)."""
         return self.layer_entropies - self.baseline_entropy
-
-    def to_json_rows(self) -> list[dict]:
-        return [{"layer": l, "delta_entropy": float(d)} for l, d in enumerate(self.deltas)]
 
 
 def _query_seed(seed: int, query_index: int) -> int:
@@ -216,6 +212,18 @@ class FilterProfile:
             "delta_entropy": self.delta_entropy,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "FilterProfile":
+        floats = lambda v: np.asarray(v, dtype=np.float64)
+        return cls(
+            key_layer=read_field(doc, "key_layer", int),
+            offset_layer=read_field(doc, "offset_layer", int),
+            delta_a=read_field(doc, "delta_a", floats),
+            eq=read_field(doc, "eq", floats),
+            epsilon=read_field(doc, "epsilon", float),
+            delta_entropy=read_field(doc, "delta_entropy", float),
+        )
+
 
 def compute_filter_profile(trace: ForwardTrace, classification: LayerClassification,
                            span: tuple[int, int], entropy_orig: float,
@@ -256,7 +264,3 @@ def filter_knowledge(stream: KnowledgeStream, eq: Sequence[float], epsilon: floa
     factor = 1.0 if rescale == "none" else float(stream.seq_len)
     scaled = stream.tokens * (epsilon * factor * weights)[:, None]
     return KnowledgeStream(scaled, stream.origin)
-
-
-def sweep_json(sweep: PruningSweep) -> str:
-    return json.dumps(sweep.to_json_rows())

@@ -373,8 +373,3 @@ def build_training_init(layout: FixtureLayout, seed: int = 0) -> DsspParams:
 def fixture_dataset(n_records: int = 64, noise_rate: float = 1.0,
                     seed: int = 0, vocab: Vocab | None = None) -> list[QARecord]:
     return make_conflict_dataset(n_records, vocab or fixture_vocab(), noise_rate, seed)
-
-
-def sweep_queries(records: list[QARecord]) -> list[list[int]]:
-    """Question token lists, the probe set for the layer-pruning sweep."""
-    return [list(r.question) for r in records]

@@ -226,7 +226,8 @@ def forward(
 # slice shape, so packing heads into one projection or batching (1, d) rows
 # into one (B, d) matmul changes the rounding.
 
-def _layer_norm(x: Array, gain: Array, bias: Array) -> Array:
+def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
+    """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -304,7 +305,7 @@ def infer(
             hidden.append(x)
             attention.append(eye.copy())
             continue
-        xn = _layer_norm(x, w[f"l{l}.ln1.gain"], w[f"l{l}.ln1.bias"])
+        xn = layer_norm(x, w[f"l{l}.ln1.gain"], w[f"l{l}.ln1.bias"])
         if opts.dssp_layer == l:
             outs = [opts.dssp_hook(Tensor(row)) for row in xn]
             if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
@@ -322,13 +323,13 @@ def infer(
             merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
         x = x + attn_out
-        yn = _layer_norm(x, w[f"l{l}.ln2.gain"], w[f"l{l}.ln2.bias"])
+        yn = layer_norm(x, w[f"l{l}.ln2.gain"], w[f"l{l}.ln2.bias"])
         h1 = yn @ w[f"l{l}.ffn.w1"] + w[f"l{l}.ffn.b1"]
         h1 = h1 * (h1 > 0.0)
         x = x + (h1 @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
         hidden.append(x)
 
-    final = _layer_norm(x, w["lnf.gain"], w["lnf.bias"])
+    final = layer_norm(x, w["lnf.gain"], w["lnf.bias"])
     logits = final @ w["tok_emb"].T.copy()
     if single:
         return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention], logits[0])
@@ -342,7 +343,7 @@ def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> list[Array]:
     matmul: stacking the rows into one matmul rounds differently.
     """
     w = model.weights
-    return [_softmax(_layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
+    return [_softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
             for h in hidden]
 
 
@@ -363,11 +364,10 @@ def generate(
     seed: int,
     max_new_tokens: int = 1,
     options: ForwardOptions | None = None,
-    eos_id: int | None = None,
 ) -> list[list[int]]:
     """Sample answer continuations; temperature 0 is greedy (lowest-index ties)."""
     return generate_from(model, prompt, infer(model, prompt, options).logits[-1],
-                         n_samples, temperature, seed, max_new_tokens, options, eos_id)
+                         n_samples, temperature, seed, max_new_tokens, options)
 
 
 def generate_from(
@@ -379,7 +379,6 @@ def generate_from(
     seed: int,
     max_new_tokens: int = 1,
     options: ForwardOptions | None = None,
-    eos_id: int | None = None,
 ) -> list[list[int]]:
     """``generate`` from the prompt's last-position logits, already computed.
 
@@ -411,8 +410,6 @@ def generate_from(
                 tok = int(rng.choice(len(probs), p=probs))
             answer.append(tok)
             seq.append(tok)
-            if eos_id is not None and tok == eos_id:
-                break
         samples.append(answer)
     return samples
 

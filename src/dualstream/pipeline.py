@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .dataset import QARecord, Vocab, make_question
 from .detector import (
     AGGREGATIONS,
@@ -32,11 +30,12 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError
+from .errors import ContractViolationError, read_field
 from .filtering import (
     RESCALE_MODES,
     FilterProfile,
     LayerClassification,
+    PruningSweep,
     SamplingSpec,
     classify_layers,
     compute_filter_profile,
@@ -45,11 +44,24 @@ from .filtering import (
     pruning_sweep,
 )
 from .fusion import DsspParams, KnowledgeStream, load_dssp_params, make_dssp_hook
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer, logit_lens
+from .model import (
+    ForwardOptions,
+    ForwardTrace,
+    TinyTransformer,
+    generate_from,
+    infer,
+    layer_norm,
+    load_model,
+    logit_lens,
+)
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .training import TrainExample
 
 PROBE_SUBJECTS_PER_HALF = 8
+
+# accepted JSON types per RunConfig annotation (bool is an int, so it is named apart)
+_FIELD_TYPES = {"str": (str,), "float": (int, float), "int": (int,),
+                "int | None": (int, type(None)), "bool": (bool,)}
 
 
 @dataclass
@@ -70,13 +82,18 @@ class RunConfig:
     force_retrieval: bool = False      # run the filter+fusion path on every record
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, accepted = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                raise ContractViolationError(
+                    f"config field {f.name} must be {f.type}, got {type(value).__name__}")
         if self.delta <= 0 or not np.isfinite(self.delta):
             raise ContractViolationError("delta must be finite and > 0")
         if self.aggregation not in AGGREGATIONS:
             raise ContractViolationError(f"aggregation must be one of {AGGREGATIONS}")
         if self.lam <= 0 or not np.isfinite(self.lam):
             raise ContractViolationError("lam must be finite and > 0")
-        if self.top_t is not None and int(self.top_t) < 1:
+        if self.top_t is not None and self.top_t < 1:
             raise ContractViolationError("top_t must be >= 1")
         if self.rescale not in RESCALE_MODES:
             raise ContractViolationError(f"rescale must be one of {RESCALE_MODES}")
@@ -90,6 +107,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ContractViolationError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -135,19 +154,20 @@ class Calibration:
     def classification(self) -> LayerClassification:
         return LayerClassification(self.key_layer, self.offset_layer)
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+    @classmethod
+    def from_sweep(cls, sweep: PruningSweep) -> "Calibration":
+        """Classify the sweep's layers and derive the filter gate from them."""
+        layers = classify_layers(sweep)
+        h_orig = float(sweep.baseline_entropy)
+        h_off = float(sweep.layer_entropies[layers.offset_layer])
+        epsilon, delta_entropy = entropy_gate(h_orig, h_off)
+        return cls(layers.key_layer, layers.offset_layer, h_orig, h_off,
+                   epsilon, delta_entropy)
 
 
 def calibrate(model: TinyTransformer, queries, spec: SamplingSpec | None = None) -> Calibration:
     """Layer-pruning sweep over a probe query set, reduced to filter inputs."""
-    sweep = pruning_sweep(model, queries, spec or SamplingSpec())
-    cls = classify_layers(sweep)
-    h_orig = float(sweep.baseline_entropy)
-    h_off = float(sweep.layer_entropies[cls.offset_layer])
-    epsilon, delta_entropy = entropy_gate(h_orig, h_off)
-    return Calibration(cls.key_layer, cls.offset_layer, h_orig, h_off,
-                       epsilon, delta_entropy)
+    return Calibration.from_sweep(pruning_sweep(model, queries, spec or SamplingSpec()))
 
 
 def probe_questions(vocab: Vocab) -> list[list[int]]:
@@ -181,24 +201,39 @@ def meta_vocab(meta: dict) -> Vocab | None:
     return None
 
 
-def load_bundle(config: RunConfig, probe_queries=None) -> Bundle:
-    """Load both checkpoints and calibrate.  Expensive; share across records."""
-    from .model import load_model
+def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
+    """Load the host checkpoint and the vocabulary recorded with it."""
+    if not config.model_checkpoint:
+        raise ContractViolationError("config names no model checkpoint")
+    model, meta = load_model(config.model_checkpoint)
+    return model, meta_vocab(meta)
 
+
+def probe_calibration(model: TinyTransformer, vocab: Vocab | None, seed: int) -> Calibration:
+    """Calibrate on the canonical probe set of the checkpoint's vocabulary."""
+    if vocab is None:
+        raise ContractViolationError(
+            "checkpoint metadata has no vocabulary to build probe questions from")
+    return calibrate(model, probe_questions(vocab), SamplingSpec(seed=seed))
+
+
+def load_bundle(config: RunConfig, probe_queries=None) -> Bundle:
+    """Load both checkpoints and calibrate.  Expensive; share across records.
+
+    Without ``probe_queries`` the probe set comes from the checkpoint's
+    vocabulary.
+    """
     if not config.model_checkpoint or not config.dssp_checkpoint:
         raise ContractViolationError("config names no checkpoint pair to load")
-    model, meta = load_model(config.model_checkpoint)
+    model, vocab = load_host(config)
     params = load_dssp_params(config.dssp_checkpoint)
     if config.top_t is not None:
-        params.top_t = int(config.top_t)
-    vocab = meta_vocab(meta)
+        params.top_t = config.top_t
     if probe_queries is None:
-        if vocab is None:
-            raise ContractViolationError(
-                "checkpoint metadata has no vocabulary; pass probe_queries")
-        probe_queries = probe_questions(vocab)
-    return Bundle(model, params, vocab,
-                  calibrate(model, probe_queries, SamplingSpec(seed=config.seed)))
+        calibration = probe_calibration(model, vocab, config.seed)
+    else:
+        calibration = calibrate(model, probe_queries, SamplingSpec(seed=config.seed))
+    return Bundle(model, params, vocab, calibration)
 
 
 def vocab_meta(vocab: Vocab) -> dict:
@@ -228,57 +263,28 @@ class PipelineTrace:
                 "filter stage present although the verdict did not gate it in")
 
     def to_json(self) -> dict:
-        if self.filter is None:
-            filter_doc: dict | str = "skipped"
-        else:
-            filter_doc = {
-                "key_layer": self.filter.key_layer,
-                "offset_layer": self.filter.offset_layer,
-                "epsilon": self.filter.epsilon,
-                "delta_entropy": self.filter.delta_entropy,
-                "eq": [float(x) for x in self.filter.eq],
-                "delta_a": [float(x) for x in self.filter.delta_a],
-            }
         return {
             "record_id": self.record_id,
             "verdict": self.verdict.to_json(),
-            "filter": filter_doc,
+            "filter": "skipped" if self.filter is None else self.filter.to_json(),
             "answer": list(self.answer),
             "timings": dict(self.timings),
             "forced": self.forced,
         }
 
-
-def trace_from_json(doc: dict) -> PipelineTrace:
-    """Rebuild a trace from its JSON form (timings may have been stripped)."""
-    vdoc = doc["verdict"]
-    verdict = DetectionVerdict(
-        hallucination=bool(vdoc["hallucination"]),
-        statistic=float(vdoc["statistic"]),
-        delta=float(vdoc["delta"]),
-        aggregation=str(vdoc["aggregation"]),
-        insertion_layer=int(vdoc["insertion_layer"]),
-        per_layer=tuple(float(x) for x in vdoc["per_layer"]),
-    )
-    fdoc = doc["filter"]
-    profile = None
-    if fdoc != "skipped":
-        profile = FilterProfile(
-            key_layer=int(fdoc["key_layer"]),
-            offset_layer=int(fdoc["offset_layer"]),
-            delta_a=np.asarray(fdoc["delta_a"], dtype=np.float64),
-            eq=np.asarray(fdoc["eq"], dtype=np.float64),
-            epsilon=float(fdoc["epsilon"]),
-            delta_entropy=float(fdoc["delta_entropy"]),
+    @classmethod
+    def from_json(cls, doc: dict) -> "PipelineTrace":
+        """Rebuild a trace from its JSON form (timings may have been stripped)."""
+        return cls(
+            record_id=read_field(doc, "record_id", str),
+            verdict=read_field(doc, "verdict", DetectionVerdict.from_json),
+            filter=read_field(doc, "filter", lambda f: None if f == "skipped"
+                              else FilterProfile.from_json(f)),
+            answer=read_field(doc, "answer", lambda a: [int(t) for t in a]),
+            timings=read_field(doc, "timings",
+                               lambda t: {k: float(v) for k, v in dict(t).items()}, {}),
+            forced=read_field(doc, "forced", bool, False),
         )
-    return PipelineTrace(
-        record_id=str(doc["record_id"]),
-        verdict=verdict,
-        filter=profile,
-        answer=[int(t) for t in doc["answer"]],
-        timings={k: float(v) for k, v in doc.get("timings", {}).items()},
-        forced=bool(doc.get("forced", False)),
-    )
 
 
 def context_tokens(record: QARecord, vocab: Vocab) -> list[int]:
@@ -312,10 +318,8 @@ def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
     if layer < 1:
         raise ContractViolationError("fused insertion needs a layer >= 1")
     rows = np.asarray(trace.hidden[layer - 1][span[0]:span[1]])
-    xn = ad.layer_norm(Tensor(rows),
-                       Tensor(model.weights[f"l{layer}.ln1.gain"]),
-                       Tensor(model.weights[f"l{layer}.ln1.bias"]))
-    return xn.value
+    return layer_norm(rows, model.weights[f"l{layer}.ln1.gain"],
+                      model.weights[f"l{layer}.ln1.bias"])
 
 
 def variant_tokens(record: QARecord, vocab: Vocab | None) -> list[int]:

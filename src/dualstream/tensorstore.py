@@ -8,7 +8,6 @@ so save -> load -> save round-trips byte-exactly.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from typing import Mapping
@@ -71,17 +70,20 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
         raise ContractViolationError("container truncated: header shorter than declared")
     try:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to parse
         raise ContractViolationError(f"container header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
+        raise ContractViolationError("container header must be an object with a 'tensors' list")
     payload = raw[8 + hlen:]
     out: dict[str, np.ndarray] = {}
     for entry in header.get("tensors", []):
-        name, rows, cols = entry["name"], entry["rows"], entry["cols"]
-        np_dtype = _DTYPES.get(entry["dtype"])
+        name, rows, cols, dtype, start = _entry_fields(entry)
+        if name in out:
+            raise ContractViolationError(f"duplicate tensor name {name!r}")
+        np_dtype = _DTYPES.get(dtype)
         if np_dtype is None:
-            raise ContractViolationError(f"tensor {name!r} has unknown dtype {entry['dtype']!r}")
+            raise ContractViolationError(f"tensor {name!r} has unknown dtype {dtype!r}")
         nbytes = rows * cols * np_dtype.itemsize
-        start = entry["byte_offset"]
         if start + nbytes > len(payload):
             raise ContractViolationError(f"tensor {name!r} blob extends past end of file")
         arr = np.frombuffer(payload[start:start + nbytes], dtype=np_dtype).reshape(rows, cols)
@@ -89,7 +91,18 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
     return out
 
 
-def container_bytes(tensors: Mapping[str, np.ndarray], dtype: str = "f32") -> bytes:
-    buf = io.BytesIO()
-    save_tensors(buf, tensors, dtype=dtype)
-    return buf.getvalue()
+def _entry_fields(entry) -> tuple[str, int, int, str, int]:
+    """A header entry's (name, rows, cols, dtype, byte_offset), type-checked."""
+    keys = ("name", "rows", "cols", "dtype", "byte_offset")
+    if not isinstance(entry, dict):
+        raise ContractViolationError("container header entry is not an object")
+    missing = [k for k in keys if k not in entry]
+    if missing:
+        raise ContractViolationError(f"container header entry lacks {missing}")
+    name, rows, cols, dtype, start = (entry[k] for k in keys)
+    if not isinstance(name, str) or not isinstance(dtype, str):
+        raise ContractViolationError("tensor entry name and dtype must be strings")
+    for k in ("rows", "cols", "byte_offset"):
+        if type(entry[k]) is not int or entry[k] < 0:
+            raise ContractViolationError(f"tensor {name!r} field {k} must be an integer >= 0")
+    return name, rows, cols, dtype, start

@@ -23,9 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError
-from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook
+from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params
 from .model import ForwardOptions, TinyTransformer, forward, infer
-from .tensorstore import container_bytes
 
 Array = np.ndarray
 
@@ -136,9 +135,10 @@ class TrainReport:
 
 
 def checkpoint_id(params: DsspParams) -> str:
-    tensors = dict(params.to_arrays())
-    tensors["top_t"] = np.array([[float(params.top_t)]])
-    return hashlib.sha256(container_bytes(tensors, dtype="f64")).hexdigest()
+    """sha256 of the checkpoint ``save_dssp_params`` writes for ``params``."""
+    buf = io.BytesIO()
+    save_dssp_params(buf, params)
+    return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
 def _base_distribution(model: TinyTransformer, tokens: Sequence[int]) -> Array:
@@ -273,14 +273,6 @@ class GridSearchResult:
     nu_star: float
     best_value: float
     table: list[GridPoint]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("mu,nu,value,note\n")
-        for p in self.table:
-            value = "" if p.value is None else repr(p.value)
-            out.write(f"{p.mu},{p.nu},{value},{p.note}\n")
-        return out.getvalue()
 
 
 def grid_search(objective: Callable[[float, float], float]) -> GridSearchResult:

@@ -1,5 +1,7 @@
 """CLI tests: every subcommand, config echo reproducibility, error lines."""
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -178,3 +180,52 @@ def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys)
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:ContractViolationError:")
     assert len(err.splitlines()) == 1
+
+
+def _container(header) -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw + bytes(16)
+
+
+_ENTRY = {"name": "tok_emb", "rows": 1, "cols": 1, "dtype": "f64", "byte_offset": 0}
+_BAD_HEADERS = {
+    "header_not_object": ([], "object"),
+    "tensors_not_list": ({"tensors": 5}, "tensors"),
+    "entry_not_object": ({"tensors": [7]}, "entry"),
+    "entry_without_rows": ({"tensors": [{k: v for k, v in _ENTRY.items() if k != "rows"}]},
+                           "rows"),
+    "negative_byte_offset": ({"tensors": [{**_ENTRY, "byte_offset": -8}]}, "byte_offset"),
+    "bool_rows": ({"tensors": [{**_ENTRY, "rows": True}]}, "rows"),
+    "list_dtype": ({"tensors": [{**_ENTRY, "dtype": ["f64"]}]}, "dtype"),
+    "duplicate_names": ({"tensors": [_ENTRY, {**_ENTRY, "byte_offset": 8}]}, "duplicate"),
+}
+
+
+@pytest.mark.parametrize("case", ["config_field_type", "record_token", "trace_without_verdict",
+                                  *sorted(_BAD_HEADERS)])
+def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
+    cfg, recs = setup
+    doc = read_json(cfg)
+    bad = tmp_path / "bad"
+    if case == "config_field_type":
+        bad.write_text(json.dumps({**doc, "lam": "80"}))
+        argv, named = ["pipeline", "--config", str(bad), "--fixture", "4"], "lam"
+    elif case == "record_token":
+        row = fixture_dataset(1)[0].to_json()
+        bad.write_text(json.dumps({**row, "question": [2, 3, "x", 7]}) + "\n")
+        argv, named = ["eval", "--records", str(bad), "--traces", recs], "question"
+    elif case == "trace_without_verdict":
+        bad.write_text(json.dumps({"record_id": "rec0000", "filter": "skipped",
+                                   "answer": [80], "forced": False}) + "\n")
+        argv, named = ["eval", "--records", recs, "--traces", str(bad)], "verdict"
+    else:
+        header, named = _BAD_HEADERS[case]
+        bad.write_bytes(_container(header))
+        shutil.copy(doc["model_checkpoint"] + ".json", str(bad) + ".json")
+        bad_cfg = tmp_path / "run.json"
+        bad_cfg.write_text(json.dumps({**doc, "model_checkpoint": str(bad)}))
+        argv = ["detect", "--config", str(bad_cfg), "--fixture", "4"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:ContractViolationError:") and named in err[0]

@@ -63,6 +63,8 @@ def test_templates_match_variant_rule():
     question = make_question(v, subject)
     assert question == [v.WH, v.AUX, v.REL, subject]
     assert make_variant(question, {v.WH}, {v.AUX}) == [v.REL, v.AUX, subject, v.WH]
+    for rec in make_conflict_dataset(64, v, 0.5, seed=3):
+        assert rec.variant == make_variant(rec.question, {v.WH}, {v.AUX})
     doc = make_fact_document(v, subject, v.object_ids[2])
     assert doc == [v.IN, v.object_ids[2], subject, v.REL, v.EOS]
 

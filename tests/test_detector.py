@@ -11,8 +11,6 @@ from dualstream.detector import (
     detect,
     divergence_profile,
     make_variant,
-    validate_variant_pair,
-    verdict_to_json_line,
 )
 from dualstream.divergence import jsd
 from dualstream.errors import ContractViolationError, VariantRuleError
@@ -116,18 +114,18 @@ def test_insertion_layer_argmax_with_lowest_tie():
 
 def test_verdict_json_round_trip():
     verdict = detect(DivergenceProfile([0.1, 0.8, 0.9]), delta=0.5)
-    doc = json.loads(verdict_to_json_line(verdict, record_id="q7"))
-    assert doc["id"] == "q7"
+    doc = json.loads(json.dumps(verdict.to_json(), sort_keys=True))
     assert doc["hallucination"] is True
     assert doc["delta"] == 0.5
     assert doc["insertion_layer"] == 2
     assert doc["per_layer"] == list(verdict.per_layer)
     assert doc["aggregation"] == "tail_sum(1)"
-    rebuilt = DetectionVerdict(
-        hallucination=doc["hallucination"], statistic=doc["statistic"],
-        delta=doc["delta"], aggregation=doc["aggregation"],
-        insertion_layer=doc["insertion_layer"], per_layer=tuple(doc["per_layer"]))
-    assert rebuilt == verdict
+    assert DetectionVerdict.from_json(doc) == verdict
+    for field in doc:
+        with pytest.raises(ContractViolationError, match=field):
+            DetectionVerdict.from_json({k: v for k, v in doc.items() if k != field})
+    with pytest.raises(ContractViolationError, match="per_layer"):
+        DetectionVerdict.from_json({**doc, "per_layer": ["x"]})
 
 
 def test_detect_is_deterministic():
@@ -169,7 +167,6 @@ def test_make_variant_preserves_length_and_multiset():
         var = make_variant(toks, WH, AUX)
         assert len(var) == len(toks)
         assert sorted(var) == sorted(toks)
-        validate_variant_pair(toks, var)
 
 
 def test_make_variant_inapplicable_raises():
@@ -179,10 +176,3 @@ def test_make_variant_inapplicable_raises():
         make_variant([100, 7, 8], WH, AUX)  # no auxiliary
     with pytest.raises(VariantRuleError):
         make_variant([100, 200], WH, AUX)  # too short
-    with pytest.raises(ContractViolationError):
-        make_variant([100, 200, 7], WH, AUX, rule="passive")
-
-
-def test_validate_variant_pair_rejects_length_mismatch():
-    with pytest.raises(ContractViolationError):
-        validate_variant_pair([1, 2, 3], [1, 2])

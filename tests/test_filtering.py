@@ -19,7 +19,6 @@ from dualstream.filtering import (
     entropy_gate,
     filter_knowledge,
     pruning_sweep,
-    sweep_json,
 )
 from dualstream.fusion import KnowledgeStream
 from dualstream.model import ForwardTrace, ModelConfig, TinyTransformer
@@ -50,15 +49,9 @@ def test_sampling_spec_validation():
         SamplingSpec(max_new_tokens=0)
 
 
-def test_sweep_deltas_and_json():
+def test_sweep_deltas():
     sweep = PruningSweep(baseline_entropy=1.0, layer_entropies=[1.8, 0.6, 1.0])
     assert np.allclose(sweep.deltas, [0.8, -0.4, 0.0])
-    rows = json.loads(sweep_json(sweep))
-    assert rows == [
-        {"layer": 0, "delta_entropy": pytest.approx(0.8)},
-        {"layer": 1, "delta_entropy": pytest.approx(-0.4)},
-        {"layer": 2, "delta_entropy": pytest.approx(0.0)},
-    ]
 
 
 def test_pruning_sweep_identity_layer_has_exact_zero_delta():
@@ -341,3 +334,8 @@ def test_compute_filter_profile_favours_key_attended_tokens():
     doc = profile.to_json()
     assert doc["key_layer"] == 1 and doc["offset_layer"] == 0
     assert doc["eq"] == pytest.approx(list(profile.eq))
+    assert FilterProfile.from_json(json.loads(json.dumps(doc))).to_json() == doc
+    with pytest.raises(ContractViolationError, match="eq"):
+        FilterProfile.from_json({**doc, "eq": "uniform"})
+    with pytest.raises(ContractViolationError, match="differ"):
+        FilterProfile.from_json({**doc, "key_layer": 0})  # the constructor's own check

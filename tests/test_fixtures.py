@@ -30,7 +30,6 @@ from dualstream.fixtures import (
     fixture_dataset,
     fixture_vocab,
     known_subjects,
-    sweep_queries,
 )
 from dualstream.fusion import KnowledgeStream, dssp_update, make_dssp_hook
 from dualstream.model import ForwardOptions, forward, generate, layer_distributions
@@ -359,4 +358,3 @@ def test_fixture_dataset_uses_fixture_vocab_templates():
     for rec in records[:8]:
         assert rec.question == make_question(v, rec.question[3])
         assert rec.variant is not None
-    assert sweep_queries(records) == [list(r.question) for r in records]

@@ -87,7 +87,9 @@ def test_config_rejects_out_of_range_fields(checkpoints):
     mpath, dpath = checkpoints
     good = dict(model_checkpoint=mpath, dssp_checkpoint=dpath)
     for bad in (dict(delta=0.0), dict(aggregation="median"), dict(lam=-1.0),
-                dict(top_t=0), dict(rescale="l2"), dict(mu=1.5), dict(nu=-0.2)):
+                dict(top_t=0), dict(rescale="l2"), dict(mu=1.5), dict(nu=-0.2),
+                dict(lam="80"), dict(seed=1.5), dict(top_t=2.0), dict(delta=True),
+                dict(force_retrieval=1), dict(out_dir=None)):
         with pytest.raises(ContractViolationError):
             RunConfig(**good, **bad)
     with pytest.raises(ContractViolationError):
@@ -191,6 +193,23 @@ def test_variant_is_derived_when_absent(records, config, bundle):
     b = pipeline_run(stripped, config, bundle)
     assert a.verdict.statistic == b.verdict.statistic
     assert a.answer == b.answer
+
+
+def test_trace_json_round_trip(records, config, bundle, traces):
+    flagged = next(t for t in traces if t.filter is not None)
+    skipped = next(t for t in traces if t.filter is None)
+    clean = next(r for r in records if r.record_id == skipped.record_id)
+    forced = pipeline_run(clean, dataclasses.replace(config, force_retrieval=True), bundle)
+    assert forced.forced and forced.filter is not None
+    for trace in (flagged, skipped, forced):
+        doc = trace.to_json()
+        assert PipelineTrace.from_json(json.loads(json.dumps(doc))).to_json() == doc
+    doc = skipped.to_json()
+    for field in ("record_id", "verdict", "filter", "answer"):
+        with pytest.raises(ContractViolationError, match=field):
+            PipelineTrace.from_json({k: v for k, v in doc.items() if k != field})
+    with pytest.raises(ContractViolationError, match="answer"):
+        PipelineTrace.from_json({**doc, "answer": ["x"]})
 
 
 def test_trace_invariant_rejects_ungated_filter(traces):

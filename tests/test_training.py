@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dualstream.cli import main
 from dualstream.errors import ContractViolationError, TrainingDivergedError
 from dualstream.fusion import PARAM_NAMES, DsspParams
 from dualstream.model import ModelConfig, TinyTransformer
@@ -273,9 +274,10 @@ def test_grid_search_all_failures_rejected():
         grid_search(objective)
 
 
-def test_grid_search_csv():
-    result = grid_search(lambda mu, nu: mu + nu)
-    lines = result.to_csv().strip().splitlines()
+def test_grid_search_csv(tmp_path):
+    # the grid table's CSV form is written by the CLI, from the demo objective
+    assert main(["grid-search", "--csv", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "grid.csv").read_text().strip().splitlines()
     assert lines[0] == "mu,nu,value,note"
     assert len(lines) == 1 + 143
     assert lines[1].startswith("0.4,0.05,")
