@@ -124,9 +124,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractViolationError(
             f"matmul inner dimensions differ: {a.value.shape} x {b.value.shape}")
     av, bv = a.value, b.value
+    need_a, need_b = a.tape is not None, b.tape is not None
 
     def vjp(g: Array):
-        return g @ bv.T, av.T @ g
+        # a constant operand (no tape) never passes a gradient on to a leaf
+        return g @ bv.T if need_a else None, av.T @ g if need_b else None
 
     return _emit(av @ bv, (a, b), vjp)
 
@@ -320,12 +322,13 @@ def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
-    """Gradients of a scalar loss wrt every leaf reachable on the tape.
+    """Gradients of a scalar loss wrt every taped leaf it depends on.
 
     Records are replayed in reverse creation order, which is a valid reverse
     topological order, so each node is visited exactly once and fan-out
-    gradients accumulate additively.  Returns a mapping whose keys are the
-    leaf Tensors (nodes not produced by any taped op) plus the loss itself.
+    gradients accumulate additively.  Constants (inputs without a tape) get
+    no adjoint: nothing flows from them into a leaf.  Returns a mapping whose
+    keys are the taped leaf Tensors (nodes not produced by any taped op).
     """
     if loss.value.shape != (1, 1):
         raise ContractViolationError(f"backward seed must be scalar, got {loss.value.shape}")
@@ -335,7 +338,7 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
         if g is None:
             continue
         for inp, ginp in zip(inputs, vjp(g)):
-            if ginp is None:
+            if ginp is None or inp.tape is None:
                 continue
             acc = grads.get(inp)
             grads[inp] = ginp if acc is None else acc + ginp

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import make_variant
-from .errors import ContractViolationError, read_field
+from .errors import ContractViolationError, json_value, read_field
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class QARecord:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QARecord":
-        tokens = lambda row: [int(t) for t in row]
+        tokens = lambda row: [json_value(int, t) for t in row]
         return cls(
             record_id=read_field(payload, "id", str),
             question=read_field(payload, "question", tokens),
@@ -130,7 +130,8 @@ class QARecord:
                                lambda v: None if v is None else tokens(v), None),
             noise_mask=read_field(
                 payload, "noise_mask",
-                lambda m: None if m is None else [[bool(b) for b in row] for row in m], None),
+                lambda m: None if m is None else [[json_value(bool, b) for b in row] for row in m],
+                None),
         )
 
 

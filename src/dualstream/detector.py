@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import jsd
-from .errors import ContractViolationError, VariantRuleError, read_field
+from .errors import ContractViolationError, VariantRuleError, json_value, read_field
 
 Array = np.ndarray
 
@@ -67,7 +67,8 @@ class DetectionVerdict:
             delta=read_field(doc, "delta", float),
             aggregation=read_field(doc, "aggregation", str),
             insertion_layer=read_field(doc, "insertion_layer", int),
-            per_layer=read_field(doc, "per_layer", lambda v: tuple(float(x) for x in v)),
+            per_layer=read_field(doc, "per_layer",
+                                 lambda v: tuple(json_value(float, x) for x in v)),
         )
 
 

@@ -33,9 +33,22 @@ class TrainingDivergedError(RuntimeError):
         self.step = step
 
 
+# the Python types ``json.load`` gives a value of each kind; a float may be written as an integer
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), dict: (dict,)}
+
+
+def json_value(kind: type, value):
+    """``kind(value)`` if JSON gave ``value`` that type, else TypeError; a bool is no number."""
+    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return kind(value)
+
+
 def read_field(doc, name: str, convert, default=_REQUIRED):
     """``convert(doc[name])``; a missing or malformed field raises ContractViolationError.
 
+    ``convert`` is a function, or one of ``str``, ``int``, ``float``,
+    ``bool`` and ``dict``, which ``json_value`` checks instead of coercing.
     ``default`` is returned when the field is absent; without one the field
     is required.  The error names the field, nested readers included.
     """
@@ -46,6 +59,8 @@ def read_field(doc, name: str, convert, default=_REQUIRED):
             raise ContractViolationError(f"missing field {name!r}")
         return default
     try:
+        if convert in _JSON_TYPES:
+            return json_value(convert, doc[name])
         return convert(doc[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolationError(f"field {name!r}: {exc}") from exc

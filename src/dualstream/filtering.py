@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import semantic_entropy, validate_prob_vector
-from .errors import ContractViolationError, LayerStructureError, read_field
+from .errors import ContractViolationError, LayerStructureError, json_value, read_field
 from .fusion import KnowledgeStream
 from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer
 
@@ -214,7 +214,7 @@ class FilterProfile:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FilterProfile":
-        floats = lambda v: np.asarray(v, dtype=np.float64)
+        floats = lambda v: np.array([json_value(float, x) for x in v], dtype=np.float64)
         return cls(
             key_layer=read_field(doc, "key_layer", int),
             offset_layer=read_field(doc, "offset_layer", int),

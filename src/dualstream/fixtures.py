@@ -48,7 +48,7 @@ import numpy as np
 from .dataset import Vocab, make_conflict_dataset, QARecord
 from .errors import ContractViolationError
 from .fusion import DsspParams
-from .model import ModelConfig, TinyTransformer
+from .model import ModelConfig, TinyTransformer, weight_shapes
 
 Array = np.ndarray
 
@@ -174,24 +174,10 @@ def _position_embeddings(layout: FixtureLayout) -> Array:
     return pos
 
 
-def _empty_weights(layout: FixtureLayout, config: ModelConfig) -> dict[str, Array]:
-    d, dh, dff = config.d_model, config.d_head, config.d_ff
-    w: dict[str, Array] = {}
-    for l in range(config.n_layers):
-        for h in range(config.n_heads):
-            for part in ("wq", "wk", "wv"):
-                w[f"l{l}.attn.{part}.h{h}"] = np.zeros((d, dh))
-        w[f"l{l}.attn.wo"] = np.zeros((d, d))
-        w[f"l{l}.attn.bo"] = np.zeros((1, d))
-        w[f"l{l}.ffn.w1"] = np.zeros((d, dff))
-        w[f"l{l}.ffn.b1"] = np.zeros((1, dff))
-        w[f"l{l}.ffn.w2"] = np.zeros((dff, d))
-        w[f"l{l}.ffn.b2"] = np.zeros((1, d))
-        for ln in ("ln1", "ln2"):
-            w[f"l{l}.{ln}.gain"] = np.ones((1, d))
-            w[f"l{l}.{ln}.bias"] = np.zeros((1, d))
-    w["lnf.gain"] = np.full((1, d), READOUT_GAIN)
-    w["lnf.bias"] = np.zeros((1, d))
+def _empty_weights(config: ModelConfig) -> dict[str, Array]:
+    w = {name: np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+         for name, shape in weight_shapes(config).items()}
+    w["lnf.gain"] = np.full((1, config.d_model), READOUT_GAIN)
     return w
 
 
@@ -218,7 +204,7 @@ def build_fixture_model(vocab: Vocab | None = None) -> tuple[TinyTransformer, Fi
         n_layers=N_LAYERS, n_heads=N_HEADS, d_model=layout.d_model,
         d_ff=FFN_WIDTH, vocab_size=vocab.size, max_seq=MAX_SEQ, seed=0,
     )
-    w = _empty_weights(layout, config)
+    w = _empty_weights(config)
     w["tok_emb"] = _token_embeddings(layout)
     w["pos_emb"] = _position_embeddings(layout)
 

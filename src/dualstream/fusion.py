@@ -167,11 +167,10 @@ def save_dssp_params(path, params: DsspParams, dtype: str = "f64") -> None:
 
 def load_dssp_params(path) -> DsspParams:
     tensors = load_tensors(path)
-    missing = [n for n in PARAM_NAMES if n not in tensors]
-    if missing:
-        raise ContractViolationError(f"checkpoint missing tensors: {missing}")
-    if "top_t" not in tensors:
-        raise ContractViolationError("checkpoint missing tensors: ['top_t']")
+    bad = [n for n in (*PARAM_NAMES, "top_t")
+           if n not in tensors or not np.isfinite(tensors[n]).all()]
+    if bad:
+        raise ContractViolationError(f"checkpoint tensors missing or non-finite: {bad}")
     arrays = {name: tensors[name] for name in PARAM_NAMES}
     return DsspParams(top_t=int(tensors["top_t"][0, 0]), **arrays)
 

@@ -15,6 +15,7 @@ trace shapes never depend on options.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError
+from .errors import ContractViolationError, read_field
 from .tensorstore import load_tensors, save_tensors
 
 Array = np.ndarray
@@ -101,28 +102,34 @@ class TinyTransformer:
     @classmethod
     def random(cls, config: ModelConfig) -> "TinyTransformer":
         rng = np.random.default_rng(config.seed)
-        d, dh, dff = config.d_model, config.d_head, config.d_ff
-        w: dict[str, Array] = {
-            "tok_emb": rng.normal(0.0, 0.5, size=(config.vocab_size, d)),
-            "pos_emb": rng.normal(0.0, 0.1, size=(config.max_seq, d)),
-            "lnf.gain": np.ones((1, d)),
-            "lnf.bias": np.zeros((1, d)),
-        }
-        proj = 0.3 / np.sqrt(d)
-        for l in range(config.n_layers):
-            for h in range(config.n_heads):
-                for part in ("wq", "wk", "wv"):
-                    w[f"l{l}.attn.{part}.h{h}"] = rng.normal(0.0, proj, size=(d, dh))
-            w[f"l{l}.attn.wo"] = rng.normal(0.0, proj, size=(d, d))
-            w[f"l{l}.attn.bo"] = np.zeros((1, d))
-            w[f"l{l}.ffn.w1"] = rng.normal(0.0, proj, size=(d, dff))
-            w[f"l{l}.ffn.b1"] = np.zeros((1, dff))
-            w[f"l{l}.ffn.w2"] = rng.normal(0.0, proj, size=(dff, d))
-            w[f"l{l}.ffn.b2"] = np.zeros((1, d))
-            for ln in ("ln1", "ln2"):
-                w[f"l{l}.{ln}.gain"] = np.ones((1, d))
-                w[f"l{l}.{ln}.bias"] = np.zeros((1, d))
+        std = {"tok_emb": 0.5, "pos_emb": 0.1}
+        proj = 0.3 / np.sqrt(config.d_model)
+        w: dict[str, Array] = {}
+        for name, shape in weight_shapes(config).items():
+            if name.endswith("gain"):
+                w[name] = np.ones(shape)
+            elif name.endswith(("bias", "bo", "b1", "b2")):
+                w[name] = np.zeros(shape)
+            else:
+                w[name] = rng.normal(0.0, std.get(name, proj), size=shape)
         return cls(config, w)
+
+
+def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every host weight, in checkpoint order."""
+    d, dh, dff = config.d_model, config.d_head, config.d_ff
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq, d),
+              "lnf.gain": (1, d), "lnf.bias": (1, d)}
+    for l in range(config.n_layers):
+        for h in range(config.n_heads):
+            for part in ("wq", "wk", "wv"):
+                shapes[f"l{l}.attn.{part}.h{h}"] = (d, dh)
+        shapes.update({f"l{l}.attn.wo": (d, d), f"l{l}.attn.bo": (1, d),
+                       f"l{l}.ffn.w1": (d, dff), f"l{l}.ffn.b1": (1, dff),
+                       f"l{l}.ffn.w2": (dff, d), f"l{l}.ffn.b2": (1, d)})
+        for ln in ("ln1", "ln2"):
+            shapes.update({f"l{l}.{ln}.gain": (1, d), f"l{l}.{ln}.bias": (1, d)})
+    return shapes
 
 
 def _causal_mask(n: int) -> Array:
@@ -143,17 +150,36 @@ def _validate_tokens(config: ModelConfig, tokens: Sequence[int]) -> list[int]:
     return toks
 
 
+def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Array],
+                  shape: tuple[int, ...]) -> tuple[int, Array]:
+    """Checked ``(k, h)`` of a ``resume`` argument; ``h`` must have ``shape``."""
+    start = int(resume[0])
+    x = np.asarray(resume[1], dtype=np.float64)
+    if not 0 <= start <= cfg.n_layers:
+        raise ContractViolationError(f"resume layer {start} outside 0..{cfg.n_layers}")
+    if x.shape != shape:
+        raise ContractViolationError(f"resume state has shape {x.shape}, expected {shape}")
+    hooked = set() if opts.dssp_layer is None else {opts.dssp_layer}
+    if any(l < start for l in opts.skip_layers | hooked):
+        raise ContractViolationError("skipped or hooked layer below the resume layer")
+    return start, x
+
+
 def forward(
     model: TinyTransformer,
     tokens: Sequence[int],
     options: ForwardOptions | None = None,
     weight_tensors: dict[str, Tensor] | None = None,
+    resume: tuple[int, Array] | None = None,
 ) -> ForwardTrace:
     """Run the decoder over ``tokens`` on the tape and return the full trace.
 
     Host weights enter as constants, so nothing is recorded unless the fusion
     hook (or a ``weight_tensors`` override carrying taped leaves, for host
     fine-tuning) introduces a tape; from there on the graph is differentiable.
+    ``resume=(k, h)`` means what it means for ``infer``: start at layer ``k``
+    from the constant residual stream ``h`` entering it, with a trace that
+    starts at layer ``k`` too.
     """
     cfg = model.config
     opts = options or ForwardOptions()
@@ -167,13 +193,18 @@ def forward(
         return Tensor(model.weights[name])
 
     emb = W("tok_emb")
-    x = ad.add(ad.take_rows(emb, toks), ad.take_rows(W("pos_emb"), list(range(n))))
+    start = 0
+    if resume is None:
+        x = ad.add(ad.take_rows(emb, toks), ad.take_rows(W("pos_emb"), list(range(n))))
+    else:
+        start, h = _resume_state(cfg, opts, resume, (n, cfg.d_model))
+        x = Tensor(h)
     mask = Tensor(_causal_mask(n))
     eye_stack = np.broadcast_to(np.eye(n), (cfg.n_heads, n, n)).copy()
 
     hidden: list[Array] = []
     attention: list[Array] = []
-    for l in range(cfg.n_layers):
+    for l in range(start, cfg.n_layers):
         if l in opts.skip_layers:
             hidden.append(x.value.copy())
             attention.append(eye_stack)
@@ -284,15 +315,7 @@ def infer(
     if resume is None:
         x = w["tok_emb"][toks] + w["pos_emb"][:n]
     else:
-        start = int(resume[0])
-        x = np.asarray(resume[1], dtype=np.float64)
-        if not 0 <= start <= cfg.n_layers:
-            raise ContractViolationError(f"resume layer {start} outside 0..{cfg.n_layers}")
-        if x.shape != ((n, d) if single else (b, n, d)):
-            raise ContractViolationError(f"resume state has shape {x.shape} for tokens {toks.shape}")
-        hooked = set() if opts.dssp_layer is None else {opts.dssp_layer}
-        if any(l < start for l in opts.skip_layers | hooked):
-            raise ContractViolationError("skipped or hooked layer below the resume layer")
+        start, x = _resume_state(cfg, opts, resume, (n, d) if single else (b, n, d))
         x = x.reshape(b, n, d)
     mask = _causal_mask(n)
     eye = np.broadcast_to(np.eye(n), (b, heads, n, n))
@@ -429,9 +452,20 @@ def save_model(model: TinyTransformer, bin_path, json_path=None, dtype: str = "f
 
 
 def load_model(bin_path, json_path=None) -> tuple[TinyTransformer, dict]:
+    """Load a checkpoint: every ``ModelConfig`` field in the sidecar, and exactly the
+    finite weights of ``weight_shapes``; an error names the field or tensor."""
     json_path = json_path or str(bin_path) + ".json"
     with open(json_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = ModelConfig(**doc["config"])
+    config = read_field(doc, "config", lambda c: ModelConfig(
+        **{f.name: read_field(c, f.name, int) for f in dataclasses.fields(ModelConfig)}))
+    meta = read_field(doc, "meta", dict, {})
     weights = load_tensors(bin_path)
-    return TinyTransformer(config, weights), doc.get("meta", {})
+    shapes = weight_shapes(config)
+    if set(weights) != set(shapes):
+        missing, unexpected = sorted(set(shapes) - set(weights)), sorted(set(weights) - set(shapes))
+        raise ContractViolationError(f"checkpoint tensors missing {missing}, unexpected {unexpected}")
+    for name, shape in shapes.items():
+        if weights[name].shape != shape or not np.isfinite(weights[name]).all():
+            raise ContractViolationError(f"tensor {name!r} is not a finite {shape} matrix")
+    return TinyTransformer(config, weights), meta

@@ -30,7 +30,7 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError, read_field
+from .errors import ContractViolationError, json_value, read_field
 from .filtering import (
     RESCALE_MODES,
     FilterProfile,
@@ -59,9 +59,8 @@ from .training import TrainExample
 
 PROBE_SUBJECTS_PER_HALF = 8
 
-# accepted JSON types per RunConfig annotation (bool is an int, so it is named apart)
-_FIELD_TYPES = {"str": (str,), "float": (int, float), "int": (int,),
-                "int | None": (int, type(None)), "bool": (bool,)}
+# the JSON kind of each RunConfig annotation
+_FIELD_KINDS = {"str": str, "float": float, "int": int, "int | None": int, "bool": bool}
 
 
 @dataclass
@@ -83,10 +82,8 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value, accepted = getattr(self, f.name), _FIELD_TYPES[f.type]
-            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-                raise ContractViolationError(
-                    f"config field {f.name} must be {f.type}, got {type(value).__name__}")
+            if not (f.type == "int | None" and getattr(self, f.name) is None):
+                read_field(vars(self), f.name, _FIELD_KINDS[f.type])
         if self.delta <= 0 or not np.isfinite(self.delta):
             raise ContractViolationError("delta must be finite and > 0")
         if self.aggregation not in AGGREGATIONS:
@@ -197,7 +194,8 @@ class Bundle:
 def meta_vocab(meta: dict) -> Vocab | None:
     """Rebuild the vocabulary a checkpoint was written with, if recorded."""
     if isinstance(meta.get("vocab"), dict):
-        return Vocab(**{k: int(v) for k, v in meta["vocab"].items()})
+        return Vocab(**{name: read_field(meta["vocab"], name, int)
+                        for name in ("n_subjects", "n_objects", "n_junk")})
     return None
 
 
@@ -217,23 +215,15 @@ def probe_calibration(model: TinyTransformer, vocab: Vocab | None, seed: int) ->
     return calibrate(model, probe_questions(vocab), SamplingSpec(seed=seed))
 
 
-def load_bundle(config: RunConfig, probe_queries=None) -> Bundle:
-    """Load both checkpoints and calibrate.  Expensive; share across records.
-
-    Without ``probe_queries`` the probe set comes from the checkpoint's
-    vocabulary.
-    """
+def load_bundle(config: RunConfig) -> Bundle:
+    """Load both checkpoints, calibrate on the vocabulary's probe set; share across records."""
     if not config.model_checkpoint or not config.dssp_checkpoint:
         raise ContractViolationError("config names no checkpoint pair to load")
     model, vocab = load_host(config)
     params = load_dssp_params(config.dssp_checkpoint)
     if config.top_t is not None:
         params.top_t = config.top_t
-    if probe_queries is None:
-        calibration = probe_calibration(model, vocab, config.seed)
-    else:
-        calibration = calibrate(model, probe_queries, SamplingSpec(seed=config.seed))
-    return Bundle(model, params, vocab, calibration)
+    return Bundle(model, params, vocab, probe_calibration(model, vocab, config.seed))
 
 
 def vocab_meta(vocab: Vocab) -> dict:
@@ -280,9 +270,9 @@ class PipelineTrace:
             verdict=read_field(doc, "verdict", DetectionVerdict.from_json),
             filter=read_field(doc, "filter", lambda f: None if f == "skipped"
                               else FilterProfile.from_json(f)),
-            answer=read_field(doc, "answer", lambda a: [int(t) for t in a]),
-            timings=read_field(doc, "timings",
-                               lambda t: {k: float(v) for k, v in dict(t).items()}, {}),
+            answer=read_field(doc, "answer", lambda a: [json_value(int, t) for t in a]),
+            timings=read_field(doc, "timings", lambda t: {
+                k: json_value(float, v) for k, v in json_value(dict, t).items()}, {}),
             forced=read_field(doc, "forced", bool, False),
         )
 

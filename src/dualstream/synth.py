@@ -39,14 +39,6 @@ class SyntheticDecomposition:
     def d_model(self) -> int:
         return int(self.basis_shared.shape[0])
 
-    def gram_offdiagonal_max(self) -> float:
-        """Largest cross-subspace inner product; ~0 when planting is orthogonal."""
-        basis = np.concatenate(
-            [self.basis_shared, self.basis_private_x, self.basis_private_y], axis=1)
-        gram = basis.T @ basis
-        off = gram - np.diag(np.diag(gram))
-        return float(np.abs(off).max()) if off.size else 0.0
-
 
 def synth_streams(
     d_model: int,

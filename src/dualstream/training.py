@@ -6,8 +6,11 @@ The objective in nats is
 
 where the base distribution comes from the host model without fusion and the
 fused one from the same model with the mixed-attention hook installed.  By
-default only the fusion parameters train; the host stays frozen, so the base
-distributions are precomputed once.
+default only the fusion parameters train and the host stays frozen, so one
+untaped pass per example serves every step: it gives the base distribution
+and the residual stream entering the insertion layer, where each step's
+taped forward resumes.  Host weights are constants on that tape, and
+``backward`` computes no adjoints for constants.
 """
 from __future__ import annotations
 
@@ -51,40 +54,6 @@ class Hyperparams:
             raise ContractViolationError("epochs and batch must be >= 1")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ContractViolationError("warmup_ratio must lie in [0, 1]")
-
-
-# ---------------------------------------------------------------------------
-# loss components (plain floats, natural log, 1e-12 clamping)
-# ---------------------------------------------------------------------------
-
-def _pair(p, q) -> tuple[Array, Array]:
-    a = np.asarray(p, dtype=np.float64).ravel()
-    b = np.asarray(q, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ContractViolationError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise ContractViolationError("empty distribution")
-    return a, b
-
-
-def conditional_entropy_term(p_base, p_aug) -> float:
-    """Cross-entropy of the fused prediction under the base prediction (nats)."""
-    base, aug = _pair(p_base, p_aug)
-    return float(-(base * np.log(np.maximum(aug, CLAMP))).sum())
-
-
-def kl_term(p_aug, p_base) -> float:
-    """KL(fused || base) in nats; direction fixed, zero iff identical."""
-    aug, base = _pair(p_aug, p_base)
-    logs = np.log(np.maximum(aug, CLAMP)) - np.log(np.maximum(base, CLAMP))
-    return float((aug * logs).sum())
-
-
-def total_loss(ce: float, h: float, kl: float, mu: float, nu: float) -> float:
-    for name, v in (("ce", ce), ("h", h), ("kl", kl), ("mu", mu), ("nu", nu)):
-        if not math.isfinite(v):
-            raise ContractViolationError(f"{name} must be finite")
-    return ce + mu * h + nu * kl
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +110,17 @@ def checkpoint_id(params: DsspParams) -> str:
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def _base_distribution(model: TinyTransformer, tokens: Sequence[int]) -> Array:
-    z = infer(model, list(tokens)).logits[-1]
+def _host_pass(model: TinyTransformer, tokens: Sequence[int],
+               resume_layer: int) -> tuple[Array, Array, tuple[int, Array] | None]:
+    """One untaped host pass: the base distribution as a (1, vocab) row, its
+    clamped log, and the ``resume`` that starts a taped forward at ``resume_layer``."""
+    trace = infer(model, list(tokens))
+    z = trace.logits[-1]
     z = z - z.max()
     e = np.exp(z)
-    return e / e.sum()
+    p_base = (e / e.sum()).reshape(1, -1)
+    resume = (resume_layer, trace.hidden[resume_layer - 1]) if resume_layer else None
+    return p_base, np.log(np.maximum(p_base, CLAMP)), resume
 
 
 def train(
@@ -161,7 +136,10 @@ def train(
 
     The host model is frozen unless update_host is set, in which case its
     weights join the gradient step and the base distributions are recomputed
-    every step.  Aborts on the first non-finite loss.
+    every step.  A frozen host is run once per example: its base distribution
+    and its residual stream entering ``insertion_layer`` serve every step,
+    which tapes only the layers from there on.  Aborts on the first
+    non-finite loss.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
@@ -174,9 +152,9 @@ def train(
     total_steps = hyper.epochs * steps_per_epoch
     warmup_steps = math.ceil(hyper.warmup_ratio * total_steps)
 
-    base_cache = None
+    host_cache = None
     if not update_host:
-        base_cache = [_base_distribution(model, ex.tokens) for ex in dataset]
+        host_cache = [_host_pass(model, ex.tokens, insertion_layer) for ex in dataset]
 
     steps: list[TrainStep] = []
     step = 0
@@ -196,18 +174,19 @@ def train(
             ce_sum = h_sum = kl_sum = 0.0
             for i in batch:
                 ex = dataset[i]
-                p_base = _base_distribution(model, ex.tokens) if update_host else base_cache[i]
+                # trained host weights are taped from the embedding on, so a step starts there
+                p_base, log_base, resume = (
+                    _host_pass(model, ex.tokens, 0) if update_host else host_cache[i])
                 hook = make_dssp_hook(ex.dhat, params, leaves)
                 opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
-                trace = forward(model, list(ex.tokens), opts, weight_tensors=host_leaves)
+                trace = forward(model, list(ex.tokens), opts, weight_tensors=host_leaves,
+                                resume=resume)
 
                 last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
                 p_aug = ad.softmax_rows(last, 1.0)
                 logp = ad.log_clamped(p_aug)
                 ce_node = ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0)
-                h_node = ad.scale(
-                    ad.sum_all(ad.mul(Tensor(p_base.reshape(1, -1)), logp)), -1.0)
-                log_base = np.log(np.maximum(p_base, CLAMP)).reshape(1, -1)
+                h_node = ad.scale(ad.sum_all(ad.mul(Tensor(p_base), logp)), -1.0)
                 kl_node = ad.sum_all(ad.mul(p_aug, ad.sub(logp, Tensor(log_base))))
                 loss_nodes.append(ad.add(
                     ce_node,

@@ -164,6 +164,15 @@ def test_backward_requires_scalar_seed():
         ad.backward(tape, y)
 
 
+def test_backward_gives_constants_no_adjoint():
+    tape = ad.GradTape()
+    theta = ad.Tensor(np.array([[1.0, 2.0]]), tape)
+    const = ad.Tensor(np.array([[3.0], [4.0]]))
+    grads = ad.backward(tape, ad.sum_all(ad.matmul(theta, const)))
+    assert set(grads) == {theta}
+    assert_allclose(grads[theta], [[3.0, 4.0]])
+
+
 def test_backward_fanout_accumulates():
     tape = ad.GradTape()
     theta = ad.Tensor(np.array([[2.0]]), tape)

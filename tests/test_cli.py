@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from dualstream.cli import main
@@ -17,6 +18,7 @@ from dualstream.fixtures import (
 from dualstream.fusion import load_dssp_params, save_dssp_params
 from dualstream.model import save_model
 from dualstream.pipeline import vocab_meta
+from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
 
@@ -201,30 +203,80 @@ _BAD_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("case", ["config_field_type", "record_token", "trace_without_verdict",
-                                  *sorted(_BAD_HEADERS)])
+_TRACE = {"record_id": "rec0000", "filter": "skipped", "answer": [80], "forced": False}
+_VERDICT = {"hallucination": False, "statistic": 0.5, "delta": 1.0, "aggregation": "tail_sum",
+            "insertion_layer": 3, "per_layer": [0.5]}
+_BAD_TRACES = {
+    "trace_without_verdict": (_TRACE, "verdict"),
+    "verdict_bool_as_string": ({**_TRACE, "verdict": {**_VERDICT, "hallucination": "false"}},
+                               "hallucination"),
+    "verdict_layer_as_float": ({**_TRACE, "verdict": {**_VERDICT, "insertion_layer": 1.9}},
+                               "insertion_layer"),
+}
+_BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
+_BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
+# host checkpoint tensors rewritten (None: dropped) behind an intact sidecar
+_BAD_HOST_TENSORS = {
+    "host_tensor_missing": ("l2.ffn.w1", None),
+    "host_tensor_misshapen": ("l0.attn.wo", lambda a: a[:, 1:]),
+    "host_tensor_nan": ("l1.ffn.w2", lambda a: np.where(a == a.max(), np.nan, a)),
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
+                                  *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
+                                  "sidecar_without_full_config", "sidecar_vocab_size_as_string",
+                                  "fusion_tensor_nan"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
     doc = read_json(cfg)
     bad = tmp_path / "bad"
-    if case == "config_field_type":
-        bad.write_text(json.dumps({**doc, "lam": "80"}))
+    bad_cfg = tmp_path / "run.json"
+    bad_cfg.write_text(json.dumps({**doc, "model_checkpoint": str(bad)}))
+    detect_bad_host = ["detect", "--config", str(bad_cfg), "--fixture", "4"]
+    if case in _BAD_LAMS:
+        bad.write_text(json.dumps({**doc, "lam": _BAD_LAMS[case]}))
         argv, named = ["pipeline", "--config", str(bad), "--fixture", "4"], "lam"
-    elif case == "record_token":
+    elif case in _BAD_RECORD_TOKENS:
         row = fixture_dataset(1)[0].to_json()
-        bad.write_text(json.dumps({**row, "question": [2, 3, "x", 7]}) + "\n")
+        bad.write_text(json.dumps({**row, "question": [2, 3, _BAD_RECORD_TOKENS[case], 7]}) + "\n")
         argv, named = ["eval", "--records", str(bad), "--traces", recs], "question"
-    elif case == "trace_without_verdict":
-        bad.write_text(json.dumps({"record_id": "rec0000", "filter": "skipped",
-                                   "answer": [80], "forced": False}) + "\n")
-        argv, named = ["eval", "--records", recs, "--traces", str(bad)], "verdict"
-    else:
+    elif case in _BAD_TRACES:
+        line, named = _BAD_TRACES[case]
+        bad.write_text(json.dumps(line) + "\n")
+        argv = ["eval", "--records", recs, "--traces", str(bad)]
+    elif case in _BAD_HEADERS:
         header, named = _BAD_HEADERS[case]
         bad.write_bytes(_container(header))
         shutil.copy(doc["model_checkpoint"] + ".json", str(bad) + ".json")
-        bad_cfg = tmp_path / "run.json"
-        bad_cfg.write_text(json.dumps({**doc, "model_checkpoint": str(bad)}))
-        argv = ["detect", "--config", str(bad_cfg), "--fixture", "4"]
+        argv = detect_bad_host
+    elif case in _BAD_HOST_TENSORS:
+        named, change = _BAD_HOST_TENSORS[case]
+        tensors = load_tensors(doc["model_checkpoint"])
+        if change is None:
+            del tensors[named]
+        else:
+            tensors[named] = change(tensors[named])
+        save_tensors(bad, tensors, dtype="f64")
+        shutil.copy(doc["model_checkpoint"] + ".json", str(bad) + ".json")
+        argv = detect_bad_host
+    elif case.startswith("sidecar"):
+        sidecar = read_json(doc["model_checkpoint"] + ".json")
+        if case == "sidecar_without_full_config":
+            del sidecar["config"]["d_ff"]
+            named = "d_ff"
+        else:
+            sidecar["meta"]["vocab"]["n_junk"] = "40"
+            named = "n_junk"
+        shutil.copy(doc["model_checkpoint"], bad)
+        (tmp_path / "bad.json").write_text(json.dumps(sidecar))
+        argv = detect_bad_host
+    else:
+        params = build_copier_params(build_fixture_model()[1])
+        params.w_o[0, 0] = np.nan
+        save_dssp_params(bad, params)
+        bad_cfg.write_text(json.dumps({**doc, "dssp_checkpoint": str(bad)}))
+        argv, named = ["pipeline", "--config", str(bad_cfg), "--fixture", "4"], "w_o"
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

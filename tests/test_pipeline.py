@@ -21,10 +21,12 @@ from dualstream.pipeline import (
     Bundle,
     PipelineTrace,
     RunConfig,
+    calibrate,
     context_tokens,
     evaluate,
     load_bundle,
     load_config,
+    load_host,
     make_train_examples,
     offset_layer_stream,
     pipeline_run,
@@ -89,7 +91,7 @@ def test_config_rejects_out_of_range_fields(checkpoints):
     for bad in (dict(delta=0.0), dict(aggregation="median"), dict(lam=-1.0),
                 dict(top_t=0), dict(rescale="l2"), dict(mu=1.5), dict(nu=-0.2),
                 dict(lam="80"), dict(seed=1.5), dict(top_t=2.0), dict(delta=True),
-                dict(force_retrieval=1), dict(out_dir=None)):
+                dict(force_retrieval=1), dict(out_dir=None), dict(lam=10**400)):
         with pytest.raises(ContractViolationError):
             RunConfig(**good, **bad)
     with pytest.raises(ContractViolationError):
@@ -144,9 +146,10 @@ def test_bundle_without_vocab_needs_probe_queries(host, tmp_path, checkpoints):
     cfg = RunConfig(model_checkpoint=mpath, dssp_checkpoint=checkpoints[1])
     with pytest.raises(ContractViolationError):
         load_bundle(cfg)
-    bundle = load_bundle(cfg, probe_queries=probe_questions(layout.vocab))
-    assert bundle.vocab is None
-    assert bundle.calibration.offset_layer == OFFSET_LAYER
+    # such a checkpoint calibrates only on probe questions the caller supplies
+    loaded, vocab = load_host(cfg)
+    assert vocab is None
+    assert calibrate(loaded, probe_questions(layout.vocab)).offset_layer == OFFSET_LAYER
 
 
 # ---------------------------------------------------------------------------

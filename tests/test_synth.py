@@ -30,10 +30,18 @@ def test_components_reconstruct_exactly():
     assert np.array_equal(d.y, d.shared_y + d.private_y + d.noise_y)
 
 
+def gram_offdiagonal_max(d) -> float:
+    """Largest cross-subspace inner product; ~0 when planting is orthogonal."""
+    basis = np.concatenate([d.basis_shared, d.basis_private_x, d.basis_private_y], axis=1)
+    gram = basis.T @ basis
+    off = gram - np.diag(np.diag(gram))
+    return float(np.abs(off).max()) if off.size else 0.0
+
+
 def test_planted_subspaces_orthogonal():
     for seed in range(10):
         d = synth_streams(20, 3, 3, (4, 5, 6), 1.0, seed=seed)
-        assert d.gram_offdiagonal_max() <= 1e-9
+        assert gram_offdiagonal_max(d) <= 1e-9
 
 
 def test_equal_counts_share_identical_component():

@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from dualstream import autodiff as ad
+from dualstream.autodiff import GradTape, Tensor, backward
 from dualstream.cli import main
 from dualstream.errors import ContractViolationError, TrainingDivergedError
-from dualstream.fusion import PARAM_NAMES, DsspParams
-from dualstream.model import ModelConfig, TinyTransformer
+from dualstream.fixtures import (
+    OFFSET_LAYER,
+    build_fixture_model,
+    build_training_init,
+    fixture_dataset,
+)
+from dualstream.fusion import PARAM_NAMES, DsspParams, make_dssp_hook
+from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, forward, infer
+from dualstream.pipeline import make_train_examples
 from dualstream.training import (
+    CLAMP,
     MU_COARSE,
     MU_FINE,
     MU_GRID,
@@ -17,16 +27,48 @@ from dualstream.training import (
     Hyperparams,
     TrainExample,
     checkpoint_id,
-    conditional_entropy_term,
     grid_search,
-    kl_term,
-    total_loss,
     train,
 )
 
 # frozen high-precision oracles (independent evaluation of the nats formulas)
 COND_ENTROPY_HALF_VS_91 = 1.20397280432594
 KL_91_VS_HALF = 0.368064207168497
+
+
+# ---------------------------------------------------------------------------
+# reference loss components (plain floats, natural log, 1e-12 clamping); the
+# training loop builds the same terms on the tape
+# ---------------------------------------------------------------------------
+
+def _pair(p, q):
+    a = np.asarray(p, dtype=np.float64).ravel()
+    b = np.asarray(q, dtype=np.float64).ravel()
+    if a.size != b.size:
+        raise ContractViolationError(f"length mismatch: {a.size} vs {b.size}")
+    if a.size == 0:
+        raise ContractViolationError("empty distribution")
+    return a, b
+
+
+def conditional_entropy_term(p_base, p_aug) -> float:
+    """Cross-entropy of the fused prediction under the base prediction (nats)."""
+    base, aug = _pair(p_base, p_aug)
+    return float(-(base * np.log(np.maximum(aug, CLAMP))).sum())
+
+
+def kl_term(p_aug, p_base) -> float:
+    """KL(fused || base) in nats; direction fixed, zero iff identical."""
+    aug, base = _pair(p_aug, p_base)
+    logs = np.log(np.maximum(aug, CLAMP)) - np.log(np.maximum(base, CLAMP))
+    return float((aug * logs).sum())
+
+
+def total_loss(ce: float, h: float, kl: float, mu: float, nu: float) -> float:
+    for name, v in (("ce", ce), ("h", h), ("kl", kl), ("mu", mu), ("nu", nu)):
+        if not math.isfinite(v):
+            raise ContractViolationError(f"{name} must be finite")
+    return ce + mu * h + nu * kl
 
 
 def small_setup(seed=1, d_model=4):
@@ -183,6 +225,88 @@ def test_train_update_host_moves_host_weights():
     moved = [n for n, arr in model.weights.items()
              if not np.array_equal(arr, host_before[n])]
     assert "tok_emb" in moved
+    # layers below the insertion layer train too, not only those from it on
+    assert "l0.attn.wq.h0" in moved and "l0.ffn.w1" in moved and "l1.ffn.w1" in moved
+
+
+# ---------------------------------------------------------------------------
+# the training step against its references, on the planted fixture
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fixture_examples():
+    model, layout = build_fixture_model()
+    records = fixture_dataset(8, noise_rate=0.0, seed=0)
+    return model, build_training_init(layout), make_train_examples(
+        model, records, layout.vocab, OFFSET_LAYER)
+
+
+def answer_loss_gradients(model, params, ex, resume=None, host_taped=False):
+    """Logits and fusion-leaf gradients of the answer's cross-entropy, one taped forward."""
+    tape = GradTape()
+    leaves = params.leaves(tape)
+    host = {n: Tensor(a, tape) for n, a in model.weights.items()} if host_taped else None
+    opts = ForwardOptions(dssp_layer=OFFSET_LAYER,
+                          dssp_hook=make_dssp_hook(ex.dhat, params, leaves))
+    trace = forward(model, list(ex.tokens), opts, weight_tensors=host, resume=resume)
+    last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
+    logp = ad.log_clamped(ad.softmax_rows(last, 1.0))
+    grads = backward(tape, ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0))
+    if not host_taped:
+        assert set(grads) <= set(leaves.values())   # constants get no adjoint
+    return trace.logits, [grads.get(leaves[n]) for n in PARAM_NAMES]
+
+
+def assert_same_gradients(got, want):
+    for name, g, w in zip(PARAM_NAMES, got, want):
+        assert (g is None) == (w is None), name
+        assert g is None or np.array_equal(g, w), name
+
+
+def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
+    model, params, examples = fixture_examples
+    for ex in examples:
+        hidden = infer(model, list(ex.tokens)).hidden
+        logits, grads = answer_loss_gradients(model, params, ex)
+        for k in range(1, OFFSET_LAYER + 1):
+            got_logits, got_grads = answer_loss_gradients(
+                model, params, ex, resume=(k, hidden[k - 1]))
+            assert np.array_equal(got_logits, logits)
+            assert_same_gradients(got_grads, grads)
+    ex = examples[0]
+    with pytest.raises(ContractViolationError):      # state of the wrong shape
+        answer_loss_gradients(model, params, ex, resume=(1, hidden[0][1:]))
+    with pytest.raises(ContractViolationError):      # hooked layer below the resume layer
+        answer_loss_gradients(model, params, ex, resume=(OFFSET_LAYER + 1, hidden[OFFSET_LAYER]))
+
+
+def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples):
+    model, params, examples = fixture_examples
+    for ex in examples:
+        logits, grads = answer_loss_gradients(model, params, ex)
+        taped_logits, taped_grads = answer_loss_gradients(model, params, ex, host_taped=True)
+        assert np.array_equal(logits, taped_logits)
+        assert_same_gradients(grads, taped_grads)
+
+
+def softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def test_step_zero_losses_match_the_reference_formulas(fixture_examples):
+    model, init, examples = fixture_examples
+    hyper = Hyperparams(epochs=1)
+    for ex in examples[:3]:
+        params = init.copy()
+        p_base = softmax(infer(model, list(ex.tokens)).logits[-1])
+        opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_dssp_hook(ex.dhat, params))
+        p_aug = softmax(infer(model, list(ex.tokens), opts).logits[-1])
+        ce = -math.log(max(p_aug[ex.answer_id], CLAMP))
+        h, kl = conditional_entropy_term(p_base, p_aug), kl_term(p_aug, p_base)
+        step = train(model, params, [ex], hyper, insertion_layer=OFFSET_LAYER).steps[0]
+        assert (step.ce, step.h_term, step.kl_term, step.total) == pytest.approx(
+            (ce, h, kl, total_loss(ce, h, kl, hyper.mu, hyper.nu)), rel=1e-12)
 
 
 def test_train_warmup_schedule():
