@@ -70,30 +70,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape}, taped={self.tape is not None})"
 
-    # Operator sugar; scalars are promoted to constants.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _result_tape(*tensors: Tensor) -> GradTape | None:
     tape = None

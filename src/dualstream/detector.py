@@ -93,7 +93,6 @@ def detect(
     profile: DivergenceProfile,
     delta: float = DEFAULT_DELTA,
     aggregation: str = "tail_sum",
-    tail_k: int | None = None,
 ) -> DetectionVerdict:
     """Aggregate a divergence profile into a verdict and an insertion layer."""
     if delta < 0:
@@ -105,9 +104,7 @@ def detect(
         statistic = float(d.max())
         tag = "max"
     else:
-        k = default_tail_k(d.size) if tail_k is None else int(tail_k)
-        if not 1 <= k <= d.size:
-            raise ContractViolationError(f"tail_k {k} outside 1..{d.size}")
+        k = default_tail_k(d.size)
         statistic = float(d[-k:].sum())
         tag = f"tail_sum({k})"
     return DetectionVerdict(

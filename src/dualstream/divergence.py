@@ -4,12 +4,13 @@
     jsd(p, q) = kl(p, m)/2 + kl(q, m)/2,  m = (p+q)/2  (bounded in [0, 1])
     entropy(p) = -sum_i p_i * log2(p_i)
 
-Semantic entropy clusters sampled answers under an equivalence predicate and
+Semantic entropy clusters sampled answers by their normalized form and
 takes the Shannon entropy of the cluster-mass distribution.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def shannon_entropy(p) -> float:
 
 
 def normalized_answer(answer) -> object:
-    """Default cluster key: whitespace/case-normalized string, or a hashable echo."""
+    """Semantic-entropy cluster key: whitespace/case-normalized string, or a hashable echo."""
     if isinstance(answer, str):
         return " ".join(answer.split()).casefold()
     if isinstance(answer, (list, tuple, np.ndarray)):
@@ -77,34 +78,15 @@ def normalized_answer(answer) -> object:
     return answer
 
 
-def semantic_entropy(answers: Sequence, clusterer: Callable[[object, object], bool] | None = None) -> float:
+def semantic_entropy(answers: Sequence) -> float:
     """Entropy (bits) of the cluster distribution over sampled answers.
 
-    ``clusterer`` is an equivalence predicate; None means exact match after
-    normalization (the desk-scale stand-in for bidirectional entailment).
+    Two answers share a cluster when they match exactly after normalization
+    (the desk-scale stand-in for bidirectional entailment).
     """
     if len(answers) == 0:
         raise ContractViolationError("semantic_entropy needs at least one answer")
-    counts: list[int] = []
-    if clusterer is None:
-        index: dict = {}
-        for ans in answers:
-            key = normalized_answer(ans)
-            if key in index:
-                counts[index[key]] += 1
-            else:
-                index[key] = len(counts)
-                counts.append(1)
-    else:
-        reps: list = []
-        for ans in answers:
-            for i, rep in enumerate(reps):
-                if clusterer(ans, rep):
-                    counts[i] += 1
-                    break
-            else:
-                reps.append(ans)
-                counts.append(1)
-    probs = np.asarray(counts, dtype=np.float64)
+    counts = Counter(normalized_answer(ans) for ans in answers)
+    probs = np.asarray(list(counts.values()), dtype=np.float64)
     probs /= probs.sum()
     return shannon_entropy(probs)

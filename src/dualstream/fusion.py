@@ -258,7 +258,9 @@ def dssp_update(internal, external, params: DsspParams,
     c_triple = (p["wq_c"], p["wk_c"], p["wv_c"])
     dk = params.d_k
 
-    sim = shared_similarity(x, y, p["w_share"], dk)
+    # only the discrete top-T choice reads the similarity, so no gradient can
+    # reach it: it runs on the values, off the tape
+    sim = shared_similarity(x.value, y.value, p["w_share"].value, dk)
     u_share = select_shared_tokens(sim, y, params.top_t)
     u_enhance = cross_attention(x, u_share, *c_triple, d_k=dk)
     u_priv_int = differential_attention(x, y, s_triple, c_triple, dk)

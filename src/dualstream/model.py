@@ -175,8 +175,11 @@ def forward(
     """Run the decoder over ``tokens`` on the tape and return the full trace.
 
     Host weights enter as constants, so nothing is recorded unless the fusion
-    hook (or a ``weight_tensors`` override carrying taped leaves, for host
-    fine-tuning) introduces a tape; from there on the graph is differentiable.
+    hook introduces a tape; from there on the graph is differentiable.
+    ``weight_tensors`` replaces host weights by the given tensors.  Training
+    never passes it (the host is always frozen); it builds the unpruned
+    reference graph, host weights taped, that the tests compare the pruned
+    fusion gradients against.
     ``resume=(k, h)`` means what it means for ``infer``: start at layer ``k``
     from the constant residual stream ``h`` entering it, with a trace that
     starts at layer ``k`` too.
@@ -457,6 +460,9 @@ def load_model(bin_path, json_path=None) -> tuple[TinyTransformer, dict]:
     json_path = json_path or str(bin_path) + ".json"
     with open(json_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ContractViolationError(
+            f"model sidecar {json_path}: expected a JSON object, got {type(doc).__name__}")
     config = read_field(doc, "config", lambda c: ModelConfig(
         **{f.name: read_field(c, f.name, int) for f in dataclasses.fields(ModelConfig)}))
     meta = read_field(doc, "meta", dict, {})

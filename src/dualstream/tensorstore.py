@@ -76,6 +76,7 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
         raise ContractViolationError("container header must be an object with a 'tensors' list")
     payload = raw[8 + hlen:]
     out: dict[str, np.ndarray] = {}
+    spans: list[tuple[int, int, str]] = []
     for entry in header.get("tensors", []):
         name, rows, cols, dtype, start = _entry_fields(entry)
         if name in out:
@@ -88,6 +89,12 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
             raise ContractViolationError(f"tensor {name!r} blob extends past end of file")
         arr = np.frombuffer(payload[start:start + nbytes], dtype=np_dtype).reshape(rows, cols)
         out[name] = arr.copy()
+        if nbytes:
+            spans.append((start, start + nbytes, name))
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise ContractViolationError(f"tensors {first!r} and {second!r} share bytes")
     return out
 
 

@@ -5,12 +5,12 @@ The objective in nats is
     loss = cross_entropy(answer | fused) + mu * H(base, fused) + nu * KL(fused || base)
 
 where the base distribution comes from the host model without fusion and the
-fused one from the same model with the mixed-attention hook installed.  By
-default only the fusion parameters train and the host stays frozen, so one
-untaped pass per example serves every step: it gives the base distribution
-and the residual stream entering the insertion layer, where each step's
-taped forward resumes.  Host weights are constants on that tape, and
-``backward`` computes no adjoints for constants.
+fused one from the same model with the mixed-attention hook installed.  Only
+the fusion parameters train; the host is always frozen, so one untaped pass
+per example serves every step: it gives the base distribution and the
+residual stream entering the insertion layer, where each step's taped forward
+resumes.  Host weights are constants on that tape, and ``backward`` computes
+no adjoints for constants.
 """
 from __future__ import annotations
 
@@ -130,16 +130,13 @@ def train(
     hyper: Hyperparams = Hyperparams(),
     *,
     insertion_layer: int,
-    update_host: bool = False,
 ) -> TrainReport:
     """SGD over the fusion parameters with linear warmup then constant lr.
 
-    The host model is frozen unless update_host is set, in which case its
-    weights join the gradient step and the base distributions are recomputed
-    every step.  A frozen host is run once per example: its base distribution
-    and its residual stream entering ``insertion_layer`` serve every step,
-    which tapes only the layers from there on.  Aborts on the first
-    non-finite loss.
+    The host model stays frozen and is run once per example: its base
+    distribution and its residual stream entering ``insertion_layer`` serve
+    every step, which tapes only the layers from there on.  Aborts on the
+    first non-finite loss.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
@@ -152,9 +149,7 @@ def train(
     total_steps = hyper.epochs * steps_per_epoch
     warmup_steps = math.ceil(hyper.warmup_ratio * total_steps)
 
-    host_cache = None
-    if not update_host:
-        host_cache = [_host_pass(model, ex.tokens, insertion_layer) for ex in dataset]
+    host_cache = [_host_pass(model, ex.tokens, insertion_layer) for ex in dataset]
 
     steps: list[TrainStep] = []
     step = 0
@@ -166,21 +161,15 @@ def train(
 
             tape = GradTape()
             leaves = params.leaves(tape)
-            host_leaves = None
-            if update_host:
-                host_leaves = {name: Tensor(arr, tape) for name, arr in model.weights.items()}
 
             loss_nodes = []
             ce_sum = h_sum = kl_sum = 0.0
             for i in batch:
                 ex = dataset[i]
-                # trained host weights are taped from the embedding on, so a step starts there
-                p_base, log_base, resume = (
-                    _host_pass(model, ex.tokens, 0) if update_host else host_cache[i])
+                p_base, log_base, resume = host_cache[i]
                 hook = make_dssp_hook(ex.dhat, params, leaves)
                 opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
-                trace = forward(model, list(ex.tokens), opts, weight_tensors=host_leaves,
-                                resume=resume)
+                trace = forward(model, list(ex.tokens), opts, resume=resume)
 
                 last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
                 p_aug = ad.softmax_rows(last, 1.0)
@@ -209,10 +198,6 @@ def train(
                 name: grads[leaves[name]] for name in PARAM_NAMES if leaves[name] in grads
             }
             params.apply_updates(updates, lr_t)
-            if update_host:
-                for name, leaf in host_leaves.items():
-                    if leaf in grads:
-                        model.weights[name] = model.weights[name] - lr_t * grads[leaf]
 
             steps.append(TrainStep(
                 step=step, epoch=epoch, lr=lr_t,

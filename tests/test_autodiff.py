@@ -35,7 +35,7 @@ def test_matmul_identity():
 def test_matmul_hand_2x2():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert_allclose((a @ b).value, [[19.0, 22.0], [43.0, 50.0]])
+    assert_allclose(ad.matmul(a, b).value, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_against_naive_oracle():
@@ -51,8 +51,9 @@ def test_matmul_associativity():
     rng = np.random.default_rng(2)
     for _ in range(10):
         a, b, c = (rng.normal(size=(6, 6)) for _ in range(3))
-        left = (ad.Tensor(a) @ ad.Tensor(b)) @ ad.Tensor(c)
-        right = ad.Tensor(a) @ (ad.Tensor(b) @ ad.Tensor(c))
+        ta, tb, tc = ad.Tensor(a), ad.Tensor(b), ad.Tensor(c)
+        left = ad.matmul(ad.matmul(ta, tb), tc)
+        right = ad.matmul(ta, ad.matmul(tb, tc))
         rel = np.linalg.norm(left.value - right.value) / np.linalg.norm(left.value)
         assert rel <= 1e-9
 

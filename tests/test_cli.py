@@ -200,6 +200,9 @@ _BAD_HEADERS = {
     "bool_rows": ({"tensors": [{**_ENTRY, "rows": True}]}, "rows"),
     "list_dtype": ({"tensors": [{**_ENTRY, "dtype": ["f64"]}]}, "dtype"),
     "duplicate_names": ({"tensors": [_ENTRY, {**_ENTRY, "byte_offset": 8}]}, "duplicate"),
+    "overlapping_byte_ranges": ({"tensors": [{**_ENTRY, "rows": 2},
+                                             {**_ENTRY, "name": "pos_emb", "byte_offset": 8}]},
+                                "'tok_emb' and 'pos_emb'"),
 }
 
 
@@ -226,7 +229,7 @@ _BAD_HOST_TENSORS = {
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
-                                  "fusion_tensor_nan"])
+                                  "sidecar_not_an_object", "fusion_tensor_nan"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
     doc = read_json(cfg)
@@ -265,6 +268,9 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         if case == "sidecar_without_full_config":
             del sidecar["config"]["d_ff"]
             named = "d_ff"
+        elif case == "sidecar_not_an_object":
+            sidecar = [sidecar]
+            named = str(tmp_path / "bad.json")
         else:
             sidecar["meta"]["vocab"]["n_junk"] = "40"
             named = "n_junk"

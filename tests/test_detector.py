@@ -66,9 +66,10 @@ def test_depth_interpolated_profile_matches_direct_jsd():
 
 def test_tail_sum_hand_value():
     prof = DivergenceProfile(np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]))
-    verdict = detect(prof, delta=1.0, aggregation="tail_sum", tail_k=4)
-    assert verdict.statistic == pytest.approx(0.4 + 0.5 + 0.6 + 0.7)
-    assert verdict.hallucination  # 2.2 > 1.0
+    verdict = detect(prof, delta=1.0, aggregation="tail_sum")
+    assert verdict.aggregation == "tail_sum(2)"
+    assert verdict.statistic == pytest.approx(0.6 + 0.7)
+    assert verdict.hallucination  # 1.3 > 1.0
 
 
 def test_default_tail_k_is_quarter_rounded_up():
@@ -148,8 +149,6 @@ def test_profile_validation():
         detect(DivergenceProfile([0.5]), delta=-0.1)
     with pytest.raises(ContractViolationError):
         detect(DivergenceProfile([0.5, 0.5]), aggregation="median")
-    with pytest.raises(ContractViolationError):
-        detect(DivergenceProfile([0.5, 0.5]), tail_k=3)
 
 
 def test_make_variant_cleft_reorder():

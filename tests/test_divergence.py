@@ -120,13 +120,6 @@ def test_semantic_entropy_token_sequences():
     assert semantic_entropy(answers) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_semantic_entropy_custom_clusterer():
-    # cluster by first character
-    answers = ["apple", "apricot", "banana", "berry"]
-    ent = semantic_entropy(answers, clusterer=lambda a, b: a[0] == b[0])
-    assert ent == pytest.approx(1.0, abs=1e-12)
-
-
 def test_semantic_entropy_empty_rejected():
     with pytest.raises(ContractViolationError):
         semantic_entropy([])

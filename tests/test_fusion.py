@@ -345,6 +345,17 @@ def test_dssp_hook_composes_with_forward():
                        dssp_forward(xn.value, ext, params).value, atol=1e-12)
 
 
+def test_taped_dssp_update_keeps_the_similarity_off_the_tape():
+    rng = np.random.default_rng(29)
+    params = rand_params(4, seed=29)
+    tape = GradTape()
+    leaves = params.leaves(tape)
+    dssp_update(rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), params, leaves)
+    assert len(tape) > 0
+    # only the discrete top-T choice reads the similarity, so w_share feeds no taped op
+    assert all(leaves["w_share"] is not inp for _, inputs, _ in tape._records for inp in inputs)
+
+
 def test_dssp_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     d_model, d_ff = 3, 5

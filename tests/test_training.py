@@ -217,18 +217,6 @@ def test_train_host_frozen_by_default():
         for n in PARAM_NAMES)
 
 
-def test_train_update_host_moves_host_weights():
-    model, params, dataset = small_setup(seed=13)
-    host_before = {k: v.copy() for k, v in model.weights.items()}
-    train(model, params, dataset, Hyperparams(lr=0.01, epochs=1),
-          insertion_layer=1, update_host=True)
-    moved = [n for n, arr in model.weights.items()
-             if not np.array_equal(arr, host_before[n])]
-    assert "tok_emb" in moved
-    # layers below the insertion layer train too, not only those from it on
-    assert "l0.attn.wq.h0" in moved and "l0.ffn.w1" in moved and "l1.ffn.w1" in moved
-
-
 # ---------------------------------------------------------------------------
 # the training step against its references, on the planted fixture
 # ---------------------------------------------------------------------------
