@@ -3,7 +3,6 @@ and shared/private mixed-attention fusion on a small from-scratch transformer.""
 
 from . import (
     autodiff,
-    cli,
     dataset,
     detector,
     divergence,
@@ -35,7 +34,7 @@ from .training import Hyperparams, TrainExample, grid_search, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "autodiff", "cli", "dataset", "detector", "divergence", "errors",
+    "autodiff", "dataset", "detector", "divergence", "errors",
     "filtering", "fixtures", "fusion", "model", "pipeline", "synth",
     "tensorstore", "training",
     "DetectionVerdict", "detect", "divergence_profile", "make_variant",

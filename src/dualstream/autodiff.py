@@ -207,9 +207,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     d = xv.shape[1]
     if gain.value.shape != (1, d) or bias.value.shape != (1, d):
         raise ContractViolationError("layer_norm gain/bias must be (1, d) rows")
-    mu = xv.mean(axis=1, keepdims=True)
+    mu = np.add.reduce(xv, axis=-1, keepdims=True) / d
     xc = xv - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     gv = gain.value

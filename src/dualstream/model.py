@@ -16,6 +16,7 @@ trace shapes never depend on options.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -93,11 +94,26 @@ class ForwardTrace:
 
 
 class TinyTransformer:
-    """Immutable-weight toy decoder; weights live in a flat name->array dict."""
+    """Immutable-weight toy decoder; weights live in a flat name->array dict.
+
+    ``qkv[l]`` holds layer ``l``'s read-only ``(n_heads, d_model, d_head)`` Q,
+    K and V stacks, and the per-head ``weights`` entries are contiguous views
+    of them; ``unembed`` is a contiguous ``tok_emb.T``.  Rebinding a Q/K/V
+    entry or ``tok_emb`` after construction is unsupported.
+    """
 
     def __init__(self, config: ModelConfig, weights: dict[str, Array]):
         self.config = config
-        self.weights = weights
+        self.weights = dict(weights)
+        self.qkv: list[tuple[Array, ...]] = []
+        for l in range(config.n_layers):
+            names = [[f"l{l}.attn.{p}.h{h}" for h in range(config.n_heads)]
+                     for p in ("wq", "wk", "wv")]
+            self.qkv.append(tuple(np.stack([weights[n] for n in part]) for part in names))
+            for part, stack in zip(names, self.qkv[-1]):
+                stack.flags.writeable = False
+                self.weights.update(zip(part, stack))
+        self.unembed = np.ascontiguousarray(weights["tok_emb"].T)
 
     @classmethod
     def random(cls, config: ModelConfig) -> "TinyTransformer":
@@ -132,9 +148,11 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+@functools.cache
 def _causal_mask(n: int) -> Array:
     mask = np.zeros((n, n))
     mask[np.triu_indices(n, k=1)] = -np.inf
+    mask.flags.writeable = False
     return mask
 
 
@@ -258,13 +276,16 @@ def forward(
 # and memory layout of its ``forward`` counterpart: numpy runs a stacked
 # matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from the
 # slice shape, so packing heads into one projection or batching (1, d) rows
-# into one (B, d) matmul changes the rounding.
+# into one (B, d) matmul changes the rounding.  So ``forward``'s per-head Q/K/V
+# weights are views of ``infer``'s stacks (``TinyTransformer.qkv``), and both
+# layer norms take their means as ``add.reduce / d``, as ``ndarray.mean`` does.
 
 def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + ad.LN_EPS)
     return xc * inv * gain + bias
 
@@ -340,9 +361,7 @@ def infer(
             attention.append(eye.copy())
         else:
             # one (n, d) x (d, d_head) matmul per batch row and head
-            proj = lambda part: xn[:, None] @ np.stack(
-                [w[f"l{l}.attn.{part}.h{h}"] for h in range(heads)])
-            q, k, v = proj("wq"), proj("wk"), proj("wv")
+            q, k, v = (xn[:, None] @ stack for stack in model.qkv[l])
             kt = np.ascontiguousarray(k.swapaxes(-1, -2))
             pattern = _softmax((q @ kt + mask) * scale)
             attention.append(pattern)
@@ -356,7 +375,7 @@ def infer(
         hidden.append(x)
 
     final = layer_norm(x, w["lnf.gain"], w["lnf.bias"])
-    logits = final @ w["tok_emb"].T.copy()
+    logits = final @ model.unembed
     if single:
         return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention], logits[0])
     return ForwardTrace(hidden, attention, logits)

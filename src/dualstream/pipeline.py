@@ -193,10 +193,9 @@ class Bundle:
 
 def meta_vocab(meta: dict) -> Vocab | None:
     """Rebuild the vocabulary a checkpoint was written with, if recorded."""
-    if isinstance(meta.get("vocab"), dict):
-        return Vocab(**{name: read_field(meta["vocab"], name, int)
-                        for name in ("n_subjects", "n_objects", "n_junk")})
-    return None
+    vocab = read_field(meta, "vocab", dict, None)
+    return None if vocab is None else Vocab(**{name: read_field(vocab, name, int)
+                                              for name in ("n_subjects", "n_objects", "n_junk")})
 
 
 def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:

@@ -74,7 +74,7 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
         raise ContractViolationError(f"container header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
         raise ContractViolationError("container header must be an object with a 'tensors' list")
-    payload = raw[8 + hlen:]
+    payload = memoryview(raw)[8 + hlen:]  # a slice of ``raw`` would copy the blobs
     out: dict[str, np.ndarray] = {}
     spans: list[tuple[int, int, str]] = []
     for entry in header.get("tensors", []):

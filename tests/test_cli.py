@@ -1,7 +1,11 @@
 """CLI tests: every subcommand, config echo reproducibility, error lines."""
 import json
+import os
+import pathlib
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from dualstream.pipeline import vocab_meta
 from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +189,14 @@ def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys)
     assert len(err.splitlines()) == 1
 
 
+def test_module_entry_point_runs_without_warnings():
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dualstream.cli", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0
+    assert result.stderr == ""
+
+
 def _container(header) -> bytes:
     raw = json.dumps(header).encode("utf-8")
     return struct.pack("<Q", len(raw)) + raw + bytes(16)
@@ -229,7 +242,8 @@ _BAD_HOST_TENSORS = {
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
-                                  "sidecar_not_an_object", "fusion_tensor_nan"])
+                                  "sidecar_not_an_object", "sidecar_vocab_not_an_object",
+                                  "fusion_tensor_nan"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
     doc = read_json(cfg)
@@ -271,6 +285,9 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         elif case == "sidecar_not_an_object":
             sidecar = [sidecar]
             named = str(tmp_path / "bad.json")
+        elif case == "sidecar_vocab_not_an_object":
+            sidecar["meta"]["vocab"] = [40, 40]
+            named = "vocab"
         else:
             sidecar["meta"]["vocab"]["n_junk"] = "40"
             named = "n_junk"

@@ -190,3 +190,33 @@ def test_input_validation(host):
     with pytest.raises(ContractViolationError):
         infer(model, [7, 8, 9], ForwardOptions(skip_layers=frozenset({1})),
               resume=(2, ref.hidden[1]))                  # skipped layer below the resume layer
+
+
+def test_a_repeated_infer_stacks_no_weights_and_builds_no_mask(host, cases, monkeypatch):
+    model, _ = host
+    question = cases[0][0]
+    infer(model, question)            # caches the causal mask of this length
+    calls = []
+    for name in ("stack", "triu_indices"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    infer(model, question)
+    infer(model, [question, question])
+    assert calls == []
+
+
+def test_per_head_weights_are_read_only_views_of_one_stack_per_layer(host):
+    model, _ = host
+    cfg = model.config
+    assert len(model.qkv) == cfg.n_layers
+    for l, stacks in enumerate(model.qkv):
+        for part, stack in zip(("wq", "wk", "wv"), stacks):
+            assert stack.shape == (cfg.n_heads, cfg.d_model, cfg.d_head)
+            for h in range(cfg.n_heads):
+                view = model.weights[f"l{l}.attn.{part}.h{h}"]
+                assert view.flags.c_contiguous and np.shares_memory(view, stack)
+                with pytest.raises(ValueError):
+                    view[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0

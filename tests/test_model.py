@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from dualstream import autodiff as ad
 from dualstream.autodiff import GradTape, Tensor
 from dualstream.errors import ContractViolationError
+from dualstream.fixtures import build_fixture_model
 from dualstream.model import (
     ForwardOptions,
     ModelConfig,
@@ -287,3 +288,14 @@ def test_checkpoint_round_trip(tmp_path):
     t1 = forward(m, [1, 2, 3])
     t2 = forward(loaded, [1, 2, 3])
     assert np.array_equal(t1.logits, t2.logits)
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("host", ["random", "fixture"])
+def test_checkpoint_resave_is_byte_identical(tmp_path, dtype, host):
+    """Stacking the Q/K/V heads on load changes no byte that ``save_model`` writes."""
+    m = TinyTransformer.random(small_config(seed=5)) if host == "random" else build_fixture_model()[0]
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_model(m, first, dtype=dtype)
+    save_model(load_model(first)[0], second, dtype=dtype)
+    assert first.read_bytes() == second.read_bytes()

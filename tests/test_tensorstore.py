@@ -48,6 +48,17 @@ def test_round_trip_bytes_exact():
     assert first == second
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_loaded_tensors_own_their_data(tmp_path, dtype):
+    """No tensor is a view into the file buffer, so none keeps the whole file alive."""
+    path = tmp_path / "ckpt.bin"
+    ts.save_tensors(path, _sample_tensors(3), dtype=dtype)
+    for loaded in (ts.load_tensors(path), ts.load_tensors(io.BytesIO(path.read_bytes()))):
+        for arr in loaded.values():
+            assert arr.base is None or arr.flags.owndata
+            assert arr.flags.writeable
+
+
 def test_f32_storage_quantizes_but_is_stable():
     tensors = _sample_tensors(2)
     loaded = ts.load_tensors(io.BytesIO(container_bytes(tensors, dtype="f32")))
