@@ -21,7 +21,7 @@ from .dataset import load_records
 from .errors import ContractViolationError, TrainingDivergedError
 from .filtering import SamplingSpec, pruning_sweep
 from .fixtures import fixture_dataset
-from .fusion import load_dssp_params, save_dssp_params
+from .fusion import save_dssp_params
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .pipeline import (
     Calibration,
@@ -310,9 +310,8 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
         bundle, examples = _training_setup(args, config)
 
         def objective(mu: float, nu: float) -> float:
-            params = load_dssp_params(config.dssp_checkpoint)
             hyper = Hyperparams(mu=mu, nu=nu, seed=config.seed, epochs=args.epochs)
-            report = train(bundle.model, params, examples, hyper,
+            report = train(bundle.model, bundle.params.copy(), examples, hyper,
                            insertion_layer=bundle.calibration.offset_layer)
             return report.epoch_mean_losses()[-1]
 

@@ -96,6 +96,8 @@ class ForwardTrace:
 class TinyTransformer:
     """Immutable-weight toy decoder; weights live in a flat name->array dict.
 
+    Every weight is held as float64, whatever dtype the caller passed, so
+    ``infer`` reads the values ``forward`` lifts into its tensors.
     ``qkv[l]`` holds layer ``l``'s read-only ``(n_heads, d_model, d_head)`` Q,
     K and V stacks, and the per-head ``weights`` entries are contiguous views
     of them; ``unembed`` is a contiguous ``tok_emb.T``.  Rebinding a Q/K/V
@@ -104,16 +106,16 @@ class TinyTransformer:
 
     def __init__(self, config: ModelConfig, weights: dict[str, Array]):
         self.config = config
-        self.weights = dict(weights)
+        self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.qkv: list[tuple[Array, ...]] = []
         for l in range(config.n_layers):
             names = [[f"l{l}.attn.{p}.h{h}" for h in range(config.n_heads)]
                      for p in ("wq", "wk", "wv")]
-            self.qkv.append(tuple(np.stack([weights[n] for n in part]) for part in names))
+            self.qkv.append(tuple(np.stack([self.weights[n] for n in part]) for part in names))
             for part, stack in zip(names, self.qkv[-1]):
                 stack.flags.writeable = False
                 self.weights.update(zip(part, stack))
-        self.unembed = np.ascontiguousarray(weights["tok_emb"].T)
+        self.unembed = np.ascontiguousarray(self.weights["tok_emb"].T)
 
     @classmethod
     def random(cls, config: ModelConfig) -> "TinyTransformer":

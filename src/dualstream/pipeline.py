@@ -98,6 +98,8 @@ class RunConfig:
             raise ContractViolationError("mu must lie in (0, 1)")
         if self.nu < 0 or not np.isfinite(self.nu):
             raise ContractViolationError("nu must be finite and >= 0")
+        if self.seed < 0:
+            raise ContractViolationError("seed must be >= 0")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -428,12 +430,12 @@ def evaluate(traces, records) -> dict:
 
 def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
                         insertion_layer: int) -> list[TrainExample]:
-    """Freeze each record's context and raw evidence rows into a training example."""
+    """Freeze each record's context, raw evidence rows and host pass into a
+    training example for ``insertion_layer``."""
     examples = []
     for record in records:
         evidence = read_evidence(model, record, vocab)
         dhat = offset_layer_stream(model, evidence.trace, evidence.span, insertion_layer)
-        examples.append(TrainExample(tokens=tuple(evidence.tokens),
-                                     answer_id=int(record.answer[0]),
-                                     dhat=dhat))
+        examples.append(TrainExample.from_trace(evidence.tokens, int(record.answer[0]), dhat,
+                                                evidence.trace, insertion_layer))
     return examples

@@ -6,11 +6,11 @@ The objective in nats is
 
 where the base distribution comes from the host model without fusion and the
 fused one from the same model with the mixed-attention hook installed.  Only
-the fusion parameters train; the host is always frozen, so one untaped pass
-per example serves every step: it gives the base distribution and the
-residual stream entering the insertion layer, where each step's taped forward
-resumes.  Host weights are constants on that tape, and ``backward`` computes
-no adjoints for constants.
+the fusion parameters train; the host is always frozen, so each example
+carries the base distribution and the residual stream entering the insertion
+layer from the host pass that built it, and each step's taped forward resumes
+there.  Host weights are constants on that tape, and ``backward`` computes no
+adjoints for constants.
 """
 from __future__ import annotations
 
@@ -27,11 +27,12 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError
 from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params
-from .model import ForwardOptions, TinyTransformer, forward, infer
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward
 
 Array = np.ndarray
 
 CLAMP = 1e-12
+WARMUP_RATIO = 0.1   # share of all steps over which lr ramps up linearly
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,6 @@ class Hyperparams:
     nu: float = 0.1
     lr: float = 4e-5
     epochs: int = 7
-    warmup_ratio: float = 0.1
-    batch: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -50,10 +49,8 @@ class Hyperparams:
         # lr = 0 is allowed so a no-op run can serve as a determinism probe
         if self.lr < 0:
             raise ContractViolationError("lr must be >= 0")
-        if self.epochs < 1 or self.batch < 1:
-            raise ContractViolationError("epochs and batch must be >= 1")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise ContractViolationError("warmup_ratio must lie in [0, 1]")
+        if self.epochs < 1:
+            raise ContractViolationError("epochs must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -62,18 +59,39 @@ class Hyperparams:
 
 @dataclass(eq=False)
 class TrainExample:
-    """One supervised case: prompt tokens, gold next token, external stream."""
+    """One supervised case: prompt tokens, gold next token, external stream,
+    and what the frozen host gives for the prompt: ``base``, its next-token
+    distribution at the last position, and ``resume``, ``(k, hidden[k-1])``
+    for the insertion layer ``k`` (None at layer 0)."""
     tokens: tuple[int, ...]
     answer_id: int
     dhat: Array
+    base: Array
+    resume: tuple[int, Array] | None
 
     def __post_init__(self):
         self.tokens = tuple(int(t) for t in self.tokens)
         self.dhat = np.asarray(self.dhat, dtype=np.float64)
+        self.base = np.asarray(self.base, dtype=np.float64)
         if len(self.tokens) < 1:
             raise ContractViolationError("example needs at least one token")
         if self.dhat.ndim != 2 or self.dhat.shape[0] < 1:
             raise ContractViolationError("dhat must be a non-empty 2-d matrix")
+        if self.base.ndim != 1:
+            raise ContractViolationError("base must be a 1-d distribution")
+
+    @classmethod
+    def from_trace(cls, tokens: Sequence[int], answer_id: int, dhat: Array,
+                   trace: ForwardTrace, insertion_layer: int) -> "TrainExample":
+        """The example for ``insertion_layer``, its host fields read off ``trace``,
+        the host's forward over ``tokens``; owns copies, not views of the trace."""
+        z = trace.logits[-1]
+        z = z - z.max()
+        e = np.exp(z)
+        resume = None
+        if insertion_layer:
+            resume = (insertion_layer, trace.hidden[insertion_layer - 1].copy())
+        return cls(tokens, answer_id, dhat, e / e.sum(), resume)
 
 
 @dataclass(frozen=True)
@@ -110,19 +128,6 @@ def checkpoint_id(params: DsspParams) -> str:
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
-def _host_pass(model: TinyTransformer, tokens: Sequence[int],
-               resume_layer: int) -> tuple[Array, Array, tuple[int, Array] | None]:
-    """One untaped host pass: the base distribution as a (1, vocab) row, its
-    clamped log, and the ``resume`` that starts a taped forward at ``resume_layer``."""
-    trace = infer(model, list(tokens))
-    z = trace.logits[-1]
-    z = z - z.max()
-    e = np.exp(z)
-    p_base = (e / e.sum()).reshape(1, -1)
-    resume = (resume_layer, trace.hidden[resume_layer - 1]) if resume_layer else None
-    return p_base, np.log(np.maximum(p_base, CLAMP)), resume
-
-
 def train(
     model: TinyTransformer,
     params: DsspParams,
@@ -131,78 +136,64 @@ def train(
     *,
     insertion_layer: int,
 ) -> TrainReport:
-    """SGD over the fusion parameters with linear warmup then constant lr.
+    """SGD over the fusion parameters, one example per step, with linear
+    warmup over ``WARMUP_RATIO`` of the steps then constant lr.
 
-    The host model stays frozen and is run once per example: its base
-    distribution and its residual stream entering ``insertion_layer`` serve
-    every step, which tapes only the layers from there on.  Aborts on the
-    first non-finite loss.
+    The host model stays frozen: each example's ``base`` and ``resume``,
+    which must be for ``insertion_layer``, serve every step, which tapes only
+    the layers from there on.  Aborts on the first non-finite loss.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
     if not 0 <= insertion_layer < model.config.n_layers:
         raise ContractViolationError(f"insertion layer {insertion_layer} outside model")
+    for ex in dataset:
+        layer = ex.resume[0] if ex.resume else 0
+        if layer != insertion_layer:
+            raise ContractViolationError(
+                f"example resumes at layer {layer}, not the insertion layer {insertion_layer}")
     t0 = time.perf_counter()
 
     rng = np.random.default_rng(hyper.seed)
-    steps_per_epoch = math.ceil(len(dataset) / hyper.batch)
-    total_steps = hyper.epochs * steps_per_epoch
-    warmup_steps = math.ceil(hyper.warmup_ratio * total_steps)
-
-    host_cache = [_host_pass(model, ex.tokens, insertion_layer) for ex in dataset]
+    warmup_steps = math.ceil(WARMUP_RATIO * (hyper.epochs * len(dataset)))
 
     steps: list[TrainStep] = []
     step = 0
     for epoch in range(hyper.epochs):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(dataset), hyper.batch):
-            batch = [int(i) for i in order[lo:lo + hyper.batch]]
+        for i in rng.permutation(len(dataset)):
+            ex = dataset[i]
             lr_t = hyper.lr * (step + 1) / warmup_steps if step < warmup_steps else hyper.lr
 
             tape = GradTape()
             leaves = params.leaves(tape)
+            hook = make_dssp_hook(ex.dhat, params, leaves)
+            opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
+            trace = forward(model, list(ex.tokens), opts, resume=ex.resume)
 
-            loss_nodes = []
-            ce_sum = h_sum = kl_sum = 0.0
-            for i in batch:
-                ex = dataset[i]
-                p_base, log_base, resume = host_cache[i]
-                hook = make_dssp_hook(ex.dhat, params, leaves)
-                opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
-                trace = forward(model, list(ex.tokens), opts, resume=resume)
+            p_base = ex.base.reshape(1, -1)
+            last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
+            p_aug = ad.softmax_rows(last, 1.0)
+            logp = ad.log_clamped(p_aug)
+            ce_node = ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0)
+            h_node = ad.scale(ad.sum_all(ad.mul(Tensor(p_base), logp)), -1.0)
+            log_base = Tensor(np.log(np.maximum(p_base, CLAMP)))
+            kl_node = ad.sum_all(ad.mul(p_aug, ad.sub(logp, log_base)))
+            loss = ad.add(ce_node, ad.add(ad.scale(h_node, hyper.mu),
+                                          ad.scale(kl_node, hyper.nu)))
 
-                last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
-                p_aug = ad.softmax_rows(last, 1.0)
-                logp = ad.log_clamped(p_aug)
-                ce_node = ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0)
-                h_node = ad.scale(ad.sum_all(ad.mul(Tensor(p_base), logp)), -1.0)
-                kl_node = ad.sum_all(ad.mul(p_aug, ad.sub(logp, Tensor(log_base))))
-                loss_nodes.append(ad.add(
-                    ce_node,
-                    ad.add(ad.scale(h_node, hyper.mu), ad.scale(kl_node, hyper.nu))))
-                ce_sum += ce_node.item()
-                h_sum += h_node.item()
-                kl_sum += kl_node.item()
-
-            acc = loss_nodes[0]
-            for node in loss_nodes[1:]:
-                acc = ad.add(acc, node)
-            batch_loss = ad.scale(acc, 1.0 / len(batch))
-
-            total_val = batch_loss.item()
+            total_val = loss.item()
             if not math.isfinite(total_val):
                 raise TrainingDivergedError(step)
 
-            grads = backward(tape, batch_loss)
+            grads = backward(tape, loss)
             updates = {
                 name: grads[leaves[name]] for name in PARAM_NAMES if leaves[name] in grads
             }
             params.apply_updates(updates, lr_t)
 
             steps.append(TrainStep(
-                step=step, epoch=epoch, lr=lr_t,
-                ce=ce_sum / len(batch), h_term=h_sum / len(batch),
-                kl_term=kl_sum / len(batch), total=total_val))
+                step=step, epoch=epoch, lr=lr_t, ce=ce_node.item(),
+                h_term=h_node.item(), kl_term=kl_node.item(), total=total_val))
             step += 1
 
     return TrainReport(

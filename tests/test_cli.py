@@ -6,10 +6,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from dualstream import cli
 from dualstream.cli import main
 from dualstream.dataset import save_records
 from dualstream.fixtures import (
@@ -158,6 +160,23 @@ def test_train_writes_checkpoint_and_report(setup, tmp_path):
     assert len(lines) == 1 + doc["n_steps"]
 
 
+def test_grid_search_trains_with_the_config_top_t(setup, tmp_path, monkeypatch):
+    cfg, _ = setup
+    top_t = build_copier_params(build_fixture_model()[1]).top_t + 1
+    run_json = tmp_path / "run.json"
+    run_json.write_text(json.dumps({**read_json(cfg), "top_t": top_t}))
+    seen = []
+
+    def recording_train(model, params, examples, hyper, *, insertion_layer):
+        seen.append(params.top_t)
+        return types.SimpleNamespace(epoch_mean_losses=lambda: [1.0])
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    assert run_cli("grid-search", "--config", str(run_json), "--fixture", "2",
+                   "--out", str(tmp_path / "out")) == 0
+    assert seen == [top_t] * 143
+
+
 def test_grid_search_demo_finds_planted_optimum(tmp_path):
     out = tmp_path / "out"
     assert run_cli("grid-search", "--out", str(out), "--csv") == 0
@@ -243,7 +262,8 @@ _BAD_HOST_TENSORS = {
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
-                                  "fusion_tensor_nan"])
+                                  "fusion_tensor_nan", "config_negative_seed",
+                                  "cli_negative_seed"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
     doc = read_json(cfg)
@@ -254,6 +274,11 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     if case in _BAD_LAMS:
         bad.write_text(json.dumps({**doc, "lam": _BAD_LAMS[case]}))
         argv, named = ["pipeline", "--config", str(bad), "--fixture", "4"], "lam"
+    elif case == "config_negative_seed":
+        bad.write_text(json.dumps({**doc, "seed": -1}))
+        argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"
+    elif case == "cli_negative_seed":
+        argv, named = ["detect", "--config", cfg, "--fixture", "4", "--seed", "-1"], "seed"
     elif case in _BAD_RECORD_TOKENS:
         row = fixture_dataset(1)[0].to_json()
         bad.write_text(json.dumps({**row, "question": [2, 3, _BAD_RECORD_TOKENS[case], 7]}) + "\n")

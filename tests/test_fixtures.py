@@ -338,8 +338,8 @@ def test_training_reduces_composite_loss_on_fixture_records(host):
         toks = context_tokens(rec, v)
         trace = forward(model, toks)
         dhat = external_stream(model, trace, (len(rec.question) + 1, len(toks)))
-        examples.append(TrainExample(tokens=tuple(toks),
-                                     answer_id=int(rec.answer[0]), dhat=dhat))
+        examples.append(TrainExample.from_trace(toks, int(rec.answer[0]), dhat, trace,
+                                                OFFSET_LAYER))
     report = train(model, build_training_init(layout, seed=0), examples,
                    Hyperparams(epochs=3), insertion_layer=OFFSET_LAYER)
     means = report.epoch_mean_losses()

@@ -19,7 +19,15 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import make_dssp_hook
-from dualstream.model import ForwardOptions, forward, generate, infer, layer_distributions
+from dualstream.model import (
+    ForwardOptions,
+    forward,
+    generate,
+    infer,
+    layer_distributions,
+    load_model,
+    save_model,
+)
 from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, variant_tokens
 
 
@@ -62,6 +70,15 @@ def test_plain(host, cases):
     for question, _, ctx, _ in cases:
         for tokens in (question, ctx):
             assert_same(infer(model, tokens), forward(model, tokens))
+
+
+def test_plain_on_a_host_loaded_from_f32(host, cases, tmp_path):
+    save_model(host[0], tmp_path / "host.bin", dtype="f32")
+    model, _ = load_model(tmp_path / "host.bin")
+    for question, variant, ctx, _ in cases[:16]:
+        assert_same(infer(model, ctx), forward(model, ctx))
+        pair = infer(model, [question, variant])
+        assert_same(row(pair, 0), forward(model, question))
 
 
 def test_each_single_skipped_layer(host, cases):

@@ -261,6 +261,13 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
         assert list(ex.tokens) == ctx
         assert ex.answer_id == rec.answer[0]
         assert ex.dhat.shape == (len(ctx) - len(rec.question) - 1, layout.d_model)
-        want = offset_layer_stream(model, forward(model, ctx),
-                                   (len(rec.question) + 1, len(ctx)), OFFSET_LAYER)
+        ref = forward(model, ctx)
+        want = offset_layer_stream(model, ref, (len(rec.question) + 1, len(ctx)), OFFSET_LAYER)
         assert np.array_equal(ex.dhat, want)
+        # the host pass train() resumes from
+        z = np.exp(ref.logits[-1] - ref.logits[-1].max())
+        assert np.array_equal(ex.base, z / z.sum())
+        layer, hidden = ex.resume
+        assert layer == OFFSET_LAYER
+        assert np.array_equal(hidden, ref.hidden[OFFSET_LAYER - 1])
+        assert hidden.base is None and ex.base.base is None   # no view pins a trace

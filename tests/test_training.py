@@ -1,10 +1,13 @@
 """Objective terms, training-loop behaviour, and grid-search tests."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dualstream import autodiff as ad
+from dualstream import model as model_module
+from dualstream import pipeline, training
 from dualstream.autodiff import GradTape, Tensor, backward
 from dualstream.cli import main
 from dualstream.errors import ContractViolationError, TrainingDivergedError
@@ -23,6 +26,7 @@ from dualstream.training import (
     MU_FINE,
     MU_GRID,
     NU_GRID,
+    WARMUP_RATIO,
     GridSearchResult,
     Hyperparams,
     TrainExample,
@@ -71,16 +75,18 @@ def total_loss(ce: float, h: float, kl: float, mu: float, nu: float) -> float:
     return ce + mu * h + nu * kl
 
 
-def small_setup(seed=1, d_model=4):
+def small_setup(seed=1, d_model=4, layer=1):
+    """A random host and fusion block, and three examples with random evidence
+    rows for insertion at ``layer``."""
     cfg = ModelConfig(n_layers=2, n_heads=1, d_model=d_model, d_ff=8,
                       vocab_size=9, max_seq=8, seed=seed)
     model = TinyTransformer.random(cfg)
     params = DsspParams.init_random(d_model, d_ff=6, top_t=2, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     dataset = [
-        TrainExample(tokens=(1, 2, 3), answer_id=5, dhat=rng.normal(size=(3, d_model))),
-        TrainExample(tokens=(4, 5), answer_id=2, dhat=rng.normal(size=(2, d_model))),
-        TrainExample(tokens=(6, 7, 8, 1), answer_id=7, dhat=rng.normal(size=(4, d_model))),
+        TrainExample.from_trace(tokens, answer, rng.normal(size=(len(tokens), d_model)),
+                                infer(model, list(tokens)), layer)
+        for tokens, answer in (((1, 2, 3), 5), ((4, 5), 2), ((6, 7, 8, 1), 7))
     ]
     return model, params, dataset
 
@@ -90,15 +96,14 @@ def small_setup(seed=1, d_model=4):
 # ---------------------------------------------------------------------------
 
 def test_hyperparams_defaults_and_validation():
+    assert [f.name for f in dataclasses.fields(Hyperparams)] == ["mu", "nu", "lr", "epochs", "seed"]
     h = Hyperparams()
-    assert (h.mu, h.nu, h.lr, h.epochs, h.warmup_ratio) == (0.55, 0.1, 4e-5, 7, 0.1)
+    assert (h.mu, h.nu, h.lr, h.epochs, WARMUP_RATIO) == (0.55, 0.1, 4e-5, 7, 0.1)
     Hyperparams(lr=0.0)  # no-op runs allowed
     with pytest.raises(ContractViolationError):
         Hyperparams(mu=-0.1)
     with pytest.raises(ContractViolationError):
         Hyperparams(lr=-1e-6)
-    with pytest.raises(ContractViolationError):
-        Hyperparams(warmup_ratio=1.5)
     with pytest.raises(ContractViolationError):
         Hyperparams(epochs=0)
 
@@ -176,10 +181,10 @@ def test_train_zero_lr_leaves_params_bit_identical():
 
 
 def test_train_step_totals_decompose():
-    model, params, dataset = small_setup(seed=5)
-    hyper = Hyperparams(mu=0.3, nu=0.2, lr=1e-3, epochs=2, batch=2, seed=8)
+    model, params, dataset = small_setup(seed=5, layer=0)
+    hyper = Hyperparams(mu=0.3, nu=0.2, lr=1e-3, epochs=2, seed=8)
     report = train(model, params, dataset, hyper, insertion_layer=0)
-    assert len(report.steps) == 2 * math.ceil(len(dataset) / 2)
+    assert len(report.steps) == 2 * len(dataset)
     for s in report.steps:
         assert s.total == pytest.approx(
             s.ce + hyper.mu * s.h_term + hyper.nu * s.kl_term, abs=1e-9)
@@ -195,8 +200,8 @@ def test_train_reduces_epoch_mean_loss():
 
 
 def test_train_deterministic_given_seed():
-    model_a, params_a, data_a = small_setup(seed=9)
-    model_b, params_b, data_b = small_setup(seed=9)
+    model_a, params_a, data_a = small_setup(seed=9, layer=0)
+    model_b, params_b, data_b = small_setup(seed=9, layer=0)
     hyper = Hyperparams(lr=0.01, epochs=2, seed=4)
     rep_a = train(model_a, params_a, data_a, hyper, insertion_layer=0)
     rep_b = train(model_b, params_b, data_b, hyper, insertion_layer=0)
@@ -297,10 +302,33 @@ def test_step_zero_losses_match_the_reference_formulas(fixture_examples):
             (ce, h, kl, total_loss(ce, h, kl, hyper.mu, hyper.nu)), rel=1e-12)
 
 
+def test_train_runs_no_host_inference(fixture_examples, monkeypatch):
+    model, init, examples = fixture_examples
+    calls = []
+
+    def counting_infer(*args, **kwargs):
+        calls.append(args)
+        return infer(*args, **kwargs)
+
+    for module in (model_module, pipeline, training):
+        monkeypatch.setattr(module, "infer", counting_infer, raising=False)
+    report = train(model, init.copy(), examples, Hyperparams(epochs=1),
+                   insertion_layer=OFFSET_LAYER)
+    assert len(report.steps) == len(examples)
+    assert calls == []
+
+
+def test_train_rejects_examples_built_for_another_layer(fixture_examples):
+    model, init, examples = fixture_examples
+    assert OFFSET_LAYER == 3
+    with pytest.raises(ContractViolationError, match="insertion layer 1"):
+        train(model, init.copy(), examples[:1], Hyperparams(epochs=1), insertion_layer=1)
+
+
 def test_train_warmup_schedule():
-    model, params, dataset = small_setup(seed=7)
-    # 3 examples, batch 1, 5 epochs -> 15 steps; warmup over ceil(0.2*15)=3
-    hyper = Hyperparams(lr=0.003, epochs=5, warmup_ratio=0.2, seed=1)
+    model, params, dataset = small_setup(seed=7, layer=0)
+    # 3 examples, one per step, 7 epochs -> 21 steps; warmup over ceil(0.1*21)=3
+    hyper = Hyperparams(lr=0.003, epochs=7, seed=1)
     report = train(model, params, dataset, hyper, insertion_layer=0)
     lrs = [s.lr for s in report.steps]
     assert lrs[:3] == pytest.approx([0.001, 0.002, 0.003])
@@ -323,10 +351,14 @@ def test_train_input_validation():
         train(model, params, [], Hyperparams(), insertion_layer=0)
     with pytest.raises(ContractViolationError):
         train(model, params, dataset, Hyperparams(), insertion_layer=5)
+    base = np.full(9, 1 / 9)
     with pytest.raises(ContractViolationError):
-        TrainExample(tokens=(), answer_id=1, dhat=np.ones((1, 4)))
+        TrainExample(tokens=(), answer_id=1, dhat=np.ones((1, 4)), base=base, resume=None)
     with pytest.raises(ContractViolationError):
-        TrainExample(tokens=(1,), answer_id=1, dhat=np.ones(4))
+        TrainExample(tokens=(1,), answer_id=1, dhat=np.ones(4), base=base, resume=None)
+    with pytest.raises(ContractViolationError):
+        TrainExample(tokens=(1,), answer_id=1, dhat=np.ones((1, 4)), base=base[None],
+                     resume=None)
 
 
 # ---------------------------------------------------------------------------
