@@ -19,7 +19,7 @@ import time
 
 from .dataset import load_records
 from .errors import ContractViolationError, TrainingDivergedError
-from .filtering import SamplingSpec, pruning_sweep
+from .filtering import pruning_sweep
 from .fixtures import fixture_dataset
 from .fusion import save_dssp_params
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
@@ -214,7 +214,7 @@ def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
 def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     queries = _queries_for_sweep(args, config, vocab)
-    sweep = pruning_sweep(model, queries, SamplingSpec(seed=config.seed))
+    sweep = pruning_sweep(model, queries)
     cal = Calibration.from_sweep(sweep)
     doc = {
         "n_queries": len(queries),
@@ -238,7 +238,7 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
-    cal = probe_calibration(model, vocab, config.seed)
+    cal = probe_calibration(model, vocab)
     records = _resolve_records(args, config)
     rows = []
     for record in records:
@@ -251,7 +251,6 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
 
 
 def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
-    bundle, examples = _training_setup(args, config)
     hyper = Hyperparams(mu=config.mu, nu=config.nu, seed=config.seed)
     overrides = {}
     if args.epochs is not None:
@@ -260,6 +259,7 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
         overrides["lr"] = args.lr
     if overrides:
         hyper = dataclasses.replace(hyper, **overrides)
+    bundle, examples = _training_setup(args, config)
     t0 = time.perf_counter()
     report = train(bundle.model, bundle.params, examples, hyper,
                    insertion_layer=bundle.calibration.offset_layer)
@@ -307,11 +307,12 @@ def _cmd_demo_decompose(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
     if args.records or args.fixture:
+        base = Hyperparams(seed=config.seed, epochs=args.epochs)
         bundle, examples = _training_setup(args, config)
 
         def objective(mu: float, nu: float) -> float:
-            hyper = Hyperparams(mu=mu, nu=nu, seed=config.seed, epochs=args.epochs)
-            report = train(bundle.model, bundle.params.copy(), examples, hyper,
+            report = train(bundle.model, bundle.params.copy(), examples,
+                           dataclasses.replace(base, mu=mu, nu=nu),
                            insertion_layer=bundle.calibration.offset_layer)
             return report.epoch_mean_losses()[-1]
 

@@ -19,7 +19,8 @@ import numpy as np
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, LayerStructureError, json_value, read_field
 from .fusion import KnowledgeStream
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, generate_from, infer
+from .model import (ForwardOptions, ForwardTrace, TinyTransformer, _softmax, generate_from,
+                    infer)
 
 Array = np.ndarray
 
@@ -157,10 +158,7 @@ def energy_quotient(delta_a: Sequence[float], lam: float = DEFAULT_LAMBDA) -> Ar
         raise ContractViolationError("energy quotient needs at least one token")
     if not np.all(np.isfinite(da)) or not math.isfinite(lam):
         raise ContractViolationError("scores and lam must be finite")
-    z = -lam * da
-    z = z - z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return _softmax(-lam * da)
 
 
 def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, float]:

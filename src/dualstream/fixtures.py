@@ -46,7 +46,6 @@ import math
 import numpy as np
 
 from .dataset import Vocab, make_conflict_dataset, QARecord
-from .errors import ContractViolationError
 from .fusion import DsspParams
 from .model import ModelConfig, TinyTransformer, weight_shapes
 
@@ -193,12 +192,8 @@ def _marker_affinity_head(w: dict, layout: FixtureLayout, layer: int, head: int)
     w[f"l{layer}.attn.wk.h{head}"][layout.qzone, 0] = MARKER_QK
 
 
-def build_fixture_model(vocab: Vocab | None = None) -> tuple[TinyTransformer, FixtureLayout]:
-    vocab = vocab or fixture_vocab()
-    if vocab.n_subjects % 2 != 0 or vocab.n_junk % 2 != 0:
-        raise ContractViolationError("fixture needs even subject and junk counts")
-    if vocab.n_junk < 4:
-        raise ContractViolationError("fixture needs a junk region per word order")
+def build_fixture_model() -> tuple[TinyTransformer, FixtureLayout]:
+    vocab = fixture_vocab()
     layout = FixtureLayout(vocab)
     config = ModelConfig(
         n_layers=N_LAYERS, n_heads=N_HEADS, d_model=layout.d_model,
@@ -220,8 +215,6 @@ def build_fixture_model(vocab: Vocab | None = None) -> tuple[TinyTransformer, Fi
 
     # ---- layer 1: recall (key layer) --------------------------------------
     # attention head: subject-code match (pattern only, zero value path)
-    if vocab.n_subjects > config.d_head:
-        raise ContractViolationError("subject codes exceed attention head width")
     wq = w["l1.attn.wq.h0"]
     wk = w["l1.attn.wk.h0"]
     for i in range(vocab.n_subjects):
@@ -231,8 +224,6 @@ def build_fixture_model(vocab: Vocab | None = None) -> tuple[TinyTransformer, Fi
     # activation (relu(a - t) - relu(a - t - cap)) so recall strength does not
     # depend on how many copies of the code a row carries
     known = known_subjects(vocab)
-    if 2 * len(known) > config.d_ff:
-        raise ContractViolationError("recall memory exceeds feed-forward width")
     w1, b1 = w["l1.ffn.w1"], w["l1.ffn.b1"]
     w2 = w["l1.ffn.w2"]
     for u, s in enumerate(known):
@@ -272,8 +263,6 @@ def build_fixture_model(vocab: Vocab | None = None) -> tuple[TinyTransformer, Fi
         wo[i, layout.junk_dim(layout.junk_a_of(i))] += TILT_WRITE
         wo[i, layout.junk_dim(layout.junk_b_of(i))] += TILT_WRITE
     col_c0, col_p3 = vocab.n_subjects, vocab.n_subjects + 1
-    if col_p3 >= config.d_head:
-        raise ContractViolationError("scrambler value path exceeds head width")
     wv[layout.c0, col_c0] = 1.0
     wv[layout.p3, col_p3] = 1.0
     for j in range(layout.half_junk):          # region A bump from the constant
@@ -357,5 +346,5 @@ def build_training_init(layout: FixtureLayout, seed: int = 0) -> DsspParams:
 # ---------------------------------------------------------------------------
 
 def fixture_dataset(n_records: int = 64, noise_rate: float = 1.0,
-                    seed: int = 0, vocab: Vocab | None = None) -> list[QARecord]:
-    return make_conflict_dataset(n_records, vocab or fixture_vocab(), noise_rate, seed)
+                    seed: int = 0) -> list[QARecord]:
+    return make_conflict_dataset(n_records, fixture_vocab(), noise_rate, seed)

@@ -212,28 +212,27 @@ def select_shared_tokens(sim, external, top_t: int = DEFAULT_TOP_T) -> Tensor:
     return ad.take_rows(y, [int(i) for i in order])
 
 
-def cross_attention(queries, keys_values, wq, wk, wv, d_k: int | None = None) -> Tensor:
-    """softmax(QK^T / sqrt(d_k)) V with queries from one stream, keys/values from the other."""
+def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
+    """softmax(QK^T / sqrt(d_k)) V with queries from one stream, keys/values from the
+    other; d_k is the query projection's input width."""
     x, y = _t(queries), _t(keys_values)
     wq_t, wk_t, wv_t = _t(wq), _t(wk), _t(wv)
     if x.value.shape[1] != wq_t.value.shape[0] or y.value.shape[1] != wk_t.value.shape[0]:
         raise ContractViolationError("stream width does not match attention weights")
-    dk = wq_t.value.shape[0] if d_k is None else int(d_k)
     attn = ad.softmax_rows(
         ad.matmul(ad.matmul(x, wq_t), ad.transpose(ad.matmul(y, wk_t))),
-        1.0 / math.sqrt(dk))
+        1.0 / math.sqrt(wq_t.value.shape[0]))
     return ad.matmul(attn, ad.matmul(y, wv_t))
 
 
-def self_attention(stream, wq, wk, wv, d_k: int | None = None) -> Tensor:
-    return cross_attention(stream, stream, wq, wk, wv, d_k)
+def self_attention(stream, wq, wk, wv) -> Tensor:
+    return cross_attention(stream, stream, wq, wk, wv)
 
 
-def differential_attention(stream_x, stream_y, s_triple, c_triple, d_k: int | None = None) -> Tensor:
+def differential_attention(stream_x, stream_y, s_triple, c_triple) -> Tensor:
     """Self-attention of X minus cross-attention of X onto Y (private residue of X)."""
-    return ad.sub(
-        self_attention(stream_x, *s_triple, d_k=d_k),
-        cross_attention(stream_x, stream_y, *c_triple, d_k=d_k))
+    return ad.sub(self_attention(stream_x, *s_triple),
+                  cross_attention(stream_x, stream_y, *c_triple))
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +255,16 @@ def dssp_update(internal, external, params: DsspParams,
     x, y = _t(internal), _t(external)
     s_triple = (p["wq_s"], p["wk_s"], p["wv_s"])
     c_triple = (p["wq_c"], p["wk_c"], p["wv_c"])
-    dk = params.d_k
 
     # only the discrete top-T choice reads the similarity, so no gradient can
     # reach it: it runs on the values, off the tape
-    sim = shared_similarity(x.value, y.value, p["w_share"].value, dk)
+    sim = shared_similarity(x.value, y.value, p["w_share"].value)
     u_share = select_shared_tokens(sim, y, params.top_t)
-    u_enhance = cross_attention(x, u_share, *c_triple, d_k=dk)
-    u_priv_int = differential_attention(x, y, s_triple, c_triple, dk)
+    u_enhance = cross_attention(x, u_share, *c_triple)
+    u_priv_int = differential_attention(x, y, s_triple, c_triple)
     # the external private residue has length |D-hat|; re-query it with the
     # internal stream so all three branches align to |I| before fusion
-    u_priv_ext = cross_attention(
-        x, differential_attention(y, x, s_triple, c_triple, dk), *c_triple, d_k=dk)
+    u_priv_ext = cross_attention(x, differential_attention(y, x, s_triple, c_triple), *c_triple)
 
     u = ad.concat_cols([u_enhance, u_priv_int, u_priv_ext])
     h = ad.relu(ad.add(ad.matmul(u, p["w_f"]), p["b_f"]))

@@ -465,20 +465,20 @@ def generate_from(
 # checkpoint io
 # ---------------------------------------------------------------------------
 
-def save_model(model: TinyTransformer, bin_path, json_path=None, dtype: str = "f32",
+def save_model(model: TinyTransformer, bin_path, dtype: str = "f32",
                meta: dict | None = None) -> None:
-    json_path = json_path or str(bin_path) + ".json"
+    """Write the weights to ``bin_path`` and the config and ``meta`` to ``<bin_path>.json``."""
     save_tensors(bin_path, model.weights, dtype=dtype)
     doc = {"config": model.config.to_json(), "meta": meta or {}}
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with open(str(bin_path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_model(bin_path, json_path=None) -> tuple[TinyTransformer, dict]:
-    """Load a checkpoint: every ``ModelConfig`` field in the sidecar, and exactly the
-    finite weights of ``weight_shapes``; an error names the field or tensor."""
-    json_path = json_path or str(bin_path) + ".json"
+def load_model(bin_path) -> tuple[TinyTransformer, dict]:
+    """Load a checkpoint: every ``ModelConfig`` field in the sidecar ``<bin_path>.json``,
+    and exactly the finite weights of ``weight_shapes``; an error names the field or tensor."""
+    json_path = str(bin_path) + ".json"
     with open(json_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -36,7 +36,6 @@ from .filtering import (
     FilterProfile,
     LayerClassification,
     PruningSweep,
-    SamplingSpec,
     classify_layers,
     compute_filter_profile,
     entropy_gate,
@@ -164,9 +163,12 @@ class Calibration:
                    epsilon, delta_entropy)
 
 
-def calibrate(model: TinyTransformer, queries, spec: SamplingSpec | None = None) -> Calibration:
-    """Layer-pruning sweep over a probe query set, reduced to filter inputs."""
-    return Calibration.from_sweep(pruning_sweep(model, queries, spec or SamplingSpec()))
+def calibrate(model: TinyTransformer, queries) -> Calibration:
+    """Layer-pruning sweep over a probe query set, reduced to filter inputs.
+
+    The sweep decodes greedily, one sample per query, so no seed reaches it.
+    """
+    return Calibration.from_sweep(pruning_sweep(model, queries))
 
 
 def probe_questions(vocab: Vocab) -> list[list[int]]:
@@ -208,12 +210,12 @@ def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
     return model, meta_vocab(meta)
 
 
-def probe_calibration(model: TinyTransformer, vocab: Vocab | None, seed: int) -> Calibration:
+def probe_calibration(model: TinyTransformer, vocab: Vocab | None) -> Calibration:
     """Calibrate on the canonical probe set of the checkpoint's vocabulary."""
     if vocab is None:
         raise ContractViolationError(
             "checkpoint metadata has no vocabulary to build probe questions from")
-    return calibrate(model, probe_questions(vocab), SamplingSpec(seed=seed))
+    return calibrate(model, probe_questions(vocab))
 
 
 def load_bundle(config: RunConfig) -> Bundle:
@@ -224,7 +226,7 @@ def load_bundle(config: RunConfig) -> Bundle:
     params = load_dssp_params(config.dssp_checkpoint)
     if config.top_t is not None:
         params.top_t = config.top_t
-    return Bundle(model, params, vocab, probe_calibration(model, vocab, config.seed))
+    return Bundle(model, params, vocab, probe_calibration(model, vocab))
 
 
 def vocab_meta(vocab: Vocab) -> dict:
@@ -346,11 +348,8 @@ def filter_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
     return profile, evidence
 
 
-def pipeline_run(record: QARecord, config: RunConfig,
-                 bundle: Bundle | None = None) -> PipelineTrace:
+def pipeline_run(record: QARecord, config: RunConfig, bundle: Bundle) -> PipelineTrace:
     """Run one record through detect -> (filter -> fused decode) | plain decode."""
-    if bundle is None:
-        bundle = load_bundle(config)
     model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
     timings: dict[str, float] = {}
 
@@ -392,10 +391,8 @@ def pipeline_run(record: QARecord, config: RunConfig,
                          timings, forced=config.force_retrieval)
 
 
-def run_records(records, config: RunConfig, bundle: Bundle | None = None) -> list[PipelineTrace]:
+def run_records(records, config: RunConfig, bundle: Bundle) -> list[PipelineTrace]:
     """Run a record list against one shared bundle, in order."""
-    if bundle is None:
-        bundle = load_bundle(config)
     return [pipeline_run(record, config, bundle) for record in records]
 
 

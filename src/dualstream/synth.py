@@ -56,6 +56,8 @@ def synth_streams(
     coefficients inside the same shared subspace.
     """
     k_s, k_px, k_py = (int(k) for k in dims)
+    if d_model < 1:
+        raise ContractViolationError(f"d_model must be >= 1, got {d_model}")
     if min(k_s, k_px, k_py) < 0:
         raise ContractViolationError("subspace dims must be >= 0")
     if k_s + k_px + k_py > d_model:
@@ -63,8 +65,8 @@ def synth_streams(
             f"dimension budget exceeded: {k_s}+{k_px}+{k_py} > d_model {d_model}")
     if n_x < 1 or n_y < 1:
         raise ContractViolationError("token counts must be >= 1")
-    if noise_scale < 0:
-        raise ContractViolationError("noise_scale must be >= 0")
+    if not 0 <= noise_scale < math.inf:
+        raise ContractViolationError("noise_scale must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     total = k_s + k_px + k_py

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError
 from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, _softmax, forward
 
 Array = np.ndarray
 
@@ -44,11 +43,11 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu < 0 or self.nu < 0:
-            raise ContractViolationError("mu and nu must be >= 0")
+        if not (0 <= self.mu < math.inf and 0 <= self.nu < math.inf):
+            raise ContractViolationError("mu and nu must be finite and >= 0")
         # lr = 0 is allowed so a no-op run can serve as a determinism probe
-        if self.lr < 0:
-            raise ContractViolationError("lr must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ContractViolationError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractViolationError("epochs must be >= 1")
 
@@ -62,12 +61,12 @@ class TrainExample:
     """One supervised case: prompt tokens, gold next token, external stream,
     and what the frozen host gives for the prompt: ``base``, its next-token
     distribution at the last position, and ``resume``, ``(k, hidden[k-1])``
-    for the insertion layer ``k`` (None at layer 0)."""
+    for the insertion layer ``k >= 1``."""
     tokens: tuple[int, ...]
     answer_id: int
     dhat: Array
     base: Array
-    resume: tuple[int, Array] | None
+    resume: tuple[int, Array]
 
     def __post_init__(self):
         self.tokens = tuple(int(t) for t in self.tokens)
@@ -85,13 +84,8 @@ class TrainExample:
                    trace: ForwardTrace, insertion_layer: int) -> "TrainExample":
         """The example for ``insertion_layer``, its host fields read off ``trace``,
         the host's forward over ``tokens``; owns copies, not views of the trace."""
-        z = trace.logits[-1]
-        z = z - z.max()
-        e = np.exp(z)
-        resume = None
-        if insertion_layer:
-            resume = (insertion_layer, trace.hidden[insertion_layer - 1].copy())
-        return cls(tokens, answer_id, dhat, e / e.sum(), resume)
+        return cls(tokens, answer_id, dhat, _softmax(trace.logits[-1]),
+                   (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,6 @@ class TrainReport:
     steps: list[TrainStep]
     epochs: int
     checkpoint_id: str
-    wall_time: float
 
     def epoch_mean_losses(self) -> list[float]:
         sums = [0.0] * self.epochs
@@ -145,14 +138,13 @@ def train(
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
-    if not 0 <= insertion_layer < model.config.n_layers:
-        raise ContractViolationError(f"insertion layer {insertion_layer} outside model")
+    if not 1 <= insertion_layer < model.config.n_layers:
+        raise ContractViolationError(
+            f"insertion layer {insertion_layer} outside 1..{model.config.n_layers - 1}")
     for ex in dataset:
-        layer = ex.resume[0] if ex.resume else 0
-        if layer != insertion_layer:
+        if ex.resume[0] != insertion_layer:
             raise ContractViolationError(
-                f"example resumes at layer {layer}, not the insertion layer {insertion_layer}")
-    t0 = time.perf_counter()
+                f"example resumes at layer {ex.resume[0]}, not the insertion layer {insertion_layer}")
 
     rng = np.random.default_rng(hyper.seed)
     warmup_steps = math.ceil(WARMUP_RATIO * (hyper.epochs * len(dataset)))
@@ -196,12 +188,7 @@ def train(
                 h_term=h_node.item(), kl_term=kl_node.item(), total=total_val))
             step += 1
 
-    return TrainReport(
-        steps=steps,
-        epochs=hyper.epochs,
-        checkpoint_id=checkpoint_id(params),
-        wall_time=time.perf_counter() - t0,
-    )
+    return TrainReport(steps=steps, epochs=hyper.epochs, checkpoint_id=checkpoint_id(params))
 
 
 # ---------------------------------------------------------------------------

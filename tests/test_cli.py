@@ -250,6 +250,16 @@ _BAD_TRACES = {
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
 _BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
+# a command and flags (run with the good config) that must be refused, and the name the error gives
+_BAD_FLAGS = {
+    "cli_lr_nan": (["train", "--fixture", "2", "--epochs", "1", "--lr", "nan"], "lr"),
+    "cli_lr_inf": (["train", "--fixture", "2", "--epochs", "1", "--lr", "inf"], "lr"),
+    "cli_grid_search_zero_epochs": (["grid-search", "--fixture", "2", "--epochs", "0"], "epochs"),
+    "cli_demo_zero_d_model": (["demo-decompose", "--d-model", "0", "--dims", "0", "0", "0",
+                               "--trials", "1"], "d_model"),
+    "cli_demo_nan_noise_scale": (["demo-decompose", "--noise-scale", "nan", "--trials", "1"],
+                                 "noise_scale"),
+}
 # host checkpoint tensors rewritten (None: dropped) behind an intact sidecar
 _BAD_HOST_TENSORS = {
     "host_tensor_missing": ("l2.ffn.w1", None),
@@ -260,6 +270,7 @@ _BAD_HOST_TENSORS = {
 
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
+                                  *_BAD_FLAGS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
                                   "fusion_tensor_nan", "config_negative_seed",
@@ -279,6 +290,9 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"
     elif case == "cli_negative_seed":
         argv, named = ["detect", "--config", cfg, "--fixture", "4", "--seed", "-1"], "seed"
+    elif case in _BAD_FLAGS:
+        (command, *flags), named = _BAD_FLAGS[case]
+        argv = [command, "--config", cfg, *flags]
     elif case in _BAD_RECORD_TOKENS:
         row = fixture_dataset(1)[0].to_json()
         bad.write_text(json.dumps({**row, "question": [2, 3, _BAD_RECORD_TOKENS[case], 7]}) + "\n")

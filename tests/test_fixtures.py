@@ -6,9 +6,8 @@ import pytest
 
 from dualstream import autodiff as ad
 from dualstream.autodiff import Tensor
-from dualstream.dataset import Vocab, make_question
+from dualstream.dataset import make_question
 from dualstream.detector import detect, divergence_profile, make_variant
-from dualstream.errors import ContractViolationError
 from dualstream.filtering import (
     SamplingSpec,
     classify_layers,
@@ -122,13 +121,6 @@ def test_last_layer_is_exactly_inert(host):
     base = forward(model, q).logits
     skipped = forward(model, q, ForwardOptions(skip_layers=(N_LAYERS - 1,))).logits
     assert np.array_equal(base, skipped)
-
-
-def test_fixture_validation_rejects_bad_vocabs():
-    with pytest.raises(ContractViolationError):
-        build_fixture_model(Vocab(n_subjects=3, n_objects=4, n_junk=80))
-    with pytest.raises(ContractViolationError):
-        build_fixture_model(Vocab(n_subjects=4, n_objects=4, n_junk=2))
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def test_cross_attention_single_key_token():
 def test_cross_attention_hand_case():
     x = np.array([[1.0, 0.0]])
     y = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = cross_attention(x, y, np.eye(2), np.eye(2), np.eye(2), d_k=2)
+    out = cross_attention(x, y, np.eye(2), np.eye(2), np.eye(2))
     w1 = math.exp(1 / math.sqrt(2)) / (1 + math.exp(1 / math.sqrt(2)))
     expected = (1 - w1) * y[0] + w1 * y[1]
     assert np.allclose(out.value[0], expected, atol=1e-12)

@@ -271,3 +271,13 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
         assert layer == OFFSET_LAYER
         assert np.array_equal(hidden, ref.hidden[OFFSET_LAYER - 1])
         assert hidden.base is None and ex.base.base is None   # no view pins a trace
+
+
+def test_make_train_examples_resume_at_every_insertion_layer(host, records):
+    """Fusion enters at layer >= 1, so every example carries ``(k, hidden[k - 1])``."""
+    model, layout = host
+    ref = forward(model, context_tokens(records[0], layout.vocab))
+    for layer in range(1, model.config.n_layers):
+        examples = make_train_examples(model, records[:2], layout.vocab, layer)
+        assert [ex.resume[0] for ex in examples] == [layer, layer]
+        assert np.array_equal(examples[0].resume[1], ref.hidden[layer - 1])

@@ -75,9 +75,9 @@ def total_loss(ce: float, h: float, kl: float, mu: float, nu: float) -> float:
     return ce + mu * h + nu * kl
 
 
-def small_setup(seed=1, d_model=4, layer=1):
-    """A random host and fusion block, and three examples with random evidence
-    rows for insertion at ``layer``."""
+def small_setup(seed=1, d_model=4):
+    """A random two-layer host and fusion block, and three examples with random
+    evidence rows for insertion at layer 1."""
     cfg = ModelConfig(n_layers=2, n_heads=1, d_model=d_model, d_ff=8,
                       vocab_size=9, max_seq=8, seed=seed)
     model = TinyTransformer.random(cfg)
@@ -85,7 +85,7 @@ def small_setup(seed=1, d_model=4, layer=1):
     rng = np.random.default_rng(seed + 2)
     dataset = [
         TrainExample.from_trace(tokens, answer, rng.normal(size=(len(tokens), d_model)),
-                                infer(model, list(tokens)), layer)
+                                infer(model, list(tokens)), 1)
         for tokens, answer in (((1, 2, 3), 5), ((4, 5), 2), ((6, 7, 8, 1), 7))
     ]
     return model, params, dataset
@@ -106,6 +106,10 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(lr=-1e-6)
     with pytest.raises(ContractViolationError):
         Hyperparams(epochs=0)
+    for field in ("mu", "nu", "lr"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match=field):
+                Hyperparams(**{field: bad})
 
 
 def test_conditional_entropy_matches_shannon_when_equal():
@@ -181,9 +185,9 @@ def test_train_zero_lr_leaves_params_bit_identical():
 
 
 def test_train_step_totals_decompose():
-    model, params, dataset = small_setup(seed=5, layer=0)
+    model, params, dataset = small_setup(seed=5)
     hyper = Hyperparams(mu=0.3, nu=0.2, lr=1e-3, epochs=2, seed=8)
-    report = train(model, params, dataset, hyper, insertion_layer=0)
+    report = train(model, params, dataset, hyper, insertion_layer=1)
     assert len(report.steps) == 2 * len(dataset)
     for s in report.steps:
         assert s.total == pytest.approx(
@@ -200,11 +204,11 @@ def test_train_reduces_epoch_mean_loss():
 
 
 def test_train_deterministic_given_seed():
-    model_a, params_a, data_a = small_setup(seed=9, layer=0)
-    model_b, params_b, data_b = small_setup(seed=9, layer=0)
+    model_a, params_a, data_a = small_setup(seed=9)
+    model_b, params_b, data_b = small_setup(seed=9)
     hyper = Hyperparams(lr=0.01, epochs=2, seed=4)
-    rep_a = train(model_a, params_a, data_a, hyper, insertion_layer=0)
-    rep_b = train(model_b, params_b, data_b, hyper, insertion_layer=0)
+    rep_a = train(model_a, params_a, data_a, hyper, insertion_layer=1)
+    rep_b = train(model_b, params_b, data_b, hyper, insertion_layer=1)
     assert [s.total for s in rep_a.steps] == [s.total for s in rep_b.steps]
     assert rep_a.checkpoint_id == rep_b.checkpoint_id
     for name in PARAM_NAMES:
@@ -326,10 +330,10 @@ def test_train_rejects_examples_built_for_another_layer(fixture_examples):
 
 
 def test_train_warmup_schedule():
-    model, params, dataset = small_setup(seed=7, layer=0)
+    model, params, dataset = small_setup(seed=7)
     # 3 examples, one per step, 7 epochs -> 21 steps; warmup over ceil(0.1*21)=3
     hyper = Hyperparams(lr=0.003, epochs=7, seed=1)
-    report = train(model, params, dataset, hyper, insertion_layer=0)
+    report = train(model, params, dataset, hyper, insertion_layer=1)
     lrs = [s.lr for s in report.steps]
     assert lrs[:3] == pytest.approx([0.001, 0.002, 0.003])
     assert all(lr == pytest.approx(0.003) for lr in lrs[3:])
@@ -348,17 +352,30 @@ def test_train_aborts_on_divergence_with_step_index():
 def test_train_input_validation():
     model, params, dataset = small_setup()
     with pytest.raises(ContractViolationError):
-        train(model, params, [], Hyperparams(), insertion_layer=0)
+        train(model, params, [], Hyperparams(), insertion_layer=1)
     with pytest.raises(ContractViolationError):
         train(model, params, dataset, Hyperparams(), insertion_layer=5)
     base = np.full(9, 1 / 9)
+    resume = (1, np.zeros((1, 4)))
     with pytest.raises(ContractViolationError):
-        TrainExample(tokens=(), answer_id=1, dhat=np.ones((1, 4)), base=base, resume=None)
+        TrainExample(tokens=(), answer_id=1, dhat=np.ones((1, 4)), base=base, resume=resume)
     with pytest.raises(ContractViolationError):
-        TrainExample(tokens=(1,), answer_id=1, dhat=np.ones(4), base=base, resume=None)
+        TrainExample(tokens=(1,), answer_id=1, dhat=np.ones(4), base=base, resume=resume)
     with pytest.raises(ContractViolationError):
         TrainExample(tokens=(1,), answer_id=1, dhat=np.ones((1, 4)), base=base[None],
-                     resume=None)
+                     resume=resume)
+
+
+def test_train_rejects_insertion_at_layer_0():
+    """The fused block reads the stream entering its layer, ``hidden[k - 1]``,
+    so fusion enters at layer 1 or above, even given a layer-0 resume state."""
+    model, params, dataset = small_setup()
+    ex = dataset[0]
+    w = model.weights
+    embedded = w["tok_emb"][list(ex.tokens)] + w["pos_emb"][:len(ex.tokens)]
+    layer0 = dataclasses.replace(ex, resume=(0, embedded))
+    with pytest.raises(ContractViolationError, match=r"insertion layer 0 outside 1\.\.1"):
+        train(model, params, [layer0], Hyperparams(epochs=1), insertion_layer=0)
 
 
 # ---------------------------------------------------------------------------
