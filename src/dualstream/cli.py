@@ -143,9 +143,9 @@ def _echo(config: RunConfig, args, argv) -> str:
 
 
 def _resolve_records(args, config: RunConfig):
-    if args.records:
+    if args.records is not None:
         return load_records(args.records)
-    if args.fixture:
+    if args.fixture is not None:
         return fixture_dataset(args.fixture, noise_rate=args.noise, seed=config.seed)
     raise ContractViolationError("provide --records or --fixture")
 
@@ -159,7 +159,7 @@ def _training_setup(args, config: RunConfig):
 
 
 def _queries_for_sweep(args, config: RunConfig, vocab):
-    if args.records or args.fixture:
+    if args.records is not None or args.fixture is not None:
         seen: dict[tuple, None] = {}
         for record in _resolve_records(args, config):
             seen.setdefault(tuple(record.question))
@@ -242,7 +242,8 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     records = _resolve_records(args, config)
     rows = []
     for record in records:
-        profile, _ = filter_stage(model, record, vocab, cal, config.lam)
+        profile, _ = filter_stage(model, record, vocab, cal, config.lam,
+                                  max(cal.key_layer, cal.offset_layer))
         row = {"record_id": record.record_id, **profile.to_json()}
         row.pop("delta_a")
         rows.append(row)
@@ -306,7 +307,7 @@ def _cmd_demo_decompose(args, config: RunConfig, out_dir: str) -> str:
 
 
 def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
-    if args.records or args.fixture:
+    if args.records is not None or args.fixture is not None:
         base = Hyperparams(seed=config.seed, epochs=args.epochs)
         bundle, examples = _training_setup(args, config)
 

@@ -5,8 +5,10 @@ weight-tied unembedding.  Two forward passes compute the same numbers:
 ``forward`` runs on the autodiff kernels, so a fusion hook carrying taped
 parameters makes the path from the hook to the logits differentiable; it
 serves training and is the reference.  ``infer`` is plain numpy, takes token
-batches and can resume from a cached hidden state; every inference caller
-(detection, the pruning sweep, filtering, decoding) runs on it.
+batches, can resume from a cached hidden state and can stop at layer ``k``,
+after that layer's attention pattern, for a caller that reads nothing above
+it; every inference caller (detection, the pruning sweep, filtering,
+decoding) runs on it.
 
 Layer removal (``skip_layers``) is identity pass-through of the whole block;
 a hooked layer has its self-attention output replaced by the hook's output.
@@ -84,12 +86,17 @@ class ForwardOptions:
             if self.dssp_layer in self.skip_layers:
                 raise ContractViolationError("hook layer cannot also be skipped")
 
+    @property
+    def altered_layers(self) -> frozenset[int]:
+        """The skipped layers and the hooked one."""
+        return self.skip_layers | ({self.dssp_layer} - {None})
+
 
 @dataclass
 class ForwardTrace:
     hidden: list[Array]        # residual stream after each block, seq x d_model
     attention: list[Array]     # per layer: (n_heads, seq, seq), rows stochastic
-    logits: Array              # seq x vocab
+    logits: Array | None       # seq x vocab; None for an ``infer`` stopped early
     logits_node: Tensor | None = None  # present when a tape was active
 
 
@@ -179,8 +186,7 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
         raise ContractViolationError(f"resume layer {start} outside 0..{cfg.n_layers}")
     if x.shape != shape:
         raise ContractViolationError(f"resume state has shape {x.shape}, expected {shape}")
-    hooked = set() if opts.dssp_layer is None else {opts.dssp_layer}
-    if any(l < start for l in opts.skip_layers | hooked):
+    if any(l < start for l in opts.altered_layers):
         raise ContractViolationError("skipped or hooked layer below the resume layer")
     return start, x
 
@@ -297,6 +303,13 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _attention_pattern(xn: Array, wq: Array, wk: Array, mask: Array, scale: float) -> Array:
+    """Causal softmax pattern of normed ``(B, n, d)`` rows, one matmul per row and head."""
+    q, k = xn[:, None] @ wq, xn[:, None] @ wk
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    return _softmax((q @ kt + mask) * scale)
+
+
 def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
     """Validated (B, n) token array, and whether the caller passed one sequence."""
     try:
@@ -316,6 +329,7 @@ def infer(
     tokens,
     options: ForwardOptions | None = None,
     resume: tuple[int, Array] | None = None,
+    stop: int | None = None,
 ) -> ForwardTrace:
     """``forward`` in plain numpy, for a sequence or a (B, n) batch of them.
 
@@ -328,6 +342,13 @@ def infer(
     the trace then starts at layer ``k`` too: ``hidden[i]`` and
     ``attention[i]`` belong to layer ``k + i``.  Skipped and hooked layers
     must lie at or above ``k``.
+
+    ``stop=s`` runs the blocks below layer ``s`` and then only layer ``s``'s
+    attention pattern (layer norm, Q, K, masked softmax), for callers that
+    read nothing above it: the trace holds ``hidden`` up to layer ``s - 1``,
+    ``attention`` up to layer ``s`` and no logits.  Each array equals the
+    matching entry of the full trace bit for bit.  ``s`` must lie in
+    ``k..n_layers - 1``, and skipped and hooked layers below ``s``.
     """
     cfg = model.config
     opts = options or ForwardOptions()
@@ -343,13 +364,19 @@ def infer(
     else:
         start, x = _resume_state(cfg, opts, resume, (n, d) if single else (b, n, d))
         x = x.reshape(b, n, d)
+    if stop is not None:
+        if not start <= stop < cfg.n_layers:
+            raise ContractViolationError(
+                f"stop layer {stop} outside {start}..{cfg.n_layers - 1}")
+        if any(l >= stop for l in opts.altered_layers):
+            raise ContractViolationError("skipped or hooked layer at or above the stop layer")
     mask = _causal_mask(n)
     eye = np.broadcast_to(np.eye(n), (b, heads, n, n))
     scale = 1.0 / np.sqrt(cfg.d_head)
 
     hidden: list[Array] = []
     attention: list[Array] = []
-    for l in range(start, cfg.n_layers):
+    for l in range(start, cfg.n_layers if stop is None else stop):
         if l in opts.skip_layers:
             hidden.append(x)
             attention.append(eye.copy())
@@ -362,12 +389,10 @@ def infer(
             attn_out = np.stack([o.value for o in outs])
             attention.append(eye.copy())
         else:
-            # one (n, d) x (d, d_head) matmul per batch row and head
-            q, k, v = (xn[:, None] @ stack for stack in model.qkv[l])
-            kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-            pattern = _softmax((q @ kt + mask) * scale)
+            wq, wk, wv = model.qkv[l]
+            pattern = _attention_pattern(xn, wq, wk, mask, scale)
             attention.append(pattern)
-            merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+            merged = (pattern @ (xn[:, None] @ wv)).transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
         x = x + attn_out
         yn = layer_norm(x, w[f"l{l}.ln2.gain"], w[f"l{l}.ln2.bias"])
@@ -376,22 +401,32 @@ def infer(
         x = x + (h1 @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
         hidden.append(x)
 
-    final = layer_norm(x, w["lnf.gain"], w["lnf.bias"])
-    logits = final @ model.unembed
+    logits = None
+    if stop is None:
+        logits = layer_norm(x, w["lnf.gain"], w["lnf.bias"]) @ model.unembed
+    else:
+        xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
+        attention.append(_attention_pattern(xn, *model.qkv[stop][:2], mask, scale))
     if single:
-        return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention], logits[0])
+        return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention],
+                            None if logits is None else logits[0])
     return ForwardTrace(hidden, attention, logits)
 
 
-def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> list[Array]:
+def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> Array:
     """Next-token distribution at the last position of each hidden state.
 
-    Final layer-norm, tied unembedding and softmax, one (1, d) row per
-    matmul: stacking the rows into one matmul rounds differently.
+    ``hidden`` holds ``L`` states shaped ``(..., n, d)``, one sequence or a
+    batch; the result is ``(L, ..., vocab)``.  The last positions are
+    stacked into one ``(L, ..., 1, d)`` array that takes the final layer
+    norm, the tied unembedding and the softmax in one pass each.  A stacked
+    matmul is one BLAS call per ``(1, d)`` slice, the kernel a lone row gets,
+    so each distribution equals the one-row readout bit for bit; merging the
+    rows into one ``(B, d)`` matmul would round differently.
     """
     w = model.weights
-    return [_softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
-            for h in hidden]
+    last = np.stack([h[..., -1:, :] for h in hidden])
+    return _softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T)[..., 0, :]
 
 
 def layer_distributions(
@@ -400,7 +435,7 @@ def layer_distributions(
     options: ForwardOptions | None = None,
 ) -> list[Array]:
     """Logit-lens profile: per-layer next-token distribution at the last position."""
-    return logit_lens(model, infer(model, tokens, options).hidden)
+    return list(logit_lens(model, infer(model, tokens, options).hidden))
 
 
 def generate(

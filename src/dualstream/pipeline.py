@@ -296,13 +296,15 @@ class Evidence:
     trace: ForwardTrace
 
 
-def read_evidence(model: TinyTransformer, record: QARecord, vocab: Vocab | None) -> Evidence:
-    """The context forward the filter scores and the fused block reads from."""
+def read_evidence(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
+                  stop: int | None = None) -> Evidence:
+    """The context forward the filter scores and the fused block reads from,
+    run up to layer ``stop``'s attention pattern (``infer``'s ``stop``)."""
     if vocab is None:
         raise ContractViolationError(
             "retrieval path needs the checkpoint vocabulary to build context")
     ctx = context_tokens(record, vocab)
-    return Evidence(ctx, (len(record.question) + 1, len(ctx)), infer(model, ctx))
+    return Evidence(ctx, (len(record.question) + 1, len(ctx)), infer(model, ctx, stop=stop))
 
 
 def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
@@ -332,16 +334,21 @@ def detect_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
     decode draws its first token.
     """
     pair = infer(model, [list(record.question), variant_tokens(record, vocab)])
-    profile = divergence_profile(
-        *(logit_lens(model, [h[row] for h in pair.hidden]) for row in (0, 1)))
+    lens = logit_lens(model, pair.hidden)
+    profile = divergence_profile(lens[:, 0], lens[:, 1])
     verdict = detect(profile, delta=config.delta, aggregation=config.aggregation)
     return verdict, pair.logits[0, -1]
 
 
 def filter_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
-                 calibration: Calibration, lam: float) -> tuple[FilterProfile, Evidence]:
-    """Stage 2: score the record's evidence tokens from its context forward."""
-    evidence = read_evidence(model, record, vocab)
+                 calibration: Calibration, lam: float,
+                 stop: int) -> tuple[FilterProfile, Evidence]:
+    """Stage 2: score the record's evidence tokens from its context forward.
+
+    The forward stops at layer ``stop``, the deepest layer the caller reads;
+    the filter itself reads the key and offset layers' attention.
+    """
+    evidence = read_evidence(model, record, vocab, stop)
     profile = compute_filter_profile(
         evidence.trace, calibration.classification, evidence.span,
         calibration.entropy_orig, calibration.entropy_offset, lam)
@@ -363,10 +370,12 @@ def pipeline_run(record: QARecord, config: RunConfig, bundle: Bundle) -> Pipelin
     prompt = list(record.question)
     if retrieve:
         t0 = time.perf_counter()
-        filter_profile, evidence = filter_stage(model, record, vocab, cal, config.lam)
         hook_layer = cal.offset_layer
         if verdict.hallucination and verdict.insertion_layer >= 1:
             hook_layer = verdict.insertion_layer
+        filter_profile, evidence = filter_stage(
+            model, record, vocab, cal, config.lam,
+            max(cal.key_layer, cal.offset_layer, hook_layer))
         raw = offset_layer_stream(model, evidence.trace, evidence.span, hook_layer)
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), filter_profile.eq,

@@ -83,7 +83,12 @@ class TrainExample:
     def from_trace(cls, tokens: Sequence[int], answer_id: int, dhat: Array,
                    trace: ForwardTrace, insertion_layer: int) -> "TrainExample":
         """The example for ``insertion_layer``, its host fields read off ``trace``,
-        the host's forward over ``tokens``; owns copies, not views of the trace."""
+        the host's full forward over ``tokens``; owns copies, not views of the trace."""
+        if trace.logits is None:
+            raise ContractViolationError("trace stopped before the logits; the example needs them")
+        if not 1 <= insertion_layer <= len(trace.hidden):
+            raise ContractViolationError(
+                f"insertion layer {insertion_layer} outside 1..{len(trace.hidden)}")
         return cls(tokens, answer_id, dhat, _softmax(trace.logits[-1]),
                    (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 

@@ -259,6 +259,9 @@ _BAD_FLAGS = {
                                "--trials", "1"], "d_model"),
     "cli_demo_nan_noise_scale": (["demo-decompose", "--noise-scale", "nan", "--trials", "1"],
                                  "noise_scale"),
+    "cli_pipeline_zero_fixture": (["pipeline", "--fixture", "0"], "n_records"),
+    "cli_analyze_layers_zero_fixture": (["analyze-layers", "--fixture", "0"], "n_records"),
+    "cli_grid_search_zero_fixture": (["grid-search", "--fixture", "0"], "n_records"),
 }
 # host checkpoint tensors rewritten (None: dropped) behind an intact sidecar
 _BAD_HOST_TENSORS = {

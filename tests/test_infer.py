@@ -21,11 +21,14 @@ from dualstream.fixtures import (
 from dualstream.fusion import make_dssp_hook
 from dualstream.model import (
     ForwardOptions,
+    _softmax,
     forward,
     generate,
     infer,
     layer_distributions,
+    layer_norm,
     load_model,
+    logit_lens,
     save_model,
 )
 from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, variant_tokens
@@ -132,6 +135,68 @@ def test_resumed_batch(host, cases):
             assert_same(row(trace, i), forward(model, question, opts), first_layer=l)
 
 
+def assert_prefix(stopped, full, first_layer, stop):
+    """``stopped`` holds ``full``'s arrays for layers ``first_layer..stop - 1`` and
+    ``full``'s attention of layer ``stop``, and no logits."""
+    assert stopped.logits is None
+    assert len(stopped.hidden) == stop - first_layer
+    assert len(stopped.attention) == stop - first_layer + 1
+    for got, want in zip(stopped.hidden, full.hidden[first_layer:]):
+        assert np.array_equal(got, want)
+    for got, want in zip(stopped.attention, full.attention[first_layer:]):
+        assert np.array_equal(got, want)
+
+
+def test_stopped_trace_is_the_prefix_of_the_full_one(host, cases):
+    model, _ = host
+    n_layers = model.config.n_layers
+    contexts = [c[2] for c in cases]
+    full_batch = infer(model, contexts)
+    for stop in range(n_layers):
+        assert_prefix(infer(model, contexts, stop=stop), full_batch, 0, stop)
+    for i, ctx in enumerate(contexts):
+        full = infer(model, ctx)
+        for stop in range(n_layers):
+            assert_prefix(infer(model, ctx, stop=stop), full, 0, stop)
+        for start in range(1, n_layers):
+            for stop in range(start, n_layers):
+                assert_prefix(infer(model, ctx, resume=(start, full.hidden[start - 1]), stop=stop),
+                              full, start, stop)
+        if i < 8:   # a skipped layer below the stop layer, as in the pruning sweep
+            opts = ForwardOptions(skip_layers=frozenset({1}))
+            assert_prefix(infer(model, ctx, opts, stop=n_layers - 1), infer(model, ctx, opts),
+                          0, n_layers - 1)
+
+
+def test_stopped_batch_resumes_like_the_full_one(host, cases):
+    model, _ = host
+    n_layers = model.config.n_layers
+    contexts = [c[2] for c in cases]
+    full = infer(model, contexts)
+    for start in range(1, n_layers):
+        for stop in range(start, n_layers):
+            assert_prefix(infer(model, contexts, resume=(start, full.hidden[start - 1]), stop=stop),
+                          full, start, stop)
+
+
+def test_logit_lens_of_a_batch_equals_the_one_row_readout(host, cases):
+    model, _ = host
+    w = model.weights
+
+    def one_row(h):
+        return _softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
+
+    for question, variant, _, _ in cases:
+        pair = infer(model, [question, variant])
+        lens = logit_lens(model, pair.hidden)
+        assert lens.shape == (model.config.n_layers, 2, model.config.vocab_size)
+        for r in (0, 1):
+            want = [one_row(h[r]) for h in pair.hidden]
+            assert all(np.array_equal(got, ref) for got, ref in zip(lens[:, r], want))
+            single = logit_lens(model, [h[r] for h in pair.hidden])
+            assert all(np.array_equal(got, ref) for got, ref in zip(single, want))
+
+
 def taped_generate(model, prompt, n_samples, temperature, seed, max_new_tokens, options=None):
     """Sampling exactly as it ran on the taped forward."""
     samples = []
@@ -207,6 +272,33 @@ def test_input_validation(host):
     with pytest.raises(ContractViolationError):
         infer(model, [7, 8, 9], ForwardOptions(skip_layers=frozenset({1})),
               resume=(2, ref.hidden[1]))                  # skipped layer below the resume layer
+
+
+_BAD_STOPS = {
+    "stop_below_zero": ({}, -1),
+    "stop_past_the_last_layer": ({}, 6),
+    "stop_below_the_resume_layer": ({"resume": 3}, 2),
+    "skip_at_stop": ({"skip": 2}, 2),
+    "skip_above_stop": ({"skip": 4}, 2),
+    "hook_at_stop": ({"hook": 2}, 2),
+    "hook_above_stop": ({"hook": 5}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STOPS))
+def test_stop_validation(host, case):
+    model, _ = host
+    tokens = [7, 8, 9]
+    ref = infer(model, tokens)
+    given, stop = _BAD_STOPS[case]
+    opts = ForwardOptions()
+    if "skip" in given:
+        opts = ForwardOptions(skip_layers=frozenset({given["skip"]}))
+    if "hook" in given:
+        opts = ForwardOptions(dssp_layer=given["hook"], dssp_hook=lambda t: t)
+    resume = (given["resume"], ref.hidden[given["resume"] - 1]) if "resume" in given else None
+    with pytest.raises(ContractViolationError, match="stop"):
+        infer(model, tokens, opts, resume, stop=stop)
 
 
 def test_a_repeated_infer_stacks_no_weights_and_builds_no_mask(host, cases, monkeypatch):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from dualstream import pipeline
 from dualstream.dataset import QARecord, make_question
 from dualstream.errors import ContractViolationError
 from dualstream.fixtures import (
@@ -16,7 +17,7 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import save_dssp_params
-from dualstream.model import forward, save_model
+from dualstream.model import forward, infer, logit_lens, save_model
 from dualstream.pipeline import (
     Bundle,
     PipelineTrace,
@@ -185,6 +186,53 @@ def test_forced_retrieval_filters_clean_records_too(records, config, bundle):
     assert not trace.verdict.hallucination
     assert trace.filter is not None and trace.forced
     assert trace.answer == list(clean.answer)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_context_forward_stops_at_the_deepest_layer_read(records, config, bundle, monkeypatch,
+                                                         forced):
+    """The context forward runs up to layer max(key, offset, hook) and no further,
+    the detector reads its (2, n) batch through one logit-lens call, and every
+    trace equals the one from a full context forward."""
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    cal = bundle.calibration
+    vocab = bundle.vocab
+
+    full_forward = lambda *a, **k: infer(*a, **{**k, "stop": None})
+    monkeypatch.setattr(pipeline, "infer", full_forward)
+    reference = [pipeline_run(r, cfg, bundle).to_json() for r in records]
+
+    calls, lens_calls = [], []
+
+    def recording_infer(*args, **kwargs):
+        calls.append((args, kwargs, infer(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pipeline, "infer", recording_infer)
+    monkeypatch.setattr(pipeline, "logit_lens", lambda *a: lens_calls.append(a) or logit_lens(*a))
+    retrieved = 0
+    for record, ref in zip(records, reference):
+        calls.clear()
+        lens_calls.clear()
+        trace = pipeline_run(record, cfg, bundle)
+        got, want = trace.to_json(), dict(ref)
+        got.pop("timings"), want.pop("timings")
+        assert got == want
+        assert len(lens_calls) == 1
+        ctx = context_tokens(record, vocab)
+        context = [(k, out) for a, k, out in calls if list(a[1]) == ctx and len(a) == 2]
+        if trace.filter is None:
+            assert context == []
+            continue
+        retrieved += 1
+        hook = cal.offset_layer
+        if trace.verdict.hallucination and trace.verdict.insertion_layer >= 1:
+            hook = trace.verdict.insertion_layer
+        [(kwargs, out)] = context
+        stop = max(cal.key_layer, cal.offset_layer, hook)
+        assert kwargs["stop"] == stop
+        assert (len(out.hidden), len(out.attention), out.logits) == (stop, stop + 1, None)
+    assert retrieved == (len(records) if forced else len(records) // 2)
 
 
 def test_variant_is_derived_when_absent(records, config, bundle):

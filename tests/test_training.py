@@ -378,6 +378,23 @@ def test_train_rejects_insertion_at_layer_0():
         train(model, params, [layer0], Hyperparams(epochs=1), insertion_layer=0)
 
 
+@pytest.mark.parametrize("layer", [0, 3])
+def test_from_trace_rejects_an_insertion_layer_outside_the_trace(layer):
+    model, _, dataset = small_setup()
+    ex = dataset[0]
+    with pytest.raises(ContractViolationError, match=rf"insertion layer {layer} outside 1\.\.2"):
+        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat,
+                                infer(model, list(ex.tokens)), layer)
+
+
+def test_from_trace_rejects_a_stopped_trace():
+    model, _, dataset = small_setup()
+    ex = dataset[0]
+    with pytest.raises(ContractViolationError, match="logits"):
+        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat,
+                                infer(model, list(ex.tokens), stop=1), 1)
+
+
 # ---------------------------------------------------------------------------
 # grid search
 # ---------------------------------------------------------------------------
