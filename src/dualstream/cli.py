@@ -40,7 +40,7 @@ from .pipeline import (
     write_config_echo,
 )
 from .synth import suppression_study
-from .training import Hyperparams, grid_search, train
+from .training import GridPoint, Hyperparams, TrainStep, grid_search, train
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -280,9 +280,8 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
     _write_json(os.path.join(out_dir, "timings.json"), {"train_wall_time": wall})
     if args.csv:
         _write_csv(os.path.join(out_dir, "train_steps.csv"),
-                   ["step", "epoch", "lr", "ce", "h_term", "kl_term", "total"],
-                   [(s.step, s.epoch, s.lr, s.ce, s.h_term, s.kl_term, s.total)
-                    for s in report.steps])
+                   [f.name for f in dataclasses.fields(TrainStep)],
+                   [dataclasses.astuple(s) for s in report.steps])
     return (f"trained {report.epochs} epochs, mean loss {means[0]:.3f} -> {means[-1]:.3f}, "
             f"checkpoint {report.checkpoint_id[:12]} -> {ckpt}")
 
@@ -325,8 +324,7 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
         objective_name = (f"quadratic demo centred on "
                           f"({args.center_mu}, {args.center_nu})")
     result = grid_search(objective)
-    table = [{"mu": p.mu, "nu": p.nu, "value": p.value, "note": p.note}
-             for p in result.table]
+    table = [dataclasses.asdict(p) for p in result.table]
     _write_json(os.path.join(out_dir, "grid.json"), {
         "objective": objective_name,
         "mu_star": result.mu_star,
@@ -336,8 +334,9 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
         "table": table,
     })
     if args.csv:
-        _write_csv(os.path.join(out_dir, "grid.csv"), ["mu", "nu", "value", "note"],
-                   [(r["mu"], r["nu"], r["value"], r["note"] or "") for r in table])
+        _write_csv(os.path.join(out_dir, "grid.csv"),
+                   [f.name for f in dataclasses.fields(GridPoint)],
+                   [dataclasses.astuple(p) for p in result.table])
     return (f"best (mu, nu) = ({result.mu_star:.2f}, {result.nu_star:.2f}) "
             f"with {objective_name} {result.best_value:.6g} -> {out_dir}/grid.json")
 

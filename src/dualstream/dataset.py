@@ -42,9 +42,9 @@ class Vocab:
     N_SPECIAL: int = dataclasses.field(default=7, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("n_subjects", "n_objects", "n_junk"):
-            if int(getattr(self, name)) < 1:
-                raise ContractViolationError(f"{name} must be >= 1")
+        for f in dataclasses.fields(self):
+            if f.init and int(getattr(self, f.name)) < 1:
+                raise ContractViolationError(f"{f.name} must be >= 1")
         if self.size > 512:
             raise ContractViolationError(
                 f"vocabulary of {self.size} symbols exceeds the 512-symbol budget"

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .dataset import Vocab, make_conflict_dataset, QARecord
-from .fusion import DsspParams
+from .fusion import DsspParams, param_shapes
 from .model import ModelConfig, TinyTransformer, weight_shapes
 
 Array = np.ndarray
@@ -295,17 +295,8 @@ def build_copier_params(layout: FixtureLayout) -> DsspParams:
     the final normalisation amplifies that direction to a fixed write
     strength which the host readout decodes.
     """
-    d = layout.d_model
-    d_ff = 2 * layout.vocab.n_objects
-    arrays = {name: np.zeros(shape) for name, shape in zip(
-        ("w_share", "wq_s", "wk_s", "wv_s", "wq_c", "wk_c", "wv_c"),
-        [(d, d)] * 7)}
-    arrays["w_f"] = np.zeros((3 * d, d_ff))
-    arrays["b_f"] = np.zeros((1, d_ff))
-    arrays["w_o"] = np.zeros((d_ff, d))
-    arrays["b_o"] = np.zeros((1, d))
-    arrays["ln_gain"] = np.ones((1, d))
-    arrays["ln_bias"] = np.zeros((1, d))
+    arrays = {name: np.ones(shape) if name == "ln_gain" else np.zeros(shape)
+              for name, shape in param_shapes(layout.d_model, 2 * layout.vocab.n_objects).items()}
 
     for i in range(layout.vocab.n_objects):
         dim = layout.obj0 + i

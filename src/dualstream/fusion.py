@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, as_matrix
 from .errors import ContractViolationError
-from .tensorstore import load_tensors, save_tensors
+from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
 
@@ -27,14 +27,18 @@ DEFAULT_TOP_T = 10
 
 STREAM_ORIGINS = ("internal", "external")
 
-# checkpoint tensor names, in container order
-PARAM_NAMES = (
-    "w_share",
-    "wq_s", "wk_s", "wv_s",
-    "wq_c", "wk_c", "wv_c",
-    "w_f", "b_f", "w_o", "b_o",
-    "ln_gain", "ln_bias",
-)
+
+def param_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, int]]:
+    """Name and shape of every fusion tensor, in checkpoint order."""
+    d = d_model
+    return {"w_share": (d, d),
+            "wq_s": (d, d), "wk_s": (d, d), "wv_s": (d, d),
+            "wq_c": (d, d), "wk_c": (d, d), "wv_c": (d, d),
+            "w_f": (3 * d, d_ff), "b_f": (1, d_ff), "w_o": (d_ff, d), "b_o": (1, d),
+            "ln_gain": (1, d), "ln_bias": (1, d)}
+
+
+PARAM_NAMES = tuple(param_shapes(1, 1))  # checkpoint tensor names, in container order
 
 
 @dataclass
@@ -92,17 +96,7 @@ class DsspParams:
     def __post_init__(self):
         for name in PARAM_NAMES:
             setattr(self, name, as_matrix(np.asarray(getattr(self, name), dtype=np.float64)))
-        d = self.w_share.shape[0]
-        for name in ("w_share", "wq_s", "wk_s", "wv_s", "wq_c", "wk_c", "wv_c"):
-            if getattr(self, name).shape != (d, d):
-                raise ContractViolationError(f"{name} must be {d}x{d}")
-        d_ff = self.w_f.shape[1]
-        checks = {
-            "w_f": (3 * d, d_ff), "b_f": (1, d_ff),
-            "w_o": (d_ff, d), "b_o": (1, d),
-            "ln_gain": (1, d), "ln_bias": (1, d),
-        }
-        for name, shape in checks.items():
+        for name, shape in param_shapes(self.w_share.shape[0], self.w_f.shape[1]).items():
             if getattr(self, name).shape != shape:
                 raise ContractViolationError(
                     f"{name} must have shape {shape}, got {getattr(self, name).shape}")
@@ -126,16 +120,15 @@ class DsspParams:
                     top_t: int = DEFAULT_TOP_T, seed: int = 0) -> "DsspParams":
         d_ff = 2 * d_model if d_ff is None else d_ff
         rng = np.random.default_rng(seed)
-        proj = lambda rows, cols: rng.normal(0.0, 1.0 / math.sqrt(rows), size=(rows, cols))
-        return cls(
-            w_share=proj(d_model, d_model),
-            wq_s=proj(d_model, d_model), wk_s=proj(d_model, d_model), wv_s=proj(d_model, d_model),
-            wq_c=proj(d_model, d_model), wk_c=proj(d_model, d_model), wv_c=proj(d_model, d_model),
-            w_f=proj(3 * d_model, d_ff), b_f=np.zeros((1, d_ff)),
-            w_o=proj(d_ff, d_model), b_o=np.zeros((1, d_model)),
-            ln_gain=np.ones((1, d_model)), ln_bias=np.zeros((1, d_model)),
-            top_t=top_t,
-        )
+        arrays = {}
+        for name, shape in param_shapes(d_model, d_ff).items():
+            if name == "ln_gain":
+                arrays[name] = np.ones(shape)
+            elif name.startswith("b_") or name.endswith("bias"):
+                arrays[name] = np.zeros(shape)
+            else:
+                arrays[name] = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+        return cls(top_t=top_t, **arrays)
 
     def to_arrays(self) -> dict[str, Array]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -166,13 +159,16 @@ def save_dssp_params(path, params: DsspParams, dtype: str = "f64") -> None:
 
 
 def load_dssp_params(path) -> DsspParams:
+    """Load a fusion checkpoint: exactly the finite tensors of ``param_shapes`` for the
+    stored ``w_share`` and ``w_f`` widths, plus a (1, 1) integer ``top_t``."""
     tensors = load_tensors(path)
-    bad = [n for n in (*PARAM_NAMES, "top_t")
-           if n not in tensors or not np.isfinite(tensors[n]).all()]
-    if bad:
-        raise ContractViolationError(f"checkpoint tensors missing or non-finite: {bad}")
-    arrays = {name: tensors[name] for name in PARAM_NAMES}
-    return DsspParams(top_t=int(tensors["top_t"][0, 0]), **arrays)
+    width = lambda name, axis: tensors[name].shape[axis] if name in tensors else 0
+    expect_tensors(tensors, {**param_shapes(width("w_share", 0), width("w_f", 1)),
+                             "top_t": (1, 1)}, "fusion checkpoint")
+    top_t = tensors.pop("top_t")[0, 0]
+    if top_t != int(top_t):
+        raise ContractViolationError(f"fusion checkpoint top_t {top_t} is not an integer")
+    return DsspParams(top_t=int(top_t), **tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolationError, read_field
-from .tensorstore import load_tensors, save_tensors
+from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
 
@@ -44,13 +44,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = {
-            "n_layers": self.n_layers, "n_heads": self.n_heads, "d_model": self.d_model,
-            "d_ff": self.d_ff, "vocab_size": self.vocab_size, "max_seq": self.max_seq,
-        }
-        for name, v in counts.items():
-            if v < 1:
-                raise ContractViolationError(f"{name} must be >= 1, got {v}")
+        for f in dataclasses.fields(self):
+            if f.name != "seed" and getattr(self, f.name) < 1:
+                raise ContractViolationError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.d_model % self.n_heads != 0:
             raise ContractViolationError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -58,13 +54,6 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_json(self) -> dict:
-        return {
-            "n_layers": self.n_layers, "n_heads": self.n_heads, "d_model": self.d_model,
-            "d_ff": self.d_ff, "vocab_size": self.vocab_size, "max_seq": self.max_seq,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -504,7 +493,7 @@ def save_model(model: TinyTransformer, bin_path, dtype: str = "f32",
                meta: dict | None = None) -> None:
     """Write the weights to ``bin_path`` and the config and ``meta`` to ``<bin_path>.json``."""
     save_tensors(bin_path, model.weights, dtype=dtype)
-    doc = {"config": model.config.to_json(), "meta": meta or {}}
+    doc = {"config": dataclasses.asdict(model.config), "meta": meta or {}}
     with open(str(bin_path) + ".json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -523,11 +512,9 @@ def load_model(bin_path) -> tuple[TinyTransformer, dict]:
         **{f.name: read_field(c, f.name, int) for f in dataclasses.fields(ModelConfig)}))
     meta = read_field(doc, "meta", dict, {})
     weights = load_tensors(bin_path)
-    shapes = weight_shapes(config)
-    if set(weights) != set(shapes):
-        missing, unexpected = sorted(set(shapes) - set(weights)), sorted(set(weights) - set(shapes))
-        raise ContractViolationError(f"checkpoint tensors missing {missing}, unexpected {unexpected}")
-    for name, shape in shapes.items():
-        if weights[name].shape != shape or not np.isfinite(weights[name]).all():
-            raise ContractViolationError(f"tensor {name!r} is not a finite {shape} matrix")
+    # the schema has a tensor per head and layer: refuse one larger than the file before building it
+    if config.n_layers * config.n_heads > len(weights):
+        raise ContractViolationError(f"config n_layers x n_heads exceeds the {len(weights)} "
+                                     f"tensors of host checkpoint {bin_path}")
+    expect_tensors(weights, weight_shapes(config), "host checkpoint")
     return TinyTransformer(config, weights), meta

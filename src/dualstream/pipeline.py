@@ -195,11 +195,15 @@ class Bundle:
     calibration: Calibration
 
 
+# the fields a ``Vocab`` is built from, which its checkpoint metadata records
+_VOCAB_FIELDS = [f.name for f in dataclasses.fields(Vocab) if f.init]
+
+
 def meta_vocab(meta: dict) -> Vocab | None:
     """Rebuild the vocabulary a checkpoint was written with, if recorded."""
     vocab = read_field(meta, "vocab", dict, None)
     return None if vocab is None else Vocab(**{name: read_field(vocab, name, int)
-                                              for name in ("n_subjects", "n_objects", "n_junk")})
+                                              for name in _VOCAB_FIELDS})
 
 
 def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
@@ -224,6 +228,9 @@ def load_bundle(config: RunConfig) -> Bundle:
         raise ContractViolationError("config names no checkpoint pair to load")
     model, vocab = load_host(config)
     params = load_dssp_params(config.dssp_checkpoint)
+    if params.d_model != model.config.d_model:
+        raise ContractViolationError(f"fusion checkpoint d_model {params.d_model} does not "
+                                     f"match the host's {model.config.d_model}")
     if config.top_t is not None:
         params.top_t = config.top_t
     return Bundle(model, params, vocab, probe_calibration(model, vocab))
@@ -231,9 +238,7 @@ def load_bundle(config: RunConfig) -> Bundle:
 
 def vocab_meta(vocab: Vocab) -> dict:
     """Checkpoint metadata block that lets a run rebuild the vocabulary."""
-    return {"vocab": {"n_subjects": vocab.n_subjects,
-                      "n_objects": vocab.n_objects,
-                      "n_junk": vocab.n_junk}}
+    return {"vocab": {name: getattr(vocab, name) for name in _VOCAB_FIELDS}}
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +315,10 @@ def read_evidence(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
 def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
                         layer: int) -> np.ndarray:
     """Evidence rows exactly as the fused block at ``layer`` will read them."""
-    if layer < 1:
-        raise ContractViolationError("fused insertion needs a layer >= 1")
+    depth, n_layers = len(trace.hidden), model.config.n_layers
+    if not 1 <= layer <= min(depth, n_layers - 1):
+        raise ContractViolationError(f"fused layer {layer} outside 1..{min(depth, n_layers - 1)}: "
+                                     f"the trace holds {depth} of {n_layers} layers")
     rows = np.asarray(trace.hidden[layer - 1][span[0]:span[1]])
     return layer_norm(rows, model.weights[f"l{layer}.ln1.gain"],
                       model.weights[f"l{layer}.ln1.bias"])

@@ -98,6 +98,18 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
     return out
 
 
+def expect_tensors(tensors: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, int]],
+                   what: str) -> None:
+    """Check that ``tensors`` holds exactly the names of ``shapes``, each a finite
+    matrix of its shape; the error names ``what`` and the tensor."""
+    if set(tensors) != set(shapes):
+        missing, unexpected = sorted(set(shapes) - set(tensors)), sorted(set(tensors) - set(shapes))
+        raise ContractViolationError(f"{what} tensors missing {missing}, unexpected {unexpected}")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape or not np.isfinite(tensors[name]).all():
+            raise ContractViolationError(f"{what} tensor {name!r} is not a finite {shape} matrix")
+
+
 def _entry_fields(entry) -> tuple[str, int, int, str, int]:
     """A header entry's (name, rows, cols, dtype, byte_offset), type-checked."""
     keys = ("name", "rows", "cols", "dtype", "byte_offset")

@@ -1,15 +1,22 @@
 """CLI tests: every subcommand, config echo reproducibility, error lines."""
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import pathlib
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from dualstream import cli
 from dualstream.cli import main
@@ -21,7 +28,7 @@ from dualstream.fixtures import (
     build_fixture_model,
     fixture_dataset,
 )
-from dualstream.fusion import load_dssp_params, save_dssp_params
+from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
 from dualstream.model import save_model
 from dualstream.pipeline import vocab_meta
 from dualstream.tensorstore import load_tensors, save_tensors
@@ -269,13 +276,20 @@ _BAD_HOST_TENSORS = {
     "host_tensor_misshapen": ("l0.attn.wo", lambda a: a[:, 1:]),
     "host_tensor_nan": ("l1.ffn.w2", lambda a: np.where(a == a.max(), np.nan, a)),
 }
+# fusion checkpoint tensors replaced or added behind the good host, named by the error
+_BAD_FUSION_TENSORS = {
+    "fusion_top_t_empty": ("top_t", np.zeros((0, 0))),
+    "fusion_top_t_fractional": ("top_t", np.array([[2.5]])),
+    "fusion_tensor_unexpected": ("w_extra", np.zeros((1, 1))),
+}
 
 
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
-                                  *_BAD_FLAGS,
+                                  *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
+                                  "sidecar_n_layers_oversize",
                                   "fusion_tensor_nan", "config_negative_seed",
                                   "cli_negative_seed"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
@@ -319,6 +333,15 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         save_tensors(bad, tensors, dtype="f64")
         shutil.copy(doc["model_checkpoint"] + ".json", str(bad) + ".json")
         argv = detect_bad_host
+    elif case in _BAD_FUSION_TENSORS or case == "fusion_width_mismatch":
+        if case in _BAD_FUSION_TENSORS:
+            named, value = _BAD_FUSION_TENSORS[case]
+            save_tensors(bad, {**load_tensors(doc["dssp_checkpoint"]), named: value}, dtype="f64")
+        else:  # the one record is not flagged, so only a load-time check sees the width
+            named = "d_model"
+            save_dssp_params(bad, DsspParams.init_random(8))
+        bad_cfg.write_text(json.dumps({**doc, "dssp_checkpoint": str(bad)}))
+        argv = ["pipeline", "--config", str(bad_cfg), "--fixture", "1"]
     elif case.startswith("sidecar"):
         sidecar = read_json(doc["model_checkpoint"] + ".json")
         if case == "sidecar_without_full_config":
@@ -327,6 +350,9 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         elif case == "sidecar_not_an_object":
             sidecar = [sidecar]
             named = str(tmp_path / "bad.json")
+        elif case == "sidecar_n_layers_oversize":
+            sidecar["config"]["n_layers"] = 10**12
+            named = "n_layers"
         elif case == "sidecar_vocab_not_an_object":
             sidecar["meta"]["vocab"] = [40, 40]
             named = "vocab"
@@ -346,3 +372,118 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:ContractViolationError:") and named in err[0]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed checkpoints: mutate a valid document, then run the CLI on it
+# ---------------------------------------------------------------------------
+
+_FUZZ_VALUES = (st.none() | st.booleans() | st.integers(-2, 100)
+                | st.sampled_from([10**12, 10**400]) | st.floats() | st.text(max_size=3)
+                | st.lists(st.integers(0, 40), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.integers(0, 40), max_size=2))
+_FUZZ_SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _json_paths(child, (*path, key))
+
+
+def _mutate_json(data, doc):
+    """``doc`` with one node dropped or replaced by a drawn value, or one object given
+    an extra field."""
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    action = data.draw(st.sampled_from(["drop", "replace", "extra"]))
+    if action == "extra":
+        node = functools.reduce(operator.getitem, path, doc)
+        if isinstance(node, dict):
+            node[data.draw(st.text(max_size=4))] = data.draw(_FUZZ_VALUES)
+        return doc
+    if not path:
+        return data.draw(_FUZZ_VALUES)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_FUZZ_VALUES)
+    return doc
+
+
+def _mutate_tensors(data, tensors):
+    """``tensors`` with one tensor dropped, reshaped or emptied, one entry set to a
+    drawn float, or an extra tensor added; the one scalar, ``top_t``, is drawn about
+    half the time."""
+    top_t = st.just("top_t") if "top_t" in tensors else st.nothing()
+    name = data.draw(top_t | st.sampled_from(sorted(tensors)))
+    action = data.draw(st.sampled_from(["drop", "transpose", "trim", "empty", "value", "extra"]))
+    a = tensors[name]
+    if action == "drop":
+        del tensors[name]
+    elif action == "transpose":
+        tensors[name] = a.T
+    elif action == "trim":
+        tensors[name] = a[data.draw(st.integers(0, 1)):, data.draw(st.integers(0, 1)):]
+    elif action == "empty":
+        tensors[name] = np.zeros((0, 0))
+    elif action == "value" and a.size:  # NaN and infinities included
+        a = a.copy()
+        a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(st.floats(width=32))
+        tensors[name] = a
+    elif action == "extra":
+        tensors[data.draw(st.text(min_size=1, max_size=4))] = np.zeros((1, 1))
+    return tensors
+
+
+def _run_cli_quietly(argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def _assert_ok_or_one_contract_line(code, err):
+    assert (code == 0 and not err) or (
+        code == 2 and len(err) == 1 and err[0].startswith("error:ContractViolationError:")), err
+
+
+@seed(20261018)
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_host_sidecar_runs_or_exits_2_with_one_contract_line(setup, data):
+    doc = read_json(setup[0])
+    sidecar = read_json(doc["model_checkpoint"] + ".json")
+    for _ in range(data.draw(st.integers(1, 2))):
+        sidecar = _mutate_json(data, sidecar)
+    with tempfile.TemporaryDirectory() as tmp:
+        host = os.path.join(tmp, "host.bin")
+        shutil.copy(doc["model_checkpoint"], host)
+        with open(host + ".json", "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh)
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({**doc, "model_checkpoint": host}, fh)
+        _assert_ok_or_one_contract_line(*_run_cli_quietly(
+            ["detect", "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")]))
+
+
+@seed(20261018)
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_fusion_container_runs_or_exits_2_with_one_contract_line(setup, data):
+    doc = read_json(setup[0])
+    tensors = load_tensors(doc["dssp_checkpoint"])
+    for _ in range(data.draw(st.integers(1, 2))):
+        tensors = _mutate_tensors(data, tensors)
+    with tempfile.TemporaryDirectory() as tmp:
+        fused = os.path.join(tmp, "fused.bin")
+        save_tensors(fused, tensors, dtype=data.draw(st.sampled_from(["f32", "f64"])))
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({**doc, "dssp_checkpoint": fused}, fh)
+        _assert_ok_or_one_contract_line(*_run_cli_quietly(
+            ["pipeline", "--config", cfg, "--fixture", "1", "--force-retrieval",
+             "--out", os.path.join(tmp, "out")]))

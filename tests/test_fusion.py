@@ -1,4 +1,6 @@
 """Mixed-attention fusion tests: hand cases, naive oracles, gradients."""
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from dualstream import autodiff as ad
 from dualstream.autodiff import LN_EPS, GradTape, Tensor, backward, finite_diff_grad
 from dualstream.errors import ContractViolationError
+from dualstream.fixtures import build_copier_params, build_fixture_model, build_training_init
 from dualstream.fusion import (
     PARAM_NAMES,
     DsspParams,
@@ -17,6 +20,7 @@ from dualstream.fusion import (
     dssp_update,
     load_dssp_params,
     make_dssp_hook,
+    param_shapes,
     save_dssp_params,
     select_shared_tokens,
     self_attention,
@@ -123,6 +127,34 @@ def test_params_checkpoint_missing_tensor(tmp_path):
     save_tensors(path, arrays)
     with pytest.raises(ContractViolationError, match="wv_c"):
         load_dssp_params(path)
+
+
+def test_param_shapes_is_the_field_and_checkpoint_order():
+    fields = [f.name for f in dataclasses.fields(DsspParams)]
+    assert list(PARAM_NAMES) == fields[:-1] and fields[-1] == "top_t"
+    p = rand_params(5, d_ff=7)
+    assert {n: a.shape for n, a in p.to_arrays().items()} == param_shapes(5, 7)
+
+
+# sha256 of ``save_dssp_params`` (f64) output, recorded before the fusion schema moved
+# into ``param_shapes``; init_random is keyed by (d_model, d_ff, seed)
+_CHECKPOINT_SHA256 = {
+    (2, None, 0): "a4517c2fcea51177b86702c5487d9c0584e70874a13f907565b1ebfa148f2372",
+    (4, 3, 7): "505659523122ed5097b565932971ed3fd6defdaad4720045c4e2d255c0cceedf",
+    (8, 16, 13): "5457cd1f4063012cfe862ff23e87e0fb89385c7c8070a73a639206c6d56c2e66",
+    "copier": "5f2dbba870ae418364a32b968cdc64298fe65625891fd308c4a8076a070a1e02",
+    "training_init": "9ed42bbb356b52d2e49e220bac9701609b5a181142ec0d2bda528a6ba13e9e49",
+}
+
+
+def test_saved_checkpoints_keep_their_bytes(tmp_path):
+    layout = build_fixture_model()[1]
+    built = {"copier": build_copier_params(layout), "training_init": build_training_init(layout)}
+    for key, want in _CHECKPOINT_SHA256.items():
+        params = built[key] if key in built else DsspParams.init_random(
+            key[0], d_ff=key[1], seed=key[2])
+        save_dssp_params(tmp_path / "p.bin", params)
+        assert hashlib.sha256((tmp_path / "p.bin").read_bytes()).hexdigest() == want, key
 
 
 def test_apply_updates_and_copy():

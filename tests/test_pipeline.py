@@ -287,6 +287,14 @@ def test_offset_layer_stream_requires_hideable_layer(host, records):
         offset_layer_stream(model, trace, (5, len(toks)), 0)
 
 
+@pytest.mark.parametrize("stop, layer", [(2, 3), (None, 6), (None, 7)])
+def test_offset_layer_stream_names_a_layer_the_trace_does_not_reach(host, records, stop, layer):
+    model, layout = host
+    trace = infer(model, context_tokens(records[0], layout.vocab), stop=stop)
+    with pytest.raises(ContractViolationError, match=f"fused layer {layer} .*trace holds"):
+        offset_layer_stream(model, trace, (5, 9), layer)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and conversion
 # ---------------------------------------------------------------------------
