@@ -381,7 +381,9 @@ def main(argv=None) -> int:
         summary = _COMMANDS[args.command](args, config, out_dir)
     except (ContractViolationError, TrainingDivergedError, OSError,
             json.JSONDecodeError) as exc:
-        print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
+        # one line, whatever the message quotes: control characters are escaped
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error:{type(exc).__name__}: {message}", file=sys.stderr)
         return 2
     print(summary)
     return 0

@@ -4,8 +4,9 @@
     jsd(p, q) = kl(p, m)/2 + kl(q, m)/2,  m = (p+q)/2  (bounded in [0, 1])
     entropy(p) = -sum_i p_i * log2(p_i)
 
-Semantic entropy clusters sampled answers by their normalized form and
-takes the Shannon entropy of the cluster-mass distribution.
+Semantic entropy clusters a set of answers (the calibration sweep's greedy
+answers, one per query) by their normalized form and takes the Shannon
+entropy of the cluster-mass distribution.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def normalized_answer(answer) -> object:
 
 
 def semantic_entropy(answers: Sequence) -> float:
-    """Entropy (bits) of the cluster distribution over sampled answers.
+    """Entropy (bits) of the cluster distribution over ``answers``.
 
     Two answers share a cluster when they match exactly after normalization
     (the desk-scale stand-in for bidirectional entailment).

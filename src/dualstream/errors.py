@@ -23,13 +23,13 @@ class LayerStructureError(ContractViolationError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training aborted on a non-finite loss.
+    """Training aborted on a non-finite loss or parameter update.
 
-    Carries the 0-based global step index at which the loss became NaN/Inf.
+    Carries the 0-based global step index at which ``what`` became NaN/Inf.
     """
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step
 
 

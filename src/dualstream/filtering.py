@@ -1,9 +1,9 @@
 """Attention-difference knowledge filter.
 
-A layer-pruning sweep over pooled sampled answers classifies layers by how
-removal shifts semantic entropy: the layer whose removal hurts most is the
-key (knowledge) layer, the one whose removal helps most is the offset (noise)
-layer.  External tokens are then scored by attention received at each layer;
+A layer-pruning sweep over the greedy answers to a set of queries classifies
+layers by how removal shifts their semantic entropy: the layer whose removal
+hurts most is the key (knowledge) layer, the one whose removal helps most is
+the offset (noise) layer.  External tokens are then scored by attention received at each layer;
 a softmax over the negated score difference (the energy quotient) reweights
 the external stream, gated by how much skipping the offset layer reduced
 entropy.
@@ -19,8 +19,7 @@ import numpy as np
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, LayerStructureError, json_value, read_field
 from .fusion import KnowledgeStream
-from .model import (ForwardOptions, ForwardTrace, TinyTransformer, _softmax, generate_from,
-                    infer)
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, _softmax, infer
 
 Array = np.ndarray
 
@@ -32,19 +31,7 @@ DEFAULT_LAMBDA = 1.0
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """How answers are sampled when measuring semantic entropy."""
-    n_samples: int = 1
-    temperature: float = 0.0
-    seed: int = 0
-    max_new_tokens: int = 1
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ContractViolationError("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ContractViolationError("temperature must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ContractViolationError("max_new_tokens must be >= 1")
+    """How the sweep decodes: greedily, one answer per query; there is nothing to set."""
 
 
 @dataclass
@@ -64,37 +51,21 @@ class PruningSweep:
         return self.layer_entropies - self.baseline_entropy
 
 
-def _query_seed(seed: int, query_index: int) -> int:
-    # keyed by query only, never by layer: a layer whose removal leaves the
-    # output distribution untouched then reuses bit-identical sample streams,
-    # making its entropy delta exactly zero
-    return int(np.random.SeedSequence([seed, query_index]).generate_state(1)[0])
-
-
-def _pooled_entropy(model: TinyTransformer, queries, first_logits, spec: SamplingSpec,
-                    options: ForwardOptions | None) -> float:
-    answers: list[tuple[int, ...]] = []
-    for qi, (query, first) in enumerate(zip(queries, first_logits)):
-        samples = generate_from(
-            model, query, first, spec.n_samples, spec.temperature,
-            _query_seed(spec.seed, qi), spec.max_new_tokens, options)
-        answers.extend(tuple(s) for s in samples)
-    return semantic_entropy(answers)
-
-
 def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
                   spec: SamplingSpec = SamplingSpec()) -> PruningSweep:
-    """Measure pooled answer entropy with each layer skipped in turn.
+    """Measure the semantic entropy of the queries' greedy answers with each
+    layer skipped in turn.
 
-    Queries of one length run as one batch.  Layers below a skipped one are
-    the baseline's, so the run that skips layer l resumes from the
-    baseline's ``hidden[l - 1]``.
+    Each answer is the argmax of the query's last-position logits.  Queries
+    of one length run as one batch.  Layers below a skipped one are the
+    baseline's, so the run that skips layer l resumes from the baseline's
+    ``hidden[l - 1]``.  ``spec`` is the one ``SamplingSpec``; it selects nothing.
     """
     if len(queries) < 1:
         raise ContractViolationError("pruning sweep needs at least one query")
     n_layers = model.config.n_layers
     runs = [None] + [ForwardOptions(skip_layers=frozenset({l})) for l in range(n_layers)]
-    firsts = [[None] * len(queries) for _ in runs]   # last-position logits per run and query
+    answers = [[None] * len(queries) for _ in runs]   # greedy answer per run and query
     by_length: dict[int, list[int]] = {}
     for qi, query in enumerate(queries):
         by_length.setdefault(len(query), []).append(qi)
@@ -109,9 +80,8 @@ def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
                 resume = (l, base.hidden[l - 1]) if l else None
                 trace = infer(model, tokens, options, resume)
             for row, qi in enumerate(group):
-                firsts[r][qi] = trace.logits[row, -1]
-    entropies = [_pooled_entropy(model, queries, firsts[r], spec, options)
-                 for r, options in enumerate(runs)]
+                answers[r][qi] = (int(np.argmax(trace.logits[row, -1])),)
+    entropies = [semantic_entropy(run) for run in answers]
     return PruningSweep(baseline_entropy=entropies[0], layer_entropies=np.array(entropies[1:]))
 
 

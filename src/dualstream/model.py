@@ -418,13 +418,9 @@ def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> Array:
     return _softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T)[..., 0, :]
 
 
-def layer_distributions(
-    model: TinyTransformer,
-    tokens: Sequence[int],
-    options: ForwardOptions | None = None,
-) -> list[Array]:
+def layer_distributions(model: TinyTransformer, tokens: Sequence[int]) -> list[Array]:
     """Logit-lens profile: per-layer next-token distribution at the last position."""
-    return list(logit_lens(model, infer(model, tokens, options).hidden))
+    return list(logit_lens(model, infer(model, tokens).hidden))
 
 
 def generate(
@@ -436,53 +432,40 @@ def generate(
     max_new_tokens: int = 1,
     options: ForwardOptions | None = None,
 ) -> list[list[int]]:
-    """Sample answer continuations; temperature 0 is greedy (lowest-index ties)."""
-    return generate_from(model, prompt, infer(model, prompt, options).logits[-1],
-                         n_samples, temperature, seed, max_new_tokens, options)
+    """The greedy answer to ``prompt``, as a list holding that one answer.
+
+    Decoding is greedy only, so ``n_samples`` must be 1 and ``temperature``
+    0; ``seed`` selects nothing.
+    """
+    if n_samples != 1 or temperature != 0:
+        raise ContractViolationError("decoding is greedy: n_samples must be 1, temperature 0")
+    return [generate_from(model, prompt, infer(model, prompt, options).logits[-1],
+                          max_new_tokens, options)]
 
 
 def generate_from(
     model: TinyTransformer,
     prompt: Sequence[int],
     first_logits: Array,
-    n_samples: int,
-    temperature: float,
-    seed: int,
     max_new_tokens: int = 1,
     options: ForwardOptions | None = None,
-) -> list[list[int]]:
-    """``generate`` from the prompt's last-position logits, already computed.
+) -> list[int]:
+    """Greedy answer from the prompt's last-position logits, already computed.
 
-    Every sample draws its first token from ``first_logits``; each later
-    token re-runs the whole prefix through ``infer``.
+    Each token is the argmax of its logits (the lowest index on ties); each
+    token after the first re-runs the whole prefix through ``infer``.
     """
-    if n_samples < 1:
-        raise ContractViolationError("n_samples must be >= 1")
-    if temperature < 0:
-        raise ContractViolationError("temperature must be >= 0")
     if max_new_tokens < 1:
         raise ContractViolationError("max_new_tokens must be >= 1")
-    prompt = _validate_tokens(model.config, prompt)
-    if len(prompt) + max_new_tokens > model.config.max_seq:
+    seq = _validate_tokens(model.config, prompt)
+    if len(seq) + max_new_tokens > model.config.max_seq:
         raise ContractViolationError("prompt plus max_new_tokens exceeds max_seq")
-    samples: list[list[int]] = []
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        seq = list(prompt)
-        answer: list[int] = []
-        logits = first_logits
-        for step in range(max_new_tokens):
-            if step:
-                logits = infer(model, seq, options).logits[-1]
-            if temperature == 0.0:
-                tok = int(np.argmax(logits))
-            else:
-                probs = _softmax(logits * (1.0 / temperature))
-                tok = int(rng.choice(len(probs), p=probs))
-            answer.append(tok)
-            seq.append(tok)
-        samples.append(answer)
-    return samples
+    logits = first_logits
+    for step in range(max_new_tokens):
+        if step:
+            logits = infer(model, seq, options).logits[-1]
+        seq.append(int(np.argmax(logits)))
+    return seq[-max_new_tokens:]
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ class Calibration:
 def calibrate(model: TinyTransformer, queries) -> Calibration:
     """Layer-pruning sweep over a probe query set, reduced to filter inputs.
 
-    The sweep decodes greedily, one sample per query, so no seed reaches it.
+    The sweep decodes greedily, one answer per query, so no seed reaches it.
     """
     return Calibration.from_sweep(pruning_sweep(model, queries))
 
@@ -398,9 +398,7 @@ def pipeline_run(record: QARecord, config: RunConfig, bundle: Bundle) -> Pipelin
         # layers below the hook are the context forward's
         resume = (hook_layer, evidence.trace.hidden[hook_layer - 1])
         first_logits = infer(model, prompt, options, resume).logits[-1]
-    answer = generate_from(model, prompt, first_logits, 1, 0.0, config.seed,
-                           max_new_tokens=max(1, len(record.answer)),
-                           options=options)[0]
+    answer = generate_from(model, prompt, first_logits, max(1, len(record.answer)), options)
     timings["decode"] = time.perf_counter() - t0
 
     return PipelineTrace(record.record_id, verdict, filter_profile, answer,

@@ -126,6 +126,8 @@ def checkpoint_id(params: DsspParams) -> str:
     return hashlib.sha256(buf.getvalue()).hexdigest()
 
 
+# a diverging run overflows: the loss and update checks end it, not numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: TinyTransformer,
     params: DsspParams,
@@ -139,7 +141,8 @@ def train(
 
     The host model stays frozen: each example's ``base`` and ``resume``,
     which must be for ``insertion_layer``, serve every step, which tapes only
-    the layers from there on.  Aborts on the first non-finite loss.
+    the layers from there on.  Aborts on the first non-finite loss or
+    updated parameter.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
@@ -180,13 +183,15 @@ def train(
 
             total_val = loss.item()
             if not math.isfinite(total_val):
-                raise TrainingDivergedError(step)
+                raise TrainingDivergedError(step, "loss")
 
             grads = backward(tape, loss)
             updates = {
                 name: grads[leaves[name]] for name in PARAM_NAMES if leaves[name] in grads
             }
             params.apply_updates(updates, lr_t)
+            if not all(np.isfinite(getattr(params, name)).all() for name in updates):
+                raise TrainingDivergedError(step, "update")
 
             steps.append(TrainStep(
                 step=step, epoch=epoch, lr=lr_t, ce=ce_node.item(),

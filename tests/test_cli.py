@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -30,11 +31,12 @@ from dualstream.fixtures import (
 )
 from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
 from dualstream.model import save_model
-from dualstream.pipeline import vocab_meta
+from dualstream.pipeline import RunConfig, vocab_meta
 from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +225,30 @@ def test_module_entry_point_runs_without_warnings():
     assert result.stderr == ""
 
 
+# overflowing runs: the flags, the config fields, and the one line each must end in
+_DIVERGING_TRAINS = {
+    "lr_overflow": (["--fixture", "4", "--lr", "1e308"], {},
+                    "error:TrainingDivergedError: non-finite loss at step 1"),
+    # one example and one epoch: the overflowing update is the last step's
+    "nu_overflow_on_the_last_step": (["--fixture", "1"], {"nu": 1e308},
+                                     "error:TrainingDivergedError: non-finite update at step 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVERGING_TRAINS))
+def test_a_diverging_train_ends_in_one_error_line_and_no_warning(setup, tmp_path, case):
+    flags, fields, line = _DIVERGING_TRAINS[case]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**read_json(setup[0]), **fields}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run_cli_quietly(["train", "--config", str(cfg), *flags, "--epochs", "1",
+                                      "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (2, [line])
+    assert not (tmp_path / "out" / "dssp_trained.bin").exists()
+
+
 def _container(header) -> bytes:
     raw = json.dumps(header).encode("utf-8")
     return struct.pack("<Q", len(raw)) + raw + bytes(16)
@@ -291,7 +317,7 @@ _BAD_FUSION_TENSORS = {
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
                                   "sidecar_n_layers_oversize",
                                   "fusion_tensor_nan", "config_negative_seed",
-                                  "cli_negative_seed"])
+                                  "config_path_with_a_line_break", "cli_negative_seed"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
     doc = read_json(cfg)
@@ -305,6 +331,10 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     elif case == "config_negative_seed":
         bad.write_text(json.dumps({**doc, "seed": -1}))
         argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"
+    elif case == "config_path_with_a_line_break":  # the error quotes it on one line
+        bad.write_text(json.dumps({**doc, "model_checkpoint": "no\nsuch\x1ehost.bin"}))
+        argv = ["detect", "--config", str(bad), "--fixture", "4"]
+        named = "does not exist: no\\nsuch\\x1ehost.bin"
     elif case == "cli_negative_seed":
         argv, named = ["detect", "--config", cfg, "--fixture", "4", "--seed", "-1"], "seed"
     elif case in _BAD_FLAGS:
@@ -487,3 +517,47 @@ def test_fuzzed_fusion_container_runs_or_exits_2_with_one_contract_line(setup, d
         _assert_ok_or_one_contract_line(*_run_cli_quietly(
             ["pipeline", "--config", cfg, "--fixture", "1", "--force-retrieval",
              "--out", os.path.join(tmp, "out")]))
+
+
+@seed(20261018)
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_run_config_runs_or_exits_2_with_one_error_line(setup, data):
+    config = RunConfig.from_json(read_json(setup[0])).to_json()
+    for _ in range(data.draw(st.integers(1, 2))):
+        config = _mutate_json(data, config)
+    command = data.draw(st.sampled_from([["pipeline", "--force-retrieval"],
+                                         ["train", "--epochs", "1"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code, err = _run_cli_quietly(
+            [*command, "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")])
+    assert (code == 0 and not err) or (
+        code == 2 and len(err) == 1 and err[0].startswith("error:")), err
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, seed, settings, strategies as st
+
+
+@seed(0)
+@settings(database=None)
+@given(st.integers())
+def test_property_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    """Under this repository's pytest settings, warnings included, a failing
+    ``hypothesis`` test prints the input that broke it."""
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "Falsifying example: test_property_fails(" in result.stdout

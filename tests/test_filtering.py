@@ -11,7 +11,6 @@ from dualstream.filtering import (
     FilterProfile,
     LayerClassification,
     PruningSweep,
-    SamplingSpec,
     attention_token_scores,
     classify_layers,
     compute_filter_profile,
@@ -36,18 +35,8 @@ def fake_trace(patterns):
 
 
 # ---------------------------------------------------------------------------
-# sampling spec and sweep containers
+# sweep containers
 # ---------------------------------------------------------------------------
-
-def test_sampling_spec_validation():
-    SamplingSpec(n_samples=3, temperature=0.5, seed=1, max_new_tokens=2)
-    with pytest.raises(ContractViolationError):
-        SamplingSpec(n_samples=0)
-    with pytest.raises(ContractViolationError):
-        SamplingSpec(temperature=-0.1)
-    with pytest.raises(ContractViolationError):
-        SamplingSpec(max_new_tokens=0)
-
 
 def test_sweep_deltas():
     sweep = PruningSweep(baseline_entropy=1.0, layer_entropies=[1.8, 0.6, 1.0])
@@ -62,10 +51,9 @@ def test_pruning_sweep_identity_layer_has_exact_zero_delta():
     for name in ("l1.attn.wo", "l1.attn.bo", "l1.ffn.w2", "l1.ffn.b2"):
         model.weights[name] = np.zeros_like(model.weights[name])
     queries = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-    spec = SamplingSpec(n_samples=4, temperature=0.8, seed=3, max_new_tokens=2)
-    sweep = pruning_sweep(model, queries, spec)
+    sweep = pruning_sweep(model, queries)
     assert sweep.layer_entropies.size == 3
-    assert sweep.deltas[1] == 0.0  # bit-exact: identical samples either way
+    assert sweep.deltas[1] == 0.0  # bit-exact: identical answers either way
 
 
 def test_pruning_sweep_requires_queries():
