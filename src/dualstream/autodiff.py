@@ -201,8 +201,8 @@ def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
     return _emit(y, (a,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Row-wise layer normalization: (x - mean) / sqrt(var + eps) * gain + bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Row-wise layer normalization: (x - mean) / sqrt(var + LN_EPS) * gain + bias."""
     xv = x.value
     d = xv.shape[1]
     if gain.value.shape != (1, d) or bias.value.shape != (1, d):
@@ -210,7 +210,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     mu = np.add.reduce(xv, axis=-1, keepdims=True) / d
     xc = xv - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     gv = gain.value
 
@@ -282,10 +282,10 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
     return _emit(np.array([[a.value[row, col]]]), (a,), vjp)
 
 
-def log_clamped(a: Tensor, floor: float = LOG_CLAMP) -> Tensor:
-    """Elementwise natural log of max(a, floor); gradient is zero where clamped."""
-    clamped = np.maximum(a.value, floor)
-    mask = a.value > floor
+def log_clamped(a: Tensor) -> Tensor:
+    """Elementwise natural log of max(a, LOG_CLAMP); gradient is zero where clamped."""
+    clamped = np.maximum(a.value, LOG_CLAMP)
+    mask = a.value > LOG_CLAMP
 
     def vjp(g: Array):
         return (g * mask / clamped,)

@@ -19,12 +19,11 @@ import time
 
 from .dataset import load_records
 from .errors import ContractViolationError, TrainingDivergedError
-from .filtering import pruning_sweep
+from .filtering import classify_layers, entropy_gate, pruning_sweep
 from .fixtures import fixture_dataset
 from .fusion import save_dssp_params
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .pipeline import (
-    Calibration,
     PipelineTrace,
     RunConfig,
     detect_stage,
@@ -215,7 +214,8 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     queries = _queries_for_sweep(args, config, vocab)
     sweep = pruning_sweep(model, queries)
-    cal = Calibration.from_sweep(sweep)
+    cal = classify_layers(sweep)
+    epsilon, delta_entropy = entropy_gate(cal.entropy_orig, cal.entropy_offset)
     doc = {
         "n_queries": len(queries),
         "baseline_entropy": float(sweep.baseline_entropy),
@@ -223,8 +223,8 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
         "deltas": [float(d) for d in sweep.deltas],
         "key_layer": cal.key_layer,
         "offset_layer": cal.offset_layer,
-        "epsilon": cal.epsilon,
-        "delta_entropy": cal.delta_entropy,
+        "epsilon": epsilon,
+        "delta_entropy": delta_entropy,
     }
     _write_json(os.path.join(out_dir, "layers.json"), doc)
     if args.csv:
@@ -233,7 +233,7 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
                    [(i, doc["layer_entropies"][i], doc["deltas"][i])
                     for i in range(len(doc["deltas"]))])
     return (f"key layer {cal.key_layer}, offset layer {cal.offset_layer}, "
-            f"epsilon {cal.epsilon:.4f} -> {out_dir}/layers.json")
+            f"epsilon {epsilon:.4f} -> {out_dir}/layers.json")
 
 
 def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:

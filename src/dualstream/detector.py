@@ -35,10 +35,6 @@ class DivergenceProfile:
         if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
             raise ContractViolationError("per-layer JSD outside [0, 1]")
 
-    @property
-    def layer_count(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass
 class DetectionVerdict:

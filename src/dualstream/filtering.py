@@ -86,22 +86,25 @@ def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
 
 
 @dataclass(frozen=True)
-class LayerClassification:
+class Calibration:
+    """Key/offset layers and the entropy pair behind the filter gate, read off one sweep."""
     key_layer: int
     offset_layer: int
+    entropy_orig: float      # the sweep's baseline entropy
+    entropy_offset: float    # the entropy with the offset layer skipped
 
 
-def classify_layers(sweep: PruningSweep) -> LayerClassification:
+def classify_layers(sweep: PruningSweep) -> Calibration:
     """Key layer = removal hurts most; offset layer = removal helps most."""
     deltas = sweep.deltas
     if deltas.size < 2:
         raise ContractViolationError("need at least two layers to classify")
     if np.all(deltas == deltas[0]):
         raise LayerStructureError("no separable key/offset structure")
-    return LayerClassification(
-        key_layer=int(np.argmax(deltas)),
-        offset_layer=int(np.argmin(deltas)),
-    )
+    offset_layer = int(np.argmin(deltas))
+    return Calibration(key_layer=int(np.argmax(deltas)), offset_layer=offset_layer,
+                       entropy_orig=float(sweep.baseline_entropy),
+                       entropy_offset=float(sweep.layer_entropies[offset_layer]))
 
 
 def attention_token_scores(trace: ForwardTrace, layer: int,
@@ -193,17 +196,17 @@ class FilterProfile:
         )
 
 
-def compute_filter_profile(trace: ForwardTrace, classification: LayerClassification,
+def compute_filter_profile(trace: ForwardTrace, calibration: Calibration,
                            span: tuple[int, int], entropy_orig: float,
                            entropy_offset: float, lam: float = DEFAULT_LAMBDA) -> FilterProfile:
     """Score one query's external span and assemble the filter decision."""
-    scores_offset = attention_token_scores(trace, classification.offset_layer, span)
-    scores_key = attention_token_scores(trace, classification.key_layer, span)
+    scores_offset = attention_token_scores(trace, calibration.offset_layer, span)
+    scores_key = attention_token_scores(trace, calibration.key_layer, span)
     delta_a = scores_offset - scores_key
     epsilon, delta_entropy = entropy_gate(entropy_orig, entropy_offset)
     return FilterProfile(
-        key_layer=classification.key_layer,
-        offset_layer=classification.offset_layer,
+        key_layer=calibration.key_layer,
+        offset_layer=calibration.offset_layer,
         delta_a=delta_a,
         eq=energy_quotient(delta_a, lam),
         epsilon=epsilon,

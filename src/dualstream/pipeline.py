@@ -33,9 +33,8 @@ from .detector import (
 from .errors import ContractViolationError, json_value, read_field
 from .filtering import (
     RESCALE_MODES,
+    Calibration,
     FilterProfile,
-    LayerClassification,
-    PruningSweep,
     classify_layers,
     compute_filter_profile,
     entropy_gate,
@@ -115,12 +114,14 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read a JSON config and check that the referenced checkpoints exist."""
+    """Read a JSON config and check that each referenced checkpoint is a file."""
     with open(path, "r", encoding="utf-8") as fh:
         config = RunConfig.from_json(json.load(fh))
-    for p in (config.model_checkpoint, config.dssp_checkpoint):
-        if p and not os.path.exists(p):
-            raise ContractViolationError(f"checkpoint path does not exist: {p}")
+    for name in ("model_checkpoint", "dssp_checkpoint"):
+        p = getattr(config, name)
+        if p and not os.path.isfile(p):
+            problem = "is not a file" if os.path.exists(p) else "does not exist"
+            raise ContractViolationError(f"{name} path {problem}: {p}")
     return config
 
 
@@ -138,37 +139,15 @@ def write_config_echo(config: RunConfig, out_dir) -> str:
 # per-checkpoint calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Calibration:
-    """Key/offset layers and the entropy pair, measured once per checkpoint."""
-    key_layer: int
-    offset_layer: int
-    entropy_orig: float
-    entropy_offset: float
-    epsilon: float
-    delta_entropy: float
-
-    @property
-    def classification(self) -> LayerClassification:
-        return LayerClassification(self.key_layer, self.offset_layer)
-
-    @classmethod
-    def from_sweep(cls, sweep: PruningSweep) -> "Calibration":
-        """Classify the sweep's layers and derive the filter gate from them."""
-        layers = classify_layers(sweep)
-        h_orig = float(sweep.baseline_entropy)
-        h_off = float(sweep.layer_entropies[layers.offset_layer])
-        epsilon, delta_entropy = entropy_gate(h_orig, h_off)
-        return cls(layers.key_layer, layers.offset_layer, h_orig, h_off,
-                   epsilon, delta_entropy)
-
-
 def calibrate(model: TinyTransformer, queries) -> Calibration:
     """Layer-pruning sweep over a probe query set, reduced to filter inputs.
 
     The sweep decodes greedily, one answer per query, so no seed reaches it.
+    An entropy pair the filter gate cannot use is refused here, at load time.
     """
-    return Calibration.from_sweep(pruning_sweep(model, queries))
+    calibration = classify_layers(pruning_sweep(model, queries))
+    entropy_gate(calibration.entropy_orig, calibration.entropy_offset)
+    return calibration
 
 
 def probe_questions(vocab: Vocab) -> list[list[int]]:
@@ -357,7 +336,7 @@ def filter_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
     """
     evidence = read_evidence(model, record, vocab, stop)
     profile = compute_filter_profile(
-        evidence.trace, calibration.classification, evidence.span,
+        evidence.trace, calibration, evidence.span,
         calibration.entropy_orig, calibration.entropy_offset, lam)
     return profile, evidence
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from dualstream import cli
+from dualstream import cli, errors
 from dualstream.cli import main
 from dualstream.dataset import save_records
 from dualstream.fixtures import (
@@ -283,6 +283,9 @@ _BAD_TRACES = {
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
 _BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
+# a config field that names a directory where a checkpoint file belongs
+_DIRECTORY_CHECKPOINTS = {"config_model_checkpoint_a_directory": "model_checkpoint",
+                          "config_dssp_checkpoint_a_directory": "dssp_checkpoint"}
 # a command and flags (run with the good config) that must be refused, and the name the error gives
 _BAD_FLAGS = {
     "cli_lr_nan": (["train", "--fixture", "2", "--epochs", "1", "--lr", "nan"], "lr"),
@@ -313,6 +316,7 @@ _BAD_FUSION_TENSORS = {
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
+                                  *_DIRECTORY_CHECKPOINTS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
                                   "sidecar_n_layers_oversize",
@@ -335,6 +339,10 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         bad.write_text(json.dumps({**doc, "model_checkpoint": "no\nsuch\x1ehost.bin"}))
         argv = ["detect", "--config", str(bad), "--fixture", "4"]
         named = "does not exist: no\\nsuch\\x1ehost.bin"
+    elif case in _DIRECTORY_CHECKPOINTS:
+        named = _DIRECTORY_CHECKPOINTS[case]
+        bad.write_text(json.dumps({**doc, named: str(tmp_path)}))
+        argv = ["pipeline", "--config", str(bad), "--fixture", "1"]
     elif case == "cli_negative_seed":
         argv, named = ["detect", "--config", cfg, "--fixture", "4", "--seed", "-1"], "seed"
     elif case in _BAD_FLAGS:
@@ -418,14 +426,15 @@ _FUZZ_SETTINGS = settings(max_examples=60, deadline=None, database=None,
 
 def _json_paths(node, path=()):
     yield path
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield from _json_paths(child, (*path, key))
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
 
 
 def _mutate_json(data, doc):
-    """``doc`` with one node dropped or replaced by a drawn value, or one object given
-    an extra field."""
+    """``doc`` with one node (an object field or a list item) dropped or replaced by a
+    drawn value, or one object given an extra field."""
     path = data.draw(st.sampled_from(list(_json_paths(doc))))
     action = data.draw(st.sampled_from(["drop", "replace", "extra"]))
     if action == "extra":
@@ -475,9 +484,16 @@ def _run_cli_quietly(argv) -> tuple[int, list[str]]:
     return code, err.getvalue().splitlines()
 
 
-def _assert_ok_or_one_contract_line(code, err):
+# the names of ContractViolationError and its subclasses
+_CONTRACT_ERRORS = tuple(name for name, kind in vars(errors).items() if isinstance(kind, type)
+                         and issubclass(kind, errors.ContractViolationError))
+
+
+def _assert_ok_or_one_contract_line(code, err, types=("ContractViolationError",)):
+    """Exit 0 and print no error, or exit 2 with one ``error:<Type>:`` line of ``types``."""
     assert (code == 0 and not err) or (
-        code == 2 and len(err) == 1 and err[0].startswith("error:ContractViolationError:")), err
+        code == 2 and len(err) == 1
+        and err[0].startswith(tuple(f"error:{t}:" for t in types))), err
 
 
 @seed(20261018)
@@ -534,8 +550,57 @@ def test_fuzzed_run_config_runs_or_exits_2_with_one_error_line(setup, data):
             json.dump(config, fh)
         code, err = _run_cli_quietly(
             [*command, "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")])
-    assert (code == 0 and not err) or (
-        code == 2 and len(err) == 1 and err[0].startswith("error:")), err
+    # a checkpoint field naming a directory is a contract error too, not an OSError
+    _assert_ok_or_one_contract_line(code, err, ("ContractViolationError", "TrainingDivergedError"))
+
+
+@pytest.fixture(scope="module")
+def run_of_two(setup, tmp_path_factory):
+    """Two records, one the detector flags, and the traces of a gated run on them."""
+    d = tmp_path_factory.mktemp("two")
+    records, traces = str(d / "records.jsonl"), str(d / "out" / "traces.jsonl")
+    save_records(records, fixture_dataset(2, noise_rate=1.0, seed=0))
+    assert run_cli("pipeline", "--config", setup[0], "--records", records,
+                   "--out", str(d / "out")) == 0
+    return records, traces
+
+
+def _mutated_lines(data, path) -> str:
+    """The JSON lines of ``path`` with one line mutated once or twice."""
+    rows = read_jsonl(path)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    for _ in range(data.draw(st.integers(1, 2))):
+        rows[i] = _mutate_json(data, rows[i])
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@seed(20261018)
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_records_run_or_exit_2_with_one_contract_line(setup, run_of_two, data):
+    command = data.draw(st.sampled_from([["detect"], ["filter"], ["pipeline"],
+                                         ["pipeline", "--force-retrieval"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        records = os.path.join(tmp, "records.jsonl")
+        with open(records, "w", encoding="utf-8") as fh:
+            fh.write(_mutated_lines(data, run_of_two[0]))
+        _assert_ok_or_one_contract_line(*_run_cli_quietly(
+            [*command, "--config", setup[0], "--records", records,
+             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS)
+
+
+@seed(20261018)
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_fuzzed_traces_evaluate_or_exit_2_with_one_contract_line(run_of_two, data):
+    records, traces = run_of_two
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, "traces.jsonl")
+        with open(mutated, "w", encoding="utf-8") as fh:
+            fh.write(_mutated_lines(data, traces))
+        _assert_ok_or_one_contract_line(*_run_cli_quietly(
+            ["eval", "--records", records, "--traces", mutated,
+             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS)
 
 
 _FAILING_PROPERTY = """

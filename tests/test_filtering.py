@@ -8,8 +8,8 @@ import pytest
 from dualstream.errors import ContractViolationError, LayerStructureError
 from dualstream.filtering import (
     ENTROPY_DROP_THRESHOLD,
+    Calibration,
     FilterProfile,
-    LayerClassification,
     PruningSweep,
     attention_token_scores,
     classify_layers,
@@ -70,7 +70,9 @@ def test_pruning_sweep_requires_queries():
 def test_classify_layers_extremes():
     sweep = PruningSweep(0.0, [0.8, -0.4, 0.1])
     cls = classify_layers(sweep)
-    assert cls == LayerClassification(key_layer=0, offset_layer=1)
+    assert (cls.key_layer, cls.offset_layer) == (0, 1)
+    # the gate's entropy pair: the baseline, and the sweep's entropy without the offset layer
+    assert (cls.entropy_orig, cls.entropy_offset) == (0.0, -0.4)
 
 
 def test_classify_layers_shift_invariant():
@@ -81,7 +83,7 @@ def test_classify_layers_shift_invariant():
             continue
         a = classify_layers(PruningSweep(0.0, ents))
         b = classify_layers(PruningSweep(0.0, ents + 3.3))
-        assert a == b
+        assert (a.key_layer, a.offset_layer) == (b.key_layer, b.offset_layer)
 
 
 def test_classify_layers_tie_breaks_to_lowest_index():
@@ -312,7 +314,7 @@ def test_compute_filter_profile_favours_key_attended_tokens():
     key_pattern[0, :, 2] = 1.0  # key layer stares at position 2
     offset_pattern = np.full((1, n, n), 1 / n)
     trace = fake_trace([offset_pattern, key_pattern])
-    cls = LayerClassification(key_layer=1, offset_layer=0)
+    cls = Calibration(key_layer=1, offset_layer=0, entropy_orig=1.0, entropy_offset=0.5)
     profile = compute_filter_profile(trace, cls, (1, 4), entropy_orig=1.0,
                                      entropy_offset=0.5, lam=2.0)
     assert profile.delta_a == pytest.approx(

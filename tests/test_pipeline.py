@@ -9,6 +9,7 @@ import pytest
 from dualstream import pipeline
 from dualstream.dataset import QARecord, make_question
 from dualstream.errors import ContractViolationError
+from dualstream.filtering import PruningSweep, entropy_gate
 from dualstream.fixtures import (
     KEY_LAYER,
     OFFSET_LAYER,
@@ -125,8 +126,9 @@ def test_bundle_calibration_matches_planted_structure(bundle):
     assert cal.offset_layer == OFFSET_LAYER
     assert cal.entropy_orig == pytest.approx(3.5, abs=1e-9)
     assert cal.entropy_offset == pytest.approx(2.0, abs=1e-9)
-    assert cal.epsilon == pytest.approx(GATE_EPSILON, abs=1e-12)
-    assert cal.delta_entropy == pytest.approx(-1.5, abs=1e-9)
+    epsilon, delta_entropy = entropy_gate(cal.entropy_orig, cal.entropy_offset)
+    assert epsilon == pytest.approx(GATE_EPSILON, abs=1e-12)
+    assert delta_entropy == pytest.approx(-1.5, abs=1e-9)
 
 
 def test_probe_questions_cover_both_subject_halves(host):
@@ -151,6 +153,18 @@ def test_bundle_without_vocab_needs_probe_queries(host, tmp_path, checkpoints):
     loaded, vocab = load_host(cfg)
     assert vocab is None
     assert calibrate(loaded, probe_questions(layout.vocab)).offset_layer == OFFSET_LAYER
+
+
+def test_calibration_refuses_a_zero_baseline_entropy_at_load_time(config, host, monkeypatch):
+    """A sweep with separable layers but a baseline entropy the filter gate cannot
+    divide by is refused by ``calibrate``, so ``load_bundle`` fails before any record."""
+    sweep = PruningSweep(0.0, [0.5, -0.3, 0.2, 0.1, 0.0])
+    monkeypatch.setattr(pipeline, "pruning_sweep", lambda model, queries: sweep)
+    model, layout = host
+    with pytest.raises(ContractViolationError, match="baseline entropy"):
+        calibrate(model, probe_questions(layout.vocab))
+    with pytest.raises(ContractViolationError, match="baseline entropy"):
+        load_bundle(config)
 
 
 # ---------------------------------------------------------------------------
