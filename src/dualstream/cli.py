@@ -18,7 +18,13 @@ import sys
 import time
 
 from .dataset import load_records
-from .errors import ContractViolationError, TrainingDivergedError
+from .errors import (
+    ContractViolationError,
+    TrainingDivergedError,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+)
 from .filtering import classify_layers, entropy_gate, pruning_sweep
 from .fixtures import fixture_dataset
 from .fusion import save_dssp_params
@@ -135,9 +141,8 @@ def _resolve_config(args) -> RunConfig:
 def _echo(config: RunConfig, args, argv) -> str:
     out_dir = config.out_dir
     write_config_echo(config, out_dir)
-    with open(os.path.join(out_dir, "argv_echo.json"), "w", encoding="utf-8") as fh:
-        json.dump({"command": args.command, "argv": list(argv)}, fh, sort_keys=True)
-        fh.write("\n")
+    argv_echo = {"command": args.command, "argv": list(argv)}
+    write_jsonl(os.path.join(out_dir, "argv_echo.json"), [argv_echo])  # one line
     return out_dir
 
 
@@ -169,19 +174,6 @@ def _queries_for_sweep(args, config: RunConfig, vocab):
     return probe_questions(vocab)
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -200,9 +192,9 @@ def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
     for record in records:
         verdict, _ = detect_stage(model, record, vocab, config)
         rows.append({"record_id": record.record_id, **verdict.to_json()})
-    _write_jsonl(os.path.join(out_dir, "detect.jsonl"), rows)
+    write_jsonl(os.path.join(out_dir, "detect.jsonl"), rows)
     flagged = sum(r["hallucination"] for r in rows)
-    _write_json(os.path.join(out_dir, "detect_summary.json"), {
+    write_json(os.path.join(out_dir, "detect_summary.json"), {
         "n_records": len(rows), "flagged": flagged,
         "flagged_rate": flagged / len(rows) if rows else 0.0,
         "delta": config.delta, "aggregation": config.aggregation,
@@ -226,7 +218,7 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
         "epsilon": epsilon,
         "delta_entropy": delta_entropy,
     }
-    _write_json(os.path.join(out_dir, "layers.json"), doc)
+    write_json(os.path.join(out_dir, "layers.json"), doc)
     if args.csv:
         _write_csv(os.path.join(out_dir, "layers.csv"),
                    ["layer", "entropy_without_layer", "delta"],
@@ -247,7 +239,7 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
         row = {"record_id": record.record_id, **profile.to_json()}
         row.pop("delta_a")
         rows.append(row)
-    _write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
+    write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
 
 
@@ -268,7 +260,7 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
     means = report.epoch_mean_losses()
     ckpt = os.path.join(out_dir, "dssp_trained.bin")
     save_dssp_params(ckpt, bundle.params)
-    _write_json(os.path.join(out_dir, "train_report.json"), {
+    write_json(os.path.join(out_dir, "train_report.json"), {
         "checkpoint": ckpt,
         "checkpoint_id": report.checkpoint_id,
         "epochs": report.epochs,
@@ -277,7 +269,7 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
         "loss_drop": 1.0 - means[-1] / means[0] if means[0] else 0.0,
         "mu": hyper.mu, "nu": hyper.nu, "lr": hyper.lr, "seed": hyper.seed,
     })
-    _write_json(os.path.join(out_dir, "timings.json"), {"train_wall_time": wall})
+    write_json(os.path.join(out_dir, "timings.json"), {"train_wall_time": wall})
     if args.csv:
         _write_csv(os.path.join(out_dir, "train_steps.csv"),
                    [f.name for f in dataclasses.fields(TrainStep)],
@@ -288,10 +280,8 @@ def _cmd_train(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_eval(args, config: RunConfig, out_dir: str) -> str:
     records = load_records(args.records)
-    with open(args.traces, "r", encoding="utf-8") as fh:
-        traces = [PipelineTrace.from_json(json.loads(line)) for line in fh if line.strip()]
-    report = evaluate(traces, records)
-    _write_json(os.path.join(out_dir, "eval_report.json"), report)
+    report = evaluate(read_jsonl(args.traces, PipelineTrace), records)
+    write_json(os.path.join(out_dir, "eval_report.json"), report)
     return (f"accuracy {report['answer_token_accuracy']:.3f} on {report['n_records']} "
             f"records -> {out_dir}/eval_report.json")
 
@@ -300,7 +290,7 @@ def _cmd_demo_decompose(args, config: RunConfig, out_dir: str) -> str:
     study = suppression_study(n_seeds=args.trials, d_model=args.d_model,
                               n_tokens=args.tokens, dims=tuple(args.dims),
                               noise_scale=args.noise_scale)
-    _write_json(os.path.join(out_dir, "decompose.json"), study)
+    write_json(os.path.join(out_dir, "decompose.json"), study)
     return (f"shared-direction suppression in {study['suppressed']}/{study['n_seeds']} "
             f"trials -> {out_dir}/decompose.json")
 
@@ -325,7 +315,7 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
                           f"({args.center_mu}, {args.center_nu})")
     result = grid_search(objective)
     table = [dataclasses.asdict(p) for p in result.table]
-    _write_json(os.path.join(out_dir, "grid.json"), {
+    write_json(os.path.join(out_dir, "grid.json"), {
         "objective": objective_name,
         "mu_star": result.mu_star,
         "nu_star": result.nu_star,
@@ -350,11 +340,11 @@ def _cmd_pipeline(args, config: RunConfig, out_dir: str) -> str:
         row = trace.to_json()
         row.pop("timings")  # wall-clock lives in timings.json, outputs stay reproducible
         rows.append(row)
-    _write_jsonl(os.path.join(out_dir, "traces.jsonl"), rows)
+    write_jsonl(os.path.join(out_dir, "traces.jsonl"), rows)
     report = evaluate(traces, records)
     times = report.pop("mean_stage_times")
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_json(os.path.join(out_dir, "timings.json"), {"mean_stage_times": times})
+    write_json(os.path.join(out_dir, "report.json"), report)
+    write_json(os.path.join(out_dir, "timings.json"), {"mean_stage_times": times})
     return (f"accuracy {report['answer_token_accuracy']:.3f}, detection rate "
             f"{report['detection_rate']:.3f} on {report['n_records']} records "
             f"-> {out_dir}/traces.jsonl")

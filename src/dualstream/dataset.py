@@ -10,13 +10,12 @@ flagged in ``noise_mask``.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import make_variant
-from .errors import ContractViolationError, json_value, read_field
+from .errors import ContractViolationError, JsonRecord, read_field, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -32,18 +31,18 @@ class Vocab:
     n_objects: int = 16
     n_junk: int = 40
 
-    SEP: int = dataclasses.field(default=0, init=False, repr=False)
-    EOS: int = dataclasses.field(default=1, init=False, repr=False)
-    WH: int = dataclasses.field(default=2, init=False, repr=False)
-    AUX: int = dataclasses.field(default=3, init=False, repr=False)
-    REL: int = dataclasses.field(default=4, init=False, repr=False)
-    IN: int = dataclasses.field(default=5, init=False, repr=False)
-    BLANK: int = dataclasses.field(default=6, init=False, repr=False)
-    N_SPECIAL: int = dataclasses.field(default=7, init=False, repr=False)
+    SEP = 0
+    EOS = 1
+    WH = 2
+    AUX = 3
+    REL = 4
+    IN = 5
+    BLANK = 6
+    N_SPECIAL = 7
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if f.init and int(getattr(self, f.name)) < 1:
+            if read_field(vars(self), f.name, int) < 1:
                 raise ContractViolationError(f"{f.name} must be >= 1")
         if self.size > 512:
             raise ContractViolationError(
@@ -76,10 +75,10 @@ class Vocab:
 
 
 @dataclass
-class QARecord:
+class QARecord(JsonRecord):
     """One templated question with gold answer and evidence documents."""
 
-    record_id: str
+    record_id: str = dataclasses.field(metadata={"json": "id"})
     question: list[int]
     answer: list[int]
     documents: list[list[int]]
@@ -106,50 +105,14 @@ class QARecord:
                         "noise_mask rows must align with document tokens"
                     )
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "question": list(map(int, self.question)),
-            "variant": None if self.variant is None else list(map(int, self.variant)),
-            "answer": list(map(int, self.answer)),
-            "documents": [list(map(int, doc)) for doc in self.documents],
-            "noise_mask": None
-            if self.noise_mask is None
-            else [[bool(b) for b in mask] for mask in self.noise_mask],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "QARecord":
-        tokens = lambda row: [json_value(int, t) for t in row]
-        return cls(
-            record_id=read_field(payload, "id", str),
-            question=read_field(payload, "question", tokens),
-            answer=read_field(payload, "answer", tokens),
-            documents=read_field(payload, "documents", lambda docs: [tokens(d) for d in docs]),
-            variant=read_field(payload, "variant",
-                               lambda v: None if v is None else tokens(v), None),
-            noise_mask=read_field(
-                payload, "noise_mask",
-                lambda m: None if m is None else [[json_value(bool, b) for b in row] for row in m],
-                None),
-        )
-
 
 def save_records(path, records: list[QARecord]) -> None:
     """Write records as JSON lines (UTF-8, one record per line)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_json()) + "\n")
+    write_jsonl(path, (record.to_json() for record in records))
 
 
 def load_records(path) -> list[QARecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(QARecord.from_json(json.loads(line)))
-    return records
+    return read_jsonl(path, QARecord)
 
 
 def make_question(vocab: Vocab, subject: int) -> list[int]:

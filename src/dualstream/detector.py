@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import jsd
-from .errors import ContractViolationError, VariantRuleError, json_value, read_field
+from .errors import ContractViolationError, JsonRecord, VariantRuleError
 
 Array = np.ndarray
 
@@ -37,35 +37,13 @@ class DivergenceProfile:
 
 
 @dataclass
-class DetectionVerdict:
+class DetectionVerdict(JsonRecord):
     hallucination: bool
     statistic: float
     delta: float
     aggregation: str
     insertion_layer: int
     per_layer: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "hallucination": self.hallucination,
-            "statistic": self.statistic,
-            "delta": self.delta,
-            "aggregation": self.aggregation,
-            "insertion_layer": self.insertion_layer,
-            "per_layer": list(self.per_layer),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DetectionVerdict":
-        return cls(
-            hallucination=read_field(doc, "hallucination", bool),
-            statistic=read_field(doc, "statistic", float),
-            delta=read_field(doc, "delta", float),
-            aggregation=read_field(doc, "aggregation", str),
-            insertion_layer=read_field(doc, "insertion_layer", int),
-            per_layer=read_field(doc, "per_layer",
-                                 lambda v: tuple(json_value(float, x) for x in v)),
-        )
 
 
 def divergence_profile(profile_x: Sequence[Array], profile_xhat: Sequence[Array]) -> DivergenceProfile:

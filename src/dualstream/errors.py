@@ -1,13 +1,21 @@
-"""Shared exception types.
+"""Shared exception types and the JSON codec.
 
 Every public operation raises ContractViolationError (or a subclass) when its
 input contract is broken, so callers -- including the CLI -- can map failures
 to a single machine-parseable error line.  ``read_field`` applies the same
-rule to fields of parsed JSON documents.
+rule to fields of parsed JSON documents, and ``JsonRecord`` reads and writes
+a dataclass through its field annotations.  ``write_json``, ``write_jsonl``
+and ``read_jsonl`` hold the file convention: sorted keys, a trailing newline.
 """
 from __future__ import annotations
 
-_REQUIRED = object()
+import dataclasses
+import functools
+import json
+import types
+import typing
+
+import numpy as np
 
 
 class ContractViolationError(ValueError):
@@ -35,32 +43,118 @@ class TrainingDivergedError(RuntimeError):
 
 # the Python types ``json.load`` gives a value of each kind; a float may be written as an integer
 _JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), dict: (dict,)}
+_ALIASES = {np.ndarray: list[float]}   # a float vector is a JSON list
 
 
-def json_value(kind: type, value):
-    """``kind(value)`` if JSON gave ``value`` that type, else TypeError; a bool is no number."""
+def json_value(kind, value):
+    """``value`` read as the annotation ``kind``; a value of another type raises TypeError.
+
+    A scalar is checked, never coerced: a bool is no number, and an int may
+    stand for a float.  ``T | None``, ``list[T]``, ``tuple[T, ...]`` and
+    ``dict[str, T]`` read their items in turn, and a ``JsonRecord`` reads itself.
+    """
+    kind = _ALIASES.get(kind, kind)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return None if value is None else json_value(args[0], value)
+    if origin in (list, tuple):
+        return origin(json_value(args[0], v) for v in value)
+    if origin is dict:
+        return {k: json_value(args[1], v) for k, v in json_value(dict, value).items()}
+    if isinstance(kind, type) and issubclass(kind, JsonRecord):
+        return kind.from_json(value)
     if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
     return kind(value)
 
 
-def read_field(doc, name: str, convert, default=_REQUIRED):
-    """``convert(doc[name])``; a missing or malformed field raises ContractViolationError.
+def json_of(kind, value):
+    """The JSON form of ``value`` under the annotation ``kind``, which ``json_value`` reads back."""
+    kind = _ALIASES.get(kind, kind)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return None if value is None else json_of(args[0], value)
+    if origin in (list, tuple):
+        return [json_of(args[0], v) for v in value]
+    if origin is dict:
+        return {k: json_of(args[1], v) for k, v in value.items()}
+    return value.to_json() if isinstance(value, JsonRecord) else kind(value)
 
-    ``convert`` is a function, or one of ``str``, ``int``, ``float``,
-    ``bool`` and ``dict``, which ``json_value`` checks instead of coercing.
-    ``default`` is returned when the field is absent; without one the field
-    is required.  The error names the field, nested readers included.
+
+def read_field(doc, name: str, convert, default=dataclasses.MISSING):
+    """``doc[name]`` read as ``convert``; a missing or malformed field raises ContractViolationError.
+
+    ``convert`` is a function, called on the value, or an annotation, which
+    ``json_value`` reads.  ``default`` is returned when the field is absent;
+    without one the field is required.  The error names the field, nested
+    readers included.
     """
     if not isinstance(doc, dict):
         raise ContractViolationError(f"expected a JSON object, got {type(doc).__name__}")
     if name not in doc:
-        if default is _REQUIRED:
+        if default is dataclasses.MISSING:
             raise ContractViolationError(f"missing field {name!r}")
         return default
     try:
-        if convert in _JSON_TYPES:
-            return json_value(convert, doc[name])
-        return convert(doc[name])
+        if isinstance(convert, types.FunctionType):
+            return convert(doc[name])
+        return json_value(convert, doc[name])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolationError(f"field {name!r}: {exc}") from exc
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> resolved annotation of the dataclass ``cls``."""
+    return typing.get_type_hints(cls)
+
+
+class JsonRecord:
+    """A dataclass whose field annotations state its JSON form: one key per field.
+
+    ``from_json`` reads the keys in field order with ``read_field``, and a
+    field with a default may be absent.  A field's ``metadata["json"]``
+    renames its key, and its ``metadata["none"]`` is the JSON value that
+    stands for None, in which case JSON null is refused.
+    """
+
+    def to_json(self) -> dict:
+        doc = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            doc[f.metadata.get("json", f.name)] = (
+                f.metadata["none"] if value is None and "none" in f.metadata
+                else json_of(field_types(type(self))[f.name], value))
+        return doc
+
+    @classmethod
+    def from_json(cls, doc):
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            kind = field_types(cls)[f.name]
+            if "none" in f.metadata:  # ``T | None``, with None written as the sentinel
+                none, inner = f.metadata["none"], typing.get_args(kind)[0]
+                kind = lambda v: None if v == none else json_value(inner, v)
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            kwargs[f.name] = read_field(doc, f.metadata.get("json", f.name), kind, default)
+        return cls(**kwargs)
+
+
+def write_json(path, doc) -> None:
+    """One JSON document: sorted keys, indent 1, a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """One JSON document per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, record: type[JsonRecord]) -> list:
+    """``record.from_json`` of each non-blank line of a JSON-lines file."""
+    with open(path, encoding="utf-8") as fh:
+        return [record.from_json(json.loads(line)) for line in map(str.strip, fh) if line]

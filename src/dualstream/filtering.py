@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import semantic_entropy, validate_prob_vector
-from .errors import ContractViolationError, LayerStructureError, json_value, read_field
+from .errors import ContractViolationError, JsonRecord, LayerStructureError
 from .fusion import KnowledgeStream
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, _softmax, infer
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, infer, softmax
 
 Array = np.ndarray
 
@@ -131,7 +131,7 @@ def energy_quotient(delta_a: Sequence[float], lam: float = DEFAULT_LAMBDA) -> Ar
         raise ContractViolationError("energy quotient needs at least one token")
     if not np.all(np.isfinite(da)) or not math.isfinite(lam):
         raise ContractViolationError("scores and lam must be finite")
-    return _softmax(-lam * da)
+    return softmax(-lam * da)
 
 
 def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, float]:
@@ -151,7 +151,7 @@ def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, flo
 
 
 @dataclass
-class FilterProfile:
+class FilterProfile(JsonRecord):
     """Everything the filter decided for one query."""
     key_layer: int
     offset_layer: int
@@ -173,33 +173,15 @@ class FilterProfile:
         if self.delta_entropy >= ENTROPY_DROP_THRESHOLD and self.epsilon != 0.0:
             raise ContractViolationError("epsilon must be zero when the gate is inactive")
 
-    def to_json(self) -> dict:
-        return {
-            "key_layer": self.key_layer,
-            "offset_layer": self.offset_layer,
-            "delta_a": [float(v) for v in self.delta_a],
-            "eq": [float(v) for v in self.eq],
-            "epsilon": self.epsilon,
-            "delta_entropy": self.delta_entropy,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FilterProfile":
-        floats = lambda v: np.array([json_value(float, x) for x in v], dtype=np.float64)
-        return cls(
-            key_layer=read_field(doc, "key_layer", int),
-            offset_layer=read_field(doc, "offset_layer", int),
-            delta_a=read_field(doc, "delta_a", floats),
-            eq=read_field(doc, "eq", floats),
-            epsilon=read_field(doc, "epsilon", float),
-            delta_entropy=read_field(doc, "delta_entropy", float),
-        )
-
 
 def compute_filter_profile(trace: ForwardTrace, calibration: Calibration,
                            span: tuple[int, int], entropy_orig: float,
                            entropy_offset: float, lam: float = DEFAULT_LAMBDA) -> FilterProfile:
     """Score one query's external span and assemble the filter decision."""
+    if (entropy_orig, entropy_offset) != (calibration.entropy_orig, calibration.entropy_offset):
+        raise ContractViolationError(
+            f"entropy pair ({entropy_orig}, {entropy_offset}) is not the calibration's "
+            f"({calibration.entropy_orig}, {calibration.entropy_offset})")
     scores_offset = attention_token_scores(trace, calibration.offset_layer, span)
     scores_key = attention_token_scores(trace, calibration.key_layer, span)
     delta_a = scores_offset - scores_key

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError, read_field
+from .errors import ContractViolationError, read_field, write_json
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
@@ -154,7 +154,7 @@ def _causal_mask(n: int) -> Array:
     return mask
 
 
-def _validate_tokens(config: ModelConfig, tokens: Sequence[int]) -> list[int]:
+def validate_tokens(config: ModelConfig, tokens: Sequence[int]) -> list[int]:
     toks = [int(t) for t in tokens]
     if len(toks) == 0:
         raise ContractViolationError("empty token sequence")
@@ -202,7 +202,7 @@ def forward(
     cfg = model.config
     opts = options or ForwardOptions()
     opts.validate(cfg.n_layers)
-    toks = _validate_tokens(cfg, tokens)
+    toks = validate_tokens(cfg, tokens)
     n = len(toks)
 
     def W(name: str) -> Tensor:
@@ -287,7 +287,8 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     return xc * inv * gain + bias
 
 
-def _softmax(z: Array) -> Array:
+def softmax(z: Array) -> Array:
+    """Softmax over the last axis."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -296,7 +297,7 @@ def _attention_pattern(xn: Array, wq: Array, wk: Array, mask: Array, scale: floa
     """Causal softmax pattern of normed ``(B, n, d)`` rows, one matmul per row and head."""
     q, k = xn[:, None] @ wq, xn[:, None] @ wk
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    return _softmax((q @ kt + mask) * scale)
+    return softmax((q @ kt + mask) * scale)
 
 
 def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
@@ -310,7 +311,7 @@ def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
     rows = [tokens] if ndim == 1 else list(tokens)
     if not rows:
         raise ContractViolationError("empty token batch")
-    return np.array([_validate_tokens(config, r) for r in rows], dtype=np.int64), ndim == 1
+    return np.array([validate_tokens(config, r) for r in rows], dtype=np.int64), ndim == 1
 
 
 def infer(
@@ -415,7 +416,7 @@ def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> Array:
     """
     w = model.weights
     last = np.stack([h[..., -1:, :] for h in hidden])
-    return _softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T)[..., 0, :]
+    return softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T)[..., 0, :]
 
 
 def layer_distributions(model: TinyTransformer, tokens: Sequence[int]) -> list[Array]:
@@ -457,7 +458,7 @@ def generate_from(
     """
     if max_new_tokens < 1:
         raise ContractViolationError("max_new_tokens must be >= 1")
-    seq = _validate_tokens(model.config, prompt)
+    seq = validate_tokens(model.config, prompt)
     if len(seq) + max_new_tokens > model.config.max_seq:
         raise ContractViolationError("prompt plus max_new_tokens exceeds max_seq")
     logits = first_logits
@@ -476,10 +477,8 @@ def save_model(model: TinyTransformer, bin_path, dtype: str = "f32",
                meta: dict | None = None) -> None:
     """Write the weights to ``bin_path`` and the config and ``meta`` to ``<bin_path>.json``."""
     save_tensors(bin_path, model.weights, dtype=dtype)
-    doc = {"config": dataclasses.asdict(model.config), "meta": meta or {}}
-    with open(str(bin_path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(str(bin_path) + ".json",
+               {"config": dataclasses.asdict(model.config), "meta": meta or {}})
 
 
 def load_model(bin_path) -> tuple[TinyTransformer, dict]:

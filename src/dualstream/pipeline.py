@@ -30,7 +30,7 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError, json_value, read_field
+from .errors import ContractViolationError, JsonRecord, field_types, read_field, write_json
 from .filtering import (
     RESCALE_MODES,
     Calibration,
@@ -51,14 +51,12 @@ from .model import (
     layer_norm,
     load_model,
     logit_lens,
+    validate_tokens,
 )
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 from .training import TrainExample
 
 PROBE_SUBJECTS_PER_HALF = 8
-
-# the JSON kind of each RunConfig annotation
-_FIELD_KINDS = {"str": str, "float": float, "int": int, "int | None": int, "bool": bool}
 
 
 @dataclass
@@ -79,9 +77,8 @@ class RunConfig:
     force_retrieval: bool = False      # run the filter+fusion path on every record
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if not (f.type == "int | None" and getattr(self, f.name) is None):
-                read_field(vars(self), f.name, _FIELD_KINDS[f.type])
+        for name, kind in field_types(RunConfig).items():
+            read_field(vars(self), name, kind)
         if self.delta <= 0 or not np.isfinite(self.delta):
             raise ContractViolationError("delta must be finite and > 0")
         if self.aggregation not in AGGREGATIONS:
@@ -129,9 +126,7 @@ def write_config_echo(config: RunConfig, out_dir) -> str:
     """Persist the resolved config next to the outputs; reruns read this file."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config_echo.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, config.to_json())
     return path
 
 
@@ -174,15 +169,11 @@ class Bundle:
     calibration: Calibration
 
 
-# the fields a ``Vocab`` is built from, which its checkpoint metadata records
-_VOCAB_FIELDS = [f.name for f in dataclasses.fields(Vocab) if f.init]
-
-
 def meta_vocab(meta: dict) -> Vocab | None:
     """Rebuild the vocabulary a checkpoint was written with, if recorded."""
     vocab = read_field(meta, "vocab", dict, None)
-    return None if vocab is None else Vocab(**{name: read_field(vocab, name, int)
-                                              for name in _VOCAB_FIELDS})
+    return None if vocab is None else Vocab(**{f.name: read_field(vocab, f.name, int)
+                                              for f in dataclasses.fields(Vocab)})
 
 
 def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
@@ -217,7 +208,7 @@ def load_bundle(config: RunConfig) -> Bundle:
 
 def vocab_meta(vocab: Vocab) -> dict:
     """Checkpoint metadata block that lets a run rebuild the vocabulary."""
-    return {"vocab": {name: getattr(vocab, name) for name in _VOCAB_FIELDS}}
+    return {"vocab": dataclasses.asdict(vocab)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +216,11 @@ def vocab_meta(vocab: Vocab) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PipelineTrace:
+class PipelineTrace(JsonRecord):
     """What one record went through: verdict, optional filter, answer, timings."""
     record_id: str
     verdict: DetectionVerdict
-    filter: FilterProfile | None
+    filter: FilterProfile | None = field(metadata={"none": "skipped"})
     answer: list[int]
     timings: dict[str, float] = field(default_factory=dict)
     forced: bool = False
@@ -238,30 +229,6 @@ class PipelineTrace:
         if self.filter is not None and not (self.verdict.hallucination or self.forced):
             raise ContractViolationError(
                 "filter stage present although the verdict did not gate it in")
-
-    def to_json(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "verdict": self.verdict.to_json(),
-            "filter": "skipped" if self.filter is None else self.filter.to_json(),
-            "answer": list(self.answer),
-            "timings": dict(self.timings),
-            "forced": self.forced,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PipelineTrace":
-        """Rebuild a trace from its JSON form (timings may have been stripped)."""
-        return cls(
-            record_id=read_field(doc, "record_id", str),
-            verdict=read_field(doc, "verdict", DetectionVerdict.from_json),
-            filter=read_field(doc, "filter", lambda f: None if f == "skipped"
-                              else FilterProfile.from_json(f)),
-            answer=read_field(doc, "answer", lambda a: [json_value(int, t) for t in a]),
-            timings=read_field(doc, "timings", lambda t: {
-                k: json_value(float, v) for k, v in json_value(dict, t).items()}, {}),
-            forced=read_field(doc, "forced", bool, False),
-        )
 
 
 def context_tokens(record: QARecord, vocab: Vocab) -> list[int]:
@@ -287,6 +254,7 @@ def read_evidence(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
     if vocab is None:
         raise ContractViolationError(
             "retrieval path needs the checkpoint vocabulary to build context")
+    validate_tokens(model.config, record.answer)
     ctx = context_tokens(record, vocab)
     return Evidence(ctx, (len(record.question) + 1, len(ctx)), infer(model, ctx, stop=stop))
 
@@ -319,6 +287,7 @@ def detect_stage(model: TinyTransformer, record: QARecord, vocab: Vocab | None,
     Also returns the question's last-position logits, from which the plain
     decode draws its first token.
     """
+    validate_tokens(model.config, record.answer)
     pair = infer(model, [list(record.question), variant_tokens(record, vocab)])
     lens = logit_lens(model, pair.hidden)
     profile = divergence_profile(lens[:, 0], lens[:, 1])

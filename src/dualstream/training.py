@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError
 from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, _softmax, forward
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, softmax
 
 Array = np.ndarray
 
@@ -89,7 +89,7 @@ class TrainExample:
         if not 1 <= insertion_layer <= len(trace.hidden):
             raise ContractViolationError(
                 f"insertion layer {insertion_layer} outside 1..{len(trace.hidden)}")
-        return cls(tokens, answer_id, dhat, _softmax(trace.logits[-1]),
+        return cls(tokens, answer_id, dhat, softmax(trace.logits[-1]),
                    (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 
 

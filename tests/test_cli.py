@@ -283,6 +283,14 @@ _BAD_TRACES = {
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
 _BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
+# an answer token outside the host's vocabulary, refused by every command that runs the host
+_BAD_ANSWERS = {
+    "answer_out_of_vocab_detect": (["detect"], 10**12),
+    "answer_out_of_vocab_filter": (["filter"], -1),
+    "answer_out_of_vocab_pipeline": (["pipeline"], 10**12),
+    "answer_out_of_vocab_train": (["train", "--epochs", "1"], -1),
+    "answer_out_of_vocab_grid_search": (["grid-search", "--epochs", "1"], 10**12),
+}
 # a config field that names a directory where a checkpoint file belongs
 _DIRECTORY_CHECKPOINTS = {"config_model_checkpoint_a_directory": "model_checkpoint",
                           "config_dssp_checkpoint_a_directory": "dssp_checkpoint"}
@@ -313,7 +321,7 @@ _BAD_FUSION_TENSORS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS,
+@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS, *_BAD_ANSWERS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
                                   *_DIRECTORY_CHECKPOINTS,
@@ -352,6 +360,12 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         row = fixture_dataset(1)[0].to_json()
         bad.write_text(json.dumps({**row, "question": [2, 3, _BAD_RECORD_TOKENS[case], 7]}) + "\n")
         argv, named = ["eval", "--records", str(bad), "--traces", recs], "question"
+    elif case in _BAD_ANSWERS:
+        (command, *flags), token = _BAD_ANSWERS[case]
+        row = fixture_dataset(1)[0].to_json()
+        bad.write_text(json.dumps({**row, "answer": [token]}) + "\n")
+        argv = [command, "--config", cfg, "--records", str(bad), *flags]
+        named = f"token id {token} outside vocab"
     elif case in _BAD_TRACES:
         line, named = _BAD_TRACES[case]
         bad.write_text(json.dumps(line) + "\n")

@@ -31,6 +31,9 @@ def test_vocab_validation():
         Vocab(n_subjects=0)
     with pytest.raises(ContractViolationError):
         Vocab(n_subjects=500, n_objects=100, n_junk=100)
+    for bad in (dict(n_subjects=2.5), dict(n_junk=True), dict(n_objects="16")):
+        with pytest.raises(ContractViolationError, match=next(iter(bad))):
+            Vocab(**bad)
 
 
 def test_gold_object_map_is_deterministic_and_total():

@@ -1,0 +1,53 @@
+"""The JSON codec's edge cases, one row each: what it refuses, accepts and writes."""
+import re
+
+import pytest
+
+from dualstream.dataset import QARecord
+from dualstream.detector import DetectionVerdict
+from dualstream.errors import ContractViolationError
+from dualstream.pipeline import PipelineTrace
+
+_RECORD = {"id": "r0", "question": [2, 3, 4, 8], "answer": [80], "documents": [[5, 80, 8, 4, 1]]}
+_VERDICT = {"hallucination": False, "statistic": 0.5, "delta": 1.0, "aggregation": "tail_sum(2)",
+            "insertion_layer": 3, "per_layer": [0.25, 0.5]}
+_TRACE = {"record_id": "r0", "verdict": _VERDICT, "filter": "skipped", "answer": [80],
+          "timings": {"detect": 0.25}, "forced": False}
+
+
+def _round_trip(record):
+    return type(record).from_json(record.to_json()).to_json() == record.to_json()
+
+
+# (reader, document, the error it must raise, or a predicate on what it reads)
+_CASES = {
+    "trace_filter_null_refused": (PipelineTrace, {**_TRACE, "filter": None},
+                                  "field 'filter': expected a JSON object, got NoneType"),
+    "record_variant_null_accepted": (QARecord, {**_RECORD, "variant": None},
+                                     lambda r: r.variant is None),
+    "trace_timings_and_forced_absent_accepted": (
+        PipelineTrace, {k: v for k, v in _TRACE.items() if k not in ("timings", "forced")},
+        lambda t: t.timings == {} and t.forced is False),
+    "record_id_absent_refused": (QARecord, {k: v for k, v in _RECORD.items() if k != "id"},
+                                 "missing field 'id'"),
+    "bool_for_int_refused": (DetectionVerdict, {**_VERDICT, "insertion_layer": True},
+                             "field 'insertion_layer': expected int, got bool"),
+    "int_read_as_float": (DetectionVerdict, {**_VERDICT, "statistic": 2},
+                          lambda v: type(v.statistic) is float and v.statistic == 2.0),
+    "skipped_round_trips": (PipelineTrace, _TRACE,
+                            lambda t: t.filter is None and t.to_json()["filter"] == "skipped"
+                            and _round_trip(t)),
+    "record_writes_id_not_record_id": (QARecord, _RECORD,
+                                       lambda r: r.to_json()["id"] == "r0"
+                                       and "record_id" not in r.to_json() and _round_trip(r)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_codec_edge_cases(case):
+    reader, doc, want = _CASES[case]
+    if isinstance(want, str):
+        with pytest.raises(ContractViolationError, match=re.escape(want)):
+            reader.from_json(doc)
+    else:
+        assert want(reader.from_json(doc))

@@ -329,3 +329,12 @@ def test_compute_filter_profile_favours_key_attended_tokens():
         FilterProfile.from_json({**doc, "eq": "uniform"})
     with pytest.raises(ContractViolationError, match="differ"):
         FilterProfile.from_json({**doc, "key_layer": 0})  # the constructor's own check
+
+
+def test_compute_filter_profile_refuses_an_entropy_pair_not_its_calibrations():
+    n = 4
+    trace = fake_trace([np.full((1, n, n), 1 / n)] * 2)
+    cls = Calibration(key_layer=1, offset_layer=0, entropy_orig=1.0, entropy_offset=0.5)
+    for pair in ((1.0, 0.25), (2.0, 0.5), (0.5, 1.0)):
+        with pytest.raises(ContractViolationError, match="calibration"):
+            compute_filter_profile(trace, cls, (1, 4), *pair)

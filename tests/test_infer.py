@@ -21,7 +21,7 @@ from dualstream.fixtures import (
 from dualstream.fusion import make_dssp_hook
 from dualstream.model import (
     ForwardOptions,
-    _softmax,
+    softmax,
     forward,
     generate,
     infer,
@@ -184,7 +184,7 @@ def test_logit_lens_of_a_batch_equals_the_one_row_readout(host, cases):
     w = model.weights
 
     def one_row(h):
-        return _softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
+        return softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
 
     for question, variant, _, _ in cases:
         pair = infer(model, [question, variant])
