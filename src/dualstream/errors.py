@@ -6,6 +6,7 @@ to a single machine-parseable error line.  ``read_field`` applies the same
 rule to fields of parsed JSON documents, and ``JsonRecord`` reads and writes
 a dataclass through its field annotations.  ``write_json``, ``write_jsonl``
 and ``read_jsonl`` hold the file convention: sorted keys, a trailing newline.
+``read_text`` reads every input file, and refuses one that is not UTF-8.
 """
 from __future__ import annotations
 
@@ -154,7 +155,16 @@ def write_jsonl(path, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises ContractViolationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ContractViolationError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_jsonl(path, record: type[JsonRecord]) -> list:
     """``record.from_json`` of each non-blank line of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
-        return [record.from_json(json.loads(line)) for line in map(str.strip, fh) if line]
+    lines = read_text(path).split("\n")
+    return [record.from_json(json.loads(line)) for line in map(str.strip, lines) if line]

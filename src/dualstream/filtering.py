@@ -5,7 +5,7 @@ layers by how removal shifts their semantic entropy: the layer whose removal
 hurts most is the key (knowledge) layer, the one whose removal helps most is
 the offset (noise) layer.  External tokens are then scored by attention received at each layer;
 a softmax over the negated score difference (the energy quotient) reweights
-the external stream, gated by how much skipping the offset layer reduced
+the external stream, gated by how much removing the offset layer reduced
 entropy.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, JsonRecord, LayerStructureError
 from .fusion import KnowledgeStream
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, infer, softmax
+from .model import ForwardTrace, TinyTransformer, embed, infer, softmax
 
 Array = np.ndarray
 
@@ -36,7 +36,7 @@ class SamplingSpec:
 
 @dataclass
 class PruningSweep:
-    """Pooled semantic entropy with each layer skipped, next to the baseline."""
+    """Pooled semantic entropy with each layer removed, next to the baseline."""
     baseline_entropy: float
     layer_entropies: Array
 
@@ -47,38 +47,35 @@ class PruningSweep:
 
     @property
     def deltas(self) -> Array:
-        """Entropy change caused by removing each layer (skip minus baseline)."""
+        """Entropy change caused by removing each layer (removed minus baseline)."""
         return self.layer_entropies - self.baseline_entropy
 
 
 def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
                   spec: SamplingSpec = SamplingSpec()) -> PruningSweep:
     """Measure the semantic entropy of the queries' greedy answers with each
-    layer skipped in turn.
+    layer removed in turn.
 
     Each answer is the argmax of the query's last-position logits.  Queries
-    of one length run as one batch.  Layers below a skipped one are the
-    baseline's, so the run that skips layer l resumes from the baseline's
-    ``hidden[l - 1]``.  ``spec`` is the one ``SamplingSpec``; it selects nothing.
+    of one length run as one batch.  Removing layer l hands the stream
+    entering it straight to layer l + 1, so that run resumes at l + 1 from
+    the baseline's stream entering l (the embeddings for l = 0).  ``spec`` is
+    the one ``SamplingSpec``; it selects nothing.
     """
     if len(queries) < 1:
         raise ContractViolationError("pruning sweep needs at least one query")
     n_layers = model.config.n_layers
-    runs = [None] + [ForwardOptions(skip_layers=frozenset({l})) for l in range(n_layers)]
-    answers = [[None] * len(queries) for _ in runs]   # greedy answer per run and query
+    # greedy answer per run (the baseline, then layer r - 1 removed) and query
+    answers = [[None] * len(queries) for _ in range(n_layers + 1)]
     by_length: dict[int, list[int]] = {}
     for qi, query in enumerate(queries):
         by_length.setdefault(len(query), []).append(qi)
     for group in by_length.values():
         tokens = [queries[qi] for qi in group]
         base = infer(model, tokens)
-        for r, options in enumerate(runs):
-            if options is None:
-                trace = base
-            else:
-                l = r - 1
-                resume = (l, base.hidden[l - 1]) if l else None
-                trace = infer(model, tokens, options, resume)
+        entering = [embed(model, tokens)] + base.hidden[:-1]
+        for r in range(n_layers + 1):
+            trace = infer(model, tokens, resume=(r, entering[r - 1])) if r else base
             for row, qi in enumerate(group):
                 answers[r][qi] = (int(np.argmax(trace.logits[row, -1])),)
     entropies = [semantic_entropy(run) for run in answers]
@@ -91,7 +88,7 @@ class Calibration:
     key_layer: int
     offset_layer: int
     entropy_orig: float      # the sweep's baseline entropy
-    entropy_offset: float    # the entropy with the offset layer skipped
+    entropy_offset: float    # the entropy with the offset layer removed
 
 
 def classify_layers(sweep: PruningSweep) -> Calibration:
@@ -135,7 +132,7 @@ def energy_quotient(delta_a: Sequence[float], lam: float = DEFAULT_LAMBDA) -> Ar
 
 
 def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, float]:
-    """Weighting coefficient from the entropy drop caused by skipping the offset layer.
+    """Weighting coefficient from the entropy drop caused by removing the offset layer.
 
     Returns (epsilon, delta): delta = entropy_offset - entropy_orig;
     epsilon = ln(1 - delta/entropy_orig) when delta < -0.1, else 0.

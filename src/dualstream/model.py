@@ -10,10 +10,10 @@ after that layer's attention pattern, for a caller that reads nothing above
 it; every inference caller (detection, the pruning sweep, filtering,
 decoding) runs on it.
 
-Layer removal (``skip_layers``) is identity pass-through of the whole block;
-a hooked layer has its self-attention output replaced by the hook's output.
-Skipped and hooked layers record identity attention patterns in the trace so
-trace shapes never depend on options.
+A hooked layer has its self-attention output replaced by the hook's output
+and records an identity attention pattern in the trace, so trace shapes never
+depend on options.  Removing a layer needs no option: the stream entering it
+goes straight to the next one, which is a resume at the next layer.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError, read_field, write_json
+from .errors import ContractViolationError, read_field, read_text, write_json
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
@@ -58,27 +58,15 @@ class ModelConfig:
 
 @dataclass
 class ForwardOptions:
-    """Layer removal and fusion-hook placement for a single forward pass."""
-    skip_layers: frozenset[int] = frozenset()
+    """Fusion-hook placement for a single forward pass."""
     dssp_layer: int | None = None
     dssp_hook: Callable[[Tensor], Tensor] | None = None
 
     def validate(self, n_layers: int) -> None:
-        for l in self.skip_layers:
-            if not 0 <= l < n_layers:
-                raise ContractViolationError(f"skip layer {l} outside 0..{n_layers - 1}")
         if (self.dssp_layer is None) != (self.dssp_hook is None):
             raise ContractViolationError("dssp_layer and dssp_hook must be set together")
-        if self.dssp_layer is not None:
-            if not 0 <= self.dssp_layer < n_layers:
-                raise ContractViolationError(f"hook layer {self.dssp_layer} outside model")
-            if self.dssp_layer in self.skip_layers:
-                raise ContractViolationError("hook layer cannot also be skipped")
-
-    @property
-    def altered_layers(self) -> frozenset[int]:
-        """The skipped layers and the hooked one."""
-        return self.skip_layers | ({self.dssp_layer} - {None})
+        if self.dssp_layer is not None and not 0 <= self.dssp_layer < n_layers:
+            raise ContractViolationError(f"hook layer {self.dssp_layer} outside model")
 
 
 @dataclass
@@ -175,8 +163,8 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
         raise ContractViolationError(f"resume layer {start} outside 0..{cfg.n_layers}")
     if x.shape != shape:
         raise ContractViolationError(f"resume state has shape {x.shape}, expected {shape}")
-    if any(l < start for l in opts.altered_layers):
-        raise ContractViolationError("skipped or hooked layer below the resume layer")
+    if opts.dssp_layer is not None and opts.dssp_layer < start:
+        raise ContractViolationError("hooked layer below the resume layer")
     return start, x
 
 
@@ -218,21 +206,16 @@ def forward(
         start, h = _resume_state(cfg, opts, resume, (n, cfg.d_model))
         x = Tensor(h)
     mask = Tensor(_causal_mask(n))
-    eye_stack = np.broadcast_to(np.eye(n), (cfg.n_heads, n, n)).copy()
 
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers):
-        if l in opts.skip_layers:
-            hidden.append(x.value.copy())
-            attention.append(eye_stack)
-            continue
         xn = ad.layer_norm(x, W(f"l{l}.ln1.gain"), W(f"l{l}.ln1.bias"))
         if opts.dssp_layer == l:
             attn_out = opts.dssp_hook(xn)
             if not isinstance(attn_out, Tensor) or attn_out.value.shape != xn.value.shape:
                 raise ContractViolationError("hook must return a Tensor shaped like its input")
-            attention.append(eye_stack)
+            attention.append(np.broadcast_to(np.eye(n), (cfg.n_heads, n, n)).copy())
         else:
             head_outs = []
             pattern = np.empty((cfg.n_heads, n, n))
@@ -293,11 +276,11 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_pattern(xn: Array, wq: Array, wk: Array, mask: Array, scale: float) -> Array:
+def _attention_pattern(xn: Array, wq: Array, wk: Array) -> Array:
     """Causal softmax pattern of normed ``(B, n, d)`` rows, one matmul per row and head."""
     q, k = xn[:, None] @ wq, xn[:, None] @ wk
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    return softmax((q @ kt + mask) * scale)
+    return softmax((q @ kt + _causal_mask(xn.shape[-2])) * (1.0 / np.sqrt(wq.shape[-1])))
 
 
 def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
@@ -312,6 +295,14 @@ def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
     if not rows:
         raise ContractViolationError("empty token batch")
     return np.array([validate_tokens(config, r) for r in rows], dtype=np.int64), ndim == 1
+
+
+def embed(model: TinyTransformer, tokens) -> Array:
+    """The stream entering layer 0 of ``(n,)`` or ``(B, n)`` tokens: token plus position
+    embeddings, shaped ``(n, d_model)`` or ``(B, n, d_model)``."""
+    toks, single = _token_batch(model.config, tokens)
+    x = model.weights["tok_emb"][toks] + model.weights["pos_emb"][:toks.shape[1]]
+    return x[0] if single else x
 
 
 def infer(
@@ -330,27 +321,27 @@ def infer(
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
     the trace then starts at layer ``k`` too: ``hidden[i]`` and
-    ``attention[i]`` belong to layer ``k + i``.  Skipped and hooked layers
-    must lie at or above ``k``.
+    ``attention[i]`` belong to layer ``k + i``.  A hooked layer must lie at
+    or above ``k``.
 
     ``stop=s`` runs the blocks below layer ``s`` and then only layer ``s``'s
     attention pattern (layer norm, Q, K, masked softmax), for callers that
     read nothing above it: the trace holds ``hidden`` up to layer ``s - 1``,
     ``attention`` up to layer ``s`` and no logits.  Each array equals the
     matching entry of the full trace bit for bit.  ``s`` must lie in
-    ``k..n_layers - 1``, and skipped and hooked layers below ``s``.
+    ``k..n_layers - 1``, and a hooked layer below ``s``.
     """
     cfg = model.config
     opts = options or ForwardOptions()
     opts.validate(cfg.n_layers)
     toks, single = _token_batch(cfg, tokens)
     b, n = toks.shape
-    d, heads = cfg.d_model, cfg.n_heads
+    d = cfg.d_model
     w = model.weights
 
     start = 0
     if resume is None:
-        x = w["tok_emb"][toks] + w["pos_emb"][:n]
+        x = embed(model, toks)
     else:
         start, x = _resume_state(cfg, opts, resume, (n, d) if single else (b, n, d))
         x = x.reshape(b, n, d)
@@ -358,29 +349,22 @@ def infer(
         if not start <= stop < cfg.n_layers:
             raise ContractViolationError(
                 f"stop layer {stop} outside {start}..{cfg.n_layers - 1}")
-        if any(l >= stop for l in opts.altered_layers):
-            raise ContractViolationError("skipped or hooked layer at or above the stop layer")
-    mask = _causal_mask(n)
-    eye = np.broadcast_to(np.eye(n), (b, heads, n, n))
-    scale = 1.0 / np.sqrt(cfg.d_head)
+        if opts.dssp_layer is not None and opts.dssp_layer >= stop:
+            raise ContractViolationError("hooked layer at or above the stop layer")
 
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
-        if l in opts.skip_layers:
-            hidden.append(x)
-            attention.append(eye.copy())
-            continue
         xn = layer_norm(x, w[f"l{l}.ln1.gain"], w[f"l{l}.ln1.bias"])
         if opts.dssp_layer == l:
             outs = [opts.dssp_hook(Tensor(row)) for row in xn]
             if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
                 raise ContractViolationError("hook must return a Tensor shaped like its input")
             attn_out = np.stack([o.value for o in outs])
-            attention.append(eye.copy())
+            attention.append(np.broadcast_to(np.eye(n), (b, cfg.n_heads, n, n)).copy())
         else:
             wq, wk, wv = model.qkv[l]
-            pattern = _attention_pattern(xn, wq, wk, mask, scale)
+            pattern = _attention_pattern(xn, wq, wk)
             attention.append(pattern)
             merged = (pattern @ (xn[:, None] @ wv)).transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
@@ -396,7 +380,7 @@ def infer(
         logits = layer_norm(x, w["lnf.gain"], w["lnf.bias"]) @ model.unembed
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
-        attention.append(_attention_pattern(xn, *model.qkv[stop][:2], mask, scale))
+        attention.append(_attention_pattern(xn, *model.qkv[stop][:2]))
     if single:
         return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention],
                             None if logits is None else logits[0])
@@ -485,8 +469,7 @@ def load_model(bin_path) -> tuple[TinyTransformer, dict]:
     """Load a checkpoint: every ``ModelConfig`` field in the sidecar ``<bin_path>.json``,
     and exactly the finite weights of ``weight_shapes``; an error names the field or tensor."""
     json_path = str(bin_path) + ".json"
-    with open(json_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(read_text(json_path))
     if not isinstance(doc, dict):
         raise ContractViolationError(
             f"model sidecar {json_path}: expected a JSON object, got {type(doc).__name__}")

@@ -30,7 +30,7 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError, JsonRecord, field_types, read_field, write_json
+from .errors import ContractViolationError, JsonRecord, field_types, read_field, read_text, write_json
 from .filtering import (
     RESCALE_MODES,
     Calibration,
@@ -85,8 +85,9 @@ class RunConfig:
             raise ContractViolationError(f"aggregation must be one of {AGGREGATIONS}")
         if self.lam <= 0 or not np.isfinite(self.lam):
             raise ContractViolationError("lam must be finite and > 0")
-        if self.top_t is not None and self.top_t < 1:
-            raise ContractViolationError("top_t must be >= 1")
+        # the fusion checkpoint stores top_t as a float64, which holds every integer up to 2**53
+        if self.top_t is not None and not 1 <= self.top_t <= 2**53:
+            raise ContractViolationError("top_t must lie in 1..2**53")
         if self.rescale not in RESCALE_MODES:
             raise ContractViolationError(f"rescale must be one of {RESCALE_MODES}")
         if not 0.0 < self.mu < 1.0:
@@ -112,8 +113,7 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read a JSON config and check that each referenced checkpoint is a file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = RunConfig.from_json(json.load(fh))
+    config = RunConfig.from_json(json.loads(read_text(path)))
     for name in ("model_checkpoint", "dssp_checkpoint"):
         p = getattr(config, name)
         if p and not os.path.isfile(p):

@@ -40,6 +40,7 @@ class SyntheticDecomposition:
         return int(self.basis_shared.shape[0])
 
 
+@np.errstate(over="ignore")
 def synth_streams(
     d_model: int,
     n_x: int,
@@ -53,7 +54,8 @@ def synth_streams(
     dims = (shared, private_x, private_y) subspace dimensions.  When the two
     streams have the same token count they receive the identical shared
     component (one coefficient draw); otherwise each gets its own seeded
-    coefficients inside the same shared subspace.
+    coefficients inside the same shared subspace.  A ``noise_scale`` that
+    overflows the streams is refused.
     """
     k_s, k_px, k_py = (int(k) for k in dims)
     if d_model < 1:
@@ -86,6 +88,8 @@ def synth_streams(
     private_y = rng.normal(size=(n_y, k_py)) @ basis_py.T
     noise_x = noise_scale * rng.normal(size=(n_x, d_model))
     noise_y = noise_scale * rng.normal(size=(n_y, d_model))
+    if not (np.isfinite(noise_x).all() and np.isfinite(noise_y).all()):
+        raise ContractViolationError(f"noise_scale {noise_scale} overflows the streams")
 
     return SyntheticDecomposition(
         shared_x=shared_x, shared_y=shared_y,
@@ -98,8 +102,10 @@ def synth_streams(
 RATIO_FLOOR = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def decomposition_report(u: Array, decomp: SyntheticDecomposition) -> dict:
-    """Squared-Frobenius energies of u's rows projected onto each planted subspace."""
+    """Squared-Frobenius energies of u's rows projected onto each planted subspace;
+    a non-finite energy is refused."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != decomp.d_model:
         raise ContractViolationError(
@@ -117,6 +123,8 @@ def decomposition_report(u: Array, decomp: SyntheticDecomposition) -> dict:
         [decomp.basis_shared, decomp.basis_private_x, decomp.basis_private_y], axis=1)
     residual = u - (u @ planted) @ planted.T if planted.shape[1] else u
     e_res = float(np.linalg.norm(residual) ** 2)
+    if not all(map(math.isfinite, (e_s, e_px, e_py, e_res))):
+        raise ContractViolationError("projection energies are not finite")
     ratio = e_s / e_px if e_px > RATIO_FLOOR else math.inf
     return {
         "energy_shared": e_s,
@@ -127,6 +135,7 @@ def decomposition_report(u: Array, decomp: SyntheticDecomposition) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def suppression_trial(
     seed: int,
     d_model: int = 32,
@@ -139,7 +148,8 @@ def suppression_trial(
 
     Both attentions use the same randomly drawn query/key projections and an
     identity value projection, so the comparison isolates the subtraction.
-    Returns (ratio_differential, ratio_self_attention).
+    Returns (ratio_differential, ratio_self_attention); an attention output
+    that overflows ends in ``decomposition_report``'s refusal of its energies.
     """
     decomp = synth_streams(d_model, n_tokens, n_tokens, dims, noise_scale, seed)
     rng = np.random.default_rng([seed, 1])

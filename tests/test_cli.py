@@ -282,6 +282,18 @@ _BAD_TRACES = {
                                "insertion_layer"),
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
+# a top_t the fusion checkpoint's float64 cannot hold exactly, refused before any training
+_BAD_TOP_TS = {"config_top_t_overflows_a_float": 10**400,
+               "config_top_t_past_the_float_range": 2**1030,
+               "config_top_t_rounded_by_a_float": 2**64 + 1}
+# a file holding a byte that is not UTF-8, and the command that reads it (CFG, RECS, BAD and
+# BAD_CFG name the good config and records, the bad file and a config naming it as the host)
+_NOT_UTF8 = {
+    "records_not_utf8": ["detect", "--config", "CFG", "--records", "BAD"],
+    "config_not_utf8": ["detect", "--config", "BAD", "--fixture", "4"],
+    "traces_not_utf8": ["eval", "--records", "RECS", "--traces", "BAD"],
+    "sidecar_not_utf8": ["detect", "--config", "BAD_CFG", "--fixture", "4"],
+}
 _BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
 # an answer token outside the host's vocabulary, refused by every command that runs the host
 _BAD_ANSWERS = {
@@ -303,6 +315,10 @@ _BAD_FLAGS = {
                                "--trials", "1"], "d_model"),
     "cli_demo_nan_noise_scale": (["demo-decompose", "--noise-scale", "nan", "--trials", "1"],
                                  "noise_scale"),
+    "cli_demo_noise_overflows_the_attention": (["demo-decompose", "--noise-scale", "1e160",
+                                                "--trials", "1"], "energies are not finite"),
+    "cli_demo_noise_overflows_the_streams": (["demo-decompose", "--noise-scale", "1e308",
+                                              "--trials", "1"], "overflows the streams"),
     "cli_pipeline_zero_fixture": (["pipeline", "--fixture", "0"], "n_records"),
     "cli_analyze_layers_zero_fixture": (["analyze-layers", "--fixture", "0"], "n_records"),
     "cli_grid_search_zero_fixture": (["grid-search", "--fixture", "0"], "n_records"),
@@ -321,7 +337,8 @@ _BAD_FUSION_TENSORS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_RECORD_TOKENS, *_BAD_ANSWERS,
+@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_TOP_TS, *_NOT_UTF8, *_BAD_RECORD_TOKENS,
+                                  *_BAD_ANSWERS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
                                   *_DIRECTORY_CHECKPOINTS,
@@ -340,6 +357,18 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     if case in _BAD_LAMS:
         bad.write_text(json.dumps({**doc, "lam": _BAD_LAMS[case]}))
         argv, named = ["pipeline", "--config", str(bad), "--fixture", "4"], "lam"
+    elif case in _BAD_TOP_TS:
+        bad.write_text(json.dumps({**doc, "top_t": _BAD_TOP_TS[case]}))
+        argv, named = ["train", "--config", str(bad), "--fixture", "2", "--epochs", "1"], "top_t"
+    elif case in _NOT_UTF8:
+        text = b'{"id": "rec\xff"}\n'
+        if case == "sidecar_not_utf8":
+            shutil.copy(doc["model_checkpoint"], bad)
+            (tmp_path / "bad.json").write_bytes(text)
+        else:
+            bad.write_bytes(text)
+        paths = {"CFG": cfg, "RECS": recs, "BAD": str(bad), "BAD_CFG": str(bad_cfg)}
+        argv, named = [paths.get(a, a) for a in _NOT_UTF8[case]], "is not UTF-8 text"
     elif case == "config_negative_seed":
         bad.write_text(json.dumps({**doc, "seed": -1}))
         argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"

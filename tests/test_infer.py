@@ -21,6 +21,9 @@ from dualstream.fixtures import (
 from dualstream.fusion import make_dssp_hook
 from dualstream.model import (
     ForwardOptions,
+    ModelConfig,
+    TinyTransformer,
+    embed,
     softmax,
     forward,
     generate,
@@ -50,6 +53,22 @@ def cases(host):
                     (len(record.question) + 1, len(ctx))))
     assert len(out) == 64
     return out
+
+
+def without_layer(model, l):
+    """A copy of ``model`` whose layer ``l`` adds nothing to the stream: the attention
+    output projection and the second FFN matrix of that layer, and their biases, are zero."""
+    weights = dict(model.weights)
+    for name in ("attn.wo", "attn.bo", "ffn.w2", "ffn.b2"):
+        weights[f"l{l}.{name}"] = np.zeros_like(weights[f"l{l}.{name}"])
+    return TinyTransformer(model.config, weights)
+
+
+@pytest.fixture(scope="module")
+def hosts_without_layer(host):
+    """``without_layer`` of the fixture host, for each of its layers."""
+    model, _ = host
+    return [without_layer(model, l) for l in range(model.config.n_layers)]
 
 
 def assert_same(trace, ref, first_layer=0):
@@ -84,12 +103,15 @@ def test_plain_on_a_host_loaded_from_f32(host, cases, tmp_path):
         assert_same(row(pair, 0), forward(model, question))
 
 
-def test_each_single_skipped_layer(host, cases):
+def test_each_single_skipped_layer(host, hosts_without_layer, cases):
+    """Removing layer l is a resume at l + 1 from the stream entering l; it equals
+    the taped forward of the host whose layer l adds nothing, from layer l + 1 on."""
     model, _ = host
     for _, _, ctx, _ in cases:
-        for l in range(model.config.n_layers):
-            opts = ForwardOptions(skip_layers=frozenset({l}))
-            assert_same(infer(model, ctx, opts), forward(model, ctx, opts))
+        entering = [embed(model, ctx)] + forward(model, ctx).hidden[:-1]
+        for l, without in enumerate(hosts_without_layer):
+            assert_same(infer(model, ctx, resume=(l + 1, entering[l])),
+                        forward(without, ctx), first_layer=l + 1)
 
 
 def test_fusion_hook_at_the_offset_layer(host, cases):
@@ -117,22 +139,19 @@ def test_resume_from_every_layer(host, cases):
         ref = forward(model, ctx)
         for l in range(1, n_layers + 1):
             assert_same(infer(model, ctx, resume=(l, ref.hidden[l - 1])), ref, first_layer=l)
-        # a skipped layer at the resume point, as the pruning sweep runs it
-        for l in range(1, n_layers):
-            opts = ForwardOptions(skip_layers=frozenset({l}))
-            assert_same(infer(model, ctx, opts, resume=(l, ref.hidden[l - 1])),
-                        forward(model, ctx, opts), first_layer=l)
 
 
 def test_resumed_batch(host, cases):
+    """Each row of a batch resumed as the pruning sweep resumes it equals the
+    single-row taped forward resumed from the same stream."""
     model, _ = host
     questions = [c[0] for c in cases[:16]]
     base = infer(model, questions)
-    for l in range(1, model.config.n_layers):
-        opts = ForwardOptions(skip_layers=frozenset({l}))
-        trace = infer(model, questions, opts, resume=(l, base.hidden[l - 1]))
+    entering = [embed(model, questions)] + base.hidden[:-1]
+    for l in range(model.config.n_layers):
+        trace = infer(model, questions, resume=(l + 1, entering[l]))
         for i, question in enumerate(questions):
-            assert_same(row(trace, i), forward(model, question, opts), first_layer=l)
+            assert_same(row(trace, i), forward(model, question, resume=(l + 1, entering[l][i])))
 
 
 def assert_prefix(stopped, full, first_layer, stop):
@@ -154,7 +173,7 @@ def test_stopped_trace_is_the_prefix_of_the_full_one(host, cases):
     full_batch = infer(model, contexts)
     for stop in range(n_layers):
         assert_prefix(infer(model, contexts, stop=stop), full_batch, 0, stop)
-    for i, ctx in enumerate(contexts):
+    for ctx in contexts:
         full = infer(model, ctx)
         for stop in range(n_layers):
             assert_prefix(infer(model, ctx, stop=stop), full, 0, stop)
@@ -162,10 +181,6 @@ def test_stopped_trace_is_the_prefix_of_the_full_one(host, cases):
             for stop in range(start, n_layers):
                 assert_prefix(infer(model, ctx, resume=(start, full.hidden[start - 1]), stop=stop),
                               full, start, stop)
-        if i < 8:   # a skipped layer below the stop layer, as in the pruning sweep
-            opts = ForwardOptions(skip_layers=frozenset({1}))
-            assert_prefix(infer(model, ctx, opts, stop=n_layers - 1), infer(model, ctx, opts),
-                          0, n_layers - 1)
 
 
 def test_stopped_batch_resumes_like_the_full_one(host, cases):
@@ -208,9 +223,10 @@ def taped_generate(model, prompt, max_new_tokens, options=None):
 @pytest.mark.parametrize("temperature", [0.0])   # the one temperature decoding accepts
 def test_multi_token_generate(host, cases, temperature):
     model, _ = host
-    skip = ForwardOptions(skip_layers=frozenset({OFFSET_LAYER}))
+    zero = ForwardOptions(dssp_layer=OFFSET_LAYER,
+                          dssp_hook=lambda xn: Tensor(np.zeros_like(xn.value)))
     for i, (question, _, _, _) in enumerate(cases):
-        for opts in (None, skip):
+        for opts in (None, zero):
             got = generate(model, question, 1, temperature, i, max_new_tokens=3, options=opts)
             assert got == [taped_generate(model, question, 3, opts)]
 
@@ -228,19 +244,35 @@ def test_layer_distributions_match_the_taped_readout(host, cases):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_pruning_sweep_matches_the_taped_reference(host, cases):
+def assert_sweep_matches_hosts_without_each_layer(model, queries, hosts_without):
+    """The sweep's entropies equal those of greedy taped decoding on ``model`` and on
+    each ``without_layer`` copy of it."""
+    def entropy(host):
+        return semantic_entropy([tuple(taped_generate(host, q, 1)) for q in queries])
+
+    sweep = pruning_sweep(model, queries)
+    assert sweep.baseline_entropy == entropy(model)
+    assert list(sweep.layer_entropies) == [entropy(h) for h in hosts_without]
+
+
+def test_pruning_sweep_matches_the_taped_reference(host, hosts_without_layer, cases):
     model, layout = host
     # the probe set has one length; two record questions add a second batch
     queries = probe_questions(layout.vocab) + [cases[0][2][:7], cases[1][2][:7]]
+    assert_sweep_matches_hosts_without_each_layer(model, queries, hosts_without_layer)
 
-    def entropy(options):
-        return semantic_entropy([tuple(taped_generate(model, q, 1, options)) for q in queries])
 
-    sweep = pruning_sweep(model, queries)
-    assert sweep.baseline_entropy == entropy(None)
-    assert list(sweep.layer_entropies) == [
-        entropy(ForwardOptions(skip_layers=frozenset({l})))
-        for l in range(model.config.n_layers)]
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pruning_sweep_matches_the_taped_reference_on_random_hosts(seed):
+    rng = np.random.default_rng(seed)
+    n_layers, n_heads = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    model = TinyTransformer.random(ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                                               d_model=4 * n_heads, d_ff=16, vocab_size=20,
+                                               max_seq=12, seed=seed))
+    queries = ([list(q) for q in rng.integers(0, 20, size=(12, 5))]
+               + [list(q) for q in rng.integers(0, 20, size=(6, 8))])
+    assert_sweep_matches_hosts_without_each_layer(
+        model, queries, [without_layer(model, l) for l in range(n_layers)])
 
 
 def test_input_validation(host):
@@ -252,17 +284,15 @@ def test_input_validation(host):
         infer(model, [])
     with pytest.raises(ContractViolationError):
         infer(model, [7, 8, 9], resume=(2, ref.hidden[0][:2]))   # wrong state shape
-    with pytest.raises(ContractViolationError):
-        infer(model, [7, 8, 9], ForwardOptions(skip_layers=frozenset({1})),
-              resume=(2, ref.hidden[1]))                  # skipped layer below the resume layer
+    with pytest.raises(ContractViolationError, match="resume"):
+        infer(model, [7, 8, 9], ForwardOptions(dssp_layer=1, dssp_hook=lambda t: t),
+              resume=(2, ref.hidden[1]))                  # hooked layer below the resume layer
 
 
 _BAD_STOPS = {
     "stop_below_zero": ({}, -1),
     "stop_past_the_last_layer": ({}, 6),
     "stop_below_the_resume_layer": ({"resume": 3}, 2),
-    "skip_at_stop": ({"skip": 2}, 2),
-    "skip_above_stop": ({"skip": 4}, 2),
     "hook_at_stop": ({"hook": 2}, 2),
     "hook_above_stop": ({"hook": 5}, 2),
 }
@@ -275,8 +305,6 @@ def test_stop_validation(host, case):
     ref = infer(model, tokens)
     given, stop = _BAD_STOPS[case]
     opts = ForwardOptions()
-    if "skip" in given:
-        opts = ForwardOptions(skip_layers=frozenset({given["skip"]}))
     if "hook" in given:
         opts = ForwardOptions(dssp_layer=given["hook"], dssp_hook=lambda t: t)
     resume = (given["resume"], ref.hidden[given["resume"] - 1]) if "resume" in given else None

@@ -13,8 +13,10 @@ from dualstream.model import (
     ForwardOptions,
     ModelConfig,
     TinyTransformer,
+    embed,
     forward,
     generate,
+    infer,
     layer_distributions,
     load_model,
     save_model,
@@ -122,26 +124,31 @@ def test_prefix_invariance_under_causality():
 
 
 def test_skip_all_layers_reduces_to_embedding_readout():
+    """Removing every layer is a resume past the last one from the embeddings."""
     m = TinyTransformer.random(small_config())
     tokens = [2, 7, 1]
-    trace = forward(m, tokens, ForwardOptions(skip_layers=frozenset({0, 1})))
     w = m.weights
     x = w["tok_emb"][tokens] + w["pos_emb"][:3]
     want = _ln(x, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T
-    assert_allclose(trace.logits, want, rtol=1e-12, atol=1e-12)
+    for run in (forward, infer):
+        trace = run(m, tokens, resume=(2, embed(m, tokens)))
+        assert trace.hidden == [] and trace.attention == []
+        assert_allclose(trace.logits, want, rtol=1e-12, atol=1e-12)
 
 
-def test_skip_layer_is_identity_and_shape_stable():
+def test_embed_is_the_stream_entering_layer_0():
     m = TinyTransformer.random(small_config())
-    base = forward(m, [1, 2, 3])
-    skipped = forward(m, [1, 2, 3], ForwardOptions(skip_layers=frozenset({0})))
-    assert skipped.hidden[0].shape == base.hidden[0].shape
-    assert skipped.attention[0].shape == base.attention[0].shape
-    # layer 0 output equals its input (the embedding stream)
-    w = m.weights
-    x0 = w["tok_emb"][[1, 2, 3]] + w["pos_emb"][:3]
-    assert_allclose(skipped.hidden[0], x0, atol=0)
-    assert_allclose(skipped.attention[0], np.broadcast_to(np.eye(3), (2, 3, 3)), atol=0)
+    rows = [[2, 7, 1], [5, 5, 0]]
+    batch = embed(m, rows)
+    assert batch.shape == (2, 3, 8)
+    for r, tokens in enumerate(rows):
+        assert np.array_equal(embed(m, tokens), batch[r])
+        ref = forward(m, tokens)
+        resumed = forward(m, tokens, resume=(0, embed(m, tokens)))
+        assert np.array_equal(resumed.logits, ref.logits)
+        assert all(np.array_equal(a, b) for a, b in zip(resumed.hidden, ref.hidden))
+    with pytest.raises(ContractViolationError):
+        embed(m, [99])
 
 
 def test_forward_deterministic():
@@ -161,7 +168,7 @@ def test_forward_input_validation():
     with pytest.raises(ContractViolationError):
         forward(m, list(range(11)))
     with pytest.raises(ContractViolationError):
-        forward(m, [1], ForwardOptions(skip_layers=frozenset({5})))
+        forward(m, [1], ForwardOptions(dssp_layer=5, dssp_hook=lambda t: t))
 
 
 def test_hook_replaces_attention_output():
@@ -208,14 +215,6 @@ def test_hook_carrying_tape_makes_logits_differentiable():
 
     fd = ad.finite_diff_grad(f, np.full(8, 0.25)).reshape(1, 8)
     assert_allclose(grads[theta], fd, rtol=1e-4, atol=1e-7)
-
-
-def test_hook_and_skip_conflict_rejected():
-    m = TinyTransformer.random(small_config())
-    opts = ForwardOptions(skip_layers=frozenset({0}), dssp_layer=0,
-                          dssp_hook=lambda t: t)
-    with pytest.raises(ContractViolationError):
-        forward(m, [1], opts)
 
 
 def test_layer_distributions_last_entry_matches_logits():

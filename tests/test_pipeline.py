@@ -93,9 +93,11 @@ def test_config_rejects_out_of_range_fields(checkpoints):
     for bad in (dict(delta=0.0), dict(aggregation="median"), dict(lam=-1.0),
                 dict(top_t=0), dict(rescale="l2"), dict(mu=1.5), dict(nu=-0.2),
                 dict(lam="80"), dict(seed=1.5), dict(top_t=2.0), dict(delta=True),
-                dict(force_retrieval=1), dict(out_dir=None), dict(lam=10**400)):
+                dict(force_retrieval=1), dict(out_dir=None), dict(lam=10**400),
+                dict(top_t=2**53 + 1)):
         with pytest.raises(ContractViolationError):
             RunConfig(**good, **bad)
+    assert RunConfig(**good, top_t=2**53).top_t == 2**53   # the largest a float64 holds exactly
     with pytest.raises(ContractViolationError):
         RunConfig.from_json({**good, "budget": 3})
 

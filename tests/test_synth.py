@@ -115,3 +115,17 @@ def test_suppression_trial_repeatable_and_study_counts():
     assert study["fraction"] == study["suppressed"] / 10
     with pytest.raises(ContractViolationError):
         suppression_study(0)
+
+
+def test_overflowing_streams_and_energies_are_refused_without_a_warning():
+    # tier-1 turns warnings into errors, so a numpy overflow warning would fail here first
+    with pytest.raises(ContractViolationError, match="overflows the streams"):
+        synth_streams(8, 3, 3, (2, 2, 2), 1e308, seed=0)
+    d = synth_streams(8, 3, 3, (2, 2, 2), 0.1, seed=0)
+    for u in (np.full((3, 8), 1e160), np.full((3, 8), np.nan)):
+        with pytest.raises(ContractViolationError, match="energies are not finite"):
+            decomposition_report(u, d)
+    with pytest.raises(ContractViolationError, match="energies are not finite"):
+        suppression_trial(0, noise_scale=1e160)
+    # a zero private energy still reads as an infinite ratio
+    assert decomposition_report(d.shared_x, d)["suppression_ratio"] == math.inf
