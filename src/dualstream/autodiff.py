@@ -3,8 +3,10 @@
 Everything is a 2-d float64 numpy array wrapped in a Tensor node.  Operations
 record themselves on a GradTape (when one is attached to any operand) together
 with the values needed to replay adjoints; ``backward`` walks the tape once in
-reverse and accumulates gradients additively.  Tensors without a tape behave as
-constants, so a forward pass that never touches a taped leaf records nothing.
+reverse, popping each record, and accumulates gradients additively.  So a tape
+is single-use, and reference counting frees its graph as the pass goes.
+Tensors without a tape behave as constants, so a forward pass that never
+touches a taped leaf records nothing.
 
 Kernels are backed by numpy float64; given identical inputs a run is
 bit-deterministic within a process.  Tapes are not thread-safe -- confine a
@@ -37,7 +39,11 @@ def as_matrix(value) -> Array:
 
 
 class GradTape:
-    """Ordered record of primitive ops, replayed backward exactly once each."""
+    """Ordered record of primitive ops, consumed by one ``backward``.
+
+    A record holds its output, whose ``tape`` points back here, so until
+    ``backward`` pops it the tape and its graph form a reference cycle.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
@@ -300,16 +306,23 @@ def log_clamped(a: Tensor) -> Tensor:
 def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
     """Gradients of a scalar loss wrt every taped leaf it depends on.
 
-    Records are replayed in reverse creation order, which is a valid reverse
+    Records are popped in reverse creation order, which is a valid reverse
     topological order, so each node is visited exactly once and fan-out
-    gradients accumulate additively.  Constants (inputs without a tape) get
-    no adjoint: nothing flows from them into a leaf.  Returns a mapping whose
-    keys are the taped leaf Tensors (nodes not produced by any taped op).
+    gradients accumulate additively.  Popping consumes the tape: each record's
+    saved values are freed once its adjoint is passed on, and the tape ends
+    empty, so a tape with no records (fresh or already replayed) is refused.
+    Constants (inputs without a tape) get no adjoint: nothing flows from them
+    into a leaf.  Returns a mapping whose keys are the taped leaf Tensors
+    (nodes not produced by any taped op).
     """
     if loss.value.shape != (1, 1):
         raise ContractViolationError(f"backward seed must be scalar, got {loss.value.shape}")
+    records = tape._records
+    if not records:
+        raise ContractViolationError("backward needs a tape with records; a tape is single-use")
     grads: dict[Tensor, Array] = {loss: np.ones((1, 1))}
-    for out, inputs, vjp in reversed(tape._records):
+    while records:
+        out, inputs, vjp = records.pop()
         g = grads.pop(out, None)
         if g is None:
             continue

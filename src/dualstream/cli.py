@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -369,8 +368,7 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
         out_dir = _echo(config, args, argv)
         summary = _COMMANDS[args.command](args, config, out_dir)
-    except (ContractViolationError, TrainingDivergedError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ContractViolationError, TrainingDivergedError, OSError) as exc:
         # one line, whatever the message quotes: control characters are escaped
         message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
         print(f"error:{type(exc).__name__}: {message}", file=sys.stderr)

@@ -4,9 +4,11 @@ Every public operation raises ContractViolationError (or a subclass) when its
 input contract is broken, so callers -- including the CLI -- can map failures
 to a single machine-parseable error line.  ``read_field`` applies the same
 rule to fields of parsed JSON documents, and ``JsonRecord`` reads and writes
-a dataclass through its field annotations.  ``write_json``, ``write_jsonl``
-and ``read_jsonl`` hold the file convention: sorted keys, a trailing newline.
-``read_text`` reads every input file, and refuses one that is not UTF-8.
+a dataclass through its field annotations.  ``write_json``, ``write_jsonl``,
+``read_json`` and ``read_jsonl`` hold the file convention: sorted keys, a
+trailing newline.  ``read_text`` reads every input file, and refuses one that
+is not UTF-8; the two readers refuse malformed JSON with an error naming the
+file (and, in a JSON-lines file, the line).
 """
 from __future__ import annotations
 
@@ -164,7 +166,21 @@ def read_text(path) -> str:
             raise ContractViolationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or a huge integer
+        raise ContractViolationError(f"{where} is not valid JSON: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file; malformed JSON raises ContractViolationError."""
+    return _parse_json(read_text(path), str(path))
+
+
 def read_jsonl(path, record: type[JsonRecord]) -> list:
-    """``record.from_json`` of each non-blank line of a JSON-lines file."""
-    lines = read_text(path).split("\n")
-    return [record.from_json(json.loads(line)) for line in map(str.strip, lines) if line]
+    """``record.from_json`` of each non-blank line of a JSON-lines file; malformed
+    JSON raises ContractViolationError naming the 1-based line."""
+    lines = map(str.strip, read_text(path).split("\n"))
+    return [record.from_json(_parse_json(line, f"{path} line {n}"))
+            for n, line in enumerate(lines, 1) if line]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError, read_field, read_text, write_json
+from .errors import ContractViolationError, read_field, read_json, write_json
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
@@ -469,7 +468,7 @@ def load_model(bin_path) -> tuple[TinyTransformer, dict]:
     """Load a checkpoint: every ``ModelConfig`` field in the sidecar ``<bin_path>.json``,
     and exactly the finite weights of ``weight_shapes``; an error names the field or tensor."""
     json_path = str(bin_path) + ".json"
-    doc = json.loads(read_text(json_path))
+    doc = read_json(json_path)
     if not isinstance(doc, dict):
         raise ContractViolationError(
             f"model sidecar {json_path}: expected a JSON object, got {type(doc).__name__}")

@@ -15,7 +15,6 @@ three stages:
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError, JsonRecord, field_types, read_field, read_text, write_json
+from .errors import ContractViolationError, JsonRecord, field_types, read_field, read_json, write_json
 from .filtering import (
     RESCALE_MODES,
     Calibration,
@@ -113,7 +112,7 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read a JSON config and check that each referenced checkpoint is a file."""
-    config = RunConfig.from_json(json.loads(read_text(path)))
+    config = RunConfig.from_json(read_json(path))
     for name in ("model_checkpoint", "dssp_checkpoint"):
         p = getattr(config, name)
         if p and not os.path.isfile(p):

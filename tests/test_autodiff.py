@@ -161,8 +161,29 @@ def test_backward_requires_scalar_seed():
     tape = ad.GradTape()
     theta = ad.Tensor(np.ones((2, 2)), tape)
     y = ad.mul(theta, theta)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="scalar"):
         ad.backward(tape, y)
+    # the seed's shape is checked before the tape is
+    with pytest.raises(ContractViolationError, match="scalar"):
+        ad.backward(ad.GradTape(), y)
+
+
+def test_backward_consumes_the_tape():
+    tape = ad.GradTape()
+    theta = ad.Tensor(np.array([[1.0, 2.0]]), tape)
+    loss = ad.sum_all(ad.mul(theta, theta))
+    assert len(tape) == 2
+    grads = ad.backward(tape, loss)
+    assert len(tape) == 0
+    assert_allclose(grads[theta], [[2.0, 4.0]])
+    with pytest.raises(ContractViolationError, match="single-use"):
+        ad.backward(tape, loss)
+
+
+def test_backward_refuses_a_fresh_tape():
+    tape = ad.GradTape()
+    with pytest.raises(ContractViolationError, match="single-use"):
+        ad.backward(tape, ad.Tensor(np.ones((1, 1)), tape))
 
 
 def test_backward_gives_constants_no_adjoint():

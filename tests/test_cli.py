@@ -286,13 +286,31 @@ _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too lar
 _BAD_TOP_TS = {"config_top_t_overflows_a_float": 10**400,
                "config_top_t_past_the_float_range": 2**1030,
                "config_top_t_rounded_by_a_float": 2**64 + 1}
-# a file holding a byte that is not UTF-8, and the command that reads it (CFG, RECS, BAD and
-# BAD_CFG name the good config and records, the bad file and a config naming it as the host)
-_NOT_UTF8 = {
-    "records_not_utf8": ["detect", "--config", "CFG", "--records", "BAD"],
-    "config_not_utf8": ["detect", "--config", "BAD", "--fixture", "4"],
-    "traces_not_utf8": ["eval", "--records", "RECS", "--traces", "BAD"],
-    "sidecar_not_utf8": ["detect", "--config", "BAD_CFG", "--fixture", "4"],
+# a file that is not UTF-8 or not JSON, the command that reads it (CFG, RECS, BAD and BAD_CFG
+# name the good config and records, the bad file and a config naming it as the host, whose
+# sidecar is then the bad file) and what the error says, {file} naming the bad file
+_READ_RECORDS = ["detect", "--config", "CFG", "--records", "BAD"]
+_READ_CONFIG = ["detect", "--config", "BAD", "--fixture", "4"]
+_READ_TRACES = ["eval", "--records", "RECS", "--traces", "BAD"]
+_READ_SIDECAR = ["detect", "--config", "BAD_CFG", "--fixture", "4"]
+_NOT_UTF8 = b'{"id": "rec\xff"}\n'
+_HUGE_INT = b"1" * 5000  # past the 4,300 digits Python parses
+_UNREADABLE_FILES = {
+    "records_not_utf8": (_NOT_UTF8, _READ_RECORDS, "is not UTF-8 text"),
+    "config_not_utf8": (_NOT_UTF8, _READ_CONFIG, "is not UTF-8 text"),
+    "traces_not_utf8": (_NOT_UTF8, _READ_TRACES, "is not UTF-8 text"),
+    "sidecar_not_utf8": (_NOT_UTF8, _READ_SIDECAR, "is not UTF-8 text"),
+    "config_truncated": (b'{"lam": ', _READ_CONFIG, "{file} is not valid JSON"),
+    # RECORD stands for a valid record line, so only line 2 is at fault
+    "records_truncated_on_line_2": (b'RECORD\n{"id": \n', _READ_RECORDS,
+                                    "{file} line 2 is not valid JSON"),
+    "traces_truncated": (b'{"record_id": ', _READ_TRACES, "{file} line 1 is not valid JSON"),
+    "sidecar_truncated": (b'{"config": {', _READ_SIDECAR, "{file} is not valid JSON"),
+    "config_5000_digit_integer": (b'{"seed": ' + _HUGE_INT + b"}", _READ_CONFIG,
+                                  "{file} is not valid JSON"),
+    "record_5000_digit_integer": (b'{"id": "r", "question": [' + _HUGE_INT + b"]}\n",
+                                  _READ_RECORDS, "{file} line 1 is not valid JSON"),
+    "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON"),
 }
 _BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
 # an answer token outside the host's vocabulary, refused by every command that runs the host
@@ -337,8 +355,8 @@ _BAD_FUSION_TENSORS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_TOP_TS, *_NOT_UTF8, *_BAD_RECORD_TOKENS,
-                                  *_BAD_ANSWERS,
+@pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_TOP_TS, *_UNREADABLE_FILES,
+                                  *_BAD_RECORD_TOKENS, *_BAD_ANSWERS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
                                   *_DIRECTORY_CHECKPOINTS,
@@ -360,15 +378,16 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     elif case in _BAD_TOP_TS:
         bad.write_text(json.dumps({**doc, "top_t": _BAD_TOP_TS[case]}))
         argv, named = ["train", "--config", str(bad), "--fixture", "2", "--epochs", "1"], "top_t"
-    elif case in _NOT_UTF8:
-        text = b'{"id": "rec\xff"}\n'
-        if case == "sidecar_not_utf8":
+    elif case in _UNREADABLE_FILES:
+        text, argv, named = _UNREADABLE_FILES[case]
+        text = text.replace(b"RECORD", json.dumps(fixture_dataset(1)[0].to_json()).encode())
+        target = bad
+        if argv is _READ_SIDECAR:
             shutil.copy(doc["model_checkpoint"], bad)
-            (tmp_path / "bad.json").write_bytes(text)
-        else:
-            bad.write_bytes(text)
+            target = tmp_path / "bad.json"
+        target.write_bytes(text)
         paths = {"CFG": cfg, "RECS": recs, "BAD": str(bad), "BAD_CFG": str(bad_cfg)}
-        argv, named = [paths.get(a, a) for a in _NOT_UTF8[case]], "is not UTF-8 text"
+        argv, named = [paths.get(a, a) for a in argv], named.format(file=target)
     elif case == "config_negative_seed":
         bad.write_text(json.dumps({**doc, "seed": -1}))
         argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"

@@ -1,11 +1,12 @@
 """The JSON codec's edge cases, one row each: what it refuses, accepts and writes."""
+import json
 import re
 
 import pytest
 
 from dualstream.dataset import QARecord
 from dualstream.detector import DetectionVerdict
-from dualstream.errors import ContractViolationError
+from dualstream.errors import ContractViolationError, read_jsonl
 from dualstream.pipeline import PipelineTrace
 
 _RECORD = {"id": "r0", "question": [2, 3, 4, 8], "answer": [80], "documents": [[5, 80, 8, 4, 1]]}
@@ -51,3 +52,10 @@ def test_codec_edge_cases(case):
             reader.from_json(doc)
     else:
         assert want(reader.from_json(doc))
+
+
+def test_jsonl_reader_names_the_file_and_the_physical_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(f"\n{json.dumps(_RECORD)}\n[1, 2\n")  # blank lines count too
+    with pytest.raises(ContractViolationError, match=re.escape(f"{path} line 3 is not valid JSON")):
+        read_jsonl(path, QARecord)

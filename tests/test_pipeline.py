@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: config handling, gating, evaluation, conversion."""
 import dataclasses
+import gc
 import json
 import os
 
@@ -37,6 +38,7 @@ from dualstream.pipeline import (
     vocab_meta,
     write_config_echo,
 )
+from dualstream.training import Hyperparams, train
 
 GATE_EPSILON = 0.35667494393873234
 
@@ -353,3 +355,30 @@ def test_make_train_examples_resume_at_every_insertion_layer(host, records):
         examples = make_train_examples(model, records[:2], layout.vocab, layer)
         assert [ex.resume[0] for ex in examples] == [layer, layer]
         assert np.array_equal(examples[0].resume[1], ref.hidden[layer - 1])
+
+
+# each call leaves no reference cycle behind: reference counting frees all it allocates,
+# so a run's peak memory is its live data, not the cyclic collector's backlog
+_CYCLE_FREE_CALLS = {
+    "train": lambda host, records, config, bundle: train(
+        host[0], build_copier_params(host[1]),
+        make_train_examples(host[0], records[:4], host[1].vocab, OFFSET_LAYER),
+        Hyperparams(epochs=2), insertion_layer=OFFSET_LAYER),
+    "gated_pipeline_run": lambda host, records, config, bundle: [
+        pipeline_run(r, config, bundle) for r in records[:4]],
+    "forced_pipeline_run": lambda host, records, config, bundle: [
+        pipeline_run(r, dataclasses.replace(config, force_retrieval=True), bundle)
+        for r in records[:4]],
+    "load_bundle": lambda host, records, config, bundle: load_bundle(config),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CYCLE_FREE_CALLS))
+def test_a_call_leaves_no_garbage_for_the_cyclic_collector(host, records, config, bundle, case):
+    gc.collect()
+    gc.disable()
+    try:
+        _CYCLE_FREE_CALLS[case](host, records, config, bundle)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
