@@ -89,7 +89,11 @@ def _result_tape(*tensors: Tensor) -> GradTape | None:
     return tape
 
 
-def _emit(value: Array, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def emit(value: Array, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """``value`` as the output of an op on ``inputs``, recorded on their tape if they
+    have one.  ``vjp`` maps the output's adjoint to a tuple holding an adjoint (or
+    None) per input.  Every kernel here records through it, and so may an op
+    computed outside them."""
     tape = _result_tape(*inputs)
     out = Tensor(value, tape)
     if tape is not None:
@@ -112,14 +116,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # a constant operand (no tape) never passes a gradient on to a leaf
         return g @ bv.T if need_a else None, av.T @ g if need_b else None
 
-    return _emit(av @ bv, (a, b), vjp)
+    return emit(av @ bv, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g.T,)
 
-    return _emit(a.value.T.copy(), (a,), vjp)
+    return emit(a.value.T.copy(), (a,), vjp)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
@@ -145,7 +149,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _emit(a.value + b.value, (a, b), vjp)
+    return emit(a.value + b.value, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -155,7 +159,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
-    return _emit(a.value - b.value, (a, b), vjp)
+    return emit(a.value - b.value, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -166,14 +170,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return _emit(av * bv, (a, b), vjp)
+    return emit(av * bv, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def vjp(g: Array):
         return (g * c,)
 
-    return _emit(a.value * c, (a,), vjp)
+    return emit(a.value * c, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -182,7 +186,7 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * mask,)
 
-    return _emit(a.value * mask, (a,), vjp)
+    return emit(a.value * mask, (a,), vjp)
 
 
 def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
@@ -204,7 +208,7 @@ def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
         inner = (g * y).sum(axis=1, keepdims=True)
         return (scale_factor * y * (g - inner),)
 
-    return _emit(y, (a,), vjp)
+    return emit(y, (a,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -231,7 +235,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dbias = g.sum(axis=0, keepdims=True)
         return dx, dgain, dbias
 
-    return _emit(xhat * gv + bias.value, (x, gain, bias), vjp)
+    return emit(xhat * gv + bias.value, (x, gain, bias), vjp)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -246,7 +250,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g: Array):
         return tuple(np.hsplit(g, splits))
 
-    return _emit(np.hstack([p.value for p in parts]), tuple(parts), vjp)
+    return emit(np.hstack([p.value for p in parts]), tuple(parts), vjp)
 
 
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
@@ -262,7 +266,7 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _emit(a.value[idx], (a,), vjp)
+    return emit(a.value[idx], (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -271,7 +275,7 @@ def sum_all(a: Tensor) -> Tensor:
     def vjp(g: Array):
         return (np.full(shape, g[0, 0]),)
 
-    return _emit(np.array([[a.value.sum()]]), (a,), vjp)
+    return emit(np.array([[a.value.sum()]]), (a,), vjp)
 
 
 def pick(a: Tensor, row: int, col: int) -> Tensor:
@@ -285,7 +289,7 @@ def pick(a: Tensor, row: int, col: int) -> Tensor:
         out[row, col] = g[0, 0]
         return (out,)
 
-    return _emit(np.array([[a.value[row, col]]]), (a,), vjp)
+    return emit(np.array([[a.value[row, col]]]), (a,), vjp)
 
 
 def log_clamped(a: Tensor) -> Tensor:
@@ -296,7 +300,7 @@ def log_clamped(a: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * mask / clamped,)
 
-    return _emit(np.log(clamped), (a,), vjp)
+    return emit(np.log(clamped), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +314,17 @@ def backward(tape: GradTape, loss: Tensor) -> dict[Tensor, Array]:
     topological order, so each node is visited exactly once and fan-out
     gradients accumulate additively.  Popping consumes the tape: each record's
     saved values are freed once its adjoint is passed on, and the tape ends
-    empty, so a tape with no records (fresh or already replayed) is refused.
+    empty, so a tape with no records (fresh or already replayed) is refused,
+    and so is a loss not recorded on ``tape`` (another tape's, or a constant),
+    before any record is popped.
     Constants (inputs without a tape) get no adjoint: nothing flows from them
     into a leaf.  Returns a mapping whose keys are the taped leaf Tensors
     (nodes not produced by any taped op).
     """
     if loss.value.shape != (1, 1):
         raise ContractViolationError(f"backward seed must be scalar, got {loss.value.shape}")
+    if loss.tape is not tape:
+        raise ContractViolationError("backward needs a loss recorded on the given tape")
     records = tape._records
     if not records:
         raise ContractViolationError("backward needs a tape with records; a tape is single-use")

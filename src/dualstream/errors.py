@@ -8,7 +8,8 @@ a dataclass through its field annotations.  ``write_json``, ``write_jsonl``,
 ``read_json`` and ``read_jsonl`` hold the file convention: sorted keys, a
 trailing newline.  ``read_text`` reads every input file, and refuses one that
 is not UTF-8; the two readers refuse malformed JSON with an error naming the
-file (and, in a JSON-lines file, the line).
+file (and, in a JSON-lines file, the line), and ``read_record`` names them in
+a refusal of a record.
 """
 from __future__ import annotations
 
@@ -53,14 +54,17 @@ def json_value(kind, value):
     """``value`` read as the annotation ``kind``; a value of another type raises TypeError.
 
     A scalar is checked, never coerced: a bool is no number, and an int may
-    stand for a float.  ``T | None``, ``list[T]``, ``tuple[T, ...]`` and
-    ``dict[str, T]`` read their items in turn, and a ``JsonRecord`` reads itself.
+    stand for a float.  ``T | None``, ``list[T]``, ``tuple[T, ...]`` (from a
+    JSON array only) and ``dict[str, T]`` read their items in turn, and a
+    ``JsonRecord`` reads itself.
     """
     kind = _ALIASES.get(kind, kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
         return None if value is None else json_value(args[0], value)
     if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON array, got {type(value).__name__}")
         return origin(json_value(args[0], v) for v in value)
     if origin is dict:
         return {k: json_value(args[1], v) for k, v in json_value(dict, value).items()}
@@ -178,9 +182,21 @@ def read_json(path):
     return _parse_json(read_text(path), str(path))
 
 
+def read_record(record, doc, where: str):
+    """``record.from_json(doc)``; a refusal names ``where``, the file (and line) ``doc`` is from."""
+    try:
+        return record.from_json(doc)
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{where}: {exc}") from exc
+
+
 def read_jsonl(path, record: type[JsonRecord]) -> list:
     """``record.from_json`` of each non-blank line of a JSON-lines file; malformed
-    JSON raises ContractViolationError naming the 1-based line."""
-    lines = map(str.strip, read_text(path).split("\n"))
-    return [record.from_json(_parse_json(line, f"{path} line {n}"))
-            for n, line in enumerate(lines, 1) if line]
+    JSON, or a line that is no valid record, raises ContractViolationError naming
+    the file and the 1-based line."""
+    rows = []
+    for n, line in enumerate(map(str.strip, read_text(path).split("\n")), 1):
+        if line:
+            where = f"{path} line {n}"
+            rows.append(read_record(record, _parse_json(line, where), where))
+    return rows

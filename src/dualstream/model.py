@@ -1,14 +1,16 @@
 """A small decoder-only transformer exposing per-layer states and attention.
 
 Pre-norm blocks, causal masking, learned positional embeddings, and a
-weight-tied unembedding.  Two forward passes compute the same numbers:
-``forward`` runs on the autodiff kernels, so a fusion hook carrying taped
-parameters makes the path from the hook to the logits differentiable; it
-serves training and is the reference.  ``infer`` is plain numpy, takes token
-batches, can resume from a cached hidden state and can stop at layer ``k``,
-after that layer's attention pattern, for a caller that reads nothing above
-it; every inference caller (detection, the pruning sweep, filtering,
-decoding) runs on it.
+weight-tied unembedding.  One plain-numpy host block computes every pass.
+``infer`` runs it over a sequence or a batch of them, can resume from a
+cached hidden state and can stop at layer ``k``, after that layer's
+attention pattern, for a caller that reads nothing above it; every inference
+caller (detection, the pruning sweep, filtering, decoding) runs on it.
+``forward`` runs it over one sequence for training: when the fusion hook's
+output carries a tape, the frozen tail above the hook goes on that tape as
+one record with a hand-written adjoint, so the fusion parameters get their
+gradients without a record per host op.  The oracle both are held to, bit
+for bit, is the host taped op by op on the autodiff kernels, in the tests.
 
 A hooked layer has its self-attention output replaced by the hook's output
 and records an identity attention pattern in the trace, so trace shapes never
@@ -73,14 +75,14 @@ class ForwardTrace:
     hidden: list[Array]        # residual stream after each block, seq x d_model
     attention: list[Array]     # per layer: (n_heads, seq, seq), rows stochastic
     logits: Array | None       # seq x vocab; None for an ``infer`` stopped early
-    logits_node: Tensor | None = None  # present when a tape was active
+    logits_node: Tensor | None = None  # ``forward``'s tail record, when the hook output is taped
 
 
 class TinyTransformer:
     """Immutable-weight toy decoder; weights live in a flat name->array dict.
 
-    Every weight is held as float64, whatever dtype the caller passed, so
-    ``infer`` reads the values ``forward`` lifts into its tensors.
+    Every weight is held as float64, whatever dtype the caller passed: the
+    values an autodiff ``Tensor`` of it holds.
     ``qkv[l]`` holds layer ``l``'s read-only ``(n_heads, d_model, d_head)`` Q,
     K and V stacks, and the per-head ``weights`` entries are contiguous views
     of them; ``unembed`` is a contiguous ``tok_emb.T``.  Rebinding a Q/K/V
@@ -167,106 +169,33 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
     return start, x
 
 
-def forward(
-    model: TinyTransformer,
-    tokens: Sequence[int],
-    options: ForwardOptions | None = None,
-    weight_tensors: dict[str, Tensor] | None = None,
-    resume: tuple[int, Array] | None = None,
-) -> ForwardTrace:
-    """Run the decoder over ``tokens`` on the tape and return the full trace.
-
-    Host weights enter as constants, so nothing is recorded unless the fusion
-    hook introduces a tape; from there on the graph is differentiable.
-    ``weight_tensors`` replaces host weights by the given tensors.  Training
-    never passes it (the host is always frozen); it builds the unpruned
-    reference graph, host weights taped, that the tests compare the pruned
-    fusion gradients against.
-    ``resume=(k, h)`` means what it means for ``infer``: start at layer ``k``
-    from the constant residual stream ``h`` entering it, with a trace that
-    starts at layer ``k`` too.
-    """
-    cfg = model.config
-    opts = options or ForwardOptions()
-    opts.validate(cfg.n_layers)
-    toks = validate_tokens(cfg, tokens)
-    n = len(toks)
-
-    def W(name: str) -> Tensor:
-        if weight_tensors is not None and name in weight_tensors:
-            return weight_tensors[name]
-        return Tensor(model.weights[name])
-
-    emb = W("tok_emb")
-    start = 0
-    if resume is None:
-        x = ad.add(ad.take_rows(emb, toks), ad.take_rows(W("pos_emb"), list(range(n))))
-    else:
-        start, h = _resume_state(cfg, opts, resume, (n, cfg.d_model))
-        x = Tensor(h)
-    mask = Tensor(_causal_mask(n))
-
-    hidden: list[Array] = []
-    attention: list[Array] = []
-    for l in range(start, cfg.n_layers):
-        xn = ad.layer_norm(x, W(f"l{l}.ln1.gain"), W(f"l{l}.ln1.bias"))
-        if opts.dssp_layer == l:
-            attn_out = opts.dssp_hook(xn)
-            if not isinstance(attn_out, Tensor) or attn_out.value.shape != xn.value.shape:
-                raise ContractViolationError("hook must return a Tensor shaped like its input")
-            attention.append(np.broadcast_to(np.eye(n), (cfg.n_heads, n, n)).copy())
-        else:
-            head_outs = []
-            pattern = np.empty((cfg.n_heads, n, n))
-            for h in range(cfg.n_heads):
-                q = ad.matmul(xn, W(f"l{l}.attn.wq.h{h}"))
-                k = ad.matmul(xn, W(f"l{l}.attn.wk.h{h}"))
-                v = ad.matmul(xn, W(f"l{l}.attn.wv.h{h}"))
-                scores = ad.add(ad.matmul(q, ad.transpose(k)), mask)
-                attn = ad.softmax_rows(scores, 1.0 / np.sqrt(cfg.d_head))
-                pattern[h] = attn.value
-                head_outs.append(ad.matmul(attn, v))
-            merged = head_outs[0] if cfg.n_heads == 1 else ad.concat_cols(head_outs)
-            attn_out = ad.add(ad.matmul(merged, W(f"l{l}.attn.wo")), W(f"l{l}.attn.bo"))
-            attention.append(pattern)
-        x = ad.add(x, attn_out)
-        yn = ad.layer_norm(x, W(f"l{l}.ln2.gain"), W(f"l{l}.ln2.bias"))
-        h1 = ad.relu(ad.add(ad.matmul(yn, W(f"l{l}.ffn.w1")), W(f"l{l}.ffn.b1")))
-        ffn_out = ad.add(ad.matmul(h1, W(f"l{l}.ffn.w2")), W(f"l{l}.ffn.b2"))
-        x = ad.add(x, ffn_out)
-        hidden.append(x.value.copy())
-
-    final = ad.layer_norm(x, W("lnf.gain"), W("lnf.bias"))
-    logits = ad.matmul(final, ad.transpose(emb))
-    return ForwardTrace(
-        hidden=hidden,
-        attention=attention,
-        logits=logits.value.copy(),
-        logits_node=logits if logits.tape is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# tape-free inference
+# the host pass
 # ---------------------------------------------------------------------------
 #
-# ``infer`` repeats ``forward``'s arithmetic operation for operation, so the
-# two agree bit for bit.  That holds only while every matmul keeps the shapes
-# and memory layout of its ``forward`` counterpart: numpy runs a stacked
-# matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from the
-# slice shape, so packing heads into one projection or batching (1, d) rows
-# into one (B, d) matmul changes the rounding.  So ``forward``'s per-head Q/K/V
-# weights are views of ``infer``'s stacks (``TinyTransformer.qkv``), and both
-# layer norms take their means as ``add.reduce / d``, as ``ndarray.mean`` does.
+# One numpy block serves ``infer`` and ``forward``.  It repeats the arithmetic
+# of the host taped op by op on the autodiff kernels (kept in the tests as the
+# oracle), so the two agree bit for bit.  That holds only while every matmul
+# keeps the shapes and memory layout of its taped counterpart: numpy runs a
+# stacked matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from
+# the slice shape, so packing heads into one projection or batching (1, d) rows
+# into one (B, d) matmul changes the rounding.  So the per-head Q/K/V weights
+# are views of one stack per layer (``TinyTransformer.qkv``), and both layer
+# norms take their means as ``add.reduce / d``, as ``ndarray.mean`` does.
 
-def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
-    """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
+def _normalized(x: Array) -> tuple[Array, Array]:
+    """``x`` standardized over its last axis, and the ``1 / sqrt(var + eps)`` that scaled it."""
     d = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + ad.LN_EPS)
-    return xc * inv * gain + bias
+    return xc * inv, inv
+
+
+def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
+    """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
+    return _normalized(x)[0] * gain + bias
 
 
 def softmax(z: Array) -> Array:
@@ -275,11 +204,12 @@ def softmax(z: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_pattern(xn: Array, wq: Array, wk: Array) -> Array:
-    """Causal softmax pattern of normed ``(B, n, d)`` rows, one matmul per row and head."""
+def _attention(xn: Array, wq: Array, wk: Array) -> tuple[Array, Array, Array]:
+    """Q, contiguous K^T and the causal softmax pattern of normed ``(B, n, d)`` rows,
+    one matmul per row and head."""
     q, k = xn[:, None] @ wq, xn[:, None] @ wk
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    return softmax((q @ kt + _causal_mask(xn.shape[-2])) * (1.0 / np.sqrt(wq.shape[-1])))
+    return q, kt, softmax((q @ kt + _causal_mask(xn.shape[-2])) * (1.0 / np.sqrt(wq.shape[-1])))
 
 
 def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
@@ -311,11 +241,11 @@ def infer(
     resume: tuple[int, Array] | None = None,
     stop: int | None = None,
 ) -> ForwardTrace:
-    """``forward`` in plain numpy, for a sequence or a (B, n) batch of them.
+    """The host over a sequence or a (B, n) batch of them, in plain numpy.
 
-    Returns the hidden states, attention patterns and logits ``forward``
-    returns, bit for bit, with a leading batch axis when ``tokens`` is 2-d.
-    Nothing is recorded, so a taped fusion hook gets no gradients here.
+    Returns the hidden states, attention patterns and logits, with a leading
+    batch axis when ``tokens`` is 2-d.  Nothing is recorded, so a taped
+    fusion hook gets no gradients here; ``forward`` is the pass that does.
 
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
@@ -330,6 +260,14 @@ def infer(
     matching entry of the full trace bit for bit.  ``s`` must lie in
     ``k..n_layers - 1``, and a hooked layer below ``s``.
     """
+    return _host_pass(model, tokens, options, resume, stop)
+
+
+def _host_pass(model, tokens, options, resume, stop, saved: list | None = None) -> ForwardTrace:
+    """``infer``.  When ``saved`` is a list and the hook's output carries a tape, it
+    receives that output, then ``(l, attn, ffn)`` for each layer ``l`` from the hook up
+    and last the final norm's ``(xhat, inv)``: the activations the tail's adjoint reads
+    (``_tail_vjp``), for the one sequence of ``tokens``."""
     cfg = model.config
     opts = options or ForwardOptions()
     opts.validate(cfg.n_layers)
@@ -354,36 +292,117 @@ def infer(
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
-        xn = layer_norm(x, w[f"l{l}.ln1.gain"], w[f"l{l}.ln1.bias"])
+        xhat, inv = _normalized(x)
+        xn = xhat * w[f"l{l}.ln1.gain"] + w[f"l{l}.ln1.bias"]
+        attn = None
         if opts.dssp_layer == l:
             outs = [opts.dssp_hook(Tensor(row)) for row in xn]
             if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
                 raise ContractViolationError("hook must return a Tensor shaped like its input")
             attn_out = np.stack([o.value for o in outs])
             attention.append(np.broadcast_to(np.eye(n), (b, cfg.n_heads, n, n)).copy())
+            if saved is not None and outs[0].tape is not None:
+                saved.append(outs[0])
         else:
             wq, wk, wv = model.qkv[l]
-            pattern = _attention_pattern(xn, wq, wk)
+            q, kt, pattern = _attention(xn, wq, wk)
+            v = xn[:, None] @ wv
             attention.append(pattern)
-            merged = (pattern @ (xn[:, None] @ wv)).transpose(0, 2, 1, 3).reshape(b, n, d)
+            merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
+            if saved:     # non-empty once a taped hook output is in it
+                attn = (xhat[0], inv[0], q[0], kt[0], v[0], pattern[0])
         x = x + attn_out
-        yn = layer_norm(x, w[f"l{l}.ln2.gain"], w[f"l{l}.ln2.bias"])
+        xhat, inv = _normalized(x)
+        yn = xhat * w[f"l{l}.ln2.gain"] + w[f"l{l}.ln2.bias"]
         h1 = yn @ w[f"l{l}.ffn.w1"] + w[f"l{l}.ffn.b1"]
-        h1 = h1 * (h1 > 0.0)
-        x = x + (h1 @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
+        relu = h1 > 0.0
+        x = x + ((h1 * relu) @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
+        if saved:
+            saved.append((l, attn, (xhat[0], inv[0], relu[0])))
         hidden.append(x)
 
     logits = None
     if stop is None:
-        logits = layer_norm(x, w["lnf.gain"], w["lnf.bias"]) @ model.unembed
+        xhat, inv = _normalized(x)
+        logits = (xhat * w["lnf.gain"] + w["lnf.bias"]) @ model.unembed
+        if saved:
+            saved.append((xhat[0], inv[0]))
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
-        attention.append(_attention_pattern(xn, *model.qkv[stop][:2]))
+        attention.append(_attention(xn, *model.qkv[stop][:2])[2])
     if single:
         return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention],
                             None if logits is None else logits[0])
     return ForwardTrace(hidden, attention, logits)
+
+
+# ---------------------------------------------------------------------------
+# the differentiable pass: the frozen tail is one tape record
+# ---------------------------------------------------------------------------
+
+def forward(
+    model: TinyTransformer,
+    tokens: Sequence[int],
+    options: ForwardOptions | None = None,
+    resume: tuple[int, Array] | None = None,
+) -> ForwardTrace:
+    """``infer`` of one sequence, differentiable from the fusion hook's output on.
+
+    The arrays are ``infer``'s, and below the hook (or with no hook) this is
+    ``infer``: host weights are constants and nothing is taped.  When the
+    hook's output carries a tape, everything from the hooked layer's
+    residual add to the unembedding -- that layer's FFN, every block above
+    it, the final norm and the logits -- is the frozen tail, and goes on
+    that tape as one record: its output is ``logits_node``, and its adjoint
+    is the hook output's only (``_tail_vjp``).
+    """
+    saved: list = []
+    trace = _host_pass(model, validate_tokens(model.config, tokens), options, resume, None, saved)
+    if saved:
+        hook_out, *layers, final = saved
+        trace.logits_node = ad.emit(trace.logits, (hook_out,),
+                                    functools.partial(_tail_vjp, model, layers, final))
+    return trace
+
+
+def _layer_norm_vjp(g: Array, gain: Array, xhat: Array, inv: Array) -> Array:
+    """The input adjoint of ``autodiff.layer_norm``, computed as its vjp computes it."""
+    gx = g * gain
+    return inv * (gx - gx.mean(axis=1, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+
+
+def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> tuple[Array]:
+    """The hook output's adjoint, given ``g``, the logits' adjoint.
+
+    ``backward`` over the tail taped op by op, host weights constant, gives
+    the same bits: this replays its adjoints in its order.  At each residual
+    add the stream's adjoint is the residual one with the layer norm's added
+    to it; in attention, heads go from the last down, and each adds its V,
+    then K, then Q adjoint to that of the normed stream.
+    """
+    w = model.weights
+    g = _layer_norm_vjp(g @ model.unembed.T, w["lnf.gain"], *final)
+    for l, attn, (xhat, inv, relu) in reversed(layers):
+        gh = (g @ w[f"l{l}.ffn.w2"].T) * relu
+        g = g + _layer_norm_vjp(gh @ w[f"l{l}.ffn.w1"].T, w[f"l{l}.ln2.gain"], xhat, inv)
+        if attn is None:      # the hooked layer: g is the hook output's adjoint
+            break
+        xhat, inv, q, kt, v, pattern = attn
+        wq, wk, wv = model.qkv[l]
+        scale = 1.0 / np.sqrt(wq.shape[-1])
+        heads = np.hsplit(g @ w[f"l{l}.attn.wo"].T, len(wq))
+        gxn = None
+        for h in reversed(range(len(wq))):
+            y, gy = pattern[h], heads[h]
+            ga = gy @ v[h].T
+            gs = scale * y * (ga - (ga * y).sum(axis=1, keepdims=True))
+            for part in ((y.T @ gy) @ wv[h].T, (q[h].T @ gs).T @ wk[h].T,
+                         (gs @ kt[h].T) @ wq[h].T):
+                gxn = part if gxn is None else gxn + part
+        g = g + _layer_norm_vjp(gxn, w[f"l{l}.ln1.gain"], xhat, inv)
+    return (g,)
 
 
 def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> Array:

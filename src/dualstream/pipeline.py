@@ -29,7 +29,15 @@ from .detector import (
     divergence_profile,
     make_variant,
 )
-from .errors import ContractViolationError, JsonRecord, field_types, read_field, read_json, write_json
+from .errors import (
+    ContractViolationError,
+    JsonRecord,
+    field_types,
+    read_field,
+    read_json,
+    read_record,
+    write_json,
+)
 from .filtering import (
     RESCALE_MODES,
     Calibration,
@@ -111,8 +119,9 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read a JSON config and check that each referenced checkpoint is a file."""
-    config = RunConfig.from_json(read_json(path))
+    """Read a JSON config and check that each referenced checkpoint is a file;
+    a refusal of a field names the file."""
+    config = read_record(RunConfig, read_json(path), str(path))
     for name in ("model_checkpoint", "dssp_checkpoint"):
         p = getattr(config, name)
         if p and not os.path.isfile(p):

@@ -8,9 +8,10 @@ where the base distribution comes from the host model without fusion and the
 fused one from the same model with the mixed-attention hook installed.  Only
 the fusion parameters train; the host is always frozen, so each example
 carries the base distribution and the residual stream entering the insertion
-layer from the host pass that built it, and each step's taped forward resumes
-there.  Host weights are constants on that tape, and ``backward`` computes no
-adjoints for constants.
+layer from the host pass that built it, and each step's ``forward`` resumes
+there.  A step's tape holds the fused block's records, one record for the
+frozen host tail from the block's output to the logits, and the loss's; no
+host weight is on it.
 """
 from __future__ import annotations
 
@@ -140,9 +141,9 @@ def train(
     warmup over ``WARMUP_RATIO`` of the steps then constant lr.
 
     The host model stays frozen: each example's ``base`` and ``resume``,
-    which must be for ``insertion_layer``, serve every step, which tapes only
-    the layers from there on.  Aborts on the first non-finite loss or
-    updated parameter.
+    which must be for ``insertion_layer``, serve every step, which tapes the
+    fused block, the host above it as one record, and the loss.  Aborts on
+    the first non-finite loss or updated parameter.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")

@@ -186,6 +186,18 @@ def test_backward_refuses_a_fresh_tape():
         ad.backward(tape, ad.Tensor(np.ones((1, 1)), tape))
 
 
+def test_backward_refuses_a_loss_not_on_its_tape():
+    tape, other = ad.GradTape(), ad.GradTape()
+    theta = ad.Tensor(np.array([[1.0, 2.0]]), tape)
+    own = ad.sum_all(ad.mul(theta, theta))
+    foreign = ad.sum_all(ad.Tensor(np.array([[3.0, 4.0]]), other))
+    for loss in (foreign, ad.Tensor(np.ones((1, 1)))):
+        with pytest.raises(ContractViolationError, match="loss recorded on the given tape"):
+            ad.backward(tape, loss)
+        assert len(tape) == 2 and len(other) == 1      # nothing was popped
+    assert set(ad.backward(tape, own)) == {theta}
+
+
 def test_backward_gives_constants_no_adjoint():
     tape = ad.GradTape()
     theta = ad.Tensor(np.array([[1.0, 2.0]]), tape)

@@ -280,6 +280,11 @@ _BAD_TRACES = {
                                "hallucination"),
     "verdict_layer_as_float": ({**_TRACE, "verdict": {**_VERDICT, "insertion_layer": 1.9}},
                                "insertion_layer"),
+    # a list or tuple field is read from a JSON array only
+    "trace_answer_an_object": ({**_TRACE, "verdict": _VERDICT, "answer": {}},
+                               "field 'answer': expected a JSON array, got dict"),
+    "verdict_per_layer_a_string": ({**_TRACE, "verdict": {**_VERDICT, "per_layer": ""}},
+                                   "field 'per_layer': expected a JSON array, got str"),
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
 # a top_t the fusion checkpoint's float64 cannot hold exactly, refused before any training
@@ -312,7 +317,15 @@ _UNREADABLE_FILES = {
                                   _READ_RECORDS, "{file} line 1 is not valid JSON"),
     "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON"),
 }
-_BAD_RECORD_TOKENS = {"record_token": "x", "record_token_float": 7.9}
+# record fields replaced, and what the error names
+_BAD_RECORDS = {
+    "record_token": ({"question": [2, 3, "x", 7]}, "question"),
+    "record_token_float": ({"question": [2, 3, 7.9, 7]}, "question"),
+    "record_documents_a_string": ({"documents": ""},
+                                  "field 'documents': expected a JSON array, got str"),
+    "record_documents_an_object": ({"documents": {}},
+                                   "field 'documents': expected a JSON array, got dict"),
+}
 # an answer token outside the host's vocabulary, refused by every command that runs the host
 _BAD_ANSWERS = {
     "answer_out_of_vocab_detect": (["detect"], 10**12),
@@ -356,7 +369,7 @@ _BAD_FUSION_TENSORS = {
 
 
 @pytest.mark.parametrize("case", [*_BAD_LAMS, *_BAD_TOP_TS, *_UNREADABLE_FILES,
-                                  *_BAD_RECORD_TOKENS, *_BAD_ANSWERS,
+                                  *_BAD_RECORDS, *_BAD_ANSWERS,
                                   *_BAD_TRACES, *sorted(_BAD_HEADERS), *_BAD_HOST_TENSORS,
                                   *_BAD_FUSION_TENSORS, "fusion_width_mismatch", *_BAD_FLAGS,
                                   *_DIRECTORY_CHECKPOINTS,
@@ -404,10 +417,10 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     elif case in _BAD_FLAGS:
         (command, *flags), named = _BAD_FLAGS[case]
         argv = [command, "--config", cfg, *flags]
-    elif case in _BAD_RECORD_TOKENS:
-        row = fixture_dataset(1)[0].to_json()
-        bad.write_text(json.dumps({**row, "question": [2, 3, _BAD_RECORD_TOKENS[case], 7]}) + "\n")
-        argv, named = ["eval", "--records", str(bad), "--traces", recs], "question"
+    elif case in _BAD_RECORDS:
+        fields, named = _BAD_RECORDS[case]
+        bad.write_text(json.dumps({**fixture_dataset(1)[0].to_json(), **fields}) + "\n")
+        argv = ["eval", "--records", str(bad), "--traces", recs]
     elif case in _BAD_ANSWERS:
         (command, *flags), token = _BAD_ANSWERS[case]
         row = fixture_dataset(1)[0].to_json()
@@ -472,6 +485,27 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:ContractViolationError:") and named in err[0]
+
+
+@pytest.mark.parametrize("line", [1, 2])
+def test_a_json_line_that_is_no_record_names_the_file_and_the_line(tmp_path, capsys, line):
+    rows = tmp_path / "r.jsonl"
+    record = json.dumps(fixture_dataset(1)[0].to_json())
+    rows.write_text("\n".join([record] * (line - 1) + ["[1]"]) + "\n")
+    assert run_cli("eval", "--records", str(rows), "--traces", str(rows),
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error:ContractViolationError: {rows} line {line}: "
+                   "expected a JSON object, got list"]
+
+
+def test_a_config_field_refusal_names_the_file(setup, tmp_path, capsys):
+    bad = tmp_path / "run.json"
+    bad.write_text(json.dumps({**read_json(setup[0]), "lam": "80"}))
+    assert run_cli("detect", "--config", str(bad), "--fixture", "4",
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error:ContractViolationError: {bad}: field 'lam': expected float, got str"]
 
 
 # ---------------------------------------------------------------------------

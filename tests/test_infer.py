@@ -1,8 +1,9 @@
-"""The tape-free ``infer`` path against the taped ``forward`` reference, bit for bit.
+"""The numpy host pass against the host taped op by op (``taped_forward``), bit for bit.
 
-Every comparison uses ``np.array_equal``: the detector, the calibration sweep
-and decoding all run on ``infer``, and their outputs are only reproducible if
-it rounds exactly as ``forward`` does.  No BLAS or SIMD settings are pinned.
+Every comparison uses ``np.array_equal``: the detector, the calibration sweep,
+decoding and training all run on that pass, and their outputs are only
+reproducible if it rounds exactly as the taped host does.  No BLAS or SIMD
+settings are pinned.
 """
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from dualstream.model import (
     save_model,
 )
 from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, variant_tokens
+from taped_host import taped_forward
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +93,16 @@ def test_plain(host, cases):
     model, _ = host
     for question, _, ctx, _ in cases:
         for tokens in (question, ctx):
-            assert_same(infer(model, tokens), forward(model, tokens))
+            assert_same(infer(model, tokens), taped_forward(model, tokens))
 
 
 def test_plain_on_a_host_loaded_from_f32(host, cases, tmp_path):
     save_model(host[0], tmp_path / "host.bin", dtype="f32")
     model, _ = load_model(tmp_path / "host.bin")
     for question, variant, ctx, _ in cases[:16]:
-        assert_same(infer(model, ctx), forward(model, ctx))
+        assert_same(infer(model, ctx), taped_forward(model, ctx))
         pair = infer(model, [question, variant])
-        assert_same(row(pair, 0), forward(model, question))
+        assert_same(row(pair, 0), taped_forward(model, question))
 
 
 def test_each_single_skipped_layer(host, hosts_without_layer, cases):
@@ -108,19 +110,21 @@ def test_each_single_skipped_layer(host, hosts_without_layer, cases):
     the taped forward of the host whose layer l adds nothing, from layer l + 1 on."""
     model, _ = host
     for _, _, ctx, _ in cases:
-        entering = [embed(model, ctx)] + forward(model, ctx).hidden[:-1]
+        entering = [embed(model, ctx)] + taped_forward(model, ctx).hidden[:-1]
         for l, without in enumerate(hosts_without_layer):
             assert_same(infer(model, ctx, resume=(l + 1, entering[l])),
-                        forward(without, ctx), first_layer=l + 1)
+                        taped_forward(without, ctx), first_layer=l + 1)
 
 
 def test_fusion_hook_at_the_offset_layer(host, cases):
     model, layout = host
     params = build_copier_params(layout)
     for _, _, ctx, span in cases:
-        dhat = offset_layer_stream(model, forward(model, ctx), span, OFFSET_LAYER)
+        dhat = offset_layer_stream(model, taped_forward(model, ctx), span, OFFSET_LAYER)
         opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_dssp_hook(dhat, params))
-        assert_same(infer(model, ctx, opts), forward(model, ctx, opts))
+        ref = taped_forward(model, ctx, opts)
+        assert_same(infer(model, ctx, opts), ref)
+        assert_same(forward(model, ctx, opts), ref)
 
 
 def test_question_and_variant_batch(host, cases):
@@ -128,15 +132,15 @@ def test_question_and_variant_batch(host, cases):
     for question, variant, _, _ in cases:
         pair = infer(model, np.array([question, variant]))
         assert pair.logits.shape == (2, len(question), model.config.vocab_size)
-        assert_same(row(pair, 0), forward(model, question))
-        assert_same(row(pair, 1), forward(model, variant))
+        assert_same(row(pair, 0), taped_forward(model, question))
+        assert_same(row(pair, 1), taped_forward(model, variant))
 
 
 def test_resume_from_every_layer(host, cases):
     model, _ = host
     n_layers = model.config.n_layers
     for _, _, ctx, _ in cases:
-        ref = forward(model, ctx)
+        ref = taped_forward(model, ctx)
         for l in range(1, n_layers + 1):
             assert_same(infer(model, ctx, resume=(l, ref.hidden[l - 1])), ref, first_layer=l)
 
@@ -151,7 +155,7 @@ def test_resumed_batch(host, cases):
     for l in range(model.config.n_layers):
         trace = infer(model, questions, resume=(l + 1, entering[l]))
         for i, question in enumerate(questions):
-            assert_same(row(trace, i), forward(model, question, resume=(l + 1, entering[l][i])))
+            assert_same(row(trace, i), taped_forward(model, question, resume=(l + 1, entering[l][i])))
 
 
 def assert_prefix(stopped, full, first_layer, stop):
@@ -216,7 +220,7 @@ def taped_generate(model, prompt, max_new_tokens, options=None):
     """Greedy decoding exactly as it ran on the taped forward."""
     seq = list(prompt)
     for _ in range(max_new_tokens):
-        seq.append(int(np.argmax(forward(model, seq, options).logits[-1])))
+        seq.append(int(np.argmax(taped_forward(model, seq, options).logits[-1])))
     return seq[len(prompt):]
 
 
@@ -236,7 +240,7 @@ def test_layer_distributions_match_the_taped_readout(host, cases):
     w = model.weights
     for question, _, _, _ in cases:
         want = []
-        for h in forward(model, question).hidden:
+        for h in taped_forward(model, question).hidden:
             normed = ad.layer_norm(Tensor(h[-1:]), Tensor(w["lnf.gain"]), Tensor(w["lnf.bias"]))
             logits = normed.value @ w["tok_emb"].T
             want.append(ad.softmax_rows(Tensor(logits), 1.0).value.ravel())
@@ -277,7 +281,7 @@ def test_pruning_sweep_matches_the_taped_reference_on_random_hosts(seed):
 
 def test_input_validation(host):
     model, _ = host
-    ref = forward(model, [7, 8, 9])
+    ref = taped_forward(model, [7, 8, 9])
     with pytest.raises(ContractViolationError):
         infer(model, [[7, 8, 9], [7, 8]])                 # ragged batch
     with pytest.raises(ContractViolationError):

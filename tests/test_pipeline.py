@@ -19,7 +19,7 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import save_dssp_params
-from dualstream.model import forward, infer, logit_lens, save_model
+from dualstream.model import infer, logit_lens, save_model
 from dualstream.pipeline import (
     Bundle,
     PipelineTrace,
@@ -39,6 +39,7 @@ from dualstream.pipeline import (
     write_config_echo,
 )
 from dualstream.training import Hyperparams, train
+from taped_host import taped_forward
 
 GATE_EPSILON = 0.35667494393873234
 
@@ -300,7 +301,7 @@ def test_pipeline_is_deterministic_across_fresh_bundles(records, config, traces)
 def test_offset_layer_stream_requires_hideable_layer(host, records):
     model, layout = host
     toks = context_tokens(records[0], layout.vocab)
-    trace = forward(model, toks)
+    trace = infer(model, toks)
     with pytest.raises(ContractViolationError):
         offset_layer_stream(model, trace, (5, len(toks)), 0)
 
@@ -335,7 +336,7 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
         assert list(ex.tokens) == ctx
         assert ex.answer_id == rec.answer[0]
         assert ex.dhat.shape == (len(ctx) - len(rec.question) - 1, layout.d_model)
-        ref = forward(model, ctx)
+        ref = taped_forward(model, ctx)
         want = offset_layer_stream(model, ref, (len(rec.question) + 1, len(ctx)), OFFSET_LAYER)
         assert np.array_equal(ex.dhat, want)
         # the host pass train() resumes from
@@ -350,7 +351,7 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
 def test_make_train_examples_resume_at_every_insertion_layer(host, records):
     """Fusion enters at layer >= 1, so every example carries ``(k, hidden[k - 1])``."""
     model, layout = host
-    ref = forward(model, context_tokens(records[0], layout.vocab))
+    ref = taped_forward(model, context_tokens(records[0], layout.vocab))
     for layer in range(1, model.config.n_layers):
         examples = make_train_examples(model, records[:2], layout.vocab, layer)
         assert [ex.resume[0] for ex in examples] == [layer, layer]

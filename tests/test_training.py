@@ -34,6 +34,7 @@ from dualstream.training import (
     grid_search,
     train,
 )
+from taped_host import taped_forward
 
 # frozen high-precision oracles (independent evaluation of the nats formulas)
 COND_ENTROPY_HALF_VS_91 = 1.20397280432594
@@ -238,18 +239,23 @@ def fixture_examples():
         model, records, layout.vocab, OFFSET_LAYER)
 
 
-def answer_loss_gradients(model, params, ex, resume=None, host_taped=False):
-    """Logits and fusion-leaf gradients of the answer's cross-entropy, one taped forward."""
+def answer_loss_gradients(model, params, ex, resume=None, oracle=None):
+    """Logits and fusion-leaf gradients of the answer's cross-entropy, one taped pass:
+    ``forward``, or with ``oracle`` "constant" or "taped" the oracle ``taped_forward``
+    with the host weights constant or taped."""
     tape = GradTape()
     leaves = params.leaves(tape)
-    host = {n: Tensor(a, tape) for n, a in model.weights.items()} if host_taped else None
     opts = ForwardOptions(dssp_layer=OFFSET_LAYER,
                           dssp_hook=make_dssp_hook(ex.dhat, params, leaves))
-    trace = forward(model, list(ex.tokens), opts, weight_tensors=host, resume=resume)
+    if oracle is None:
+        trace = forward(model, list(ex.tokens), opts, resume=resume)
+    else:
+        host = {n: Tensor(a, tape) for n, a in model.weights.items()} if oracle == "taped" else None
+        trace = taped_forward(model, list(ex.tokens), opts, weight_tensors=host, resume=resume)
     last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
     logp = ad.log_clamped(ad.softmax_rows(last, 1.0))
     grads = backward(tape, ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0))
-    if not host_taped:
+    if oracle != "taped":
         assert set(grads) <= set(leaves.values())   # constants get no adjoint
     return trace.logits, [grads.get(leaves[n]) for n in PARAM_NAMES]
 
@@ -264,12 +270,13 @@ def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
     model, params, examples = fixture_examples
     for ex in examples:
         hidden = infer(model, list(ex.tokens)).hidden
-        logits, grads = answer_loss_gradients(model, params, ex)
+        logits, grads = answer_loss_gradients(model, params, ex, oracle="constant")
         for k in range(1, OFFSET_LAYER + 1):
-            got_logits, got_grads = answer_loss_gradients(
-                model, params, ex, resume=(k, hidden[k - 1]))
-            assert np.array_equal(got_logits, logits)
-            assert_same_gradients(got_grads, grads)
+            for oracle in (None, "constant"):
+                got_logits, got_grads = answer_loss_gradients(
+                    model, params, ex, resume=(k, hidden[k - 1]), oracle=oracle)
+                assert np.array_equal(got_logits, logits)
+                assert_same_gradients(got_grads, grads)
     ex = examples[0]
     with pytest.raises(ContractViolationError):      # state of the wrong shape
         answer_loss_gradients(model, params, ex, resume=(1, hidden[0][1:]))
@@ -278,12 +285,54 @@ def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
 
 
 def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples):
+    """The frozen tail's one record gives the fusion gradients of the host taped op by
+    op, whether the oracle's host weights are constants or taped."""
     model, params, examples = fixture_examples
     for ex in examples:
         logits, grads = answer_loss_gradients(model, params, ex)
-        taped_logits, taped_grads = answer_loss_gradients(model, params, ex, host_taped=True)
-        assert np.array_equal(logits, taped_logits)
-        assert_same_gradients(grads, taped_grads)
+        for oracle in ("constant", "taped"):
+            taped_logits, taped_grads = answer_loss_gradients(model, params, ex, oracle=oracle)
+            assert np.array_equal(logits, taped_logits)
+            assert_same_gradients(grads, taped_grads)
+
+
+def test_a_training_step_tapes_the_frozen_tail_as_one_record(fixture_examples, monkeypatch):
+    """Between the fusion hook's records and the loss's, a step records exactly one:
+    the frozen tail, from the hook's output to the logits."""
+    model, init, examples = fixture_examples
+    tapes, marks = [], []
+
+    class LoggingTape(GradTape):
+        def __init__(self):
+            super().__init__()
+            self.log = []
+            tapes.append(self)
+
+        def record(self, out, inputs, vjp):
+            super().record(out, inputs, vjp)
+            self.log.append((out, inputs))
+
+    def marking(make, name):
+        def wrapped(*args, **kwargs):
+            result = make(*args, **kwargs)
+            marks.append((name, len(tapes[-1].log), result))
+            return result
+        return wrapped
+
+    def marking_hook_maker(*args, **kwargs):
+        return marking(make_dssp_hook(*args, **kwargs), "hook")
+
+    monkeypatch.setattr(training, "GradTape", LoggingTape)
+    monkeypatch.setattr(training, "make_dssp_hook", marking_hook_maker)
+    monkeypatch.setattr(training, "forward", marking(forward, "forward"))
+    train(model, init.copy(), examples[:1], Hyperparams(epochs=1), insertion_layer=OFFSET_LAYER)
+
+    (tape,) = tapes
+    (_, after_hook, hook_out), (_, after_forward, trace) = marks
+    assert after_forward == after_hook + 1
+    out, inputs = tape.log[after_hook]
+    assert out is trace.logits_node and inputs == (hook_out,)
+    assert len(tape) == 0                  # the step's backward replayed them all
 
 
 def softmax(z):
