@@ -211,29 +211,36 @@ def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
     return emit(y, (a,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise layer normalization: (x - mean) / sqrt(var + LN_EPS) * gain + bias."""
-    xv = x.value
-    d = xv.shape[1]
-    if gain.value.shape != (1, d) or bias.value.shape != (1, d):
-        raise ContractViolationError("layer_norm gain/bias must be (1, d) rows")
-    mu = np.add.reduce(xv, axis=-1, keepdims=True) / d
-    xc = xv - mu
+def normalize(x: Array) -> tuple[Array, Array]:
+    """``layer_norm`` before gain and bias: ``x`` standardized over its last axis, and
+    the ``1 / sqrt(var + LN_EPS)`` that scaled it."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
+    return xc * inv, inv
+
+
+def normalize_vjp(gx: Array, xhat: Array, inv: Array) -> Array:
+    """``normalize``'s input adjoint over 2-d rows, given ``gx``, the adjoint of ``xhat``:
+    per row, ``inv * (I - 1/d - xhat xhat^T / d)`` applied to ``gx``."""
+    return inv * (gx - gx.mean(axis=1, keepdims=True)
+                  - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Row-wise layer normalization: (x - mean) / sqrt(var + LN_EPS) * gain + bias."""
+    d = x.value.shape[1]
+    if gain.value.shape != (1, d) or bias.value.shape != (1, d):
+        raise ContractViolationError("layer_norm gain/bias must be (1, d) rows")
+    xhat, inv = normalize(x.value)
     gv = gain.value
 
     def vjp(g: Array):
-        gx = g * gv  # gradient wrt xhat
-        # d xhat / d x for one row: inv * (I - 1/d - xhat xhat^T / d)
-        term1 = gx
-        term2 = gx.mean(axis=1, keepdims=True)
-        term3 = xhat * (gx * xhat).mean(axis=1, keepdims=True)
-        dx = inv * (term1 - term2 - term3)
         dgain = (g * xhat).sum(axis=0, keepdims=True)
         dbias = g.sum(axis=0, keepdims=True)
-        return dx, dgain, dbias
+        return normalize_vjp(g * gv, xhat, inv), dgain, dbias
 
     return emit(xhat * gv + bias.value, (x, gain, bias), vjp)
 

@@ -19,7 +19,7 @@ from .errors import ContractViolationError, JsonRecord, read_field, read_jsonl, 
 
 
 @dataclass(frozen=True)
-class Vocab:
+class Vocab(JsonRecord):
     """Word-level vocabulary laid out in fixed id blocks.
 
     ids 0..6 are structural words (separator, end marker, question words,

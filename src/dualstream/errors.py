@@ -4,12 +4,13 @@ Every public operation raises ContractViolationError (or a subclass) when its
 input contract is broken, so callers -- including the CLI -- can map failures
 to a single machine-parseable error line.  ``read_field`` applies the same
 rule to fields of parsed JSON documents, and ``JsonRecord`` reads and writes
-a dataclass through its field annotations.  ``write_json``, ``write_jsonl``,
-``read_json`` and ``read_jsonl`` hold the file convention: sorted keys, a
-trailing newline.  ``read_text`` reads every input file, and refuses one that
-is not UTF-8; the two readers refuse malformed JSON with an error naming the
-file (and, in a JSON-lines file, the line), and ``read_record`` names them in
-a refusal of a record.
+a dataclass through its field annotations; every JSON object the package
+reads is one.  ``write_json``, ``write_jsonl``, ``read_json`` and
+``read_jsonl`` hold the file convention: sorted keys, a trailing newline.
+``read_text`` reads every input file, and refuses one that is not UTF-8; the
+two readers refuse malformed JSON with an error naming the file (and, in a
+JSON-lines file, the line), and ``read_record`` names them in a refusal of a
+record.
 """
 from __future__ import annotations
 
@@ -88,26 +89,34 @@ def json_of(kind, value):
     return value.to_json() if isinstance(value, JsonRecord) else kind(value)
 
 
-def read_field(doc, name: str, convert, default=dataclasses.MISSING):
-    """``doc[name]`` read as ``convert``; a missing or malformed field raises ContractViolationError.
+def _field_error(field: tuple) -> ContractViolationError:
+    """The refusal of ``field``, a ``(path, reason)`` pair (reason None: missing), which
+    the error keeps so that an enclosing record can extend the path."""
+    path, reason = field
+    name = ".".join(map(str, path))
+    exc = ContractViolationError(
+        f"missing field {name!r}" if reason is None else f"field {name!r}: {reason}")
+    exc.field = field
+    return exc
 
-    ``convert`` is a function, called on the value, or an annotation, which
-    ``json_value`` reads.  ``default`` is returned when the field is absent;
-    without one the field is required.  The error names the field, nested
-    readers included.
+
+def read_field(doc: dict, name: str, kind, default=dataclasses.MISSING):
+    """``doc[name]`` read as the annotation ``kind``; a missing or malformed field raises
+    ContractViolationError.
+
+    ``default`` is returned when the field is absent; without one the field
+    is required.  The error names the field by its dotted path through
+    nested records (``field 'verdict.per_layer': ...``).
     """
-    if not isinstance(doc, dict):
-        raise ContractViolationError(f"expected a JSON object, got {type(doc).__name__}")
     if name not in doc:
         if default is dataclasses.MISSING:
-            raise ContractViolationError(f"missing field {name!r}")
+            raise _field_error(((name,), None))
         return default
     try:
-        if isinstance(convert, types.FunctionType):
-            return convert(doc[name])
-        return json_value(convert, doc[name])
+        return json_value(kind, doc[name])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractViolationError(f"field {name!r}: {exc}") from exc
+        path, reason = getattr(exc, "field", ((), str(exc)))
+        raise _field_error(((name, *path), reason)) from exc
 
 
 @functools.cache
@@ -116,34 +125,47 @@ def field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+@functools.cache
+def _json_fields(cls) -> dict:
+    """JSON key -> field of the dataclass ``cls``."""
+    return {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+
+
 class JsonRecord:
     """A dataclass whose field annotations state its JSON form: one key per field.
 
-    ``from_json`` reads the keys in field order with ``read_field``, and a
-    field with a default may be absent.  A field's ``metadata["json"]``
-    renames its key, and its ``metadata["none"]`` is the JSON value that
-    stands for None, in which case JSON null is refused.
+    ``from_json`` refuses a key that names no field, then reads the keys in
+    field order with ``read_field``; a field with a default may be absent.
+    A field's ``metadata["json"]`` renames its key, and its ``metadata["none"]``
+    is the JSON value that stands for None, in which case JSON null is refused.
     """
 
     def to_json(self) -> dict:
         doc = {}
-        for f in dataclasses.fields(self):
+        for key, f in _json_fields(type(self)).items():
             value = getattr(self, f.name)
-            doc[f.metadata.get("json", f.name)] = (
-                f.metadata["none"] if value is None and "none" in f.metadata
-                else json_of(field_types(type(self))[f.name], value))
+            doc[key] = (f.metadata["none"] if value is None and "none" in f.metadata
+                        else json_of(field_types(type(self))[f.name], value))
         return doc
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ContractViolationError(f"expected a JSON object, got {type(doc).__name__}")
+        fields = _json_fields(cls)
+        for key in doc:
+            if key not in fields:
+                raise _field_error(((key,), f"{cls.__name__} has no such field"))
         kwargs = {}
-        for f in dataclasses.fields(cls):
+        for key, f in fields.items():
             kind = field_types(cls)[f.name]
             if "none" in f.metadata:  # ``T | None``, with None written as the sentinel
-                none, inner = f.metadata["none"], typing.get_args(kind)[0]
-                kind = lambda v: None if v == none else json_value(inner, v)
+                if doc.get(key) == f.metadata["none"]:
+                    kwargs[f.name] = None
+                    continue
+                kind = typing.get_args(kind)[0]
             default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            kwargs[f.name] = read_field(doc, f.metadata.get("json", f.name), kind, default)
+            kwargs[f.name] = read_field(doc, key, kind, default)
         return cls(**kwargs)
 
 
@@ -182,11 +204,12 @@ def read_json(path):
     return _parse_json(read_text(path), str(path))
 
 
-def read_record(record, doc, where: str):
-    """``record.from_json(doc)``; a refusal names ``where``, the file (and line) ``doc`` is from."""
+def read_record(kind, doc, where: str):
+    """``doc`` read as the annotation ``kind`` (a ``JsonRecord`` type, say); a refusal
+    names ``where``, the file (and line) ``doc`` is from."""
     try:
-        return record.from_json(doc)
-    except ContractViolationError as exc:
+        return json_value(kind, doc)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolationError(f"{where}: {exc}") from exc
 
 

@@ -28,14 +28,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError, read_field, read_json, write_json
+from .errors import ContractViolationError, JsonRecord, read_json, read_record, write_json
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonRecord):
     n_layers: int
     n_heads: int
     d_model: int
@@ -180,22 +180,12 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
 # stacked matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from
 # the slice shape, so packing heads into one projection or batching (1, d) rows
 # into one (B, d) matmul changes the rounding.  So the per-head Q/K/V weights
-# are views of one stack per layer (``TinyTransformer.qkv``), and both layer
-# norms take their means as ``add.reduce / d``, as ``ndarray.mean`` does.
-
-def _normalized(x: Array) -> tuple[Array, Array]:
-    """``x`` standardized over its last axis, and the ``1 / sqrt(var + eps)`` that scaled it."""
-    d = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + ad.LN_EPS)
-    return xc * inv, inv
-
+# are views of one stack per layer (``TinyTransformer.qkv``), and every layer
+# norm standardizes with the tape's own kernel, ``autodiff.normalize``.
 
 def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
-    return _normalized(x)[0] * gain + bias
+    return ad.normalize(x)[0] * gain + bias
 
 
 def softmax(z: Array) -> Array:
@@ -212,8 +202,8 @@ def _attention(xn: Array, wq: Array, wk: Array) -> tuple[Array, Array, Array]:
     return q, kt, softmax((q @ kt + _causal_mask(xn.shape[-2])) * (1.0 / np.sqrt(wq.shape[-1])))
 
 
-def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
-    """Validated (B, n) token array, and whether the caller passed one sequence."""
+def _tokens(config: ModelConfig, tokens) -> Array:
+    """``(n,)`` or ``(B, n)`` tokens as a validated integer array of that shape."""
     try:
         ndim = np.ndim(tokens)
     except ValueError:
@@ -223,15 +213,15 @@ def _token_batch(config: ModelConfig, tokens) -> tuple[Array, bool]:
     rows = [tokens] if ndim == 1 else list(tokens)
     if not rows:
         raise ContractViolationError("empty token batch")
-    return np.array([validate_tokens(config, r) for r in rows], dtype=np.int64), ndim == 1
+    toks = np.array([validate_tokens(config, r) for r in rows], dtype=np.int64)
+    return toks[0] if ndim == 1 else toks
 
 
 def embed(model: TinyTransformer, tokens) -> Array:
     """The stream entering layer 0 of ``(n,)`` or ``(B, n)`` tokens: token plus position
     embeddings, shaped ``(n, d_model)`` or ``(B, n, d_model)``."""
-    toks, single = _token_batch(model.config, tokens)
-    x = model.weights["tok_emb"][toks] + model.weights["pos_emb"][:toks.shape[1]]
-    return x[0] if single else x
+    toks = _tokens(model.config, tokens)
+    return model.weights["tok_emb"][toks] + model.weights["pos_emb"][:toks.shape[-1]]
 
 
 def infer(
@@ -260,25 +250,27 @@ def infer(
     matching entry of the full trace bit for bit.  ``s`` must lie in
     ``k..n_layers - 1``, and a hooked layer below ``s``.
     """
-    return _host_pass(model, tokens, options, resume, stop)
+    return _host_pass(model, _tokens(model.config, tokens), options, resume, stop)
 
 
-def _host_pass(model, tokens, options, resume, stop, saved: list | None = None) -> ForwardTrace:
-    """``infer``.  When ``saved`` is a list and the hook's output carries a tape, it
-    receives that output, then ``(l, attn, ffn)`` for each layer ``l`` from the hook up
-    and last the final norm's ``(xhat, inv)``: the activations the tail's adjoint reads
-    (``_tail_vjp``), for the one sequence of ``tokens``."""
+def _host_pass(model, toks, options, resume, stop, saved: list | None = None) -> ForwardTrace:
+    """``infer`` of ``toks``, tokens already validated.  When ``saved`` is a list and the
+    hook's output carries a tape, it receives that output, then ``(l, attn, ffn)`` for
+    each layer ``l`` from the hook up and last the final norm's ``(xhat, inv)``: the
+    activations the tail's adjoint reads (``_tail_vjp``), for the one sequence of
+    ``toks``."""
     cfg = model.config
     opts = options or ForwardOptions()
     opts.validate(cfg.n_layers)
-    toks, single = _token_batch(cfg, tokens)
+    single = toks.ndim == 1
+    toks = np.atleast_2d(toks)
     b, n = toks.shape
     d = cfg.d_model
     w = model.weights
 
     start = 0
     if resume is None:
-        x = embed(model, toks)
+        x = w["tok_emb"][toks] + w["pos_emb"][:n]   # ``embed``, without checking again
     else:
         start, x = _resume_state(cfg, opts, resume, (n, d) if single else (b, n, d))
         x = x.reshape(b, n, d)
@@ -292,7 +284,7 @@ def _host_pass(model, tokens, options, resume, stop, saved: list | None = None) 
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
-        xhat, inv = _normalized(x)
+        xhat, inv = ad.normalize(x)
         xn = xhat * w[f"l{l}.ln1.gain"] + w[f"l{l}.ln1.bias"]
         attn = None
         if opts.dssp_layer == l:
@@ -313,7 +305,7 @@ def _host_pass(model, tokens, options, resume, stop, saved: list | None = None) 
             if saved:     # non-empty once a taped hook output is in it
                 attn = (xhat[0], inv[0], q[0], kt[0], v[0], pattern[0])
         x = x + attn_out
-        xhat, inv = _normalized(x)
+        xhat, inv = ad.normalize(x)
         yn = xhat * w[f"l{l}.ln2.gain"] + w[f"l{l}.ln2.bias"]
         h1 = yn @ w[f"l{l}.ffn.w1"] + w[f"l{l}.ffn.b1"]
         relu = h1 > 0.0
@@ -324,7 +316,7 @@ def _host_pass(model, tokens, options, resume, stop, saved: list | None = None) 
 
     logits = None
     if stop is None:
-        xhat, inv = _normalized(x)
+        xhat, inv = ad.normalize(x)
         logits = (xhat * w["lnf.gain"] + w["lnf.bias"]) @ model.unembed
         if saved:
             saved.append((xhat[0], inv[0]))
@@ -358,19 +350,13 @@ def forward(
     is the hook output's only (``_tail_vjp``).
     """
     saved: list = []
-    trace = _host_pass(model, validate_tokens(model.config, tokens), options, resume, None, saved)
+    toks = np.array(validate_tokens(model.config, tokens), dtype=np.int64)
+    trace = _host_pass(model, toks, options, resume, None, saved)
     if saved:
         hook_out, *layers, final = saved
         trace.logits_node = ad.emit(trace.logits, (hook_out,),
                                     functools.partial(_tail_vjp, model, layers, final))
     return trace
-
-
-def _layer_norm_vjp(g: Array, gain: Array, xhat: Array, inv: Array) -> Array:
-    """The input adjoint of ``autodiff.layer_norm``, computed as its vjp computes it."""
-    gx = g * gain
-    return inv * (gx - gx.mean(axis=1, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=1, keepdims=True))
 
 
 def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> tuple[Array]:
@@ -383,10 +369,10 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
     then K, then Q adjoint to that of the normed stream.
     """
     w = model.weights
-    g = _layer_norm_vjp(g @ model.unembed.T, w["lnf.gain"], *final)
+    g = ad.normalize_vjp((g @ model.unembed.T) * w["lnf.gain"], *final)
     for l, attn, (xhat, inv, relu) in reversed(layers):
         gh = (g @ w[f"l{l}.ffn.w2"].T) * relu
-        g = g + _layer_norm_vjp(gh @ w[f"l{l}.ffn.w1"].T, w[f"l{l}.ln2.gain"], xhat, inv)
+        g = g + ad.normalize_vjp((gh @ w[f"l{l}.ffn.w1"].T) * w[f"l{l}.ln2.gain"], xhat, inv)
         if attn is None:      # the hooked layer: g is the hook output's adjoint
             break
         xhat, inv, q, kt, v, pattern = attn
@@ -401,7 +387,7 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
             for part in ((y.T @ gy) @ wv[h].T, (q[h].T @ gs).T @ wk[h].T,
                          (gs @ kt[h].T) @ wq[h].T):
                 gxn = part if gxn is None else gxn + part
-        g = g + _layer_norm_vjp(gxn, w[f"l{l}.ln1.gain"], xhat, inv)
+        g = g + ad.normalize_vjp(gxn * w[f"l{l}.ln1.gain"], xhat, inv)
     return (g,)
 
 
@@ -475,29 +461,30 @@ def generate_from(
 # checkpoint io
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Sidecar(JsonRecord):
+    """The JSON file beside a host checkpoint: its config and free-form ``meta``."""
+    config: ModelConfig
+    meta: dict = dataclasses.field(default_factory=dict)
+
+
 def save_model(model: TinyTransformer, bin_path, dtype: str = "f32",
                meta: dict | None = None) -> None:
     """Write the weights to ``bin_path`` and the config and ``meta`` to ``<bin_path>.json``."""
     save_tensors(bin_path, model.weights, dtype=dtype)
-    write_json(str(bin_path) + ".json",
-               {"config": dataclasses.asdict(model.config), "meta": meta or {}})
+    write_json(str(bin_path) + ".json", _Sidecar(model.config, meta or {}).to_json())
 
 
 def load_model(bin_path) -> tuple[TinyTransformer, dict]:
-    """Load a checkpoint: every ``ModelConfig`` field in the sidecar ``<bin_path>.json``,
-    and exactly the finite weights of ``weight_shapes``; an error names the field or tensor."""
+    """Load a checkpoint: the sidecar ``<bin_path>.json``, whose refusal names it, and
+    exactly the finite weights of ``weight_shapes``; an error names the field or tensor."""
     json_path = str(bin_path) + ".json"
-    doc = read_json(json_path)
-    if not isinstance(doc, dict):
-        raise ContractViolationError(
-            f"model sidecar {json_path}: expected a JSON object, got {type(doc).__name__}")
-    config = read_field(doc, "config", lambda c: ModelConfig(
-        **{f.name: read_field(c, f.name, int) for f in dataclasses.fields(ModelConfig)}))
-    meta = read_field(doc, "meta", dict, {})
+    sidecar = read_record(_Sidecar, read_json(json_path), json_path)
+    config = sidecar.config
     weights = load_tensors(bin_path)
     # the schema has a tensor per head and layer: refuse one larger than the file before building it
     if config.n_layers * config.n_heads > len(weights):
         raise ContractViolationError(f"config n_layers x n_heads exceeds the {len(weights)} "
                                      f"tensors of host checkpoint {bin_path}")
     expect_tensors(weights, weight_shapes(config), "host checkpoint")
-    return TinyTransformer(config, weights), meta
+    return TinyTransformer(config, weights), sidecar.meta

@@ -14,7 +14,6 @@ three stages:
 """
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -67,7 +66,7 @@ PROBE_SUBJECTS_PER_HALF = 8
 
 
 @dataclass
-class RunConfig:
+class RunConfig(JsonRecord):
     """Everything a reproducible run needs; JSON config files mirror the field names."""
 
     model_checkpoint: str = ""   # empty = not referenced (checkpoint-free commands)
@@ -103,19 +102,6 @@ class RunConfig:
             raise ContractViolationError("nu must be finite and >= 0")
         if self.seed < 0:
             raise ContractViolationError("seed must be >= 0")
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ContractViolationError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ContractViolationError(f"unknown config fields: {unknown}")
-        return cls(**doc)
 
 
 def load_config(path) -> RunConfig:
@@ -177,19 +163,14 @@ class Bundle:
     calibration: Calibration
 
 
-def meta_vocab(meta: dict) -> Vocab | None:
-    """Rebuild the vocabulary a checkpoint was written with, if recorded."""
-    vocab = read_field(meta, "vocab", dict, None)
-    return None if vocab is None else Vocab(**{f.name: read_field(vocab, f.name, int)
-                                              for f in dataclasses.fields(Vocab)})
-
-
 def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
-    """Load the host checkpoint and the vocabulary recorded with it."""
+    """Load the host checkpoint and the vocabulary recorded with it, if any; a refusal
+    of the vocabulary names the sidecar."""
     if not config.model_checkpoint:
         raise ContractViolationError("config names no model checkpoint")
     model, meta = load_model(config.model_checkpoint)
-    return model, meta_vocab(meta)
+    return model, read_record(Vocab | None, meta.get("vocab"),
+                              f"{config.model_checkpoint}.json: meta.vocab")
 
 
 def probe_calibration(model: TinyTransformer, vocab: Vocab | None) -> Calibration:
@@ -216,7 +197,7 @@ def load_bundle(config: RunConfig) -> Bundle:
 
 def vocab_meta(vocab: Vocab) -> dict:
     """Checkpoint metadata block that lets a run rebuild the vocabulary."""
-    return {"vocab": dataclasses.asdict(vocab)}
+    return {"vocab": vocab.to_json()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI tests: every subcommand, config echo reproducibility, error lines."""
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import types
+import typing
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from dualstream import cli, errors
 from dualstream.cli import main
-from dualstream.dataset import save_records
+from dualstream.dataset import QARecord, Vocab, save_records
 from dualstream.fixtures import (
     KEY_LAYER,
     OFFSET_LAYER,
@@ -30,8 +32,8 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
-from dualstream.model import save_model
-from dualstream.pipeline import RunConfig, vocab_meta
+from dualstream.model import ModelConfig, save_model
+from dualstream.pipeline import PipelineTrace, RunConfig, vocab_meta
 from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
@@ -284,7 +286,7 @@ _BAD_TRACES = {
     "trace_answer_an_object": ({**_TRACE, "verdict": _VERDICT, "answer": {}},
                                "field 'answer': expected a JSON array, got dict"),
     "verdict_per_layer_a_string": ({**_TRACE, "verdict": {**_VERDICT, "per_layer": ""}},
-                                   "field 'per_layer': expected a JSON array, got str"),
+                                   "field 'verdict.per_layer': expected a JSON array, got str"),
 }
 _BAD_LAMS = {"config_field_type": "80", "config_huge_float": 10**400}  # too large for a float
 # a top_t the fusion checkpoint's float64 cannot hold exactly, refused before any training
@@ -317,7 +319,8 @@ _UNREADABLE_FILES = {
                                   _READ_RECORDS, "{file} line 1 is not valid JSON"),
     "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON"),
 }
-# record fields replaced, and what the error names
+# record fields replaced (_ABSENT: dropped), and what the error names, {file} naming the file
+_ABSENT = object()
 _BAD_RECORDS = {
     "record_token": ({"question": [2, 3, "x", 7]}, "question"),
     "record_token_float": ({"question": [2, 3, 7.9, 7]}, "question"),
@@ -325,6 +328,10 @@ _BAD_RECORDS = {
                                   "field 'documents': expected a JSON array, got str"),
     "record_documents_an_object": ({"documents": {}},
                                    "field 'documents': expected a JSON array, got dict"),
+    # a misspelt optional field would otherwise load as absent, dropping the distractor mask
+    "record_noise_mask_misspelt": (
+        {"noise_mask": _ABSENT, "noise_msk": [[False] * 5, [True] * 5, [True] * 5]},
+        "{file} line 1: field 'noise_msk': QARecord has no such field"),
 }
 # an answer token outside the host's vocabulary, refused by every command that runs the host
 _BAD_ANSWERS = {
@@ -375,7 +382,8 @@ _BAD_FUSION_TENSORS = {
                                   *_DIRECTORY_CHECKPOINTS,
                                   "sidecar_without_full_config", "sidecar_vocab_size_as_string",
                                   "sidecar_not_an_object", "sidecar_vocab_not_an_object",
-                                  "sidecar_n_layers_oversize",
+                                  "sidecar_n_layers_oversize", "sidecar_config_extra_key",
+                                  "sidecar_vocab_extra_key",
                                   "fusion_tensor_nan", "config_negative_seed",
                                   "config_path_with_a_line_break", "cli_negative_seed"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
@@ -419,8 +427,9 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         argv = [command, "--config", cfg, *flags]
     elif case in _BAD_RECORDS:
         fields, named = _BAD_RECORDS[case]
-        bad.write_text(json.dumps({**fixture_dataset(1)[0].to_json(), **fields}) + "\n")
-        argv = ["eval", "--records", str(bad), "--traces", recs]
+        row = {**fixture_dataset(1)[0].to_json(), **fields}
+        bad.write_text(json.dumps({k: v for k, v in row.items() if v is not _ABSENT}) + "\n")
+        argv, named = ["eval", "--records", str(bad), "--traces", recs], named.format(file=bad)
     elif case in _BAD_ANSWERS:
         (command, *flags), token = _BAD_ANSWERS[case]
         row = fixture_dataset(1)[0].to_json()
@@ -469,6 +478,12 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
         elif case == "sidecar_vocab_not_an_object":
             sidecar["meta"]["vocab"] = [40, 40]
             named = "vocab"
+        elif case == "sidecar_config_extra_key":
+            sidecar["config"]["d_head"] = 79
+            named = f"{tmp_path / 'bad.json'}: field 'config.d_head': ModelConfig has no such field"
+        elif case == "sidecar_vocab_extra_key":
+            sidecar["meta"]["vocab"]["n_special"] = 7
+            named = f"{tmp_path / 'bad.json'}: meta.vocab: field 'n_special': Vocab has no such field"
         else:
             sidecar["meta"]["vocab"]["n_junk"] = "40"
             named = "n_junk"
@@ -530,22 +545,62 @@ def _json_paths(node, path=()):
 
 def _mutate_json(data, doc):
     """``doc`` with one node (an object field or a list item) dropped or replaced by a
-    drawn value, or one object given an extra field."""
-    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    drawn value, or one object given an extra field; and the change, ``(action, path)``,
+    with the new key last in an ``"extra"`` path, or None when ``doc`` holds no object."""
     action = data.draw(st.sampled_from(["drop", "replace", "extra"]))
+    paths = list(_json_paths(doc))
+    if action == "extra":
+        paths = [p for p in paths if isinstance(functools.reduce(operator.getitem, p, doc), dict)]
+        if not paths:
+            return doc, None
+    path = data.draw(st.sampled_from(paths))
     if action == "extra":
         node = functools.reduce(operator.getitem, path, doc)
-        if isinstance(node, dict):
-            node[data.draw(st.text(max_size=4))] = data.draw(_FUZZ_VALUES)
-        return doc
+        key = data.draw(st.text(max_size=4))
+        change = ("replace" if key in node else "extra", (*path, key))
+        node[key] = data.draw(_FUZZ_VALUES)
+        return doc, change
     if not path:
-        return data.draw(_FUZZ_VALUES)
+        return data.draw(_FUZZ_VALUES), ("replace", path)
     parent = functools.reduce(operator.getitem, path[:-1], doc)
     if action == "drop":
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_FUZZ_VALUES)
-    return doc
+    return doc, (action, path)
+
+
+def _record_at(schema, path):
+    """The ``JsonRecord`` type read at ``path`` in a document of ``schema``, or None.
+
+    ``schema`` is a record type, or a dict from key to the schema below it for
+    an object that is no record."""
+    for key in path:
+        if isinstance(schema, dict):
+            schema = schema.get(key)
+        elif schema is not None:
+            names = {f.metadata.get("json", f.name): f.name for f in dataclasses.fields(schema)}
+            kind = errors.field_types(schema).get(names.get(key))
+            schema = next((k for k in (kind, *typing.get_args(kind)) if isinstance(k, type)
+                           and issubclass(k, errors.JsonRecord)), None)
+    return schema if isinstance(schema, type) else None
+
+
+def _must_refuse(schema, change) -> bool:
+    """Whether ``change`` (``_mutate_json``'s) leaves a document of ``schema`` that every
+    reader refuses: a key no field names added to a record, or a field without a default
+    dropped from one."""
+    if change is None or change[0] == "replace":
+        return False
+    action, (*path, key) = change
+    record = _record_at(schema, path)
+    if record is None:
+        return False
+    fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(record)}
+    if action == "extra":
+        return key not in fields
+    return key in fields and fields[key].default is dataclasses.MISSING and (
+        fields[key].default_factory is dataclasses.MISSING)
 
 
 def _mutate_tensors(data, tensors):
@@ -585,9 +640,11 @@ _CONTRACT_ERRORS = tuple(name for name, kind in vars(errors).items() if isinstan
                          and issubclass(kind, errors.ContractViolationError))
 
 
-def _assert_ok_or_one_contract_line(code, err, types=("ContractViolationError",)):
-    """Exit 0 and print no error, or exit 2 with one ``error:<Type>:`` line of ``types``."""
-    assert (code == 0 and not err) or (
+def _assert_ok_or_one_contract_line(code, err, types=("ContractViolationError",),
+                                    refused=False):
+    """Exit 0 and print no error, or exit 2 with one ``error:<Type>:`` line of ``types``;
+    only the latter when ``refused``."""
+    assert (code == 0 and not err and not refused) or (
         code == 2 and len(err) == 1
         and err[0].startswith(tuple(f"error:{t}:" for t in types))), err
 
@@ -599,7 +656,7 @@ def test_fuzzed_host_sidecar_runs_or_exits_2_with_one_contract_line(setup, data)
     doc = read_json(setup[0])
     sidecar = read_json(doc["model_checkpoint"] + ".json")
     for _ in range(data.draw(st.integers(1, 2))):
-        sidecar = _mutate_json(data, sidecar)
+        sidecar, change = _mutate_json(data, sidecar)
     with tempfile.TemporaryDirectory() as tmp:
         host = os.path.join(tmp, "host.bin")
         shutil.copy(doc["model_checkpoint"], host)
@@ -608,8 +665,10 @@ def test_fuzzed_host_sidecar_runs_or_exits_2_with_one_contract_line(setup, data)
         cfg = os.path.join(tmp, "run.json")
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump({**doc, "model_checkpoint": host}, fh)
+        # the top level and ``meta`` are free-form objects; the records below them are not
         _assert_ok_or_one_contract_line(*_run_cli_quietly(
-            ["detect", "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")]))
+            ["detect", "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")]),
+            refused=_must_refuse({"config": ModelConfig, "meta": {"vocab": Vocab}}, change))
 
 
 @seed(20261018)
@@ -637,7 +696,7 @@ def test_fuzzed_fusion_container_runs_or_exits_2_with_one_contract_line(setup, d
 def test_fuzzed_run_config_runs_or_exits_2_with_one_error_line(setup, data):
     config = RunConfig.from_json(read_json(setup[0])).to_json()
     for _ in range(data.draw(st.integers(1, 2))):
-        config = _mutate_json(data, config)
+        config, change = _mutate_json(data, config)
     command = data.draw(st.sampled_from([["pipeline", "--force-retrieval"],
                                          ["train", "--epochs", "1"]]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -647,7 +706,8 @@ def test_fuzzed_run_config_runs_or_exits_2_with_one_error_line(setup, data):
         code, err = _run_cli_quietly(
             [*command, "--config", cfg, "--fixture", "1", "--out", os.path.join(tmp, "out")])
     # a checkpoint field naming a directory is a contract error too, not an OSError
-    _assert_ok_or_one_contract_line(code, err, ("ContractViolationError", "TrainingDivergedError"))
+    _assert_ok_or_one_contract_line(code, err, ("ContractViolationError", "TrainingDivergedError"),
+                                    _must_refuse(RunConfig, change))
 
 
 @pytest.fixture(scope="module")
@@ -661,13 +721,14 @@ def run_of_two(setup, tmp_path_factory):
     return records, traces
 
 
-def _mutated_lines(data, path) -> str:
-    """The JSON lines of ``path`` with one line mutated once or twice."""
+def _mutated_lines(data, path, record) -> tuple[str, bool]:
+    """The JSON lines of ``path`` with one line mutated once or twice, and whether
+    ``_must_refuse`` holds for the last change, each line read as ``record``."""
     rows = read_jsonl(path)
     i = data.draw(st.integers(0, len(rows) - 1))
     for _ in range(data.draw(st.integers(1, 2))):
-        rows[i] = _mutate_json(data, rows[i])
-    return "".join(json.dumps(row) + "\n" for row in rows)
+        rows[i], change = _mutate_json(data, rows[i])
+    return "".join(json.dumps(row) + "\n" for row in rows), _must_refuse(record, change)
 
 
 @seed(20261018)
@@ -678,11 +739,12 @@ def test_fuzzed_records_run_or_exit_2_with_one_contract_line(setup, run_of_two, 
                                          ["pipeline", "--force-retrieval"]]))
     with tempfile.TemporaryDirectory() as tmp:
         records = os.path.join(tmp, "records.jsonl")
+        text, refused = _mutated_lines(data, run_of_two[0], QARecord)
         with open(records, "w", encoding="utf-8") as fh:
-            fh.write(_mutated_lines(data, run_of_two[0]))
+            fh.write(text)
         _assert_ok_or_one_contract_line(*_run_cli_quietly(
             [*command, "--config", setup[0], "--records", records,
-             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS)
+             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS, refused)
 
 
 @seed(20261018)
@@ -692,11 +754,12 @@ def test_fuzzed_traces_evaluate_or_exit_2_with_one_contract_line(run_of_two, dat
     records, traces = run_of_two
     with tempfile.TemporaryDirectory() as tmp:
         mutated = os.path.join(tmp, "traces.jsonl")
+        text, refused = _mutated_lines(data, traces, PipelineTrace)
         with open(mutated, "w", encoding="utf-8") as fh:
-            fh.write(_mutated_lines(data, traces))
+            fh.write(text)
         _assert_ok_or_one_contract_line(*_run_cli_quietly(
             ["eval", "--records", records, "--traces", mutated,
-             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS)
+             "--out", os.path.join(tmp, "out")]), _CONTRACT_ERRORS, refused)
 
 
 _FAILING_PROPERTY = """

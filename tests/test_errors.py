@@ -4,16 +4,19 @@ import re
 
 import pytest
 
-from dualstream.dataset import QARecord
+from dualstream.dataset import QARecord, Vocab
 from dualstream.detector import DetectionVerdict
 from dualstream.errors import ContractViolationError, read_jsonl
-from dualstream.pipeline import PipelineTrace
+from dualstream.model import ModelConfig
+from dualstream.pipeline import PipelineTrace, RunConfig
 
 _RECORD = {"id": "r0", "question": [2, 3, 4, 8], "answer": [80], "documents": [[5, 80, 8, 4, 1]]}
 _VERDICT = {"hallucination": False, "statistic": 0.5, "delta": 1.0, "aggregation": "tail_sum(2)",
             "insertion_layer": 3, "per_layer": [0.25, 0.5]}
 _TRACE = {"record_id": "r0", "verdict": _VERDICT, "filter": "skipped", "answer": [80],
           "timings": {"detect": 0.25}, "forced": False}
+_MODEL_CONFIG = {"n_layers": 6, "n_heads": 2, "d_model": 158, "d_ff": 64, "vocab_size": 151,
+                 "max_seq": 48, "seed": 3}
 
 
 def _round_trip(record):
@@ -41,6 +44,29 @@ _CASES = {
     "record_writes_id_not_record_id": (QARecord, _RECORD,
                                        lambda r: r.to_json()["id"] == "r0"
                                        and "record_id" not in r.to_json() and _round_trip(r)),
+    # a key no field names is refused, so a misspelt optional field cannot load as absent
+    "record_misspelt_variant_refused": (QARecord, {**_RECORD, "varaint": [1]},
+                                        "field 'varaint': QARecord has no such field"),
+    "record_field_name_for_its_key_refused": (
+        QARecord, {**{k: v for k, v in _RECORD.items() if k != "id"}, "record_id": "r0"},
+        "field 'record_id': QARecord has no such field"),
+    "trace_unknown_key_refused": (PipelineTrace, {**_TRACE, "notes": "x"},
+                                  "field 'notes': PipelineTrace has no such field"),
+    # a refusal inside a nested record names the dotted path to the field
+    "verdict_unknown_key_refused": (PipelineTrace, {**_TRACE, "verdict": {**_VERDICT, "p": 1}},
+                                    "field 'verdict.p': DetectionVerdict has no such field"),
+    "verdict_field_absent_refused": (
+        PipelineTrace, {**_TRACE, "verdict": {k: v for k, v in _VERDICT.items() if k != "delta"}},
+        "missing field 'verdict.delta'"),
+    "config_int_read_as_float": (RunConfig, {"lam": 80},
+                                 lambda c: type(c.lam) is float and c.to_json()["lam"] == 80.0
+                                 and type(c.to_json()["lam"]) is float and _round_trip(c)),
+    "config_unknown_key_refused": (RunConfig, {"lam": 80.0, "budget": 3},
+                                   "field 'budget': RunConfig has no such field"),
+    "model_config_round_trips": (ModelConfig, _MODEL_CONFIG,
+                                 lambda c: c == ModelConfig(**_MODEL_CONFIG) and _round_trip(c)),
+    "vocab_round_trips": (Vocab, {"n_subjects": 64, "n_objects": 4, "n_junk": 80},
+                          lambda v: v == Vocab(64, 4, 80) and v.size == 155 and _round_trip(v)),
 }
 
 
