@@ -187,10 +187,8 @@ def _write_csv(path, header, rows) -> None:
 def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     records = _resolve_records(args, config)
-    rows = []
-    for record in records:
-        verdict, _ = detect_stage(model, record, vocab, config)
-        rows.append({"record_id": record.record_id, **verdict.to_json()})
+    rows = [{"record_id": record.record_id, **verdict.to_json()}
+            for record, (verdict, _) in zip(records, detect_stage(model, records, vocab, config))]
     write_jsonl(os.path.join(out_dir, "detect.jsonl"), rows)
     flagged = sum(r["hallucination"] for r in rows)
     write_json(os.path.join(out_dir, "detect_summary.json"), {
@@ -231,10 +229,11 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     cal = probe_calibration(model, vocab)
     records = _resolve_records(args, config)
+    stop = max(cal.key_layer, cal.offset_layer)
+    profiles = filter_stage(model, records, vocab, cal, config.lam,
+                            dict.fromkeys(range(len(records)), stop))
     rows = []
-    for record in records:
-        profile, _ = filter_stage(model, record, vocab, cal, config.lam,
-                                  max(cal.key_layer, cal.offset_layer))
+    for record, profile in zip(records, profiles.values()):
         row = {"record_id": record.record_id, **profile.to_json()}
         row.pop("delta_a")
         rows.append(row)

@@ -13,9 +13,10 @@ gradients without a record per host op.  The oracle both are held to, bit
 for bit, is the host taped op by op on the autodiff kernels, in the tests.
 
 A hooked layer has its self-attention output replaced by the hook's output
-and records an identity attention pattern in the trace, so trace shapes never
-depend on options.  Removing a layer needs no option: the stream entering it
-goes straight to the next one, which is a resume at the next layer.
+(in a batch, each row's by its own hook) and records an identity attention
+pattern in the trace, so trace shapes never depend on options.  Removing a
+layer needs no option: the stream entering it goes straight to the next one,
+which is a resume at the next layer.
 """
 from __future__ import annotations
 
@@ -28,7 +29,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolationError, JsonRecord, read_json, read_record, write_json
+from .errors import (
+    ContractViolationError,
+    JsonRecord,
+    field_types,
+    read_field,
+    read_json,
+    read_record,
+    write_json,
+)
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
@@ -45,9 +54,10 @@ class ModelConfig(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.name != "seed" and getattr(self, f.name) < 1:
-                raise ContractViolationError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+        for name, kind in field_types(ModelConfig).items():
+            value, least = read_field(vars(self), name, kind), 0 if name == "seed" else 1
+            if value < least:
+                raise ContractViolationError(f"{name} must be >= {least}, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ContractViolationError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -57,17 +67,30 @@ class ModelConfig(JsonRecord):
         return self.d_model // self.n_heads
 
 
+Hook = Callable[[Tensor], Tensor]
+
+
 @dataclass
 class ForwardOptions:
-    """Fusion-hook placement for a single forward pass."""
+    """Fusion-hook placement for a forward pass: ``dssp_hook`` is one hook for every
+    row, or a sequence of hooks, one per row of a ``(B, n)`` batch."""
     dssp_layer: int | None = None
-    dssp_hook: Callable[[Tensor], Tensor] | None = None
+    dssp_hook: Hook | Sequence[Hook] | None = None
 
     def validate(self, n_layers: int) -> None:
         if (self.dssp_layer is None) != (self.dssp_hook is None):
             raise ContractViolationError("dssp_layer and dssp_hook must be set together")
         if self.dssp_layer is not None and not 0 <= self.dssp_layer < n_layers:
             raise ContractViolationError(f"hook layer {self.dssp_layer} outside model")
+
+    def row_hooks(self, rows: int) -> list[Hook]:
+        """The hook of each of ``rows`` rows."""
+        if callable(self.dssp_hook):
+            return [self.dssp_hook] * rows
+        hooks = list(self.dssp_hook)
+        if len(hooks) != rows:
+            raise ContractViolationError(f"{len(hooks)} hooks for a batch of {rows} rows")
+        return hooks
 
 
 @dataclass
@@ -76,6 +99,11 @@ class ForwardTrace:
     attention: list[Array]     # per layer: (n_heads, seq, seq), rows stochastic
     logits: Array | None       # seq x vocab; None for an ``infer`` stopped early
     logits_node: Tensor | None = None  # ``forward``'s tail record, when the hook output is taped
+
+    def row(self, i: int) -> "ForwardTrace":
+        """Row ``i`` of a batched trace, its arrays views of the batch's."""
+        return ForwardTrace([h[i] for h in self.hidden], [a[i] for a in self.attention],
+                            None if self.logits is None else self.logits[i])
 
 
 class TinyTransformer:
@@ -234,8 +262,11 @@ def infer(
     """The host over a sequence or a (B, n) batch of them, in plain numpy.
 
     Returns the hidden states, attention patterns and logits, with a leading
-    batch axis when ``tokens`` is 2-d.  Nothing is recorded, so a taped
-    fusion hook gets no gradients here; ``forward`` is the pass that does.
+    batch axis when ``tokens`` is 2-d.  Each row rounds as it does alone: a
+    batched matmul is one BLAS call per 2-d slice, of the unbatched shape.  A
+    hooked layer calls each row's hook (``ForwardOptions.row_hooks``) on that
+    row.  Nothing is recorded, so a taped fusion hook gets no gradients here;
+    ``forward`` is the pass that does.
 
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
@@ -281,6 +312,8 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
         if opts.dssp_layer is not None and opts.dssp_layer >= stop:
             raise ContractViolationError("hooked layer at or above the stop layer")
 
+    hooks = None if opts.dssp_layer is None else opts.row_hooks(b)
+
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
@@ -288,7 +321,7 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
         xn = xhat * w[f"l{l}.ln1.gain"] + w[f"l{l}.ln1.bias"]
         attn = None
         if opts.dssp_layer == l:
-            outs = [opts.dssp_hook(Tensor(row)) for row in xn]
+            outs = [hook(Tensor(row)) for hook, row in zip(hooks, xn)]
             if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
                 raise ContractViolationError("hook must return a Tensor shaped like its input")
             attn_out = np.stack([o.value for o in outs])
@@ -323,10 +356,8 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
         attention.append(_attention(xn, *model.qkv[stop][:2])[2])
-    if single:
-        return ForwardTrace([h[0] for h in hidden], [a[0] for a in attention],
-                            None if logits is None else logits[0])
-    return ForwardTrace(hidden, attention, logits)
+    trace = ForwardTrace(hidden, attention, logits)
+    return trace.row(0) if single else trace
 
 
 # ---------------------------------------------------------------------------

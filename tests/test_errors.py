@@ -19,6 +19,11 @@ _MODEL_CONFIG = {"n_layers": 6, "n_heads": 2, "d_model": 158, "d_ff": 64, "vocab
                  "max_seq": 48, "seed": 3}
 
 
+class _ModelConfigCall:
+    """Reads a document as Python code would build the config: ``ModelConfig(**doc)``."""
+    from_json = staticmethod(lambda doc: ModelConfig(**doc))
+
+
 def _round_trip(record):
     return type(record).from_json(record.to_json()).to_json() == record.to_json()
 
@@ -65,6 +70,15 @@ _CASES = {
                                    "field 'budget': RunConfig has no such field"),
     "model_config_round_trips": (ModelConfig, _MODEL_CONFIG,
                                  lambda c: c == ModelConfig(**_MODEL_CONFIG) and _round_trip(c)),
+    # a config built from Python is held to its annotations as a JSON one is
+    "model_config_float_layers_refused": (_ModelConfigCall, {**_MODEL_CONFIG, "n_layers": 2.5},
+                                          "field 'n_layers': expected int, got float"),
+    "model_config_string_layers_refused": (_ModelConfigCall, {**_MODEL_CONFIG, "n_layers": "2"},
+                                           "field 'n_layers': expected int, got str"),
+    "model_config_negative_seed_refused": (_ModelConfigCall, {**_MODEL_CONFIG, "seed": -1},
+                                           "seed must be >= 0, got -1"),
+    "model_config_json_negative_seed_refused": (ModelConfig, {**_MODEL_CONFIG, "seed": -1},
+                                                "seed must be >= 0, got -1"),
     "vocab_round_trips": (Vocab, {"n_subjects": 64, "n_objects": 4, "n_junk": 80},
                           lambda v: v == Vocab(64, 4, 80) and v.size == 155 and _round_trip(v)),
 }

@@ -239,7 +239,9 @@ def test_context_forward_stops_at_the_deepest_layer_read(records, config, bundle
         assert got == want
         assert len(lens_calls) == 1
         ctx = context_tokens(record, vocab)
-        context = [(k, out) for a, k, out in calls if list(a[1]) == ctx and len(a) == 2]
+        # the record's context forward: a one-row batch of its context, with no hook
+        context = [(k, out) for a, k, out in calls if list(map(list, a[1])) == [ctx]
+                   and len(a) == 2]
         if trace.filter is None:
             assert context == []
             continue
@@ -312,6 +314,124 @@ def test_offset_layer_stream_names_a_layer_the_trace_does_not_reach(host, record
     trace = infer(model, context_tokens(records[0], layout.vocab), stop=stop)
     with pytest.raises(ContractViolationError, match=f"fused layer {layer} .*trace holds"):
         offset_layer_stream(model, trace, (5, 9), layer)
+
+
+# ---------------------------------------------------------------------------
+# batched runs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mixed(host):
+    """Fixture records reshaped into a corpus that mixes question lengths (4 and 6),
+    context lengths (10, 12, 20 and 22), one- and two-token answers, and variants
+    the detector flags at insertion layers 1, 3 and 4 (the offset layer is 3)."""
+    _, layout = host
+    rng = np.random.default_rng(7)
+    out = []
+    for j, r in enumerate(fixture_dataset(40, noise_rate=0.5, seed=3)):
+        question, variant = list(r.question), list(r.variant)
+        if j % 3 == 1:
+            extra = [int(t) for t in rng.integers(0, layout.vocab.size, 2)]
+            question, variant = extra + question, extra[::-1] + variant
+        if j % 5 == 2:
+            variant = [int(t) for t in rng.integers(0, layout.vocab.size, len(question))]
+        documents = [list(d) for d in r.documents][:1 if j % 4 == 3 else None]
+        answer = list(r.answer) + ([int(rng.integers(0, layout.vocab.size))] if j % 6 == 0 else [])
+        out.append(QARecord(f"mix{j}", question, answer, documents, variant))
+    return out
+
+
+def _without_timings(trace: PipelineTrace) -> dict:
+    doc = trace.to_json()
+    doc.pop("timings")
+    return doc
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_mixed_corpus_run_equals_its_records_run_alone(mixed, config, bundle, forced):
+    """``run_records`` over a corpus of mixed shapes gives each record the trace it
+    gets alone, ``timings`` aside; its timings name the stages the record ran."""
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    vocab, cal = bundle.vocab, bundle.calibration
+    traces = run_records(mixed, cfg, bundle)
+    alone = [pipeline_run(r, cfg, bundle) for r in mixed]
+    assert [_without_timings(t) for t in traces] == [_without_timings(t) for t in alone]
+    for trace in traces:
+        stages = ["detect", "filter", "decode"] if trace.filter else ["detect", "decode"]
+        assert list(trace.timings) == stages
+    # the corpus mixes what it should, and its blocks hold more than one row
+    retrieved = [(r, t) for r, t in zip(mixed, traces) if t.filter is not None]
+    hooks = {t.verdict.insertion_layer if t.verdict.hallucination and t.verdict.insertion_layer
+             else cal.offset_layer for _, t in retrieved}
+    assert {len(r.question) for r in mixed} == {4, 6}
+    assert {len(context_tokens(r, vocab)) for r, _ in retrieved} == {10, 12, 20, 22}
+    assert {t.verdict.hallucination for t in traces} == {False, True}
+    assert hooks == {1, OFFSET_LAYER, 4}
+    assert len(retrieved) == (len(mixed) if forced else 19)
+    plain = [r for r, t in zip(mixed, traces) if t.filter is None]
+    assert any(len(r.answer) == 2 for r, _ in retrieved)
+    assert any(len(r.answer) == 2 for r in plain) == (not forced)
+
+
+def test_make_train_examples_on_a_mixed_corpus_equal_its_records_alone(host, mixed):
+    model, layout = host
+    examples = make_train_examples(model, mixed, layout.vocab, OFFSET_LAYER)
+    for record, ex in zip(mixed, examples, strict=True):
+        [want] = make_train_examples(model, [record], layout.vocab, OFFSET_LAYER)
+        assert (list(ex.tokens), ex.answer_id) == (list(want.tokens), want.answer_id)
+        assert ex.resume[0] == want.resume[0]
+        for got, ref in ((ex.dhat, want.dhat), (ex.base, want.base),
+                         (ex.resume[1], want.resume[1])):
+            assert np.array_equal(got, ref)
+            assert got.base is None        # owns its data: no view pins a block's trace
+
+
+@pytest.mark.parametrize("forced, calls", [(False, 4 + 2 + 2), (True, 4 + 4 + 4)])
+def test_run_records_runs_one_host_pass_per_block(config, bundle, monkeypatch, forced, calls):
+    """64 fixture records share one question length, context length, stop and hook
+    layer, so each stage runs ceil(rows / BLOCK_RECORDS) passes: detection 4, and the
+    context forward and the fused decode 2 each in a gated run (32 flagged records)
+    and 4 each in a forced one."""
+    records = fixture_dataset(64, noise_rate=1.0, seed=0)
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    rows = []
+
+    def counting_infer(model, tokens, *args, **kwargs):
+        rows.append(len(tokens))
+        return infer(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "infer", counting_infer)
+    traces = run_records(records, cfg, bundle)
+    assert sum(t.filter is not None for t in traces) == (64 if forced else 32)
+    assert len(rows) == calls
+    assert rows[:4] == [2 * pipeline.BLOCK_RECORDS] * 4       # questions and their variants
+    assert set(rows[4:]) == {pipeline.BLOCK_RECORDS}
+
+
+def test_a_stage_checks_every_record_before_its_first_host_pass(mixed, config, bundle,
+                                                               monkeypatch):
+    """With two bad records, a stage refuses the first one and runs no host pass."""
+    cfg = dataclasses.replace(config, force_retrieval=True)
+    vocab, cal = bundle.vocab, bundle.calibration
+    bad_answer = dataclasses.replace(mixed[3], answer=[10**12])
+    bad_question = dataclasses.replace(mixed[1], question=[-1] * 4, variant=[-1] * 4)
+    bad_document = dataclasses.replace(mixed[2], documents=[[5, -2]])
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a host pass ran before every record was checked")
+
+    monkeypatch.setattr(pipeline, "infer", no_pass)
+    for corpus, stage, refused in (
+            ([mixed[0], bad_answer, bad_question], "detect", 10**12),
+            ([mixed[0], bad_question, bad_answer], "detect", -1),
+            ([mixed[0], bad_document, bad_answer], "filter", -2),
+            ([mixed[0], bad_answer, bad_document], "filter", 10**12)):
+        with pytest.raises(ContractViolationError, match=f"token id {refused} outside"):
+            if stage == "detect":
+                run_records(corpus, cfg, bundle)
+            else:
+                pipeline.filter_stage(bundle.model, corpus, vocab, cal, cfg.lam,
+                                      dict.fromkeys(range(len(corpus)), 3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ seed and with a bounded number of examples, and compares with
 ``np.array_equal``: a fast path must round exactly as the oracle does.
 """
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dualstream import autodiff as ad
 from dualstream.autodiff import GradTape, Tensor
+from dualstream.errors import ContractViolationError
 from dualstream.fusion import PARAM_NAMES, DsspParams, make_dssp_hook
 from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, embed, forward, infer
 from taped_host import taped_forward
@@ -68,3 +70,54 @@ def test_forward_equals_the_taped_host_on_random_hosts(case):
         for name, got, want in zip(PARAM_NAMES, grads, ref_grads):
             assert (got is None) == (want is None), name
             assert got is None or np.array_equal(got, want), name
+
+
+@st.composite
+def batched_hosts(draw):
+    """A random host, 1-5 token rows of one length, a resume layer, a stop layer at
+    or above it or none, and a hook layer between them or none, and a seed."""
+    n_layers, n_heads = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                         d_model=n_heads * draw(st.integers(1, 8)),
+                         d_ff=draw(st.integers(1, 12)), vocab_size=11, max_seq=12,
+                         seed=draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, 10), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    start = draw(st.integers(0, n_layers))
+    stop = draw(st.none() | st.integers(start, n_layers - 1)) if start < n_layers else None
+    top = n_layers if stop is None else stop
+    hook = draw(st.none() | st.integers(start, top - 1)) if start < top else None
+    return TinyTransformer.random(config), rows, start, stop, hook, config.seed
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(batched_hosts())
+def test_a_batch_equals_its_rows_run_alone_on_random_hosts(case):
+    """A (B, n) ``infer`` gives each row the hidden states, attention patterns and
+    logits of that row's own ``infer``, bit for bit: with each row resumed from its
+    own state (from the embeddings when the resume layer is 0), stopped early or
+    not, and each row's fusion hook fed its own evidence rows."""
+    model, rows, start, stop, hook, rng_seed = case
+    d = model.config.d_model
+    rng = np.random.default_rng(rng_seed)
+    states = [([embed(model, row)] + infer(model, row).hidden)[start] for row in rows]
+    hooks = [None] * len(rows)
+    if hook is not None:
+        params = DsspParams.init_random(d, d_ff=5, top_t=2, seed=rng_seed)
+        hooks = [make_dssp_hook(rng.normal(size=(int(rng.integers(1, 5)), d)), params)
+                 for _ in rows]
+    options = lambda h: None if hook is None else ForwardOptions(hook, h)
+    resume = lambda s: None if start == 0 else (start, s)
+    batch = infer(model, rows, options(hooks), resume(np.stack(states)), stop)
+    for i, row in enumerate(rows):
+        alone = infer(model, row, options(hooks[i]), resume(states[i]), stop)
+        got = batch.row(i)
+        assert (got.logits is None) == (alone.logits is None) == (stop is not None)
+        assert stop is not None or np.array_equal(got.logits, alone.logits)
+        for a, b in zip(got.hidden + got.attention, alone.hidden + alone.attention, strict=True):
+            assert np.array_equal(a, b)
+    if hook is not None and len(rows) > 1:
+        with pytest.raises(ContractViolationError, match="hooks for a batch"):
+            infer(model, rows, options(hooks[1:]), resume(np.stack(states)), stop)
