@@ -126,8 +126,9 @@ def transpose(a: Tensor) -> Tensor:
     return emit(a.value.T.copy(), (a,), vjp)
 
 
-def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
-    # Only row-broadcast (1,n) against (m,n) is supported.
+def unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
+    """The adjoint of an elementwise operand of ``shape`` from ``g``, the result's: ``g``
+    itself, or its column sums for a (1, n) row broadcast against (m, n)."""
     if g.shape == shape:
         return g
     return g.sum(axis=0, keepdims=True)
@@ -147,7 +148,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.value.shape, b.value.shape
 
     def vjp(g: Array):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return unbroadcast(g, sa), unbroadcast(g, sb)
 
     return emit(a.value + b.value, (a, b), vjp)
 
@@ -157,7 +158,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.value.shape, b.value.shape
 
     def vjp(g: Array):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
+        return unbroadcast(g, sa), -unbroadcast(g, sb)
 
     return emit(a.value - b.value, (a, b), vjp)
 
@@ -168,7 +169,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
 
     def vjp(g: Array):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+        return unbroadcast(g * bv, av.shape), unbroadcast(g * av, bv.shape)
 
     return emit(av * bv, (a, b), vjp)
 
@@ -195,20 +196,29 @@ def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
     scale_factor 0 gives uniform rows.  -inf entries act as masks (zero
     probability); a row that is entirely -inf is a degenerate mask -> error.
     """
-    z = a.value * scale_factor if scale_factor != 0.0 else np.zeros_like(a.value)
+    y = row_softmax(a.value, scale_factor)
+
+    def vjp(g: Array):
+        return (row_softmax_vjp(g, y, scale_factor),)
+
+    return emit(y, (a,), vjp)
+
+
+def row_softmax(a: Array, scale_factor: float) -> Array:
+    """``softmax_rows`` in plain numpy: its value for the matrix ``a``."""
+    z = a * scale_factor if scale_factor != 0.0 else np.zeros_like(a)
     rowmax = z.max(axis=1, keepdims=True)
     if np.isneginf(rowmax).any():
         raise ContractViolationError("softmax row with no finite entry (degenerate mask)")
     # +inf/NaN rows are numeric overflow, not masking; they propagate NaN so
     # the training loop's divergence guard can catch them
     e = np.exp(z - rowmax)
-    y = e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
-    def vjp(g: Array):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (scale_factor * y * (g - inner),)
 
-    return emit(y, (a,), vjp)
+def row_softmax_vjp(g: Array, y: Array, scale_factor: float) -> Array:
+    """``softmax_rows``'s input adjoint, given ``g``, the adjoint of its output ``y``."""
+    return scale_factor * y * (g - (g * y).sum(axis=1, keepdims=True))
 
 
 def normalize(x: Array) -> tuple[Array, Array]:

@@ -5,12 +5,15 @@ through a shared projection; the top-T most similar external tokens are
 cross-attended into I, while differential attention (self minus cross)
 isolates what each stream says that the other does not.  The three |I|-length
 streams are concatenated feature-wise, mixed by a two-layer MLP, normalized,
-and added back onto I.  Everything here is a pure function of (streams,
-params) and differentiable end to end when the params are supplied as taped
-leaves.
+and added back onto I.  Everything here is a plain-numpy function of
+(streams, params).  When the params are supplied as taped leaves, the update
+is one tape record whose hand-written adjoint gives every parameter but
+``w_share`` its gradient; the oracle it is held to, bit for bit, is the block
+taped op by op on the autodiff kernels, in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, as_matrix
-from .errors import ContractViolationError
+from .errors import ContractViolationError, read_field
 from .tensorstore import expect_tensors, load_tensors, save_tensors
 
 Array = np.ndarray
@@ -39,6 +42,8 @@ def param_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, int]]:
 
 
 PARAM_NAMES = tuple(param_shapes(1, 1))  # checkpoint tensor names, in container order
+# the parameters that get gradients: w_share is read only by the discrete top-T choice
+TRAINED_NAMES = tuple(name for name in PARAM_NAMES if name != "w_share")
 
 
 @dataclass
@@ -66,13 +71,17 @@ class KnowledgeStream:
         return int(self.tokens.shape[1])
 
 
-def _t(x) -> Tensor:
-    """Accept Tensor / KnowledgeStream / array-like; return a Tensor."""
+def _array(x, what: str) -> Array:
+    """A Tensor, KnowledgeStream or array-like as a 2-d float64 array.  Nothing here
+    passes an adjoint to its inputs, so a taped Tensor is refused."""
     if isinstance(x, Tensor):
-        return x
+        if x.tape is not None:
+            raise ContractViolationError(
+                f"taped {what}: fusion gives adjoints to its parameters only")
+        return x.value
     if isinstance(x, KnowledgeStream):
-        return Tensor(x.tokens)
-    return Tensor(as_matrix(np.asarray(x, dtype=np.float64)))
+        return x.tokens
+    return as_matrix(x)
 
 
 @dataclass
@@ -100,8 +109,9 @@ class DsspParams:
             if getattr(self, name).shape != shape:
                 raise ContractViolationError(
                     f"{name} must have shape {shape}, got {getattr(self, name).shape}")
-        if self.top_t < 1:
-            raise ContractViolationError("top_t must be >= 1")
+        # a checkpoint stores top_t as a float64, which holds every integer up to 2**53
+        if not 1 <= read_field(vars(self), "top_t", int) <= 2**53:
+            raise ContractViolationError("top_t must lie in 1..2**53")
 
     @property
     def d_model(self) -> int:
@@ -174,51 +184,77 @@ def load_dssp_params(path) -> DsspParams:
 # ---------------------------------------------------------------------------
 # attention primitives (single-head, no causal mask, no positions)
 # ---------------------------------------------------------------------------
+#
+# Plain numpy.  Each repeats the arithmetic of its counterpart on the autodiff
+# kernels (kept in the tests as the oracle), so the two agree bit for bit:
+# ``transpose`` is a contiguous copy, ``softmax_rows`` is ``row_softmax``.
 
 def shared_similarity(internal, external, w_share, d_k: int | None = None) -> Tensor:
     """Row-stochastic |I| x |D-hat| similarity, both streams projected by w_share."""
-    x, y, w = _t(internal), _t(external), _t(w_share)
-    if x.value.shape[1] != w.value.shape[0] or y.value.shape[1] != w.value.shape[0]:
+    x, y = _array(internal, "internal stream"), _array(external, "external stream")
+    w = _array(w_share, "w_share")
+    if x.shape[1] != w.shape[0] or y.shape[1] != w.shape[0]:
         raise ContractViolationError("stream width does not match w_share")
-    dk = w.value.shape[0] if d_k is None else int(d_k)
-    logits = ad.matmul(ad.matmul(x, w), ad.transpose(ad.matmul(y, w)))
-    return ad.softmax_rows(logits, 1.0 / math.sqrt(dk))
+    dk = w.shape[0] if d_k is None else int(d_k)
+    return Tensor(ad.row_softmax((x @ w) @ (y @ w).T.copy(), 1.0 / math.sqrt(dk)))
 
 
 def shared_token_scores(sim) -> Array:
     """Column mass: how much total similarity each external token receives."""
-    return np.asarray(_t(sim).value.sum(axis=0), dtype=np.float64)
+    return np.asarray(_array(sim, "similarity").sum(axis=0), dtype=np.float64)
 
 
 def select_shared_tokens(sim, external, top_t: int = DEFAULT_TOP_T) -> Tensor:
     """Rows of the external stream with the top-T column mass, in score order.
 
-    Ties go to the lowest index; T >= |D-hat| selects everything.  Selection
-    indices are computed from similarity values (the ordering itself is not
-    differentiated); gradients flow through the selected rows.
+    Ties go to the lowest index; T >= |D-hat| selects everything.  The
+    choice is discrete, so no gradient reaches the similarity through it.
     """
     if top_t < 1:
         raise ContractViolationError("top_t must be >= 1")
-    y = _t(external)
+    y = _array(external, "external stream")
     scores = shared_token_scores(sim)
-    if scores.size != y.value.shape[0]:
+    if scores.size != y.shape[0]:
         raise ContractViolationError("similarity columns do not match external tokens")
-    k = min(int(top_t), scores.size)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return ad.take_rows(y, [int(i) for i in order])
+    return Tensor(y[np.argsort(-scores, kind="stable")[:min(int(top_t), scores.size)]])
+
+
+def shared_rows(internal, external, w_share, top_t: int) -> Array:
+    """The external rows the shared branch attends to: the top-T by the column mass of
+    the streams' ``shared_similarity``."""
+    return select_shared_tokens(shared_similarity(internal, external, w_share),
+                                external, top_t).value
+
+
+def _attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array,
+            q: Array | None = None) -> tuple[Array, tuple]:
+    """softmax(QK^T / sqrt(d_k)) V with Q = x wq (or ``q``, when the caller has it),
+    K = y wk and V = y wv, and what its adjoint reads (``_attend_vjp``)."""
+    q = x @ wq if q is None else q
+    kt = (y @ wk).T.copy()
+    scale = 1.0 / math.sqrt(wq.shape[0])
+    a = ad.row_softmax(q @ kt, scale)
+    v = y @ wv
+    return a @ v, (q, kt, a, v, scale)
+
+
+def _attend_vjp(g: Array, q: Array, kt: Array, a: Array, v: Array,
+                scale: float) -> tuple[Array, Array, Array]:
+    """The adjoints of ``_attend``'s Q, K and V given ``g``, its output's, as the
+    kernels' adjoints give them."""
+    gs = ad.row_softmax_vjp(g @ v.T, a, scale)
+    return gs @ kt.T, (q.T @ gs).T, a.T @ g
 
 
 def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
     """softmax(QK^T / sqrt(d_k)) V with queries from one stream, keys/values from the
     other; d_k is the query projection's input width."""
-    x, y = _t(queries), _t(keys_values)
-    wq_t, wk_t, wv_t = _t(wq), _t(wk), _t(wv)
-    if x.value.shape[1] != wq_t.value.shape[0] or y.value.shape[1] != wk_t.value.shape[0]:
+    x, y = _array(queries, "queries"), _array(keys_values, "keys/values")
+    wq, wk, wv = (_array(w, "attention weight") for w in (wq, wk, wv))
+    if (x.shape[1] != wq.shape[0] or y.shape[1] != wk.shape[0] or y.shape[1] != wv.shape[0]
+            or wq.shape[1] != wk.shape[1]):
         raise ContractViolationError("stream width does not match attention weights")
-    attn = ad.softmax_rows(
-        ad.matmul(ad.matmul(x, wq_t), ad.transpose(ad.matmul(y, wk_t))),
-        1.0 / math.sqrt(wq_t.value.shape[0]))
-    return ad.matmul(attn, ad.matmul(y, wv_t))
+    return Tensor(_attend(x, y, wq, wk, wv)[0])
 
 
 def self_attention(stream, wq, wk, wv) -> Tensor:
@@ -227,65 +263,125 @@ def self_attention(stream, wq, wk, wv) -> Tensor:
 
 def differential_attention(stream_x, stream_y, s_triple, c_triple) -> Tensor:
     """Self-attention of X minus cross-attention of X onto Y (private residue of X)."""
-    return ad.sub(self_attention(stream_x, *s_triple),
-                  cross_attention(stream_x, stream_y, *c_triple))
+    return Tensor(self_attention(stream_x, *s_triple).value
+                  - cross_attention(stream_x, stream_y, *c_triple).value)
 
 
 # ---------------------------------------------------------------------------
-# full fusion pass
+# full fusion pass: one tape record
 # ---------------------------------------------------------------------------
 
-def _param_tensors(params: DsspParams, leaves: dict[str, Tensor] | None) -> dict[str, Tensor]:
+def _param_values(params: DsspParams, leaves: dict[str, Tensor] | None) -> dict[str, Array]:
     if leaves is None:
-        return {name: Tensor(getattr(params, name)) for name in PARAM_NAMES}
+        return params.to_arrays()
     missing = [n for n in PARAM_NAMES if n not in leaves]
     if missing:
         raise ContractViolationError(f"leaves missing parameters: {missing}")
-    return leaves
+    return {name: leaves[name].value for name in PARAM_NAMES}
 
 
 def dssp_update(internal, external, params: DsspParams,
-                leaves: dict[str, Tensor] | None = None) -> Tensor:
-    """The fusion increment U-hat (everything but the final residual add)."""
-    p = _param_tensors(params, leaves)
-    x, y = _t(internal), _t(external)
-    s_triple = (p["wq_s"], p["wk_s"], p["wv_s"])
-    c_triple = (p["wq_c"], p["wk_c"], p["wv_c"])
+                leaves: dict[str, Tensor] | None = None, *,
+                shared: Array | None = None) -> Tensor:
+    """The fusion increment U-hat (everything but the final residual add).
 
-    # only the discrete top-T choice reads the similarity, so no gradient can
-    # reach it: it runs on the values, off the tape
-    sim = shared_similarity(x.value, y.value, p["w_share"].value)
-    u_share = select_shared_tokens(sim, y, params.top_t)
-    u_enhance = cross_attention(x, u_share, *c_triple)
-    u_priv_int = differential_attention(x, y, s_triple, c_triple)
+    ``shared`` holds the external rows the shared branch attends to, when the
+    caller has them from ``shared_rows``; otherwise they are chosen here.
+    Plain numpy: with taped ``leaves``, U-hat is one record on their tape, on
+    every leaf but ``w_share``, which only the discrete top-T choice reads,
+    and its adjoint is ``_update_vjp``.  The streams are constants, so a taped
+    one is refused.
+    """
+    x, y = _array(internal, "internal stream"), _array(external, "external stream")
+    p = _param_values(params, leaves)
+    if x.shape[1] != params.d_model or y.shape[1] != params.d_model:
+        raise ContractViolationError("stream width does not match the fusion parameters")
+    if shared is None:
+        shared = shared_rows(x, y, p["w_share"], params.top_t)
+    s = (p["wq_s"], p["wk_s"], p["wv_s"])
+    c = (p["wq_c"], p["wk_c"], p["wv_c"])
+    xq = x @ p["wq_c"]      # the internal stream's queries, in each of its three cross attentions
+    enh, enh_saved = _attend(x, shared, *c, q=xq)
+    sx, sx_saved = _attend(x, x, *s)
+    cxy, cxy_saved = _attend(x, y, *c, q=xq)
+    sy, sy_saved = _attend(y, y, *s)
+    cyx, cyx_saved = _attend(y, x, *c)
     # the external private residue has length |D-hat|; re-query it with the
     # internal stream so all three branches align to |I| before fusion
-    u_priv_ext = cross_attention(x, differential_attention(y, x, s_triple, c_triple), *c_triple)
+    residue = sy - cyx
+    ext, ext_saved = _attend(x, residue, *c, q=xq)
 
-    u = ad.concat_cols([u_enhance, u_priv_int, u_priv_ext])
-    h = ad.relu(ad.add(ad.matmul(u, p["w_f"]), p["b_f"]))
-    pre_norm = ad.add(ad.matmul(h, p["w_o"]), p["b_o"])
-    return ad.layer_norm(pre_norm, p["ln_gain"], p["ln_bias"])
+    u = np.hstack([enh, sx - cxy, ext])
+    pre_relu = u @ p["w_f"] + p["b_f"]
+    relu = pre_relu > 0.0
+    h = pre_relu * relu
+    xhat, inv = ad.normalize(h @ p["w_o"] + p["b_o"])
+    out = xhat * p["ln_gain"] + p["ln_bias"]
+
+    inputs = () if leaves is None else tuple(leaves[name] for name in TRAINED_NAMES)
+    acts = (x, y, shared, residue, enh_saved, sx_saved, cxy_saved, sy_saved, cyx_saved,
+            ext_saved, u, relu, h, xhat, inv)
+    return ad.emit(out, inputs, functools.partial(_update_vjp, p, acts))
+
+
+def _update_vjp(p: dict[str, Array], acts: tuple, g: Array) -> tuple[Array, ...]:
+    """The adjoints of the ``TRAINED_NAMES`` leaves, in that order, given ``g``, U-hat's.
+
+    ``backward`` over the block taped op by op, streams constant, gives the
+    same bits: this replays its adjoints in its pop order, last op first.  A
+    leaf used more than once sums its contributions in that order; for the
+    cross-attention weights: the internal stream attending to the external
+    residue, the residue's self-attention stream attending to the internal
+    one, the internal stream attending to the external one, and the
+    shared-token enhance.  The residue, read as values and as keys, sums its
+    V adjoint, then its K.  ``x @ wq_c`` is one product in the forward, but
+    its weight adjoint stays three products, one per use: a single product of
+    the summed query adjoints would round differently.
+    """
+    x, y, shared, residue, enh, sx, cxy, sy, cyx, ext, u, relu, h, xhat, inv = acts
+    d_ln_gain = (g * xhat).sum(axis=0, keepdims=True)
+    d_ln_bias = g.sum(axis=0, keepdims=True)
+    g = ad.normalize_vjp(g * p["ln_gain"], xhat, inv)
+    d_b_o, d_w_o = ad.unbroadcast(g, p["b_o"].shape), h.T @ g
+    g = (g @ p["w_o"].T) * relu
+    d_b_f, d_w_f = ad.unbroadcast(g, p["b_f"].shape), u.T @ g
+    g_enh, g_int, g_ext = np.hsplit(g @ p["w_f"].T, 3)
+
+    q_xr, k_xr, v_xr = _attend_vjp(g_ext, *ext)
+    g_res = v_xr @ p["wv_c"].T + k_xr @ p["wk_c"].T
+    q_yx, k_yx, v_yx = _attend_vjp(-g_res, *cyx)
+    q_yy, k_yy, v_yy = _attend_vjp(g_res, *sy)
+    q_xy, k_xy, v_xy = _attend_vjp(-g_int, *cxy)
+    q_xx, k_xx, v_xx = _attend_vjp(g_int, *sx)
+    q_sh, k_sh, v_sh = _attend_vjp(g_enh, *enh)
+    return (y.T @ q_yy + x.T @ q_xx,
+            y.T @ k_yy + x.T @ k_xx,
+            y.T @ v_yy + x.T @ v_xx,
+            x.T @ q_xr + y.T @ q_yx + x.T @ q_xy + x.T @ q_sh,
+            residue.T @ k_xr + x.T @ k_yx + y.T @ k_xy + shared.T @ k_sh,
+            residue.T @ v_xr + x.T @ v_yx + y.T @ v_xy + shared.T @ v_sh,
+            d_w_f, d_b_f, d_w_o, d_b_o, d_ln_gain, d_ln_bias)
 
 
 def dssp_forward(internal, external, params: DsspParams,
                  leaves: dict[str, Tensor] | None = None) -> Tensor:
     """Residual fusion: internal stream plus the mixed-attention update."""
-    x = _t(internal)
+    x = Tensor(_array(internal, "internal stream"))
     return ad.add(x, dssp_update(x, external, params, leaves))
 
 
 def make_dssp_hook(external, params: DsspParams,
-                   leaves: dict[str, Tensor] | None = None):
+                   leaves: dict[str, Tensor] | None = None, *,
+                   shared: Array | None = None):
     """Adapter for the host model's fusion hook.
 
     The host block adds the hook's return value to the residual stream, so
     the hook returns just the update; the residual add in dssp_forward is
-    supplied by the block itself.
+    supplied by the block itself.  ``shared`` is as for ``dssp_update``.
     """
-    ext = _t(external)
+    ext = _array(external, "external stream")
 
     def hook(xn: Tensor) -> Tensor:
-        return dssp_update(xn, ext, params, leaves)
+        return dssp_update(xn, ext, params, leaves, shared=shared)
 
     return hook

@@ -413,8 +413,7 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
         gxn = None
         for h in reversed(range(len(wq))):
             y, gy = pattern[h], heads[h]
-            ga = gy @ v[h].T
-            gs = scale * y * (ga - (ga * y).sum(axis=1, keepdims=True))
+            gs = ad.row_softmax_vjp(gy @ v[h].T, y, scale)
             for part in ((y.T @ gy) @ wv[h].T, (q[h].T @ gs).T @ wk[h].T,
                          (gs @ kt[h].T) @ wq[h].T):
                 gxn = part if gxn is None else gxn + part

@@ -9,9 +9,11 @@ fused one from the same model with the mixed-attention hook installed.  Only
 the fusion parameters train; the host is always frozen, so each example
 carries the base distribution and the residual stream entering the insertion
 layer from the host pass that built it, and each step's ``forward`` resumes
-there.  A step's tape holds the fused block's records, one record for the
+there.  A step's tape holds one record for the fused block, one for the
 frozen host tail from the block's output to the logits, and the loss's; no
-host weight is on it.
+host weight is on it.  The block's top-T shared-token choice reads only the
+frozen stream entering it and ``w_share``, which gets no gradient, so ``train``
+makes each example's choice once, before its first step.
 """
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
-from .errors import ContractViolationError, TrainingDivergedError
-from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, softmax
+from .errors import ContractViolationError, TrainingDivergedError, field_types, read_field
+from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params, shared_rows
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, layer_norm, softmax
 
 Array = np.ndarray
 
@@ -44,6 +46,8 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in field_types(Hyperparams).items():
+            read_field(vars(self), name, kind)
         if not (0 <= self.mu < math.inf and 0 <= self.nu < math.inf):
             raise ContractViolationError("mu and nu must be finite and >= 0")
         # lr = 0 is allowed so a no-op run can serve as a determinism probe
@@ -51,6 +55,8 @@ class Hyperparams:
             raise ContractViolationError("lr must be finite and >= 0")
         if self.epochs < 1:
             raise ContractViolationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +147,10 @@ def train(
     warmup over ``WARMUP_RATIO`` of the steps then constant lr.
 
     The host model stays frozen: each example's ``base`` and ``resume``,
-    which must be for ``insertion_layer``, serve every step, which tapes the
-    fused block, the host above it as one record, and the loss.  Aborts on
-    the first non-finite loss or updated parameter.
+    which must be for ``insertion_layer``, and its shared rows serve every
+    step, which tapes the fused block as one record, the host above it as
+    one record, and the loss.  Aborts on the first non-finite loss or
+    updated parameter.
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
@@ -154,6 +161,16 @@ def train(
         if ex.resume[0] != insertion_layer:
             raise ContractViolationError(
                 f"example resumes at layer {ex.resume[0]}, not the insertion layer {insertion_layer}")
+        if np.shape(ex.resume[1]) != (len(ex.tokens), model.config.d_model):
+            raise ContractViolationError(
+                f"resume state has shape {np.shape(ex.resume[1])}, "
+                f"expected {(len(ex.tokens), model.config.d_model)}")
+    # the hook's input is the layer norm of the frozen resume state, so each
+    # example's shared rows are the same at every step
+    w = model.weights
+    gain, bias = w[f"l{insertion_layer}.ln1.gain"], w[f"l{insertion_layer}.ln1.bias"]
+    shared = [shared_rows(layer_norm(np.asarray(ex.resume[1], dtype=np.float64), gain, bias),
+                          ex.dhat, params.w_share, params.top_t) for ex in dataset]
 
     rng = np.random.default_rng(hyper.seed)
     warmup_steps = math.ceil(WARMUP_RATIO * (hyper.epochs * len(dataset)))
@@ -167,7 +184,7 @@ def train(
 
             tape = GradTape()
             leaves = params.leaves(tape)
-            hook = make_dssp_hook(ex.dhat, params, leaves)
+            hook = make_dssp_hook(ex.dhat, params, leaves, shared=shared[i])
             opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
             trace = forward(model, list(ex.tokens), opts, resume=ex.resume)
 

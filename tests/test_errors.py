@@ -7,8 +7,10 @@ import pytest
 from dualstream.dataset import QARecord, Vocab
 from dualstream.detector import DetectionVerdict
 from dualstream.errors import ContractViolationError, read_jsonl
+from dualstream.fusion import DsspParams
 from dualstream.model import ModelConfig
 from dualstream.pipeline import PipelineTrace, RunConfig
+from dualstream.training import Hyperparams
 
 _RECORD = {"id": "r0", "question": [2, 3, 4, 8], "answer": [80], "documents": [[5, 80, 8, 4, 1]]}
 _VERDICT = {"hallucination": False, "statistic": 0.5, "delta": 1.0, "aggregation": "tail_sum(2)",
@@ -22,6 +24,16 @@ _MODEL_CONFIG = {"n_layers": 6, "n_heads": 2, "d_model": 158, "d_ff": 64, "vocab
 class _ModelConfigCall:
     """Reads a document as Python code would build the config: ``ModelConfig(**doc)``."""
     from_json = staticmethod(lambda doc: ModelConfig(**doc))
+
+
+class _DsspParamsCall:
+    """Builds fusion parameters with the document's fields: ``DsspParams(**arrays, **doc)``."""
+    from_json = staticmethod(lambda doc: DsspParams(**DsspParams.init_random(2).to_arrays(), **doc))
+
+
+class _HyperparamsCall:
+    """Builds training hyperparameters from the document: ``Hyperparams(**doc)``."""
+    from_json = staticmethod(lambda doc: Hyperparams(**doc))
 
 
 def _round_trip(record):
@@ -79,6 +91,24 @@ _CASES = {
                                            "seed must be >= 0, got -1"),
     "model_config_json_negative_seed_refused": (ModelConfig, {**_MODEL_CONFIG, "seed": -1},
                                                 "seed must be >= 0, got -1"),
+    # top_t is saved as a float64: a fraction or an integer past 2**53 would not load back
+    "fusion_top_t_float_refused": (_DsspParamsCall, {"top_t": 2.5},
+                                   "field 'top_t': expected int, got float"),
+    "fusion_top_t_bool_refused": (_DsspParamsCall, {"top_t": True},
+                                  "field 'top_t': expected int, got bool"),
+    "fusion_top_t_past_2_53_refused": (_DsspParamsCall, {"top_t": 2**53 + 1},
+                                       "top_t must lie in 1..2**53"),
+    "fusion_top_t_2_53_accepted": (_DsspParamsCall, {"top_t": 2**53},
+                                   lambda p: p.top_t == 2**53),
+    "hyperparams_float_epochs_refused": (_HyperparamsCall, {"epochs": 2.5},
+                                         "field 'epochs': expected int, got float"),
+    "hyperparams_bool_epochs_refused": (_HyperparamsCall, {"epochs": True},
+                                        "field 'epochs': expected int, got bool"),
+    "hyperparams_negative_seed_refused": (_HyperparamsCall, {"seed": -1},
+                                          "seed must be >= 0, got -1"),
+    "hyperparams_string_lr_refused": (_HyperparamsCall, {"lr": "0.1"},
+                                      "field 'lr': expected float, got str"),
+    "hyperparams_int_lr_accepted": (_HyperparamsCall, {"lr": 1}, lambda h: h.lr == 1),
     "vocab_round_trips": (Vocab, {"n_subjects": 64, "n_objects": 4, "n_junk": 80},
                           lambda v: v == Vocab(64, 4, 80) and v.size == 155 and _round_trip(v)),
 }

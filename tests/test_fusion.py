@@ -388,6 +388,20 @@ def test_taped_dssp_update_keeps_the_similarity_off_the_tape():
     assert all(leaves["w_share"] is not inp for _, inputs, _ in tape._records for inp in inputs)
 
 
+def test_dssp_update_refuses_a_taped_stream():
+    """The fusion record passes adjoints to its parameters only, so a taped stream would
+    lose its gradient: it is refused."""
+    rng = np.random.default_rng(31)
+    params = rand_params(4, seed=31)
+    tape = GradTape()
+    x, y = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+    for internal, external in ((Tensor(x, tape), y), (x, Tensor(y, tape))):
+        with pytest.raises(ContractViolationError, match="taped"):
+            dssp_update(internal, external, params, params.leaves(tape))
+    with pytest.raises(ContractViolationError, match="taped internal stream"):
+        make_dssp_hook(y, params)(Tensor(x, tape))
+
+
 def test_dssp_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
     d_model, d_ff = 3, 5

@@ -1,8 +1,9 @@
-"""Fast paths against the host taped op by op (``taped_forward``), on random hosts.
+"""Fast paths against the host and the fusion block taped op by op (``taped_forward``,
+``taped_fusion``), on random hosts and fusion shapes.
 
-Each test draws host shapes the planted fixture does not have, at a fixed
-seed and with a bounded number of examples, and compares with
-``np.array_equal``: a fast path must round exactly as the oracle does.
+Each test draws shapes the planted fixture does not have, at a fixed seed and
+with a bounded number of examples, and compares with ``np.array_equal``: a
+fast path must round exactly as the oracle does.
 """
 import numpy as np
 import pytest
@@ -12,8 +13,16 @@ from hypothesis import strategies as st
 from dualstream import autodiff as ad
 from dualstream.autodiff import GradTape, Tensor
 from dualstream.errors import ContractViolationError
-from dualstream.fusion import PARAM_NAMES, DsspParams, make_dssp_hook
+from dualstream.fusion import (
+    PARAM_NAMES,
+    TRAINED_NAMES,
+    DsspParams,
+    dssp_update,
+    make_dssp_hook,
+    param_shapes,
+)
 from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, embed, forward, infer
+import taped_fusion
 from taped_host import taped_forward
 
 
@@ -33,10 +42,11 @@ def hooked_hosts(draw):
 def hooked_pass(model, tokens, hook, resume, params, dhat, probe, oracle=None):
     """A fused pass and the fusion-leaf gradients of its logits weighted by ``probe``:
     ``forward``, or with ``oracle`` "constant" or "taped" the oracle ``taped_forward``
-    with the host weights constant or taped."""
+    with the host weights constant or taped, and the fusion block taped op by op."""
     tape = GradTape()
     leaves = params.leaves(tape)
-    opts = ForwardOptions(dssp_layer=hook, dssp_hook=make_dssp_hook(dhat, params, leaves))
+    make_hook = make_dssp_hook if oracle is None else taped_fusion.make_dssp_hook
+    opts = ForwardOptions(dssp_layer=hook, dssp_hook=make_hook(dhat, params, leaves))
     if oracle is None:
         trace = forward(model, tokens, opts, resume=resume)
     else:
@@ -50,8 +60,9 @@ def hooked_pass(model, tokens, hook, resume, params, dhat, probe, oracle=None):
 @settings(max_examples=150, deadline=None, database=None)
 @given(hooked_hosts())
 def test_forward_equals_the_taped_host_on_random_hosts(case):
-    """The frozen tail's one record gives the logits, hidden states, attention patterns
-    and fusion-leaf gradients of the host taped op by op, weights constant or taped."""
+    """The fusion block's and the frozen tail's one record each give the logits, hidden
+    states, attention patterns and fusion-leaf gradients of the block and the host taped
+    op by op, host weights constant or taped."""
     model, tokens, hook, start, rng_seed = case
     cfg = model.config
     rng = np.random.default_rng(rng_seed)
@@ -121,3 +132,39 @@ def test_a_batch_equals_its_rows_run_alone_on_random_hosts(case):
     if hook is not None and len(rows) > 1:
         with pytest.raises(ContractViolationError, match="hooks for a batch"):
             infer(model, rows, options(hooks[1:]), resume(np.stack(states)), stop)
+
+
+@st.composite
+def fusion_blocks(draw):
+    """Fusion parameters of a random width, MLP width and top-T, all entries drawn, and
+    internal and external streams of random lengths, as a seed for the values."""
+    d_model, d_ff = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    top_t = draw(st.integers(1, 6))
+    n_int, n_ext = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return d_model, d_ff, top_t, n_int, n_ext, draw(st.integers(0, 2**16))
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(fusion_blocks())
+def test_the_fusion_record_equals_the_block_taped_op_by_op(case):
+    """``dssp_update``'s one record gives the output and, under a random upstream adjoint,
+    every leaf gradient of the block taped op by op; ``w_share`` gets none."""
+    d_model, d_ff, top_t, n_int, n_ext, rng_seed = case
+    rng = np.random.default_rng(rng_seed)
+    params = DsspParams(top_t=top_t, **{name: rng.normal(size=shape)
+                                        for name, shape in param_shapes(d_model, d_ff).items()})
+    internal, external = rng.normal(size=(n_int, d_model)), rng.normal(size=(n_ext, d_model))
+    probe = rng.normal(size=(n_int, d_model))
+    results = []
+    for update in (dssp_update, taped_fusion.dssp_update):
+        tape = GradTape()
+        leaves = params.leaves(tape)
+        out = update(internal, external, params, leaves)
+        grads = ad.backward(tape, ad.sum_all(ad.mul(out, Tensor(probe))))
+        results.append((out.value, {n: grads.get(leaves[n]) for n in PARAM_NAMES}))
+    (out, grads), (want, want_grads) = results
+    assert np.array_equal(out, want)
+    assert grads.pop("w_share") is None and want_grads.pop("w_share") is None
+    for name in TRAINED_NAMES:
+        assert np.array_equal(grads[name], want_grads[name]), name

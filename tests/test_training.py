@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dualstream import autodiff as ad
+from dualstream import fusion, pipeline, training
 from dualstream import model as model_module
-from dualstream import pipeline, training
 from dualstream.autodiff import GradTape, Tensor, backward
 from dualstream.cli import main
 from dualstream.errors import ContractViolationError, TrainingDivergedError
@@ -17,7 +17,7 @@ from dualstream.fixtures import (
     build_training_init,
     fixture_dataset,
 )
-from dualstream.fusion import PARAM_NAMES, DsspParams, make_dssp_hook
+from dualstream.fusion import PARAM_NAMES, TRAINED_NAMES, DsspParams, make_dssp_hook
 from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, forward, infer
 from dualstream.pipeline import make_train_examples
 from dualstream.training import (
@@ -34,6 +34,7 @@ from dualstream.training import (
     grid_search,
     train,
 )
+import taped_fusion
 from taped_host import taped_forward
 
 # frozen high-precision oracles (independent evaluation of the nats formulas)
@@ -242,11 +243,11 @@ def fixture_examples():
 def answer_loss_gradients(model, params, ex, resume=None, oracle=None):
     """Logits and fusion-leaf gradients of the answer's cross-entropy, one taped pass:
     ``forward``, or with ``oracle`` "constant" or "taped" the oracle ``taped_forward``
-    with the host weights constant or taped."""
+    with the host weights constant or taped, and the fusion block taped op by op."""
     tape = GradTape()
     leaves = params.leaves(tape)
-    opts = ForwardOptions(dssp_layer=OFFSET_LAYER,
-                          dssp_hook=make_dssp_hook(ex.dhat, params, leaves))
+    make_hook = make_dssp_hook if oracle is None else taped_fusion.make_dssp_hook
+    opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_hook(ex.dhat, params, leaves))
     if oracle is None:
         trace = forward(model, list(ex.tokens), opts, resume=resume)
     else:
@@ -285,8 +286,9 @@ def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
 
 
 def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples):
-    """The frozen tail's one record gives the fusion gradients of the host taped op by
-    op, whether the oracle's host weights are constants or taped."""
+    """The fusion block's and the frozen tail's one record each give the fusion gradients
+    of the block and the host taped op by op, whether the oracle's host weights are
+    constants or taped."""
     model, params, examples = fixture_examples
     for ex in examples:
         logits, grads = answer_loss_gradients(model, params, ex)
@@ -297,8 +299,8 @@ def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples
 
 
 def test_a_training_step_tapes_the_frozen_tail_as_one_record(fixture_examples, monkeypatch):
-    """Between the fusion hook's records and the loss's, a step records exactly one:
-    the frozen tail, from the hook's output to the logits."""
+    """A step records 17 records: one for the fusion block, on the trained leaves, one
+    for the frozen tail, from the hook's output to the logits, and the loss's 15."""
     model, init, examples = fixture_examples
     tapes, marks = [], []
 
@@ -329,10 +331,32 @@ def test_a_training_step_tapes_the_frozen_tail_as_one_record(fixture_examples, m
 
     (tape,) = tapes
     (_, after_hook, hook_out), (_, after_forward, trace) = marks
-    assert after_forward == after_hook + 1
-    out, inputs = tape.log[after_hook]
-    assert out is trace.logits_node and inputs == (hook_out,)
+    assert (after_hook, after_forward, len(tape.log)) == (1, 2, 17)
+    (block, leaves), (tail, tail_inputs) = tape.log[:2]
+    assert block is hook_out and len(leaves) == len(TRAINED_NAMES)
+    assert not {id(leaf) for leaf in leaves} & {id(out) for out, _ in tape.log}
+    assert tail is trace.logits_node and tail_inputs == (hook_out,)
     assert len(tape) == 0                  # the step's backward replayed them all
+
+
+def test_train_chooses_each_examples_shared_rows_once_per_call(fixture_examples, monkeypatch):
+    """Each example's top-T shared rows are chosen once per ``train`` call, from the bits
+    its hook receives: choosing them at every step from the hook's own input gives the
+    same losses and checkpoint."""
+    model, init, examples = fixture_examples
+    calls = []
+    select = fusion.select_shared_tokens
+    monkeypatch.setattr(fusion, "select_shared_tokens",
+                        lambda *args: calls.append(args) or select(*args))
+    hyper = Hyperparams(epochs=2)
+    once = train(model, init.copy(), examples[:3], hyper, insertion_layer=OFFSET_LAYER)
+    assert len(once.steps) == 6 and len(calls) == 3
+    calls.clear()
+    monkeypatch.setattr(training, "make_dssp_hook",
+                        lambda dhat, params, leaves, shared: make_dssp_hook(dhat, params, leaves))
+    every_step = train(model, init.copy(), examples[:3], hyper, insertion_layer=OFFSET_LAYER)
+    assert len(calls) == 3 + 6             # the unused up-front choices, then one per step
+    assert once.steps == every_step.steps and once.checkpoint_id == every_step.checkpoint_id
 
 
 def softmax(z):
