@@ -8,6 +8,11 @@ is single-use, and reference counting frees its graph as the pass goes.
 Tensors without a tape behave as constants, so a forward pass that never
 touches a taped leaf records nothing.
 
+The host and the fused block run in plain numpy, each one tape record
+(``emit``) whose hand-written adjoint uses the arithmetic they share here:
+``row_softmax`` (the one softmax), ``normalize`` and ``attention_vjp``.  The
+other per-op kernels of their oracles, taped op by op, live in the tests.
+
 Kernels are backed by numpy float64; given identical inputs a run is
 bit-deterministic within a process.  Tapes are not thread-safe -- confine a
 tape to one thread.
@@ -105,27 +110,6 @@ def emit(value: Array, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ContractViolationError(
-            f"matmul inner dimensions differ: {a.value.shape} x {b.value.shape}")
-    av, bv = a.value, b.value
-    need_a, need_b = a.tape is not None, b.tape is not None
-
-    def vjp(g: Array):
-        # a constant operand (no tape) never passes a gradient on to a leaf
-        return g @ bv.T if need_a else None, av.T @ g if need_b else None
-
-    return emit(av @ bv, (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def vjp(g: Array):
-        return (g.T,)
-
-    return emit(a.value.T.copy(), (a,), vjp)
-
-
 def unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
     """The adjoint of an elementwise operand of ``shape`` from ``g``, the result's: ``g``
     itself, or its column sums for a (1, n) row broadcast against (m, n)."""
@@ -181,15 +165,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return emit(a.value * c, (a,), vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0.0
-
-    def vjp(g: Array):
-        return (g * mask,)
-
-    return emit(a.value * mask, (a,), vjp)
-
-
 def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
     """Row-wise softmax of ``scale_factor * a`` with max-subtraction.
 
@@ -205,20 +180,29 @@ def softmax_rows(a: Tensor, scale_factor: float = 1.0) -> Tensor:
 
 
 def row_softmax(a: Array, scale_factor: float) -> Array:
-    """``softmax_rows`` in plain numpy: its value for the matrix ``a``."""
+    """``softmax_rows`` in plain numpy, over the last axis of ``a``, of any rank; on a
+    matrix, its value bit for bit."""
     z = a * scale_factor if scale_factor != 0.0 else np.zeros_like(a)
-    rowmax = z.max(axis=1, keepdims=True)
-    if np.isneginf(rowmax).any():
+    rowmax = z.max(axis=-1, keepdims=True)
+    if (rowmax == -np.inf).any():
         raise ContractViolationError("softmax row with no finite entry (degenerate mask)")
     # +inf/NaN rows are numeric overflow, not masking; they propagate NaN so
     # the training loop's divergence guard can catch them
     e = np.exp(z - rowmax)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def row_softmax_vjp(g: Array, y: Array, scale_factor: float) -> Array:
     """``softmax_rows``'s input adjoint, given ``g``, the adjoint of its output ``y``."""
     return scale_factor * y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def attention_vjp(g: Array, q: Array, kt: Array, a: Array, v: Array,
+                  scale_factor: float) -> tuple[Array, Array, Array]:
+    """Q's, K's and V's adjoints in ``a @ v``, ``a = row_softmax(q @ kt [+ mask], scale_factor)``,
+    given ``g``, its output's: the bits of the taped matmul, transpose and softmax."""
+    gs = row_softmax_vjp(g @ v.T, a, scale_factor)
+    return gs @ kt.T, (q.T @ gs).T, a.T @ g
 
 
 def normalize(x: Array) -> tuple[Array, Array]:
@@ -253,21 +237,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return normalize_vjp(g * gv, xhat, inv), dgain, dbias
 
     return emit(xhat * gv + bias.value, (x, gain, bias), vjp)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractViolationError("concat_cols needs at least one part")
-    rows = parts[0].value.shape[0]
-    if any(p.value.shape[0] != rows for p in parts):
-        raise ContractViolationError("concat_cols parts must share row count")
-    widths = [p.value.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-
-    def vjp(g: Array):
-        return tuple(np.hsplit(g, splits))
-
-    return emit(np.hstack([p.value for p in parts]), tuple(parts), vjp)
 
 
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import make_variant
-from .errors import ContractViolationError, JsonRecord, read_field, read_jsonl, write_jsonl
+from .errors import ContractViolationError, JsonRecord, read_field, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,6 @@ class QARecord(JsonRecord):
                     raise ContractViolationError(
                         "noise_mask rows must align with document tokens"
                     )
-
-
-def save_records(path, records: list[QARecord]) -> None:
-    """Write records as JSON lines (UTF-8, one record per line)."""
-    write_jsonl(path, (record.to_json() for record in records))
 
 
 def load_records(path) -> list[QARecord]:

@@ -47,19 +47,24 @@ class TrainingDivergedError(RuntimeError):
 
 
 # the Python types ``json.load`` gives a value of each kind; a float may be written as an integer
-_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), dict: (dict,)}
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), dict: (dict,),
+               list: (list,)}
 _ALIASES = {np.ndarray: list[float]}   # a float vector is a JSON list
 
 
 def json_value(kind, value):
     """``value`` read as the annotation ``kind``; a value of another type raises TypeError.
 
-    A scalar is checked, never coerced: a bool is no number, and an int may
-    stand for a float.  ``T | None``, ``list[T]``, ``tuple[T, ...]`` (from a
-    JSON array only) and ``dict[str, T]`` read their items in turn, and a
-    ``JsonRecord`` reads itself.
+    A scalar, or a bare ``list`` or ``dict``, is checked, never coerced: a bool
+    is no number, and an int may stand for a float.  ``T | None``, ``list[T]``,
+    ``tuple[T, ...]`` (from a JSON array only) and ``dict[str, T]`` read their
+    items in turn, and a ``JsonRecord`` reads itself.
     """
     kind = _ALIASES.get(kind, kind)
+    if kind in _JSON_TYPES:
+        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return kind(value)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
         return None if value is None else json_value(args[0], value)
@@ -69,11 +74,7 @@ def json_value(kind, value):
         return origin(json_value(args[0], v) for v in value)
     if origin is dict:
         return {k: json_value(args[1], v) for k, v in json_value(dict, value).items()}
-    if isinstance(kind, type) and issubclass(kind, JsonRecord):
-        return kind.from_json(value)
-    if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind is not bool):
-        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
-    return kind(value)
+    return kind.from_json(value)
 
 
 def json_of(kind, value):

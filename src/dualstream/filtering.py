@@ -16,10 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import row_softmax
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, JsonRecord, LayerStructureError
 from .fusion import KnowledgeStream
-from .model import ForwardTrace, TinyTransformer, embed, infer, softmax
+from .model import ForwardTrace, TinyTransformer, embed, infer
 
 Array = np.ndarray
 
@@ -128,7 +129,7 @@ def energy_quotient(delta_a: Sequence[float], lam: float = DEFAULT_LAMBDA) -> Ar
         raise ContractViolationError("energy quotient needs at least one token")
     if not np.all(np.isfinite(da)) or not math.isfinite(lam):
         raise ContractViolationError("scores and lam must be finite")
-    return softmax(-lam * da)
+    return row_softmax(da, -lam)
 
 
 def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, float]:

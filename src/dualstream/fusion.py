@@ -9,7 +9,7 @@ and added back onto I.  Everything here is a plain-numpy function of
 (streams, params).  When the params are supplied as taped leaves, the update
 is one tape record whose hand-written adjoint gives every parameter but
 ``w_share`` its gradient; the oracle it is held to, bit for bit, is the block
-taped op by op on the autodiff kernels, in the tests.
+taped op by op, in the tests.
 """
 from __future__ import annotations
 
@@ -162,10 +162,11 @@ class DsspParams:
         return DsspParams(top_t=self.top_t, **arrays)
 
 
-def save_dssp_params(path, params: DsspParams, dtype: str = "f64") -> None:
+def save_dssp_params(path, params: DsspParams) -> None:
+    """Write the parameters and ``top_t`` as float64, the bits ``checkpoint_id`` hashes."""
     tensors = dict(params.to_arrays())
     tensors["top_t"] = np.array([[float(params.top_t)]])
-    save_tensors(path, tensors, dtype=dtype)
+    save_tensors(path, tensors, dtype="f64")
 
 
 def load_dssp_params(path) -> DsspParams:
@@ -185,9 +186,10 @@ def load_dssp_params(path) -> DsspParams:
 # attention primitives (single-head, no causal mask, no positions)
 # ---------------------------------------------------------------------------
 #
-# Plain numpy.  Each repeats the arithmetic of its counterpart on the autodiff
-# kernels (kept in the tests as the oracle), so the two agree bit for bit:
-# ``transpose`` is a contiguous copy, ``softmax_rows`` is ``row_softmax``.
+# Plain numpy.  Each repeats the arithmetic of its counterpart taped op by op
+# (kept in the tests as the oracle), so the two agree bit for bit: a taped
+# transpose is a contiguous copy, and the softmax and the attention adjoint
+# are the host's, ``autodiff.row_softmax`` and ``autodiff.attention_vjp``.
 
 def shared_similarity(internal, external, w_share, d_k: int | None = None) -> Tensor:
     """Row-stochastic |I| x |D-hat| similarity, both streams projected by w_share."""
@@ -229,21 +231,13 @@ def shared_rows(internal, external, w_share, top_t: int) -> Array:
 def _attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array,
             q: Array | None = None) -> tuple[Array, tuple]:
     """softmax(QK^T / sqrt(d_k)) V with Q = x wq (or ``q``, when the caller has it),
-    K = y wk and V = y wv, and what its adjoint reads (``_attend_vjp``)."""
+    K = y wk and V = y wv, and what its adjoint reads (``autodiff.attention_vjp``)."""
     q = x @ wq if q is None else q
     kt = (y @ wk).T.copy()
     scale = 1.0 / math.sqrt(wq.shape[0])
     a = ad.row_softmax(q @ kt, scale)
     v = y @ wv
     return a @ v, (q, kt, a, v, scale)
-
-
-def _attend_vjp(g: Array, q: Array, kt: Array, a: Array, v: Array,
-                scale: float) -> tuple[Array, Array, Array]:
-    """The adjoints of ``_attend``'s Q, K and V given ``g``, its output's, as the
-    kernels' adjoints give them."""
-    gs = ad.row_softmax_vjp(g @ v.T, a, scale)
-    return gs @ kt.T, (q.T @ gs).T, a.T @ g
 
 
 def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
@@ -347,13 +341,13 @@ def _update_vjp(p: dict[str, Array], acts: tuple, g: Array) -> tuple[Array, ...]
     d_b_f, d_w_f = ad.unbroadcast(g, p["b_f"].shape), u.T @ g
     g_enh, g_int, g_ext = np.hsplit(g @ p["w_f"].T, 3)
 
-    q_xr, k_xr, v_xr = _attend_vjp(g_ext, *ext)
+    q_xr, k_xr, v_xr = ad.attention_vjp(g_ext, *ext)
     g_res = v_xr @ p["wv_c"].T + k_xr @ p["wk_c"].T
-    q_yx, k_yx, v_yx = _attend_vjp(-g_res, *cyx)
-    q_yy, k_yy, v_yy = _attend_vjp(g_res, *sy)
-    q_xy, k_xy, v_xy = _attend_vjp(-g_int, *cxy)
-    q_xx, k_xx, v_xx = _attend_vjp(g_int, *sx)
-    q_sh, k_sh, v_sh = _attend_vjp(g_enh, *enh)
+    q_yx, k_yx, v_yx = ad.attention_vjp(-g_res, *cyx)
+    q_yy, k_yy, v_yy = ad.attention_vjp(g_res, *sy)
+    q_xy, k_xy, v_xy = ad.attention_vjp(-g_int, *cxy)
+    q_xx, k_xx, v_xx = ad.attention_vjp(g_int, *sx)
+    q_sh, k_sh, v_sh = ad.attention_vjp(g_enh, *enh)
     return (y.T @ q_yy + x.T @ q_xx,
             y.T @ k_yy + x.T @ k_xx,
             y.T @ v_yy + x.T @ v_xx,

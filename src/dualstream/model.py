@@ -10,7 +10,7 @@ caller (detection, the pruning sweep, filtering, decoding) runs on it.
 output carries a tape, the frozen tail above the hook goes on that tape as
 one record with a hand-written adjoint, so the fusion parameters get their
 gradients without a record per host op.  The oracle both are held to, bit
-for bit, is the host taped op by op on the autodiff kernels, in the tests.
+for bit, is the host taped op by op, in the tests.
 
 A hooked layer has its self-attention output replaced by the hook's output
 (in a batch, each row's by its own hook) and records an identity attention
@@ -202,8 +202,10 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
 # ---------------------------------------------------------------------------
 #
 # One numpy block serves ``infer`` and ``forward``.  It repeats the arithmetic
-# of the host taped op by op on the autodiff kernels (kept in the tests as the
-# oracle), so the two agree bit for bit.  That holds only while every matmul
+# of the host taped op by op (kept in the tests as the oracle), so the two
+# agree bit for bit, and it shares that arithmetic with the fused block
+# through ``autodiff``: the softmax is ``row_softmax`` and the tail's
+# attention adjoint ``attention_vjp``.  That holds only while every matmul
 # keeps the shapes and memory layout of its taped counterpart: numpy runs a
 # stacked matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from
 # the slice shape, so packing heads into one projection or batching (1, d) rows
@@ -216,18 +218,12 @@ def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     return ad.normalize(x)[0] * gain + bias
 
 
-def softmax(z: Array) -> Array:
-    """Softmax over the last axis."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _attention(xn: Array, wq: Array, wk: Array) -> tuple[Array, Array, Array]:
     """Q, contiguous K^T and the causal softmax pattern of normed ``(B, n, d)`` rows,
     one matmul per row and head."""
     q, k = xn[:, None] @ wq, xn[:, None] @ wk
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    return q, kt, softmax((q @ kt + _causal_mask(xn.shape[-2])) * (1.0 / np.sqrt(wq.shape[-1])))
+    return q, kt, ad.row_softmax(q @ kt + _causal_mask(xn.shape[-2]), 1.0 / np.sqrt(wq.shape[-1]))
 
 
 def _tokens(config: ModelConfig, tokens) -> Array:
@@ -412,10 +408,8 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
         heads = np.hsplit(g @ w[f"l{l}.attn.wo"].T, len(wq))
         gxn = None
         for h in reversed(range(len(wq))):
-            y, gy = pattern[h], heads[h]
-            gs = ad.row_softmax_vjp(gy @ v[h].T, y, scale)
-            for part in ((y.T @ gy) @ wv[h].T, (q[h].T @ gs).T @ wk[h].T,
-                         (gs @ kt[h].T) @ wq[h].T):
+            gq, gk, gv = ad.attention_vjp(heads[h], q[h], kt[h], pattern[h], v[h], scale)
+            for part in (gv @ wv[h].T, gk @ wk[h].T, gq @ wq[h].T):
                 gxn = part if gxn is None else gxn + part
         g = g + ad.normalize_vjp(gxn * w[f"l{l}.ln1.gain"], xhat, inv)
     return (g,)
@@ -434,7 +428,8 @@ def logit_lens(model: TinyTransformer, hidden: Sequence[Array]) -> Array:
     """
     w = model.weights
     last = np.stack([h[..., -1:, :] for h in hidden])
-    return softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T)[..., 0, :]
+    return ad.row_softmax(layer_norm(last, w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T,
+                          1.0)[..., 0, :]
 
 
 def layer_distributions(model: TinyTransformer, tokens: Sequence[int]) -> list[Array]:

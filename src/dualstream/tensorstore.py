@@ -4,19 +4,43 @@ Layout: an 8-byte little-endian header length, a UTF-8 JSON header listing
 ``{name, rows, cols, dtype, byte_offset}`` per tensor, then the raw
 little-endian IEEE-754 blobs.  Offsets are relative to the start of the blob
 region.  Writing is canonical (sorted JSON keys, entries in insertion order),
-so save -> load -> save round-trips byte-exactly.
+so save -> load -> save round-trips byte-exactly.  The header is read with
+the JSON codec (``errors.JsonRecord``), so a key naming no field is refused.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, JsonRecord, read_record
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+
+
+@dataclass(frozen=True)
+class _TensorEntry(JsonRecord):
+    """One tensor of the header: where its blob starts, its shape and its dtype."""
+    name: str
+    rows: int
+    cols: int
+    dtype: str
+    byte_offset: int
+
+    def __post_init__(self):
+        for k in ("rows", "cols", "byte_offset"):
+            if getattr(self, k) < 0:
+                raise ContractViolationError(f"tensor {self.name!r} field {k} must be >= 0")
+
+
+@dataclass(frozen=True)
+class _Header(JsonRecord):
+    """The header; each entry is read on its own, so that a refusal names it."""
+    tensors: list = dataclasses.field(default_factory=list)
 
 
 def save_tensors(path_or_buf, tensors: Mapping[str, np.ndarray], dtype: str = "f32") -> None:
@@ -32,13 +56,7 @@ def save_tensors(path_or_buf, tensors: Mapping[str, np.ndarray], dtype: str = "f
         if a.ndim != 2:
             raise ContractViolationError(f"tensor {name!r} must be 2-d, got shape {a.shape}")
         blob = np.ascontiguousarray(a, dtype=np_dtype).tobytes()
-        entries.append({
-            "name": name,
-            "rows": int(a.shape[0]),
-            "cols": int(a.shape[1]),
-            "dtype": dtype,
-            "byte_offset": offset,
-        })
+        entries.append(_TensorEntry(name, a.shape[0], a.shape[1], dtype, offset).to_json())
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps({"tensors": entries}, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -69,16 +87,17 @@ def load_tensors(path_or_buf) -> dict[str, np.ndarray]:
     if len(raw) < 8 + hlen:
         raise ContractViolationError("container truncated: header shorter than declared")
     try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        doc = json.loads(raw[8:8 + hlen].decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to parse
         raise ContractViolationError(f"container header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("tensors", []), list):
-        raise ContractViolationError("container header must be an object with a 'tensors' list")
+    header = read_record(_Header, doc, "container header")
     payload = memoryview(raw)[8 + hlen:]  # a slice of ``raw`` would copy the blobs
     out: dict[str, np.ndarray] = {}
     spans: list[tuple[int, int, str]] = []
-    for entry in header.get("tensors", []):
-        name, rows, cols, dtype, start = _entry_fields(entry)
+    for i, doc in enumerate(header.tensors):
+        entry = read_record(_TensorEntry, doc, f"container header entry {i}")
+        name, rows, cols, dtype, start = (entry.name, entry.rows, entry.cols, entry.dtype,
+                                          entry.byte_offset)
         if name in out:
             raise ContractViolationError(f"duplicate tensor name {name!r}")
         np_dtype = _DTYPES.get(dtype)
@@ -109,19 +128,3 @@ def expect_tensors(tensors: Mapping[str, np.ndarray], shapes: Mapping[str, tuple
         if tensors[name].shape != shape or not np.isfinite(tensors[name]).all():
             raise ContractViolationError(f"{what} tensor {name!r} is not a finite {shape} matrix")
 
-
-def _entry_fields(entry) -> tuple[str, int, int, str, int]:
-    """A header entry's (name, rows, cols, dtype, byte_offset), type-checked."""
-    keys = ("name", "rows", "cols", "dtype", "byte_offset")
-    if not isinstance(entry, dict):
-        raise ContractViolationError("container header entry is not an object")
-    missing = [k for k in keys if k not in entry]
-    if missing:
-        raise ContractViolationError(f"container header entry lacks {missing}")
-    name, rows, cols, dtype, start = (entry[k] for k in keys)
-    if not isinstance(name, str) or not isinstance(dtype, str):
-        raise ContractViolationError("tensor entry name and dtype must be strings")
-    for k in ("rows", "cols", "byte_offset"):
-        if type(entry[k]) is not int or entry[k] < 0:
-            raise ContractViolationError(f"tensor {name!r} field {k} must be an integer >= 0")
-    return name, rows, cols, dtype, start

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError, field_types, read_field
 from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params, shared_rows
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, layer_norm, softmax
+from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, layer_norm
 
 Array = np.ndarray
 
@@ -96,7 +96,7 @@ class TrainExample:
         if not 1 <= insertion_layer <= len(trace.hidden):
             raise ContractViolationError(
                 f"insertion layer {insertion_layer} outside 1..{len(trace.hidden)}")
-        return cls(tokens, answer_id, dhat, softmax(trace.logits[-1]),
+        return cls(tokens, answer_id, dhat, ad.row_softmax(trace.logits[-1], 1.0),
                    (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 
 

@@ -1,4 +1,4 @@
-"""The fusion block taped op by op on the autodiff kernels: the oracle of ``fusion.dssp_update``.
+"""The fusion block taped op by op: the oracle of ``fusion.dssp_update``.
 
 ``dssp_update`` here is the fusion increment as it was before it became one
 tape record: every primitive op of the shared cross-attention, the two
@@ -17,6 +17,7 @@ import numpy as np
 from dualstream import autodiff as ad
 from dualstream.autodiff import Tensor, as_matrix
 from dualstream.fusion import PARAM_NAMES, KnowledgeStream
+from taped_kernels import concat_cols, matmul, relu, transpose
 
 
 def _t(x) -> Tensor:
@@ -30,9 +31,9 @@ def _t(x) -> Tensor:
 def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
     x, y = _t(queries), _t(keys_values)
     attn = ad.softmax_rows(
-        ad.matmul(ad.matmul(x, wq), ad.transpose(ad.matmul(y, wk))),
+        matmul(matmul(x, wq), transpose(matmul(y, wk))),
         1.0 / math.sqrt(wq.value.shape[0]))
-    return ad.matmul(attn, ad.matmul(y, wv))
+    return matmul(attn, matmul(y, wv))
 
 
 def differential_attention(stream_x, stream_y, s_triple, c_triple) -> Tensor:
@@ -44,7 +45,7 @@ def select_shared_tokens(x: Tensor, y: Tensor, w_share: np.ndarray, top_t: int) 
     """The rows of ``y`` with the top-T column mass of the shared similarity, in score
     order; the similarity runs on the values, off the tape."""
     w = Tensor(w_share)
-    logits = ad.matmul(ad.matmul(Tensor(x.value), w), ad.transpose(ad.matmul(Tensor(y.value), w)))
+    logits = matmul(matmul(Tensor(x.value), w), transpose(matmul(Tensor(y.value), w)))
     sim = ad.softmax_rows(logits, 1.0 / math.sqrt(w_share.shape[0])).value
     order = np.argsort(-sim.sum(axis=0), kind="stable")[:min(int(top_t), sim.shape[1])]
     return ad.take_rows(y, [int(i) for i in order])
@@ -62,9 +63,9 @@ def dssp_update(internal, external, params, leaves=None) -> Tensor:
     u_priv_int = differential_attention(x, y, s_triple, c_triple)
     u_priv_ext = cross_attention(x, differential_attention(y, x, s_triple, c_triple), *c_triple)
 
-    u = ad.concat_cols([u_enhance, u_priv_int, u_priv_ext])
-    h = ad.relu(ad.add(ad.matmul(u, p["w_f"]), p["b_f"]))
-    pre_norm = ad.add(ad.matmul(h, p["w_o"]), p["b_o"])
+    u = concat_cols([u_enhance, u_priv_int, u_priv_ext])
+    h = relu(ad.add(matmul(u, p["w_f"]), p["b_f"]))
+    pre_norm = ad.add(matmul(h, p["w_o"]), p["b_o"])
     return ad.layer_norm(pre_norm, p["ln_gain"], p["ln_bias"])
 
 

@@ -1,4 +1,4 @@
-"""The host taped op by op on the autodiff kernels: the oracle of the numpy host pass.
+"""The host taped op by op: the oracle of the numpy host pass.
 
 ``taped_forward`` is the differentiable pass as it was before the frozen tail
 became one tape record: every block from the resume layer up runs on the
@@ -14,6 +14,7 @@ import numpy as np
 from dualstream import autodiff as ad
 from dualstream.autodiff import Tensor
 from dualstream.model import ForwardOptions, ForwardTrace, validate_tokens
+from taped_kernels import concat_cols, matmul, relu, transpose
 
 
 def taped_forward(model, tokens, options=None, weight_tensors=None, resume=None) -> ForwardTrace:
@@ -54,24 +55,24 @@ def taped_forward(model, tokens, options=None, weight_tensors=None, resume=None)
             head_outs = []
             pattern = np.empty((cfg.n_heads, n, n))
             for h in range(cfg.n_heads):
-                q = ad.matmul(xn, W(f"l{l}.attn.wq.h{h}"))
-                k = ad.matmul(xn, W(f"l{l}.attn.wk.h{h}"))
-                v = ad.matmul(xn, W(f"l{l}.attn.wv.h{h}"))
-                scores = ad.add(ad.matmul(q, ad.transpose(k)), mask)
+                q = matmul(xn, W(f"l{l}.attn.wq.h{h}"))
+                k = matmul(xn, W(f"l{l}.attn.wk.h{h}"))
+                v = matmul(xn, W(f"l{l}.attn.wv.h{h}"))
+                scores = ad.add(matmul(q, transpose(k)), mask)
                 attn = ad.softmax_rows(scores, 1.0 / np.sqrt(cfg.d_head))
                 pattern[h] = attn.value
-                head_outs.append(ad.matmul(attn, v))
-            merged = head_outs[0] if cfg.n_heads == 1 else ad.concat_cols(head_outs)
-            attn_out = ad.add(ad.matmul(merged, W(f"l{l}.attn.wo")), W(f"l{l}.attn.bo"))
+                head_outs.append(matmul(attn, v))
+            merged = head_outs[0] if cfg.n_heads == 1 else concat_cols(head_outs)
+            attn_out = ad.add(matmul(merged, W(f"l{l}.attn.wo")), W(f"l{l}.attn.bo"))
             attention.append(pattern)
         x = ad.add(x, attn_out)
         yn = ad.layer_norm(x, W(f"l{l}.ln2.gain"), W(f"l{l}.ln2.bias"))
-        h1 = ad.relu(ad.add(ad.matmul(yn, W(f"l{l}.ffn.w1")), W(f"l{l}.ffn.b1")))
-        ffn_out = ad.add(ad.matmul(h1, W(f"l{l}.ffn.w2")), W(f"l{l}.ffn.b2"))
+        h1 = relu(ad.add(matmul(yn, W(f"l{l}.ffn.w1")), W(f"l{l}.ffn.b1")))
+        ffn_out = ad.add(matmul(h1, W(f"l{l}.ffn.w2")), W(f"l{l}.ffn.b2"))
         x = ad.add(x, ffn_out)
         hidden.append(x.value.copy())
 
     final = ad.layer_norm(x, W("lnf.gain"), W("lnf.bias"))
-    logits = ad.matmul(final, ad.transpose(emb))
+    logits = matmul(final, transpose(emb))
     return ForwardTrace(hidden=hidden, attention=attention, logits=logits.value.copy(),
                         logits_node=logits if logits.tape is not None else None)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from dualstream import autodiff as ad
 from dualstream.errors import ContractViolationError
+from taped_kernels import concat_cols, matmul, relu, transpose
 
 
 def naive_matmul(a, b):
@@ -28,14 +29,14 @@ def naive_matmul(a, b):
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 4))
-    out = ad.matmul(ad.Tensor(a), ad.Tensor(np.eye(4))).value
+    out = matmul(ad.Tensor(a), ad.Tensor(np.eye(4))).value
     assert_allclose(out, a, rtol=0, atol=0)
 
 
 def test_matmul_hand_2x2():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert_allclose(ad.matmul(a, b).value, [[19.0, 22.0], [43.0, 50.0]])
+    assert_allclose(matmul(a, b).value, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_against_naive_oracle():
@@ -43,7 +44,7 @@ def test_matmul_against_naive_oracle():
     for _ in range(20):
         a = rng.normal(size=(5, 4))
         b = rng.normal(size=(4, 3))
-        got = ad.matmul(ad.Tensor(a), ad.Tensor(b)).value
+        got = matmul(ad.Tensor(a), ad.Tensor(b)).value
         assert_allclose(got, naive_matmul(a, b), rtol=1e-12, atol=1e-12)
 
 
@@ -52,15 +53,15 @@ def test_matmul_associativity():
     for _ in range(10):
         a, b, c = (rng.normal(size=(6, 6)) for _ in range(3))
         ta, tb, tc = ad.Tensor(a), ad.Tensor(b), ad.Tensor(c)
-        left = ad.matmul(ad.matmul(ta, tb), tc)
-        right = ad.matmul(ta, ad.matmul(tb, tc))
+        left = matmul(matmul(ta, tb), tc)
+        right = matmul(ta, matmul(tb, tc))
         rel = np.linalg.norm(left.value - right.value) / np.linalg.norm(left.value)
         assert rel <= 1e-9
 
 
 def test_matmul_shape_error():
     with pytest.raises(ContractViolationError):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
 
 def test_softmax_rows_properties():
@@ -104,6 +105,20 @@ def test_softmax_masked_entries_are_zero():
     y = ad.softmax_rows(ad.Tensor(m), 1.0).value
     assert y[0, 1] == 0.0
     assert_allclose(y.sum(), 1.0)
+
+
+def test_stacked_softmax_is_the_softmax_of_each_slice():
+    """The host's causal attention stack takes one ``row_softmax`` over its last axis."""
+    rng = np.random.default_rng(6)
+    mask = np.triu(np.full((5, 5), -np.inf), k=1)
+    stack = rng.normal(scale=3.0, size=(2, 3, 5, 5)) + mask
+    got = ad.row_softmax(stack, 0.5)
+    assert got.shape == stack.shape
+    assert all(np.array_equal(got[b, h], ad.row_softmax(stack[b, h], 0.5))
+               for b in range(2) for h in range(3))
+    stack[1, 2, 3] = -np.inf   # one row of one slice with no finite entry
+    with pytest.raises(ContractViolationError, match="no finite entry"):
+        ad.row_softmax(stack, 0.5)
 
 
 def two_pass_layer_norm(x, gain, bias, eps):
@@ -202,7 +217,7 @@ def test_backward_gives_constants_no_adjoint():
     tape = ad.GradTape()
     theta = ad.Tensor(np.array([[1.0, 2.0]]), tape)
     const = ad.Tensor(np.array([[3.0], [4.0]]))
-    grads = ad.backward(tape, ad.sum_all(ad.matmul(theta, const)))
+    grads = ad.backward(tape, ad.sum_all(matmul(theta, const)))
     assert set(grads) == {theta}
     assert_allclose(grads[theta], [[3.0, 4.0]])
 
@@ -219,12 +234,12 @@ def test_backward_fanout_accumulates():
 def composite_loss(theta_t: ad.Tensor) -> ad.Tensor:
     """matmul -> softmax -> layer_norm -> relu -> reductions, all taped."""
     d = theta_t.value.shape[1]
-    mix = ad.softmax_rows(ad.matmul(theta_t, ad.transpose(theta_t)), 1.0 / np.sqrt(d))
-    ctx = ad.matmul(mix, theta_t)
+    mix = ad.softmax_rows(matmul(theta_t, transpose(theta_t)), 1.0 / np.sqrt(d))
+    ctx = matmul(mix, theta_t)
     gain = ad.Tensor(np.linspace(0.5, 1.5, d))
     bias = ad.Tensor(np.linspace(-0.1, 0.1, d))
     normed = ad.layer_norm(ctx, gain, bias)
-    act = ad.relu(normed)
+    act = relu(normed)
     picked = ad.pick(act, 0, 0)
     return ad.add(ad.sum_all(ad.mul(act, act)), picked)
 
@@ -276,7 +291,7 @@ def test_concat_cols_roundtrip_and_gradient():
     tape = ad.GradTape()
     a = ad.Tensor(np.ones((2, 2)), tape)
     b = ad.Tensor(np.full((2, 3), 2.0), tape)
-    cat = ad.concat_cols([a, b])
+    cat = concat_cols([a, b])
     assert cat.value.shape == (2, 5)
     grads = ad.backward(tape, ad.sum_all(ad.mul(cat, cat)))
     assert_allclose(grads[a], 2.0 * np.ones((2, 2)))

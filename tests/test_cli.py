@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from dualstream import cli, errors
 from dualstream.cli import main
-from dualstream.dataset import QARecord, Vocab, save_records
+from dualstream.dataset import QARecord, Vocab
 from dualstream.fixtures import (
     KEY_LAYER,
     OFFSET_LAYER,
@@ -53,7 +53,7 @@ def setup(tmp_path_factory):
         "model_checkpoint": mpath, "dssp_checkpoint": dpath, "lam": 80.0,
     }))
     rec_path = d / "records.jsonl"
-    save_records(rec_path, fixture_dataset(16, noise_rate=1.0, seed=0))
+    errors.write_jsonl(rec_path, [r.to_json() for r in fixture_dataset(16, noise_rate=1.0, seed=0)])
     return str(cfg_path), str(rec_path)
 
 
@@ -715,7 +715,7 @@ def run_of_two(setup, tmp_path_factory):
     """Two records, one the detector flags, and the traces of a gated run on them."""
     d = tmp_path_factory.mktemp("two")
     records, traces = str(d / "records.jsonl"), str(d / "out" / "traces.jsonl")
-    save_records(records, fixture_dataset(2, noise_rate=1.0, seed=0))
+    errors.write_jsonl(records, [r.to_json() for r in fixture_dataset(2, noise_rate=1.0, seed=0)])
     assert run_cli("pipeline", "--config", setup[0], "--records", records,
                    "--out", str(d / "out")) == 0
     return records, traces

@@ -9,10 +9,9 @@ from dualstream.dataset import (
     make_conflict_dataset,
     make_fact_document,
     make_question,
-    save_records,
 )
 from dualstream.detector import make_variant
-from dualstream.errors import ContractViolationError
+from dualstream.errors import ContractViolationError, write_jsonl
 
 
 def test_vocab_layout_is_contiguous_and_bounded():
@@ -129,7 +128,7 @@ def test_jsonl_round_trip(tmp_path):
     v = Vocab()
     recs = make_conflict_dataset(16, v, 0.7, seed=4)
     path = tmp_path / "corpus.jsonl"
-    save_records(path, recs)
+    write_jsonl(path, [r.to_json() for r in recs])
     back = load_records(path)
     assert [r.to_json() for r in back] == [r.to_json() for r in recs]
     text = path.read_text(encoding="utf-8")
@@ -139,7 +138,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_round_trip_preserves_none_fields(tmp_path):
     rec = QARecord("solo", [2, 3, 8, 4], [80], [[8, 4, 5, 80, 1]])
     path = tmp_path / "one.jsonl"
-    save_records(path, [rec])
+    write_jsonl(path, [rec.to_json()])
     back = load_records(path)[0]
     assert back.variant is None and back.noise_mask is None
     assert back.question == rec.question

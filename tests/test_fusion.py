@@ -109,7 +109,7 @@ def test_params_shape_validation():
 def test_params_checkpoint_round_trip(tmp_path):
     p = rand_params(5, d_ff=7, top_t=3, seed=9)
     path = tmp_path / "fusion.bin"
-    save_dssp_params(path, p, dtype="f64")
+    save_dssp_params(path, p)
     q = load_dssp_params(path)
     assert q.top_t == 3
     for name in PARAM_NAMES:

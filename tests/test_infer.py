@@ -25,7 +25,6 @@ from dualstream.model import (
     ModelConfig,
     TinyTransformer,
     embed,
-    softmax,
     forward,
     generate,
     infer,
@@ -203,7 +202,8 @@ def test_logit_lens_of_a_batch_equals_the_one_row_readout(host, cases):
     w = model.weights
 
     def one_row(h):
-        return softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T).ravel()
+        return ad.row_softmax(layer_norm(h[-1:], w["lnf.gain"], w["lnf.bias"]) @ w["tok_emb"].T,
+                              1.0).ravel()
 
     for question, variant, _, _ in cases:
         pair = infer(model, [question, variant])

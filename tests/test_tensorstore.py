@@ -129,3 +129,14 @@ def test_fuzzed_header_loads_or_raises_contract_violation(header, payload):
         return
     for name, arr in out.items():
         assert isinstance(name, str) and arr.ndim == 2
+
+
+@pytest.mark.parametrize("header, where", [
+    ({"tensors": [], "version": 1}, "container header: field 'version'"),
+    ({"tensors": [{"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "byte_offset": 0,
+                   "stride": 8}]}, "container header entry 0: field 'stride'"),
+])
+def test_header_key_that_names_no_field_rejected(header, where):
+    with pytest.raises(ContractViolationError, match=f"{where}: .* has no such field"):
+        ts.load_tensors(io.BytesIO(_container(header, bytes(8))))
+
