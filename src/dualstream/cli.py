@@ -43,7 +43,7 @@ from .pipeline import (
     run_records,
     write_config_echo,
 )
-from .synth import suppression_study
+from .synth import MAX_D_MODEL, MAX_TOKENS, MAX_TRIALS, suppression_study
 from .training import GridPoint, Hyperparams, TrainStep, grid_search, train
 
 
@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("demo-decompose", help="planted-subspace suppression study")
     _add_common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--d-model", type=int, default=32)
-    p.add_argument("--tokens", type=int, default=8)
+    p.add_argument("--trials", type=int, default=100, help=f"1..{MAX_TRIALS} (default 100)")
+    p.add_argument("--d-model", type=int, default=32, help=f"1..{MAX_D_MODEL} (default 32)")
+    p.add_argument("--tokens", type=int, default=8, help=f"1..{MAX_TOKENS} (default 8)")
     p.add_argument("--dims", type=int, nargs=3, default=(4, 4, 4),
                    metavar=("SHARED", "PRIVATE_X", "PRIVATE_Y"))
     p.add_argument("--noise-scale", type=float, default=0.1)

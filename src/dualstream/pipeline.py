@@ -12,8 +12,9 @@ three stages:
 3. greedy decode, with the fused update hooked at the implicated layer when
    stage 2 ran, plain otherwise.
 
-A record list goes through one stage at a time, its host passes batched over
-blocks of records of one shape (``run_records``).
+A record list goes through one stage at a time, one window of records after
+another, its host passes batched over blocks of records of one shape
+(``run_records``).
 """
 from __future__ import annotations
 
@@ -325,6 +326,19 @@ def variant_tokens(record: QARecord, vocab: Vocab | None) -> list[int]:
     return make_variant(list(record.question), {vocab.WH}, {vocab.AUX})
 
 
+def _question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
+                    ) -> list[tuple[list[int], list[int]]]:
+    """Each record's checked question and variant tokens, in list order; its answer
+    is checked first."""
+    pairs = []
+    for record in records:
+        validate_tokens(model.config, record.answer)
+        variant = variant_tokens(record, vocab)
+        pairs.append((validate_tokens(model.config, record.question),
+                      validate_tokens(model.config, variant)))
+    return pairs
+
+
 def detect_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
                  config: RunConfig, seconds: list[float] | None = None,
                  ) -> list[tuple[DetectionVerdict, np.ndarray]]:
@@ -334,13 +348,14 @@ def detect_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab |
     ``infer`` and one ``logit_lens`` per block.  Also returns each question's
     last-position logits, from which the plain decode draws its first token.
     """
-    pairs = []
-    for record in records:
-        validate_tokens(model.config, record.answer)
-        variant = variant_tokens(record, vocab)
-        pairs.append((validate_tokens(model.config, record.question),
-                      validate_tokens(model.config, variant)))
-    out: list = [None] * len(records)
+    return _detect_pairs(model, _question_pairs(model, records, vocab), config, seconds)
+
+
+def _detect_pairs(model: TinyTransformer, pairs: list[tuple[list[int], list[int]]],
+                  config: RunConfig, seconds: list[float] | None,
+                  ) -> list[tuple[DetectionVerdict, np.ndarray]]:
+    """``detect_stage`` of checked ``(question, variant)`` pairs."""
+    out: list = [None] * len(pairs)
     for block in _blocks({i: len(question) for i, (question, _) in enumerate(pairs)}):
         with _charge(seconds, block):
             batch = infer(model, [pairs[i][0] for i in block] + [pairs[i][1] for i in block])
@@ -381,21 +396,49 @@ class _Fusion:
     state: np.ndarray      # hidden[hook - 1]: the stream the fused decode resumes from
 
 
+# Records per window of ``run_records``: 16 blocks.  A window's fusion states are
+# freed before the next window starts, so a run's peak memory does not grow with
+# its corpus.
+WINDOW_RECORDS = 256
+
+
 def run_records(records, config: RunConfig, bundle: Bundle) -> list[PipelineTrace]:
     """Run records against one shared bundle: each goes detect -> (filter -> fused
-    decode) | plain decode, and the list goes through one stage at a time.
+    decode) | plain decode.  The list goes through the three stages one window of
+    ``WINDOW_RECORDS`` records at a time, and the traces come back in input order.
 
-    Detection runs in blocks of one question length, the context forward in
-    blocks of one context length and stop, and the fused decode's first token
-    in blocks of one context length and hook layer; each answer token after
-    the first is decoded per record.  A record's ``timings`` are, per stage, an
-    even share of the time of each block it ran in, plus, for ``decode``, the
-    decoding of its own answer.
+    Within a window, detection runs in blocks of one question length, the
+    context forward in blocks of one context length and stop, and the fused
+    decode's first token in blocks of one context length and hook layer; each
+    answer token after the first is decoded per record.  A record's
+    ``timings`` are, per stage, an even share of the time of each block it ran
+    in, plus, for ``decode``, the decoding of its own answer.
+
+    Which error wins: every record's answer, question and variant are checked,
+    in list order, before the first window, so such an error ends the run
+    before any host pass, wherever its record sits.  Any other error comes
+    from the first window that has one: there, the filter stage checks the
+    evidence of every record it retrieves before its first pass, and the
+    decode follows.  So a bad document in one window beats a decode error in
+    a later one, and a decode error in one window beats a bad document in a
+    later one.
     """
     records = list(records)
+    pairs = _question_pairs(bundle.model, records, bundle.vocab)
+    traces = []
+    for lo in range(0, len(records), WINDOW_RECORDS):
+        window = slice(lo, lo + WINDOW_RECORDS)
+        traces += _run_window(records[window], pairs[window], config, bundle)
+    return traces
+
+
+def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]],
+                config: RunConfig, bundle: Bundle) -> list[PipelineTrace]:
+    """``run_records`` of one window, given its checked question pairs; its fusion
+    states die with the call."""
     model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
     detect_s, filter_s, decode_s = ([0.0] * len(records) for _ in range(3))
-    detected = detect_stage(model, records, vocab, config, detect_s)
+    detected = _detect_pairs(model, pairs, config, detect_s)
     # the fused block enters at a flagged verdict's insertion layer if it can, else at
     # the offset layer
     layers = {i: v.insertion_layer if v.hallucination and v.insertion_layer >= 1

@@ -17,6 +17,13 @@ from .fusion import differential_attention, self_attention
 
 Array = np.ndarray
 
+# Largest study sizes accepted, checked before anything is allocated.  A trial at
+# both size limits peaks at about 40 MB (tracemalloc); the rows of the largest
+# study take a few MB.
+MAX_D_MODEL = 512
+MAX_TOKENS = 512
+MAX_TRIALS = 10_000
+
 
 @dataclass
 class SyntheticDecomposition:
@@ -55,18 +62,19 @@ def synth_streams(
     streams have the same token count they receive the identical shared
     component (one coefficient draw); otherwise each gets its own seeded
     coefficients inside the same shared subspace.  A ``noise_scale`` that
-    overflows the streams is refused.
+    overflows the streams is refused, and so is a size above ``MAX_D_MODEL``
+    or ``MAX_TOKENS``.
     """
     k_s, k_px, k_py = (int(k) for k in dims)
-    if d_model < 1:
-        raise ContractViolationError(f"d_model must be >= 1, got {d_model}")
+    if not 1 <= d_model <= MAX_D_MODEL:
+        raise ContractViolationError(f"d_model must lie in 1..{MAX_D_MODEL}, got {d_model}")
     if min(k_s, k_px, k_py) < 0:
         raise ContractViolationError("subspace dims must be >= 0")
     if k_s + k_px + k_py > d_model:
         raise ContractViolationError(
             f"dimension budget exceeded: {k_s}+{k_px}+{k_py} > d_model {d_model}")
-    if n_x < 1 or n_y < 1:
-        raise ContractViolationError("token counts must be >= 1")
+    if not (1 <= n_x <= MAX_TOKENS and 1 <= n_y <= MAX_TOKENS):
+        raise ContractViolationError(f"token counts must lie in 1..{MAX_TOKENS}")
     if not 0 <= noise_scale < math.inf:
         raise ContractViolationError("noise_scale must be finite and >= 0")
 
@@ -165,9 +173,10 @@ def suppression_trial(
 
 
 def suppression_study(n_seeds: int = 100, **kwargs) -> dict:
-    """Run seeded trials; count how often differencing lowers the shared ratio."""
-    if n_seeds < 1:
-        raise ContractViolationError("need at least one seed")
+    """Run seeded trials, 1 to ``MAX_TRIALS``; count how often differencing lowers
+    the shared ratio."""
+    if not 1 <= n_seeds <= MAX_TRIALS:
+        raise ContractViolationError(f"trials must lie in 1..{MAX_TRIALS}, got {n_seeds}")
     wins = 0
     rows = []
     for seed in range(n_seeds):

@@ -7,6 +7,7 @@ import json
 import operator
 import os
 import pathlib
+import resource
 import shutil
 import struct
 import subprocess
@@ -204,6 +205,35 @@ def test_demo_decompose_reports_suppression(tmp_path):
     doc = read_json(out / "decompose.json")
     assert doc["n_seeds"] == 10
     assert doc["fraction"] == 1.0
+
+
+# sizes past demo-decompose's documented limits, and the name each refusal gives;
+# unchecked, `--d-model 100000` asks for 74.5 GiB
+_OVERSIZE_DEMOS = {
+    "d_model": ["--d-model", "100000"],
+    "token counts": ["--tokens", "1000000000"],
+    "trials": ["--trials", "1000000000000"],
+}
+_CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("named", sorted(_OVERSIZE_DEMOS))
+def test_oversize_demo_decompose_exits_2_before_allocating(tmp_path, named):
+    """The child's address space is capped at 2 GiB, so a size that went unchecked
+    would end in a ``MemoryError`` traceback (or run past the timeout), never in a
+    request for the whole allocation."""
+    result = subprocess.run(
+        [sys.executable, "-m", "dualstream.cli", "demo-decompose", *_OVERSIZE_DEMOS[named],
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 2, result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error:ContractViolationError: {named} must lie in 1..")
 
 
 def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -432,6 +433,91 @@ def test_a_stage_checks_every_record_before_its_first_host_pass(mixed, config, b
             else:
                 pipeline.filter_stage(bundle.model, corpus, vocab, cal, cfg.lam,
                                       dict.fromkeys(range(len(corpus)), 3))
+
+
+# ---------------------------------------------------------------------------
+# windows
+# ---------------------------------------------------------------------------
+# Windows of 5 records cut the mixed corpus's blocks of 16 and span 8 windows.
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_windowed_run_equals_one_window_and_each_record_alone(mixed, config, bundle,
+                                                                monkeypatch, forced):
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    assert len(mixed) < pipeline.WINDOW_RECORDS
+    whole = [_without_timings(t) for t in run_records(mixed, cfg, bundle)]
+    monkeypatch.setattr(pipeline, "WINDOW_RECORDS", 5)
+    windowed = [_without_timings(t) for t in run_records(mixed, cfg, bundle)]
+    alone = [_without_timings(pipeline_run(r, cfg, bundle)) for r in mixed]
+    assert windowed == whole == alone
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_no_more_than_one_window_of_fusion_states_is_alive(mixed, config, bundle, monkeypatch,
+                                                           forced):
+    """Counted at every host pass: a window's fusion states are gone before the
+    next window's first pass."""
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    refs, seen = [], []
+
+    def alive() -> int:
+        return sum(ref() is not None for ref in refs)
+
+    class CountedFusion(pipeline._Fusion):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    def counting_infer(*args, **kwargs):
+        seen.append(alive())
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "WINDOW_RECORDS", 5)
+    monkeypatch.setattr(pipeline, "_Fusion", CountedFusion)
+    monkeypatch.setattr(pipeline, "infer", counting_infer)
+    traces = run_records(mixed, cfg, bundle)
+    assert len(refs) == sum(t.filter is not None for t in traces) >= 3 * 5
+    assert 0 < max(seen) <= 5
+    assert alive() == 0
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("case", ["bad_question", "underivable_variant"])
+def test_a_bad_question_in_the_last_window_fails_before_any_host_pass(mixed, config, bundle,
+                                                                     monkeypatch, forced, case):
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    last = mixed[-1]
+    if case == "bad_question":
+        corpus = mixed[:-1] + [dataclasses.replace(last, question=[-1] * 4)]
+        message = "token id -1 outside"
+    else:  # every other record carries its variant
+        bundle = dataclasses.replace(bundle, vocab=None)
+        corpus = mixed[:-1] + [dataclasses.replace(last, variant=None)]
+        message = "record has no variant and no vocabulary"
+    calls = []
+    monkeypatch.setattr(pipeline, "WINDOW_RECORDS", 5)
+    monkeypatch.setattr(pipeline, "infer", lambda *a, **k: calls.append(a))
+    with pytest.raises(ContractViolationError, match=message):
+        run_records(corpus, cfg, bundle)
+    assert calls == []
+
+
+@pytest.mark.parametrize("window, refused", [
+    (5, "prompt plus max_new_tokens exceeds max_seq"),     # the decode of window 1
+    (pipeline.WINDOW_RECORDS, "token id -2 outside"),       # the filter of the one window
+])
+def test_an_error_after_detection_comes_from_the_first_window_that_has_one(
+        mixed, config, bundle, monkeypatch, window, refused):
+    """A forced run whose first record's context plus answer outgrows max_seq, and
+    whose eighth has a bad document: the earlier window's error wins."""
+    cfg = dataclasses.replace(config, force_retrieval=True)
+    vocab, max_seq = bundle.vocab, bundle.model.config.max_seq
+    first = next(r for r in mixed if len(context_tokens(r, vocab)) == 20)
+    long_answer = dataclasses.replace(first, answer=list(first.answer) * (max_seq - 20 + 1))
+    corpus = [long_answer] + mixed[1:7] + [dataclasses.replace(mixed[7], documents=[[5, -2]])]
+    monkeypatch.setattr(pipeline, "WINDOW_RECORDS", window)
+    with pytest.raises(ContractViolationError, match=refused):
+        run_records(corpus, cfg, bundle)
 
 
 # ---------------------------------------------------------------------------
