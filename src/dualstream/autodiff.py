@@ -187,9 +187,12 @@ def row_softmax(a: Array, scale_factor: float) -> Array:
     if (rowmax == -np.inf).any():
         raise ContractViolationError("softmax row with no finite entry (degenerate mask)")
     # +inf/NaN rows are numeric overflow, not masking; they propagate NaN so
-    # the training loop's divergence guard can catch them
-    e = np.exp(z - rowmax)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the training loop's divergence guard can catch them.  ``z`` is this
+    # call's own array, so the rest works in place on it.
+    z -= rowmax
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def row_softmax_vjp(g: Array, y: Array, scale_factor: float) -> Array:
@@ -209,18 +212,23 @@ def normalize(x: Array) -> tuple[Array, Array]:
     """``layer_norm`` before gain and bias: ``x`` standardized over its last axis, and
     the ``1 / sqrt(var + LN_EPS)`` that scaled it."""
     d = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    return xc * inv, inv
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= d
+    xc = x - mu   # from here on, in place on this call's own arrays only
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var /= d
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    np.divide(1.0, var, out=var)
+    xc *= var
+    return xc, var
 
 
 def normalize_vjp(gx: Array, xhat: Array, inv: Array) -> Array:
     """``normalize``'s input adjoint over 2-d rows, given ``gx``, the adjoint of ``xhat``:
     per row, ``inv * (I - 1/d - xhat xhat^T / d)`` applied to ``gx``."""
-    return inv * (gx - gx.mean(axis=1, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+    return inv * (gx - np.add.reduce(gx, axis=1, keepdims=True) / gx.shape[1]
+                  - xhat * (np.add.reduce(gx * xhat, axis=1, keepdims=True) / gx.shape[1]))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

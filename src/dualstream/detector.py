@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import jsd
+from .divergence import jsd_rows
 from .errors import ContractViolationError, JsonRecord, VariantRuleError
 
 Array = np.ndarray
@@ -32,8 +32,8 @@ class DivergenceProfile:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.size == 0:
             raise ContractViolationError("divergence profile is empty")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
-            raise ContractViolationError("per-layer JSD outside [0, 1]")
+        if not (self.values.min() >= -1e-12 and self.values.max() <= 1.0 + 1e-12):
+            raise ContractViolationError("per-layer JSD outside [0, 1]")   # NaN too
 
 
 @dataclass
@@ -47,16 +47,20 @@ class DetectionVerdict(JsonRecord):
 
 
 def divergence_profile(profile_x: Sequence[Array], profile_xhat: Sequence[Array]) -> DivergenceProfile:
-    """d_l = jsd(layer-l distribution of x, layer-l distribution of the variant)."""
+    """d_l = jsd(layer-l distribution of x, layer-l distribution of the variant), as one
+    row-wise pass over the two ``(L, V)`` arrays."""
     if len(profile_x) != len(profile_xhat):
         raise ContractViolationError(
             f"layer counts differ: {len(profile_x)} vs {len(profile_xhat)}")
-    values = []
-    for px, pv in zip(profile_x, profile_xhat):
-        if np.asarray(px).shape != np.asarray(pv).shape:
-            raise ContractViolationError("profile vocab dimensions differ")
-        values.append(jsd(px, pv))
-    return DivergenceProfile(np.array(values))
+    if len(profile_x) == 0:
+        raise ContractViolationError("divergence profile is empty")
+    try:
+        px, pv = np.asarray((profile_x, profile_xhat), dtype=np.float64).reshape(
+            2, len(profile_x), -1)
+    except ValueError:
+        raise ContractViolationError(
+            "profile vocab dimensions differ, or entries are not numbers") from None
+    return DivergenceProfile(jsd_rows(px, pv))
 
 
 def default_tail_k(layer_count: int) -> int:
@@ -69,7 +73,7 @@ def detect(
     aggregation: str = "tail_sum",
 ) -> DetectionVerdict:
     """Aggregate a divergence profile into a verdict and an insertion layer."""
-    if delta < 0:
+    if not delta >= 0:   # NaN too: it would never flag
         raise ContractViolationError("delta must be >= 0")
     if aggregation not in AGGREGATIONS:
         raise ContractViolationError(f"unknown aggregation {aggregation!r}")
@@ -87,7 +91,7 @@ def detect(
         delta=float(delta),
         aggregation=tag,
         insertion_layer=int(np.argmax(d)),  # lowest index on ties
-        per_layer=tuple(float(v) for v in d),
+        per_layer=tuple(d.tolist()),
     )
 
 

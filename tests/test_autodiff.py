@@ -121,6 +121,69 @@ def test_stacked_softmax_is_the_softmax_of_each_slice():
         ad.row_softmax(stack, 0.5)
 
 
+def out_of_place_softmax(a, scale_factor):
+    """``row_softmax`` with a fresh array per step."""
+    z = a * scale_factor if scale_factor != 0.0 else np.zeros_like(a)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def out_of_place_normalize(x):
+    """``normalize`` with a fresh array per step."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + ad.LN_EPS)
+    return xc * inv, inv
+
+
+def kernel_inputs():
+    """Read-only, 4-d, causal-masked and strided inputs for the in-place kernels."""
+    rng = np.random.default_rng(12)
+    frozen = rng.normal(scale=3.0, size=(4, 9))
+    frozen.setflags(write=False)
+    masked = rng.normal(scale=3.0, size=(2, 3, 6, 6)) + np.triu(np.full((6, 6), -np.inf), k=1)
+    return [frozen, masked, rng.normal(size=(2, 3, 5, 155)), rng.normal(size=(6, 2, 1, 32))[:, 1],
+            rng.normal(size=(7, 4)).T, rng.normal(size=8)]
+
+
+@pytest.mark.parametrize("scale_factor", [1.0, 0.5, -3.0, 0.0])
+def test_row_softmax_works_in_place_on_its_own_array_only(scale_factor):
+    for a in kernel_inputs():
+        before = a.copy()
+        with np.errstate(invalid="ignore"):   # a negative scale turns a mask into +inf: NaN rows
+            got, want = ad.row_softmax(a, scale_factor), out_of_place_softmax(a, scale_factor)
+        assert np.array_equal(a, before)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.shares_memory(got, a)
+    row = ad.row_softmax(kernel_inputs()[1], 1.0)[1, 2, 0]   # a causal row: one unmasked entry
+    assert row[0] == 1.0 and not row[1:].any()
+
+
+def test_normalize_works_in_place_on_its_own_arrays_only():
+    inputs = kernel_inputs()
+    del inputs[1]   # the causal mask's -inf is the softmax's case
+    for x in inputs:
+        before = x.copy()
+        xhat, inv = ad.normalize(x)
+        want_xhat, want_inv = out_of_place_normalize(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(xhat, want_xhat) and np.array_equal(inv, want_inv)
+        assert not np.shares_memory(xhat, x)
+
+
+def test_normalize_vjp_equals_its_mean_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 20)), int(rng.choice([1, 2, 7, 8, 9, 32, 129, 200])))
+        xhat, inv = ad.normalize(rng.normal(scale=rng.uniform(0.1, 10.0), size=shape))
+        gx = rng.normal(scale=rng.uniform(0.1, 10.0), size=shape)
+        want = inv * (gx - gx.mean(axis=1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+        assert np.array_equal(ad.normalize_vjp(gx, xhat, inv), want)
+
+
 def two_pass_layer_norm(x, gain, bias, eps):
     mu = x.mean()
     var = ((x - mu) ** 2).mean()

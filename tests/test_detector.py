@@ -151,6 +151,101 @@ def test_profile_validation():
         detect(DivergenceProfile([0.5, 0.5]), aggregation="median")
 
 
+def test_a_nan_layer_or_a_nan_delta_is_refused():
+    # a NaN layer used to pass the range check and become the insertion layer
+    with pytest.raises(ContractViolationError, match="outside"):
+        DivergenceProfile([0.2, np.nan, 0.9])
+    # every comparison with a NaN delta is false, so it used to never flag
+    with pytest.raises(ContractViolationError, match="delta"):
+        detect(DivergenceProfile([0.2, 0.9]), delta=np.nan)
+
+
+def random_layers(rng, n_layers, vocab, zeros=0.0):
+    """``(n_layers, vocab)`` rows of softmax mass; ``zeros`` of the entries are exact 0."""
+    z = rng.normal(scale=rng.uniform(0.5, 6.0), size=(n_layers, vocab))
+    z[rng.random(z.shape) < zeros] = -np.inf
+    z[:, 0] = np.maximum(z[:, 0], 0.0)   # every row keeps some mass
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def one_layer_jsd(p, q):
+    """The 1-d formula: each KL term summed over its support alone."""
+    m = 0.5 * (p + q)
+
+    def kl(a):
+        s = a > 0.0
+        return float(np.sum(a[s] * np.log2(a[s] / m[s])))
+
+    return min(max(0.5 * kl(p) + 0.5 * kl(q), 0.0), 1.0)
+
+
+def jsd_loop(px, pv):
+    """``jsd`` per layer, checked against the 1-d formula, which shares no code with it."""
+    got = np.array([jsd(a, b) for a, b in zip(px, pv)])
+    assert same_bits(got, np.array([one_layer_jsd(a, b) for a, b in zip(px, pv)]))
+    return got
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("vocab", [3, 7, 8, 100, 128, 129, 155, 1000])
+def test_vectorized_profile_equals_the_per_layer_jsd_loop_bit_for_bit(vocab):
+    """One row-wise pass sums each row as the 1-d pairwise sum does, on both sides of
+    numpy's 8-wide unroll and its 128-element blocks."""
+    rng = np.random.default_rng(vocab)
+    for zeros in (0.0, 0.2):
+        for _ in range(20):
+            n_layers = int(rng.integers(1, 9))
+            px, pv = (random_layers(rng, n_layers, vocab, zeros) for _ in "xv")
+            want = jsd_loop(px, pv)
+            assert same_bits(divergence_profile(px, pv).values, want)
+            assert same_bits(divergence_profile(list(px), list(pv)).values, want)
+
+
+def test_vectorized_profile_on_strided_views_of_a_logit_lens_block():
+    """``detect_stage`` passes ``lens[:, row]`` views of one ``(L, 2B, V)`` array."""
+    rng = np.random.default_rng(21)
+    for zeros in (0.0, 0.05):
+        lens = random_layers(rng, 6 * 8, 155, zeros).reshape(6, 8, 155)
+        for row in range(4):
+            px, pv = lens[:, row], lens[:, 4 + row]
+            assert not px.flags.c_contiguous
+            assert same_bits(divergence_profile(px, pv).values, jsd_loop(px, pv))
+
+
+def test_vectorized_profile_on_exact_zeros_and_disjoint_supports():
+    px = np.array([onehot(6, 0), [0.5, 0.5, 0, 0, 0, 0], np.full(6, 1 / 6), [0, .25, .75, 0, 0, 0]])
+    pv = np.array([onehot(6, 1), [0, 0, 0.5, 0.5, 0, 0], np.full(6, 1 / 6), [.1, .2, .3, .4, 0, 0]])
+    got = divergence_profile(px, pv).values
+    assert same_bits(got, jsd_loop(px, pv))
+    assert got[0] == got[1] == 1.0 and got[2] == 0.0
+
+
+def test_ragged_or_mismatched_layer_lists_are_contract_violations():
+    with pytest.raises(ContractViolationError, match="vocab dimensions"):
+        divergence_profile([onehot(4, 0), onehot(5, 0)], [onehot(4, 0), onehot(5, 0)])
+    with pytest.raises(ContractViolationError, match="vocab dimensions"):
+        divergence_profile([onehot(4, 0), onehot(4, 0)], [onehot(4, 0), onehot(5, 0)])
+    with pytest.raises(ContractViolationError, match="vocab dimensions"):
+        divergence_profile([onehot(4, 0), onehot(4, 1)], [onehot(5, 0), onehot(5, 1)])
+    with pytest.raises(ContractViolationError, match="not numbers"):
+        divergence_profile([["a", "b"]], [[0.5, 0.5]])
+    with pytest.raises(ContractViolationError, match="layer counts"):
+        divergence_profile(np.eye(4)[:2], np.eye(4)[:3])
+    with pytest.raises(ContractViolationError, match="empty"):
+        divergence_profile([], [])
+    with pytest.raises(ContractViolationError, match="empty"):
+        divergence_profile([np.zeros(0)], [np.zeros(0)])
+    # row-wise validation keeps jsd's messages
+    with pytest.raises(ContractViolationError, match="non-finite"):
+        divergence_profile([onehot(3, 0), [np.nan, 0.5, 0.5]], [onehot(3, 0), onehot(3, 1)])
+    with pytest.raises(ContractViolationError, match="probability mass 0.5 not within"):
+        divergence_profile([onehot(3, 0), onehot(3, 1)], [onehot(3, 0), [0.5, 0.0, 0.0]])
+
+
 def test_make_variant_cleft_reorder():
     # "where was subj rel" -> "subj was rel where"
     assert make_variant([100, 200, 7, 8], WH, AUX) == [7, 200, 8, 100]
