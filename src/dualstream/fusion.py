@@ -201,31 +201,16 @@ def shared_similarity(internal, external, w_share, d_k: int | None = None) -> Te
     return Tensor(ad.row_softmax((x @ w) @ (y @ w).T.copy(), 1.0 / math.sqrt(dk)))
 
 
-def shared_token_scores(sim) -> Array:
-    """Column mass: how much total similarity each external token receives."""
-    return np.asarray(_array(sim, "similarity").sum(axis=0), dtype=np.float64)
-
-
-def select_shared_tokens(sim, external, top_t: int = DEFAULT_TOP_T) -> Tensor:
-    """Rows of the external stream with the top-T column mass, in score order.
+def shared_rows(internal, external, w_share, top_t: int) -> Array:
+    """The external rows the shared branch attends to: the top-T by the column mass of
+    the streams' ``shared_similarity``, in score order.
 
     Ties go to the lowest index; T >= |D-hat| selects everything.  The
     choice is discrete, so no gradient reaches the similarity through it.
     """
-    if top_t < 1:
-        raise ContractViolationError("top_t must be >= 1")
     y = _array(external, "external stream")
-    scores = shared_token_scores(sim)
-    if scores.size != y.shape[0]:
-        raise ContractViolationError("similarity columns do not match external tokens")
-    return Tensor(y[np.argsort(-scores, kind="stable")[:min(int(top_t), scores.size)]])
-
-
-def shared_rows(internal, external, w_share, top_t: int) -> Array:
-    """The external rows the shared branch attends to: the top-T by the column mass of
-    the streams' ``shared_similarity``."""
-    return select_shared_tokens(shared_similarity(internal, external, w_share),
-                                external, top_t).value
+    mass = shared_similarity(internal, y, w_share).value.sum(axis=0)
+    return y[np.argsort(-mass, kind="stable")[:int(top_t)]]
 
 
 def _attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array,
@@ -240,7 +225,7 @@ def _attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array,
     return a @ v, (q, kt, a, v, scale)
 
 
-def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
+def cross_attention(queries, keys_values, wq, wk, wv) -> Array:
     """softmax(QK^T / sqrt(d_k)) V with queries from one stream, keys/values from the
     other; d_k is the query projection's input width."""
     x, y = _array(queries, "queries"), _array(keys_values, "keys/values")
@@ -248,17 +233,16 @@ def cross_attention(queries, keys_values, wq, wk, wv) -> Tensor:
     if (x.shape[1] != wq.shape[0] or y.shape[1] != wk.shape[0] or y.shape[1] != wv.shape[0]
             or wq.shape[1] != wk.shape[1]):
         raise ContractViolationError("stream width does not match attention weights")
-    return Tensor(_attend(x, y, wq, wk, wv)[0])
+    return _attend(x, y, wq, wk, wv)[0]
 
 
-def self_attention(stream, wq, wk, wv) -> Tensor:
+def self_attention(stream, wq, wk, wv) -> Array:
     return cross_attention(stream, stream, wq, wk, wv)
 
 
-def differential_attention(stream_x, stream_y, s_triple, c_triple) -> Tensor:
+def differential_attention(stream_x, stream_y, s_triple, c_triple) -> Array:
     """Self-attention of X minus cross-attention of X onto Y (private residue of X)."""
-    return Tensor(self_attention(stream_x, *s_triple).value
-                  - cross_attention(stream_x, stream_y, *c_triple).value)
+    return self_attention(stream_x, *s_triple) - cross_attention(stream_x, stream_y, *c_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +348,16 @@ def dssp_forward(internal, external, params: DsspParams,
     return ad.add(x, dssp_update(x, external, params, leaves))
 
 
-def make_dssp_hook(external, params: DsspParams,
-                   leaves: dict[str, Tensor] | None = None, *,
-                   shared: Array | None = None):
+def make_dssp_hook(external, params: DsspParams):
     """Adapter for the host model's fusion hook.
 
     The host block adds the hook's return value to the residual stream, so
-    the hook returns just the update; the residual add in dssp_forward is
-    supplied by the block itself.  ``shared`` is as for ``dssp_update``.
+    the hook returns just the update's array; the residual add in
+    dssp_forward is supplied by the block itself.
     """
     ext = _array(external, "external stream")
 
-    def hook(xn: Tensor) -> Tensor:
-        return dssp_update(xn, ext, params, leaves, shared=shared)
+    def hook(xn: Array) -> Array:
+        return dssp_update(xn, ext, params).value
 
     return hook

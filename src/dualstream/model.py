@@ -6,17 +6,17 @@ weight-tied unembedding.  One plain-numpy host block computes every pass.
 cached hidden state and can stop at layer ``k``, after that layer's
 attention pattern, for a caller that reads nothing above it; every inference
 caller (detection, the pruning sweep, filtering, decoding) runs on it.
-``forward`` runs it over one sequence for training: when the fusion hook's
-output carries a tape, the frozen tail above the hook goes on that tape as
-one record with a hand-written adjoint, so the fusion parameters get their
-gradients without a record per host op.  The oracle both are held to, bit
-for bit, is the host taped op by op, in the tests.
+``forward`` is ``infer`` of one sequence.  Only ``fused_logits``, the
+training pass, tapes: above the fused block's taped output, the frozen tail
+is one record with a hand-written adjoint, so the fusion parameters get their
+gradients without a record per host op.  The oracle all three are held to,
+bit for bit, is the host taped op by op, in the tests.
 
-A hooked layer has its self-attention output replaced by the hook's output
-(in a batch, each row's by its own hook) and records an identity attention
-pattern in the trace, so trace shapes never depend on options.  Removing a
-layer needs no option: the stream entering it goes straight to the next one,
-which is a resume at the next layer.
+A hooked layer has its self-attention output replaced by the array the hook
+maps its normed stream to (in a batch, each row's by its own hook) and
+records an identity attention pattern in the trace, so trace shapes never
+depend on options.  Removing a layer needs no option: the stream entering it
+goes straight to the next one, which is a resume at the next layer.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ class ModelConfig(JsonRecord):
         return self.d_model // self.n_heads
 
 
-Hook = Callable[[Tensor], Tensor]
+Hook = Callable[[Array], Array]
 
 
 @dataclass
@@ -98,7 +98,6 @@ class ForwardTrace:
     hidden: list[Array]        # residual stream after each block, seq x d_model
     attention: list[Array]     # per layer: (n_heads, seq, seq), rows stochastic
     logits: Array | None       # seq x vocab; None for an ``infer`` stopped early
-    logits_node: Tensor | None = None  # ``forward``'s tail record, when the hook output is taped
 
     def row(self, i: int) -> "ForwardTrace":
         """Row ``i`` of a batched trace, its arrays views of the batch's."""
@@ -201,11 +200,11 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
 # the host pass
 # ---------------------------------------------------------------------------
 #
-# One numpy block serves ``infer`` and ``forward``.  It repeats the arithmetic
-# of the host taped op by op (kept in the tests as the oracle), so the two
-# agree bit for bit, and it shares that arithmetic with the fused block
-# through ``autodiff``: the softmax is ``row_softmax`` and the tail's
-# attention adjoint ``attention_vjp``.  That holds only while every matmul
+# One numpy block serves ``infer``, ``forward`` and ``fused_logits``.  It
+# repeats the arithmetic of the host taped op by op (kept in the tests as the
+# oracle), so the two agree bit for bit, and it shares that arithmetic with the
+# fused block through ``autodiff``: the softmax is ``row_softmax`` and the
+# tail's attention adjoint ``attention_vjp``.  That holds only while every matmul
 # keeps the shapes and memory layout of its taped counterpart: numpy runs a
 # stacked matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from
 # the slice shape, so packing heads into one projection or batching (1, d) rows
@@ -261,8 +260,7 @@ def infer(
     batch axis when ``tokens`` is 2-d.  Each row rounds as it does alone: a
     batched matmul is one BLAS call per 2-d slice, of the unbatched shape.  A
     hooked layer calls each row's hook (``ForwardOptions.row_hooks``) on that
-    row.  Nothing is recorded, so a taped fusion hook gets no gradients here;
-    ``forward`` is the pass that does.
+    row's ``(n, d)`` normed stream, and its output must be an ``(n, d)`` array.
 
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
@@ -281,11 +279,10 @@ def infer(
 
 
 def _host_pass(model, toks, options, resume, stop, saved: list | None = None) -> ForwardTrace:
-    """``infer`` of ``toks``, tokens already validated.  When ``saved`` is a list and the
-    hook's output carries a tape, it receives that output, then ``(l, attn, ffn)`` for
-    each layer ``l`` from the hook up and last the final norm's ``(xhat, inv)``: the
-    activations the tail's adjoint reads (``_tail_vjp``), for the one sequence of
-    ``toks``."""
+    """``infer`` of ``toks``, tokens already validated.  When ``saved`` is a list, it
+    receives ``(l, attn, ffn)`` for each layer ``l`` run and last the final norm's
+    ``(xhat, inv)``: the activations the tail's adjoint reads (``_tail_vjp``), for the
+    one sequence of ``toks``."""
     cfg = model.config
     opts = options or ForwardOptions()
     opts.validate(cfg.n_layers)
@@ -317,13 +314,11 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
         xn = xhat * w[f"l{l}.ln1.gain"] + w[f"l{l}.ln1.bias"]
         attn = None
         if opts.dssp_layer == l:
-            outs = [hook(Tensor(row)) for hook, row in zip(hooks, xn)]
-            if any(not isinstance(o, Tensor) or o.value.shape != (n, d) for o in outs):
-                raise ContractViolationError("hook must return a Tensor shaped like its input")
-            attn_out = np.stack([o.value for o in outs])
+            outs = [hook(row) for hook, row in zip(hooks, xn)]
+            if any(not isinstance(o, np.ndarray) or o.shape != (n, d) for o in outs):
+                raise ContractViolationError("hook must return an array shaped like its input")
+            attn_out = np.stack(outs)
             attention.append(np.broadcast_to(np.eye(n), (b, cfg.n_heads, n, n)).copy())
-            if saved is not None and outs[0].tape is not None:
-                saved.append(outs[0])
         else:
             wq, wk, wv = model.qkv[l]
             q, kt, pattern = _attention(xn, wq, wk)
@@ -331,7 +326,7 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
             attention.append(pattern)
             merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
-            if saved:     # non-empty once a taped hook output is in it
+            if saved is not None:
                 attn = (xhat[0], inv[0], q[0], kt[0], v[0], pattern[0])
         x = x + attn_out
         xhat, inv = ad.normalize(x)
@@ -339,7 +334,7 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
         h1 = yn @ w[f"l{l}.ffn.w1"] + w[f"l{l}.ffn.b1"]
         relu = h1 > 0.0
         x = x + ((h1 * relu) @ w[f"l{l}.ffn.w2"] + w[f"l{l}.ffn.b2"])
-        if saved:
+        if saved is not None:
             saved.append((l, attn, (xhat[0], inv[0], relu[0])))
         hidden.append(x)
 
@@ -347,7 +342,7 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
     if stop is None:
         xhat, inv = ad.normalize(x)
         logits = (xhat * w["lnf.gain"] + w["lnf.bias"]) @ model.unembed
-        if saved:
+        if saved is not None:
             saved.append((xhat[0], inv[0]))
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
@@ -356,38 +351,47 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
     return trace.row(0) if single else trace
 
 
-# ---------------------------------------------------------------------------
-# the differentiable pass: the frozen tail is one tape record
-# ---------------------------------------------------------------------------
-
 def forward(
     model: TinyTransformer,
     tokens: Sequence[int],
     options: ForwardOptions | None = None,
     resume: tuple[int, Array] | None = None,
 ) -> ForwardTrace:
-    """``infer`` of one sequence, differentiable from the fusion hook's output on.
+    """``infer`` of one sequence."""
+    toks = np.array(validate_tokens(model.config, tokens), dtype=np.int64)
+    return _host_pass(model, toks, options, resume, None)
 
-    The arrays are ``infer``'s, and below the hook (or with no hook) this is
-    ``infer``: host weights are constants and nothing is taped.  When the
-    hook's output carries a tape, everything from the hooked layer's
-    residual add to the unembedding -- that layer's FFN, every block above
-    it, the final norm and the logits -- is the frozen tail, and goes on
-    that tape as one record: its output is ``logits_node``, and its adjoint
-    is the hook output's only (``_tail_vjp``).
+
+# ---------------------------------------------------------------------------
+# the training pass: the fused block's output and the frozen tail above it
+# ---------------------------------------------------------------------------
+
+def fused_logits(model: TinyTransformer, tokens: Sequence[int], resume: tuple[int, Array],
+                 block: Callable[[Array], Tensor]) -> Tensor:
+    """The logits of one sequence with layer ``k``'s attention output set to
+    ``block(xn)``, on ``block``'s tape, for ``resume = (k, h)``.
+
+    The pass starts at layer ``k`` from ``h``, the stream entering it, and
+    ``xn`` is that layer's first norm of it.  Everything from layer ``k``'s
+    residual add to the unembedding -- its FFN, every block above it, the
+    final norm and the logits -- is the frozen tail, and goes on the tape as
+    one record, whose adjoint is ``block``'s output's only (``_tail_vjp``).
     """
+    taped: list[Tensor] = []
+
+    def hook(xn: Array) -> Array:
+        taped.append(block(xn))
+        return taped[0].value
+
     saved: list = []
     toks = np.array(validate_tokens(model.config, tokens), dtype=np.int64)
-    trace = _host_pass(model, toks, options, resume, None, saved)
-    if saved:
-        hook_out, *layers, final = saved
-        trace.logits_node = ad.emit(trace.logits, (hook_out,),
-                                    functools.partial(_tail_vjp, model, layers, final))
-    return trace
+    trace = _host_pass(model, toks, ForwardOptions(resume[0], hook), resume, None, saved)
+    *layers, final = saved
+    return ad.emit(trace.logits, (taped[0],), functools.partial(_tail_vjp, model, layers, final))
 
 
 def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> tuple[Array]:
-    """The hook output's adjoint, given ``g``, the logits' adjoint.
+    """The fused block output's adjoint, given ``g``, the logits' adjoint.
 
     ``backward`` over the tail taped op by op, host weights constant, gives
     the same bits: this replays its adjoints in its order.  At each residual
@@ -400,7 +404,7 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
     for l, attn, (xhat, inv, relu) in reversed(layers):
         gh = (g @ w[f"l{l}.ffn.w2"].T) * relu
         g = g + ad.normalize_vjp((gh @ w[f"l{l}.ffn.w1"].T) * w[f"l{l}.ln2.gain"], xhat, inv)
-        if attn is None:      # the hooked layer: g is the hook output's adjoint
+        if attn is None:      # the hooked layer, the first run: g is the block output's adjoint
             break
         xhat, inv, q, kt, v, pattern = attn
         wq, wk, wv = model.qkv[l]

@@ -198,7 +198,11 @@ def load_bundle(config: RunConfig) -> Bundle:
                                      f"match the host's {model.config.d_model}")
     if config.top_t is not None:
         params.top_t = config.top_t
-    return Bundle(model, params, vocab, probe_calibration(model, vocab))
+    calibration = probe_calibration(model, vocab)
+    if calibration.offset_layer == 0:
+        raise ContractViolationError("host offset layer 0 cannot take the fused block, which "
+                                     "reads the stream entering its layer")
+    return Bundle(model, params, vocab, calibration)
 
 
 def vocab_meta(vocab: Vocab) -> dict:
@@ -282,7 +286,7 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
     ``stops`` names, keyed by ``i`` in the order of ``stops``; the forward runs
     up to layer ``stops[i]``'s attention pattern (``infer``'s ``stop``; None runs
     the whole host).  The filter scores this forward and the fused block reads
-    from it.
+    from it, so a record with no evidence tokens is refused before any pass.
 
     Contexts of one length and stop run as one ``(B, n)`` ``infer`` per block,
     and a block's rows are read before the next block runs: what ``read``
@@ -295,6 +299,9 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
     for i in stops:
         validate_tokens(model.config, records[i].answer)
         contexts[i] = validate_tokens(model.config, context_tokens(records[i], vocab))
+        if not any(records[i].documents):
+            raise ContractViolationError(
+                f"record {records[i].record_id!r} has no evidence tokens to retrieve")
     out = dict.fromkeys(stops)
     for block in _blocks({i: (len(contexts[i]), stops[i]) for i in stops}):
         with _charge(seconds, block):

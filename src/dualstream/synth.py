@@ -165,8 +165,8 @@ def suppression_trial(
     wk = rng.normal(0.0, 1.0 / math.sqrt(d_model), size=(d_model, d_model))
     triple = (wq, wk, np.eye(d_model))
 
-    baseline = self_attention(decomp.x, *triple).value
-    diff = differential_attention(decomp.x, decomp.y, triple, triple).value
+    baseline = self_attention(decomp.x, *triple)
+    diff = differential_attention(decomp.x, decomp.y, triple, triple)
     ratio_diff = decomposition_report(diff, decomp)["suppression_ratio"]
     ratio_base = decomposition_report(baseline, decomp)["suppression_ratio"]
     return ratio_diff, ratio_base

@@ -8,10 +8,10 @@ where the base distribution comes from the host model without fusion and the
 fused one from the same model with the mixed-attention hook installed.  Only
 the fusion parameters train; the host is always frozen, so each example
 carries the base distribution and the residual stream entering the insertion
-layer from the host pass that built it, and each step's ``forward`` resumes
-there.  A step's tape holds one record for the fused block, one for the
-frozen host tail from the block's output to the logits, and the loss's; no
-host weight is on it.  The block's top-T shared-token choice reads only the
+layer from the host pass that built it, and each step's ``fused_logits``
+resumes there.  A step's tape holds one record for the fused block, one for
+the frozen host tail from the block's output to the logits, and the loss's;
+no host weight is on it.  The block's top-T shared-token choice reads only the
 frozen stream entering it and ``w_share``, which gets no gradient, so ``train``
 makes each example's choice once, before its first step.
 """
@@ -28,8 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError, field_types, read_field
-from .fusion import PARAM_NAMES, DsspParams, make_dssp_hook, save_dssp_params, shared_rows
-from .model import ForwardOptions, ForwardTrace, TinyTransformer, forward, layer_norm
+from .fusion import PARAM_NAMES, DsspParams, dssp_update, save_dssp_params, shared_rows
+from .model import ForwardTrace, TinyTransformer, fused_logits, layer_norm
+from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 
 Array = np.ndarray
 
@@ -165,8 +166,8 @@ def train(
             raise ContractViolationError(
                 f"resume state has shape {np.shape(ex.resume[1])}, "
                 f"expected {(len(ex.tokens), model.config.d_model)}")
-    # the hook's input is the layer norm of the frozen resume state, so each
-    # example's shared rows are the same at every step
+    # the fused block's input is the layer norm of the frozen resume state, so
+    # each example's shared rows are the same at every step
     w = model.weights
     gain, bias = w[f"l{insertion_layer}.ln1.gain"], w[f"l{insertion_layer}.ln1.bias"]
     shared = [shared_rows(layer_norm(np.asarray(ex.resume[1], dtype=np.float64), gain, bias),
@@ -184,12 +185,11 @@ def train(
 
             tape = GradTape()
             leaves = params.leaves(tape)
-            hook = make_dssp_hook(ex.dhat, params, leaves, shared=shared[i])
-            opts = ForwardOptions(dssp_layer=insertion_layer, dssp_hook=hook)
-            trace = forward(model, list(ex.tokens), opts, resume=ex.resume)
+            logits = fused_logits(model, ex.tokens, ex.resume, lambda xn: dssp_update(
+                xn, ex.dhat, params, leaves, shared=shared[i]))
 
             p_base = ex.base.reshape(1, -1)
-            last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
+            last = ad.take_rows(logits, [len(ex.tokens) - 1])
             p_aug = ad.softmax_rows(last, 1.0)
             logp = ad.log_clamped(p_aug)
             ce_node = ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0)

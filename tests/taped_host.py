@@ -1,10 +1,11 @@
 """The host taped op by op: the oracle of the numpy host pass.
 
-``taped_forward`` is the differentiable pass as it was before the frozen tail
+``taped_logits`` is the differentiable pass as it was before the frozen tail
 became one tape record: every block from the resume layer up runs on the
-kernels, so a taped fusion hook's gradient reaches its leaves through one
-record per primitive op.  ``model.infer`` and ``model.forward`` must give its
-hidden states, attention patterns and logits, and ``forward`` its fusion-leaf
+kernels, so a taped fusion block's gradient reaches its leaves through one
+record per primitive op.  ``model.infer`` and ``model.forward`` must give the
+hidden states, attention patterns and logits of ``taped_forward``, its pass
+with an array hook, and ``model.fused_logits`` its logits and fusion-leaf
 gradients, bit for bit.
 """
 from __future__ import annotations
@@ -18,16 +19,26 @@ from taped_kernels import concat_cols, matmul, relu, transpose
 
 
 def taped_forward(model, tokens, options=None, weight_tensors=None, resume=None) -> ForwardTrace:
-    """Run the decoder over ``tokens`` on the tape and return the full trace.
+    """The trace of ``taped_logits`` with ``options``' hook, which, as ``model.infer``'s,
+    maps the normed stream's array to an array: the hooked layer's output is a constant."""
+    opts = options or ForwardOptions()
+    hook = None if opts.dssp_hook is None else lambda xn: Tensor(opts.dssp_hook(xn.value))
+    return taped_logits(model, tokens, opts.dssp_layer, hook, weight_tensors, resume)[0]
 
-    Host weights enter as constants, so nothing is recorded unless the fusion
-    hook introduces a tape.  ``weight_tensors`` replaces host weights by the
-    given tensors, so a caller can tape them too.  ``resume=(k, h)`` starts
-    at layer ``k`` from the constant residual stream ``h`` entering it, with
-    a trace that starts at layer ``k`` too.
+
+def taped_logits(model, tokens, layer=None, block=None, weight_tensors=None,
+                 resume=None) -> tuple[ForwardTrace, Tensor]:
+    """Run the decoder over ``tokens`` on the tape: the full trace, and the logits node.
+
+    Layer ``layer``'s attention output is ``block(xn)``, ``xn`` that layer's
+    normed stream as a Tensor.  Host weights enter as constants, so nothing
+    is recorded unless ``block`` introduces a tape.  ``weight_tensors``
+    replaces host weights by the given tensors, so a caller can tape them
+    too.  ``resume=(k, h)`` starts at layer ``k`` from the constant residual
+    stream ``h`` entering it, with a trace that starts at layer ``k`` too.
     """
     cfg = model.config
-    opts = options or ForwardOptions()
+    opts = ForwardOptions(layer, block)
     opts.validate(cfg.n_layers)
     toks = validate_tokens(cfg, tokens)
     n = len(toks)
@@ -74,5 +85,4 @@ def taped_forward(model, tokens, options=None, weight_tensors=None, resume=None)
 
     final = ad.layer_norm(x, W("lnf.gain"), W("lnf.bias"))
     logits = matmul(final, transpose(emb))
-    return ForwardTrace(hidden=hidden, attention=attention, logits=logits.value.copy(),
-                        logits_node=logits if logits.tape is not None else None)
+    return ForwardTrace(hidden=hidden, attention=attention, logits=logits.value.copy()), logits

@@ -31,10 +31,11 @@ from dualstream.fixtures import (
     build_copier_params,
     build_fixture_model,
     fixture_dataset,
+    fixture_vocab,
 )
 from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
-from dualstream.model import ModelConfig, save_model
-from dualstream.pipeline import PipelineTrace, RunConfig, vocab_meta
+from dualstream.model import ModelConfig, TinyTransformer, save_model
+from dualstream.pipeline import PipelineTrace, RunConfig, probe_calibration, vocab_meta
 from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
@@ -247,6 +248,27 @@ def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys)
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:ContractViolationError:")
     assert len(err.splitlines()) == 1
+
+
+def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
+    """The fused block at layer k reads the stream entering it, so a host whose offset
+    layer is 0 cannot take it: a gated or forced pipeline and a train end at load in one
+    line naming the offset layer."""
+    vocab = fixture_vocab()
+    host = TinyTransformer.random(ModelConfig(n_layers=4, n_heads=2, d_model=16, d_ff=8,
+                                              vocab_size=vocab.size, max_seq=24, seed=6))
+    assert probe_calibration(host, vocab).offset_layer == 0
+    mpath, dpath, cfg = tmp_path / "host.bin", tmp_path / "fused.bin", tmp_path / "run.json"
+    save_model(host, mpath, dtype="f64", meta=vocab_meta(vocab))
+    save_dssp_params(dpath, DsspParams.init_random(16, seed=0))
+    cfg.write_text(json.dumps({"model_checkpoint": str(mpath), "dssp_checkpoint": str(dpath)}))
+    for command, *flags in (["pipeline"], ["pipeline", "--force-retrieval"],
+                            ["train", "--epochs", "1"]):
+        code, err = _run_cli_quietly([command, "--config", str(cfg), "--fixture", "4", *flags,
+                                      "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, ["error:ContractViolationError: host offset layer 0 cannot "
+                                   "take the fused block, which reads the stream entering "
+                                   "its layer"])
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -22,10 +22,9 @@ from dualstream.fusion import (
     make_dssp_hook,
     param_shapes,
     save_dssp_params,
-    select_shared_tokens,
     self_attention,
+    shared_rows,
     shared_similarity,
-    shared_token_scores,
 )
 
 
@@ -203,35 +202,36 @@ def test_shared_similarity_rows_stochastic():
 
 
 def test_select_all_tokens_in_score_order():
-    sim = Tensor(np.array([[0.1, 0.6, 0.3], [0.2, 0.5, 0.3]]))
-    d_mat = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    out = select_shared_tokens(sim, d_mat, top_t=10)
-    # column masses 0.3, 1.1, 0.6 -> order 1, 2, 0
-    assert np.array_equal(out.value, d_mat[[1, 2, 0]])
+    x = np.array([[1.0, 0.0]])
+    d_mat = np.array([[1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+    out = shared_rows(x, d_mat, np.eye(2), top_t=10)
+    # similarities to x grow with the first coordinate -> order 1, 2, 0
+    assert np.array_equal(out, d_mat[[1, 2, 0]])
 
 
 def test_select_top_t_and_tie_break():
-    sim = Tensor(np.array([[0.25, 0.25, 0.25, 0.25]]))
     d_mat = np.arange(8, dtype=float).reshape(4, 2)
-    out = select_shared_tokens(sim, d_mat, top_t=2)
-    assert np.array_equal(out.value, d_mat[[0, 1]])  # equal mass: lowest index first
+    out = shared_rows(np.ones((3, 2)), d_mat, np.zeros((2, 2)), top_t=2)
+    assert np.array_equal(out, d_mat[[0, 1]])  # equal mass: lowest index first
 
 
 def test_select_invariant_under_logit_shift():
+    """A feature every external row holds at 1 shifts each similarity row's logits by
+    the internal row's value of it, which the softmax, and so the choice, ignores."""
     rng = np.random.default_rng(7)
-    logits = rng.normal(size=(3, 5))
-    d_mat = rng.normal(size=(5, 4))
-    base = select_shared_tokens(ad.softmax_rows(Tensor(logits)), d_mat, 2)
-    shifted = select_shared_tokens(ad.softmax_rows(Tensor(logits + 3.7)), d_mat, 2)
-    assert np.allclose(base.value, shifted.value, atol=1e-12)
+    x = rng.normal(size=(3, 4))
+    d_mat = np.hstack([rng.normal(size=(5, 4)), np.ones((5, 1))])
+    base = shared_rows(np.hstack([x, np.zeros((3, 1))]), d_mat, np.eye(5), 2)
+    shifted = shared_rows(np.hstack([x, rng.normal(size=(3, 1))]), d_mat, np.eye(5), 2)
+    assert np.array_equal(base, shifted)
 
 
 def test_select_errors():
-    sim = Tensor(np.ones((2, 3)) / 3)
+    """A stream whose width is not ``w_share``'s, or a taped stream, is refused."""
     with pytest.raises(ContractViolationError):
-        select_shared_tokens(sim, np.ones((3, 2)), top_t=0)
-    with pytest.raises(ContractViolationError):
-        select_shared_tokens(sim, np.ones((4, 2)), top_t=2)  # column count mismatch
+        shared_rows(np.ones((2, 3)), np.ones((4, 2)), np.eye(3), top_t=2)
+    with pytest.raises(ContractViolationError, match="taped"):
+        shared_rows(np.ones((2, 3)), Tensor(np.ones((4, 3)), GradTape()), np.eye(3), top_t=2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_cross_attention_single_key_token():
     y = rng.normal(size=(1, 3))
     wq, wk, wv = rng.normal(size=(3, 3, 3))
     out = cross_attention(x, y, wq, wk, wv)
-    assert np.allclose(out.value, np.tile(y @ wv, (4, 1)), atol=1e-12)
+    assert np.allclose(out, np.tile(y @ wv, (4, 1)), atol=1e-12)
 
 
 def test_cross_attention_hand_case():
@@ -253,7 +253,7 @@ def test_cross_attention_hand_case():
     out = cross_attention(x, y, np.eye(2), np.eye(2), np.eye(2))
     w1 = math.exp(1 / math.sqrt(2)) / (1 + math.exp(1 / math.sqrt(2)))
     expected = (1 - w1) * y[0] + w1 * y[1]
-    assert np.allclose(out.value[0], expected, atol=1e-12)
+    assert np.allclose(out[0], expected, atol=1e-12)
 
 
 def test_attention_matches_naive_oracle():
@@ -261,9 +261,9 @@ def test_attention_matches_naive_oracle():
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(5, 4))
     wq, wk, wv = rng.normal(size=(3, 4, 4))
-    assert np.allclose(cross_attention(x, y, wq, wk, wv).value,
+    assert np.allclose(cross_attention(x, y, wq, wk, wv),
                        naive_attention(x, y, wq, wk, wv, 4), atol=1e-12)
-    assert np.allclose(self_attention(x, wq, wk, wv).value,
+    assert np.allclose(self_attention(x, wq, wk, wv),
                        naive_attention(x, x, wq, wk, wv, 4), atol=1e-12)
 
 
@@ -271,12 +271,12 @@ def test_self_attention_single_token_and_permutation():
     rng = np.random.default_rng(3)
     tok = rng.normal(size=(1, 4))
     wq, wk, wv = rng.normal(size=(3, 4, 4))
-    assert np.allclose(self_attention(tok, wq, wk, wv).value, tok @ wv, atol=1e-12)
+    assert np.allclose(self_attention(tok, wq, wk, wv), tok @ wv, atol=1e-12)
 
     x = rng.normal(size=(5, 4))
     perm = np.array([3, 0, 4, 1, 2])
-    base = self_attention(x, wq, wk, wv).value
-    permuted = self_attention(x[perm], wq, wk, wv).value
+    base = self_attention(x, wq, wk, wv)
+    permuted = self_attention(x[perm], wq, wk, wv)
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_differential_attention_cancels_on_shared_weights():
     x = rng.normal(size=(4, 3))
     triple = tuple(rng.normal(size=(3, 3)) for _ in range(3))
     out = differential_attention(x, x.copy(), triple, triple)
-    assert np.array_equal(out.value, np.zeros((4, 3)))
+    assert np.array_equal(out, np.zeros((4, 3)))
 
 
 def test_differential_attention_hand_subtraction():
@@ -294,7 +294,7 @@ def test_differential_attention_hand_subtraction():
     s = tuple(rng.normal(size=(3, 3)) for _ in range(3))
     c = tuple(rng.normal(size=(3, 3)) for _ in range(3))
     expected = naive_attention(x, x, *s, 3) - naive_attention(x, y, *c, 3)
-    assert np.allclose(differential_attention(x, y, s, c).value, expected, atol=1e-12)
+    assert np.allclose(differential_attention(x, y, s, c), expected, atol=1e-12)
 
 
 def test_dimension_mismatch_raises():
@@ -329,7 +329,7 @@ def test_dssp_private_branch_vanishes_on_identical_streams():
     out = differential_attention(x, x.copy(),
                                  (params.wq_s, params.wk_s, params.wv_s),
                                  (params.wq_c, params.wk_c, params.wv_c))
-    assert np.array_equal(out.value, np.zeros_like(x))
+    assert np.array_equal(out, np.zeros_like(x))
 
 
 def test_dssp_matches_straight_line_oracle():
@@ -370,11 +370,11 @@ def test_dssp_hook_composes_with_forward():
     params = rand_params(4, seed=7)
     ext = rng.normal(size=(3, 4))
     hook = make_dssp_hook(ext, params)
-    xn = Tensor(rng.normal(size=(5, 4)))
+    xn = rng.normal(size=(5, 4))
     update = hook(xn)
-    assert update.value.shape == xn.value.shape
-    assert np.allclose(xn.value + update.value,
-                       dssp_forward(xn.value, ext, params).value, atol=1e-12)
+    assert isinstance(update, np.ndarray) and update.shape == xn.shape
+    assert np.array_equal(update, dssp_update(xn, ext, params).value)
+    assert np.allclose(xn + update, dssp_forward(xn, ext, params).value, atol=1e-12)
 
 
 def test_taped_dssp_update_keeps_the_similarity_off_the_tape():

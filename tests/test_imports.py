@@ -1,8 +1,9 @@
 """Module boundaries: no ``src/`` module imports another's private (underscore) name,
-only ``errors`` reads or writes JSON objects, and no public ``src/`` name is there
-for the tests alone."""
+only ``errors`` reads or writes JSON objects, no public ``src/`` name is there for the
+tests alone, and no ``src/`` module imports a name it does not read."""
 import ast
 import pathlib
+import re
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dualstream"
 
@@ -15,6 +16,30 @@ def test_no_module_imports_a_private_name_from_another():
                     node.level or (node.module or "").split(".")[0] == "dualstream"):
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
+    assert found == []
+
+
+# an import kept on purpose says why after the code, as ``# noqa: F401  -- reason``
+_KEPT_IMPORT = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
+
+
+def test_every_name_a_src_module_imports_is_read_there():
+    """No dead imports: every name an ``import`` binds in a ``src/`` module is read in that
+    module, unless its line carries ``# noqa: F401`` with a reason."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and not _KEPT_IMPORT.search(lines[alias.lineno - 1]):
+                    found.append(f"{path.name}:{alias.lineno}: {name}")
     assert found == []
 
 

@@ -228,7 +228,7 @@ def taped_generate(model, prompt, max_new_tokens, options=None):
 def test_multi_token_generate(host, cases, temperature):
     model, _ = host
     zero = ForwardOptions(dssp_layer=OFFSET_LAYER,
-                          dssp_hook=lambda xn: Tensor(np.zeros_like(xn.value)))
+                          dssp_hook=lambda xn: np.zeros_like(xn))
     for i, (question, _, _, _) in enumerate(cases):
         for opts in (None, zero):
             got = generate(model, question, 1, temperature, i, max_new_tokens=3, options=opts)

@@ -15,6 +15,7 @@ from dualstream.model import (
     TinyTransformer,
     embed,
     forward,
+    fused_logits,
     generate,
     infer,
     layer_distributions,
@@ -175,8 +176,8 @@ def test_hook_replaces_attention_output():
     m = TinyTransformer.random(small_config())
     tokens = [1, 2, 3]
 
-    def zero_hook(xn: Tensor) -> Tensor:
-        return Tensor(np.zeros_like(xn.value))
+    def zero_hook(xn: np.ndarray) -> np.ndarray:
+        return np.zeros_like(xn)
 
     hooked = forward(m, tokens, ForwardOptions(dssp_layer=1, dssp_hook=zero_hook))
     # manual: replay block 1 with attention output zero
@@ -189,31 +190,51 @@ def test_hook_replaces_attention_output():
     assert_allclose(hooked.hidden[1], x, rtol=1e-12, atol=1e-12)
 
 
-def test_hook_carrying_tape_makes_logits_differentiable():
+def test_hook_output_must_be_an_array_shaped_like_its_input():
+    """A hook trades arrays: a Tensor, or an array of another shape, is refused, for a
+    single sequence and for every row of a batch."""
     m = TinyTransformer.random(small_config())
+    misshapen = [lambda xn: xn[:-1], lambda xn: np.zeros((xn.shape[0], xn.shape[1] + 1))]
+    for hook in [lambda xn: Tensor(xn), lambda xn: xn.tolist(), *misshapen]:
+        with pytest.raises(ContractViolationError, match="array shaped like its input"):
+            forward(m, [1, 2, 3], ForwardOptions(dssp_layer=1, dssp_hook=hook))
+        with pytest.raises(ContractViolationError, match="array shaped like its input"):
+            infer(m, [[1, 2, 3], [4, 5, 6]], ForwardOptions(1, [lambda xn: xn, hook]))
+    for hook in misshapen:
+        with pytest.raises(ContractViolationError, match="array shaped like its input"):
+            fused_logits(m, [1, 2, 3], (0, embed(m, [1, 2, 3])),
+                         lambda xn, hook=hook: Tensor(hook(xn)))
+    infer(m, [[1, 2, 3], [4, 5, 6]], ForwardOptions(1, [lambda xn: xn, lambda xn: 2 * xn]))
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_fused_logits_gradient_matches_central_differences(layer):
+    """``fused_logits`` of a block whose output is a taped row: its logits are those of
+    the array hook of the same values, and the tail record's adjoint matches central
+    differences of the logits' sum."""
+    m = TinyTransformer.random(small_config())
+    tokens = [1, 2, 4]
+    resume = (layer, ([embed(m, tokens)] + forward(m, tokens).hidden)[layer])
     tape = GradTape()
-    theta = Tensor(np.full((1, 8), 0.25), tape)
+    theta = Tensor(np.linspace(-0.3, 0.4, 8).reshape(1, 8), tape)
 
-    def hook(xn: Tensor) -> Tensor:
-        # every attention row replaced by the trainable row vector theta
-        return ad.mul(Tensor(np.ones_like(xn.value)), theta)
+    def block(xn: np.ndarray) -> Tensor:
+        # every attention row replaced by the trainable row theta, plus the normed row
+        return ad.add(ad.mul(Tensor(np.ones_like(xn)), theta), Tensor(xn))
 
-    trace = forward(m, [1, 2], ForwardOptions(dssp_layer=0, dssp_hook=hook))
-    assert trace.logits_node is not None
-    loss = ad.sum_all(trace.logits_node)
-    grads = ad.backward(tape, loss)
-    assert theta in grads and np.all(np.isfinite(grads[theta]))
+    logits = fused_logits(m, tokens, resume, block)
+    assert logits.tape is tape and len(tape) == 3      # mul, add and the frozen tail
+    hook = lambda xn: xn + theta.value
+    assert np.array_equal(logits.value, forward(m, tokens, ForwardOptions(layer, hook),
+                                                resume=resume).logits)
+    grads = ad.backward(tape, ad.sum_all(logits))
 
     def f(flat):
-        nonlocal theta
-        saved = theta
-        theta = Tensor(flat.reshape(1, 8))
-        try:
-            return float(forward(m, [1, 2], ForwardOptions(dssp_layer=0, dssp_hook=hook)).logits.sum())
-        finally:
-            theta = saved
+        return float(forward(m, tokens, ForwardOptions(layer, lambda xn: xn + flat.reshape(1, 8)),
+                             resume=resume).logits.sum())
 
-    fd = ad.finite_diff_grad(f, np.full(8, 0.25)).reshape(1, 8)
+    fd = ad.finite_diff_grad(f, theta.value.ravel()).reshape(1, 8)
+    assert np.all(np.isfinite(grads[theta]))
     assert_allclose(grads[theta], fd, rtol=1e-4, atol=1e-7)
 
 

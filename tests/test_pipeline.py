@@ -435,6 +435,37 @@ def test_a_stage_checks_every_record_before_its_first_host_pass(mixed, config, b
                                       dict.fromkeys(range(len(corpus)), 3))
 
 
+@pytest.mark.parametrize("documents", [[], [[]]])
+def test_a_record_with_no_evidence_is_refused_by_name_before_any_context_forward(
+        mixed, config, bundle, monkeypatch, documents):
+    """A retrieved record must carry evidence tokens: the filter, a forced run and the
+    training examples refuse one without, naming it, before any context forward; the
+    detector still takes it."""
+    model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
+    empty = dataclasses.replace(mixed[0], record_id="bare", documents=documents,
+                                noise_mask=None)
+    corpus = [mixed[0], empty]        # one question length: one detection block
+    verdict, _ = pipeline.detect_stage(model, [empty], vocab, config)[0]
+    assert verdict.statistic >= 0
+    calls = []
+
+    def counting_infer(*args, **kwargs):
+        calls.append("stop" in kwargs)     # only the context forward passes a stop
+        return infer(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "infer", counting_infer)
+    forced = dataclasses.replace(config, force_retrieval=True)
+    for run, passes in (
+            (lambda: pipeline.filter_stage(model, corpus, vocab, cal, config.lam,
+                                           dict.fromkeys(range(2), 3)), 0),
+            (lambda: make_train_examples(model, corpus, vocab, OFFSET_LAYER), 0),
+            (lambda: run_records(corpus, forced, bundle), 1)):    # the detection pass only
+        calls.clear()
+        with pytest.raises(ContractViolationError, match="record 'bare' has no evidence"):
+            run()
+        assert calls == [False] * passes
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fast paths against the host and the fusion block taped op by op (``taped_forward``,
+"""Fast paths against the host and the fusion block taped op by op (``taped_host``,
 ``taped_fusion``), on random hosts and fusion shapes.
 
 Each test draws shapes the planted fixture does not have, at a fixed seed and
@@ -21,9 +21,17 @@ from dualstream.fusion import (
     make_dssp_hook,
     param_shapes,
 )
-from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, embed, forward, infer
+from dualstream.model import (
+    ForwardOptions,
+    ModelConfig,
+    TinyTransformer,
+    embed,
+    forward,
+    fused_logits,
+    infer,
+)
 import taped_fusion
-from taped_host import taped_forward
+from taped_host import taped_forward, taped_logits
 
 
 @st.composite
@@ -40,47 +48,54 @@ def hooked_hosts(draw):
 
 
 def hooked_pass(model, tokens, hook, resume, params, dhat, probe, oracle=None):
-    """A fused pass and the fusion-leaf gradients of its logits weighted by ``probe``:
-    ``forward``, or with ``oracle`` "constant" or "taped" the oracle ``taped_forward``
-    with the host weights constant or taped, and the fusion block taped op by op."""
+    """The logits of a fused pass and the fusion-leaf gradients of their sum weighted by
+    ``probe``: ``fused_logits``, whose ``resume`` is at the hook layer, or with ``oracle``
+    "constant" or "taped" the oracle ``taped_logits`` with the host weights constant or
+    taped, and the fusion block taped op by op."""
     tape = GradTape()
     leaves = params.leaves(tape)
-    make_hook = make_dssp_hook if oracle is None else taped_fusion.make_dssp_hook
-    opts = ForwardOptions(dssp_layer=hook, dssp_hook=make_hook(dhat, params, leaves))
     if oracle is None:
-        trace = forward(model, tokens, opts, resume=resume)
+        logits = fused_logits(model, tokens, resume,
+                              lambda xn: dssp_update(xn, dhat, params, leaves))
     else:
         host = {n: Tensor(a, tape) for n, a in model.weights.items()} if oracle == "taped" else None
-        trace = taped_forward(model, tokens, opts, weight_tensors=host, resume=resume)
-    grads = ad.backward(tape, ad.sum_all(ad.mul(trace.logits_node, Tensor(probe))))
-    return trace, [grads.get(leaves[n]) for n in PARAM_NAMES]
+        _, logits = taped_logits(model, tokens, hook,
+                                 taped_fusion.make_dssp_hook(dhat, params, leaves), host, resume)
+    grads = ad.backward(tape, ad.sum_all(ad.mul(logits, Tensor(probe))))
+    return logits.value, [grads.get(leaves[n]) for n in PARAM_NAMES]
 
 
 @seed(20261019)
 @settings(max_examples=150, deadline=None, database=None)
 @given(hooked_hosts())
 def test_forward_equals_the_taped_host_on_random_hosts(case):
-    """The fusion block's and the frozen tail's one record each give the logits, hidden
-    states, attention patterns and fusion-leaf gradients of the block and the host taped
-    op by op, host weights constant or taped."""
+    """At every hook layer, 0 included: the fusion block's and the frozen tail's one record
+    each (``fused_logits``) give the logits and fusion-leaf gradients of the block and
+    the host taped op by op, host weights constant or taped, resumed at or below the
+    hook; and ``forward`` with the array hook gives the oracle's logits, hidden states and
+    attention patterns."""
     model, tokens, hook, start, rng_seed = case
     cfg = model.config
     rng = np.random.default_rng(rng_seed)
     params = DsspParams.init_random(cfg.d_model, d_ff=5, top_t=2, seed=rng_seed)
     dhat = rng.normal(size=(int(rng.integers(1, 5)), cfg.d_model))
     probe = rng.normal(size=(len(tokens), cfg.vocab_size))   # an adjoint at every position
-    resume = (start, ([embed(model, tokens)] + infer(model, tokens).hidden)[start])
-    args = (model, tokens, hook, resume, params, dhat, probe)
-    trace, grads = hooked_pass(*args)
+    states = [embed(model, tokens)] + infer(model, tokens).hidden
+    resume = (start, states[start])
+    args = (model, tokens, hook)
+    logits, grads = hooked_pass(*args, (hook, states[hook]), params, dhat, probe)
     for oracle in ("constant", "taped"):
-        ref, ref_grads = hooked_pass(*args, oracle=oracle)
-        assert np.array_equal(trace.logits, ref.logits)
-        for got, want in zip(trace.hidden + trace.attention, ref.hidden + ref.attention,
-                             strict=True):
-            assert np.array_equal(got, want)
+        ref_logits, ref_grads = hooked_pass(*args, resume, params, dhat, probe, oracle)
+        assert np.array_equal(logits, ref_logits)
         for name, got, want in zip(PARAM_NAMES, grads, ref_grads):
             assert (got is None) == (want is None), name
             assert got is None or np.array_equal(got, want), name
+    opts = ForwardOptions(hook, make_dssp_hook(dhat, params))
+    trace = forward(model, tokens, opts, resume=resume)
+    ref = taped_forward(model, tokens, opts, resume=resume)
+    assert np.array_equal(trace.logits, logits) and np.array_equal(ref.logits, logits)
+    for got, want in zip(trace.hidden + trace.attention, ref.hidden + ref.attention, strict=True):
+        assert np.array_equal(got, want)
 
 
 @st.composite

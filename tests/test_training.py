@@ -17,8 +17,15 @@ from dualstream.fixtures import (
     build_training_init,
     fixture_dataset,
 )
-from dualstream.fusion import PARAM_NAMES, TRAINED_NAMES, DsspParams, make_dssp_hook
-from dualstream.model import ForwardOptions, ModelConfig, TinyTransformer, forward, infer
+from dualstream.fusion import PARAM_NAMES, TRAINED_NAMES, DsspParams, dssp_update, make_dssp_hook
+from dualstream.model import (
+    ForwardOptions,
+    ModelConfig,
+    TinyTransformer,
+    forward,
+    fused_logits,
+    infer,
+)
 from dualstream.pipeline import make_train_examples
 from dualstream.training import (
     CLAMP,
@@ -35,7 +42,7 @@ from dualstream.training import (
     train,
 )
 import taped_fusion
-from taped_host import taped_forward
+from taped_host import taped_logits
 
 # frozen high-precision oracles (independent evaluation of the nats formulas)
 COND_ENTROPY_HALF_VS_91 = 1.20397280432594
@@ -242,23 +249,26 @@ def fixture_examples():
 
 def answer_loss_gradients(model, params, ex, resume=None, oracle=None):
     """Logits and fusion-leaf gradients of the answer's cross-entropy, one taped pass:
-    ``forward``, or with ``oracle`` "constant" or "taped" the oracle ``taped_forward``
-    with the host weights constant or taped, and the fusion block taped op by op."""
+    ``fused_logits`` from ``resume`` (``ex.resume`` when None), or with ``oracle``
+    "constant" or "taped" the oracle ``taped_logits`` from ``resume`` (the embeddings
+    when None) with the host weights constant or taped, and the fusion block taped op by
+    op."""
     tape = GradTape()
     leaves = params.leaves(tape)
-    make_hook = make_dssp_hook if oracle is None else taped_fusion.make_dssp_hook
-    opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_hook(ex.dhat, params, leaves))
     if oracle is None:
-        trace = forward(model, list(ex.tokens), opts, resume=resume)
+        logits = fused_logits(model, ex.tokens, ex.resume if resume is None else resume,
+                              lambda xn: dssp_update(xn, ex.dhat, params, leaves))
     else:
         host = {n: Tensor(a, tape) for n, a in model.weights.items()} if oracle == "taped" else None
-        trace = taped_forward(model, list(ex.tokens), opts, weight_tensors=host, resume=resume)
-    last = ad.take_rows(trace.logits_node, [len(ex.tokens) - 1])
+        _, logits = taped_logits(model, ex.tokens, OFFSET_LAYER,
+                                 taped_fusion.make_dssp_hook(ex.dhat, params, leaves),
+                                 weight_tensors=host, resume=resume)
+    last = ad.take_rows(logits, [len(ex.tokens) - 1])
     logp = ad.log_clamped(ad.softmax_rows(last, 1.0))
     grads = backward(tape, ad.scale(ad.pick(logp, 0, ex.answer_id), -1.0))
     if oracle != "taped":
         assert set(grads) <= set(leaves.values())   # constants get no adjoint
-    return trace.logits, [grads.get(leaves[n]) for n in PARAM_NAMES]
+    return logits.value, [grads.get(leaves[n]) for n in PARAM_NAMES]
 
 
 def assert_same_gradients(got, want):
@@ -268,21 +278,24 @@ def assert_same_gradients(got, want):
 
 
 def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
+    """The oracle resumed at any layer up to the hook, and ``fused_logits`` resumed at
+    the hook, equal the oracle's full pass."""
     model, params, examples = fixture_examples
     for ex in examples:
         hidden = infer(model, list(ex.tokens)).hidden
         logits, grads = answer_loss_gradients(model, params, ex, oracle="constant")
-        for k in range(1, OFFSET_LAYER + 1):
-            for oracle in (None, "constant"):
-                got_logits, got_grads = answer_loss_gradients(
-                    model, params, ex, resume=(k, hidden[k - 1]), oracle=oracle)
-                assert np.array_equal(got_logits, logits)
-                assert_same_gradients(got_grads, grads)
+        runs = [(None, None)] + [("constant", (k, hidden[k - 1]))
+                                 for k in range(1, OFFSET_LAYER + 1)]
+        for oracle, resume in runs:
+            got_logits, got_grads = answer_loss_gradients(model, params, ex, resume, oracle)
+            assert np.array_equal(got_logits, logits)
+            assert_same_gradients(got_grads, grads)
     ex = examples[0]
     with pytest.raises(ContractViolationError):      # state of the wrong shape
-        answer_loss_gradients(model, params, ex, resume=(1, hidden[0][1:]))
+        answer_loss_gradients(model, params, ex, resume=(OFFSET_LAYER, hidden[0][1:]))
     with pytest.raises(ContractViolationError):      # hooked layer below the resume layer
-        answer_loss_gradients(model, params, ex, resume=(OFFSET_LAYER + 1, hidden[OFFSET_LAYER]))
+        forward(model, ex.tokens, ForwardOptions(OFFSET_LAYER, make_dssp_hook(ex.dhat, params)),
+                resume=(OFFSET_LAYER + 1, hidden[OFFSET_LAYER]))
 
 
 def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples):
@@ -300,7 +313,7 @@ def test_fusion_gradients_do_not_depend_on_pruned_host_adjoints(fixture_examples
 
 def test_a_training_step_tapes_the_frozen_tail_as_one_record(fixture_examples, monkeypatch):
     """A step records 17 records: one for the fusion block, on the trained leaves, one
-    for the frozen tail, from the hook's output to the logits, and the loss's 15."""
+    for the frozen tail, from the block's output to the logits, and the loss's 15."""
     model, init, examples = fixture_examples
     tapes, marks = [], []
 
@@ -321,39 +334,37 @@ def test_a_training_step_tapes_the_frozen_tail_as_one_record(fixture_examples, m
             return result
         return wrapped
 
-    def marking_hook_maker(*args, **kwargs):
-        return marking(make_dssp_hook(*args, **kwargs), "hook")
-
     monkeypatch.setattr(training, "GradTape", LoggingTape)
-    monkeypatch.setattr(training, "make_dssp_hook", marking_hook_maker)
-    monkeypatch.setattr(training, "forward", marking(forward, "forward"))
+    monkeypatch.setattr(training, "dssp_update", marking(dssp_update, "block"))
+    monkeypatch.setattr(training, "fused_logits", marking(fused_logits, "logits"))
     train(model, init.copy(), examples[:1], Hyperparams(epochs=1), insertion_layer=OFFSET_LAYER)
 
     (tape,) = tapes
-    (_, after_hook, hook_out), (_, after_forward, trace) = marks
-    assert (after_hook, after_forward, len(tape.log)) == (1, 2, 17)
+    (_, after_block, block_out), (_, after_logits, logits) = marks
+    assert (after_block, after_logits, len(tape.log)) == (1, 2, 17)
     (block, leaves), (tail, tail_inputs) = tape.log[:2]
-    assert block is hook_out and len(leaves) == len(TRAINED_NAMES)
+    assert block is block_out and len(leaves) == len(TRAINED_NAMES)
     assert not {id(leaf) for leaf in leaves} & {id(out) for out, _ in tape.log}
-    assert tail is trace.logits_node and tail_inputs == (hook_out,)
+    assert tail is logits and tail_inputs == (block_out,)
     assert len(tape) == 0                  # the step's backward replayed them all
 
 
 def test_train_chooses_each_examples_shared_rows_once_per_call(fixture_examples, monkeypatch):
     """Each example's top-T shared rows are chosen once per ``train`` call, from the bits
-    its hook receives: choosing them at every step from the hook's own input gives the
-    same losses and checkpoint."""
+    its fused block receives: choosing them at every step from the block's own input
+    gives the same losses and checkpoint."""
     model, init, examples = fixture_examples
     calls = []
-    select = fusion.select_shared_tokens
-    monkeypatch.setattr(fusion, "select_shared_tokens",
-                        lambda *args: calls.append(args) or select(*args))
+    choose = fusion.shared_rows
+    counting = lambda *args: calls.append(args) or choose(*args)
+    monkeypatch.setattr(fusion, "shared_rows", counting)
+    monkeypatch.setattr(training, "shared_rows", counting)
     hyper = Hyperparams(epochs=2)
     once = train(model, init.copy(), examples[:3], hyper, insertion_layer=OFFSET_LAYER)
     assert len(once.steps) == 6 and len(calls) == 3
     calls.clear()
-    monkeypatch.setattr(training, "make_dssp_hook",
-                        lambda dhat, params, leaves, shared: make_dssp_hook(dhat, params, leaves))
+    monkeypatch.setattr(training, "dssp_update", lambda xn, dhat, params, leaves, shared:
+                        dssp_update(xn, dhat, params, leaves))
     every_step = train(model, init.copy(), examples[:3], hyper, insertion_layer=OFFSET_LAYER)
     assert len(calls) == 3 + 6             # the unused up-front choices, then one per step
     assert once.steps == every_step.steps and once.checkpoint_id == every_step.checkpoint_id
