@@ -331,7 +331,9 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_pipeline(args, config: RunConfig, out_dir: str) -> str:
     bundle = load_bundle(config)
-    records = _resolve_records(args, config)
+    records = list(_resolve_records(args, config))
+    if not records:   # ``evaluate`` refuses it: refuse before writing any trace
+        raise ContractViolationError("nothing to evaluate")
     traces = run_records(records, config, bundle)
     rows = []
     for trace in traces:

@@ -20,8 +20,11 @@ goes straight to the next one, which is a resume at the next layer.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,7 +76,9 @@ Hook = Callable[[Array], Array]
 @dataclass
 class ForwardOptions:
     """Fusion-hook placement for a forward pass: ``dssp_hook`` is one hook for every
-    row, or a sequence of hooks, one per row of a ``(B, n)`` batch."""
+    row, or a sequence of hooks, one per row of a ``(B, n)`` batch.  When ``infer``
+    splits a batch into row parts, a hook may run on a worker thread, at the same
+    time as other rows' hooks, in the caller's context."""
     dssp_layer: int | None = None
     dssp_hook: Hook | Sequence[Hook] | None = None
 
@@ -261,6 +266,10 @@ def infer(
     batched matmul is one BLAS call per 2-d slice, of the unbatched shape.  A
     hooked layer calls each row's hook (``ForwardOptions.row_hooks``) on that
     row's ``(n, d)`` normed stream, and its output must be an ``(n, d)`` array.
+    A batch of at least ``2 * PART_ROWS`` rows runs as contiguous row parts on
+    every core the process may run on (``_run_parts``), with the same bits; every
+    argument is checked on the whole batch first, and a part's error is raised
+    once every part is done, the first in row order.
 
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
@@ -307,13 +316,34 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
 
     hooks = None if opts.dssp_layer is None else opts.row_hooks(b)
 
+    run = functools.partial(_layers, model, start, stop, opts.dssp_layer, saved=saved)
+    workers = _workers() if b >= 2 * PART_ROWS else 0
+    if not workers:
+        trace = run(x, hooks)
+    else:
+        cuts = _part_cuts(b, 1 + workers)
+        parts = _run_parts(lambda lo, hi: run(x[lo:hi], None if hooks is None else hooks[lo:hi]),
+                           list(zip(cuts, cuts[1:])), workers)
+        trace = ForwardTrace(
+            [np.concatenate(h) for h in zip(*(p.hidden for p in parts))],
+            [np.concatenate(a) for a in zip(*(p.attention for p in parts))],
+            None if stop is not None else np.concatenate([p.logits for p in parts]))
+    return trace.row(0) if single else trace
+
+
+def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
+    """The blocks of ``_host_pass`` from layer ``start`` on the ``(B, n, d)`` stream
+    ``x`` entering it, already checked; ``hooks`` holds each row's hook."""
+    cfg = model.config
+    w = model.weights
+    b, n, d = x.shape
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
         xhat, inv = ad.normalize(x)
         xn = xhat * w[f"l{l}.ln1.gain"] + w[f"l{l}.ln1.bias"]
         attn = None
-        if opts.dssp_layer == l:
+        if hook_layer == l:
             outs = [hook(row) for hook, row in zip(hooks, xn)]
             if any(not isinstance(o, np.ndarray) or o.shape != (n, d) for o in outs):
                 raise ContractViolationError("hook must return an array shaped like its input")
@@ -347,8 +377,55 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
         attention.append(_attention(xn, *model.qkv[stop][:2])[2])
-    trace = ForwardTrace(hidden, attention, logits)
-    return trace.row(0) if single else trace
+    return ForwardTrace(hidden, attention, logits)
+
+
+# ---------------------------------------------------------------------------
+# row parts: a large batch on every core the process may run on
+# ---------------------------------------------------------------------------
+#
+# The rows of a batch are independent, and each rounds as it does alone, so a
+# batch of at least 2 * PART_ROWS rows is cut into contiguous parts that run at
+# once: part 0 on the calling thread, every other part on a worker thread, one
+# per extra core in the process's CPU affinity mask.  numpy leaves the GIL
+# inside BLAS and its array loops, so the parts overlap.
+
+# Fewest rows in a part.  A single sequence and the (2, n) detection pair of one
+# record never split, nor does any batch of fewer than 2 * PART_ROWS rows.
+PART_ROWS = 8
+
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None    # (pid, threads, pool)
+
+
+def _workers() -> int:
+    """Worker threads a split pass may use: one per core beyond the caller's."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(
+        os.cpu_count() or 1)
+    return len(cores) - 1
+
+
+def _part_cuts(rows: int, most: int) -> list[int]:
+    """The row bounds of at most ``most`` parts of a ``rows``-row batch, each of at
+    least ``PART_ROWS`` rows and as even as ``np.array_split`` makes them."""
+    parts = min(most, rows // PART_ROWS)
+    return [i * (rows // parts) + min(i, rows % parts) for i in range(parts + 1)]
+
+
+def _run_parts(run: Callable[[int, int], ForwardTrace], parts: list[tuple[int, int]],
+               workers: int) -> list[ForwardTrace]:
+    """``run(lo, hi)`` of each part, part 0 on this thread and each other one on one
+    of ``workers`` threads, in the caller's context (numpy's error state included).
+    Every part finishes before any error is raised: the first part's, in row order."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        # a forked child inherits the parent's pool but none of its threads
+        _pool = (os.getpid(), workers, ThreadPoolExecutor(workers, "host-part"))
+    futures = [_pool[2].submit(contextvars.copy_context().run, run, *part) for part in parts[1:]]
+    try:
+        first = run(*parts[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 def forward(

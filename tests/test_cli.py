@@ -250,6 +250,21 @@ def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys)
     assert len(err.splitlines()) == 1
 
 
+def test_a_pipeline_over_no_records_writes_nothing_but_the_echoes(setup, tmp_path, capsys):
+    """``detect`` and ``filter`` take an empty record file; ``pipeline``, whose report
+    has nothing to evaluate, refuses it before it writes any trace."""
+    cfg, _ = setup
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for command in ("detect", "filter"):
+        assert run_cli(command, "--config", cfg, "--records", str(empty),
+                       "--out", str(tmp_path / command)) == 0
+    out = tmp_path / "pipeline"
+    assert run_cli("pipeline", "--config", cfg, "--records", str(empty), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error:ContractViolationError: nothing to evaluate\n"
+    assert sorted(p.name for p in out.iterdir()) == ["argv_echo.json", "config_echo.json"]
+
+
 def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
     """The fused block at layer k reads the stream entering it, so a host whose offset
     layer is 0 cannot take it: a gated or forced pipeline and a train end at load in one

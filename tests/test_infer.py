@@ -5,10 +5,16 @@ decoding and training all run on that pass, and their outputs are only
 reproducible if it rounds exactly as the taped host does.  No BLAS or SIMD
 settings are pinned.
 """
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from dualstream import autodiff as ad
+from dualstream import model as host_model
 from dualstream.autodiff import Tensor
 from dualstream.divergence import semantic_entropy
 from dualstream.errors import ContractViolationError
@@ -344,3 +350,129 @@ def test_per_head_weights_are_read_only_views_of_one_stack_per_layer(host):
                     view[0, 0] = 1.0
             with pytest.raises(ValueError):
                 stack[0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# batches run as row parts
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """A 16-row batch splits into two parts of 8 rows, whatever the cores, and the
+    calls of the part runner are counted."""
+    calls = []
+    run_parts = host_model._run_parts
+    monkeypatch.setattr(host_model, "_workers", lambda: 1)
+    monkeypatch.setattr(host_model, "_run_parts",
+                        lambda run, parts, workers: calls.append(parts) or run_parts(run, parts, workers))
+    return calls
+
+
+def _contexts(cases, rows=16):
+    """``rows`` fixture contexts of one length."""
+    n = len(cases[0][2])
+    ctx = [c[2] for c in cases if len(c[2]) == n]
+    return (ctx * rows)[:rows]
+
+
+def test_a_split_batch_checks_the_whole_batch_before_any_part_runs(host, cases, two_parts):
+    """Each refusal names the batch's shapes, and no part or hook has run."""
+    model, _ = host
+    contexts = _contexts(cases)
+    b, n, d = len(contexts), len(contexts[0]), model.config.d_model
+    full = infer(model, contexts)
+    assert two_parts == [[(0, 8), (8, 16)]]
+    ran = []
+    hook = lambda xn: ran.append(1) or xn
+    hooked = lambda hooks: ForwardOptions(2, hooks)
+    bad = {
+        "token": ((contexts[:15] + [[model.config.vocab_size] * n],), "token id"),
+        "options": ((contexts, ForwardOptions(dssp_layer=2)), "set together"),
+        "hook count": ((contexts, hooked([hook] * 15)), "15 hooks for a batch of 16 rows"),
+        "resume shape": ((contexts, None, (3, full.hidden[2][:, :-1])),
+                         rf"\({b}, {n - 1}, {d}\), expected \({b}, {n}, {d}\)"),
+        "stop": ((contexts, hooked([hook] * 16), None, 2), "hooked layer at or above"),
+    }
+    for name, (args, message) in bad.items():
+        with pytest.raises(ContractViolationError, match=message):
+            infer(model, *args)
+        assert ran == [] and len(two_parts) == 1, name
+
+
+def test_a_failed_part_raises_after_every_part_is_done(host, cases, two_parts, monkeypatch):
+    """Of four parts, the first error in row order wins, whichever part fails first
+    in time, and is raised once every part is done; each part runs in the caller's
+    numpy error state."""
+    model, _ = host
+    contexts = _contexts(cases)
+    monkeypatch.setattr(host_model, "PART_ROWS", 4)
+    monkeypatch.setattr(host_model, "_workers", lambda: 3)
+    done, errstates = [], []
+
+    def hook(row):
+        def run(xn):
+            errstates.append(np.geterr()["over"])
+            time.sleep({5: 0.05, 11: 0.1}.get(row, 0.0))
+            if row in (5, 13):
+                raise ContractViolationError(f"row {row}")
+            done.append(row)
+            return xn
+        return run
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(ContractViolationError, match="row 5"):
+            infer(model, contexts, ForwardOptions(2, [hook(i) for i in range(16)]))
+    assert sorted(done) == [0, 1, 2, 3, 4, 8, 9, 10, 11, 12]
+    assert errstates == ["ignore"] * 12
+    assert two_parts == [[(0, 4), (4, 8), (8, 12), (12, 16)]]
+
+    wrong = [lambda xn: xn] * 12 + [lambda xn: xn[:-1]] + [lambda xn: xn] * 3
+    for workers in (3, 0):
+        monkeypatch.setattr(host_model, "_workers", lambda: workers)
+        with pytest.raises(ContractViolationError, match="shaped like its input"):
+            infer(model, contexts, ForwardOptions(2, wrong))
+    assert len(two_parts) == 2
+
+
+def test_a_softmax_failure_in_a_worker_part_is_the_unsplit_error(two_parts, monkeypatch):
+    """Rows 8.. of a 16-row batch overflow to a query-key row with no finite entry;
+    the worker's part raises the unsplit pass's error."""
+    config = ModelConfig(n_layers=1, n_heads=1, d_model=3, d_ff=1, vocab_size=3, max_seq=4)
+    weights = TinyTransformer.random(config).weights
+    weights.update({"l0.attn.wq.h0": np.diag([1e200, 1.0, 1.0]),
+                    "l0.attn.wk.h0": np.diag([-1e200, 1.0, 1.0])})
+    model = TinyTransformer(config, weights)
+    # the stream (1, 0, -1) norms to (c, 0, -c): q.k overflows to -inf; (0, -1, 1) keeps a
+    # zero first entry, so its q.k is finite
+    state = np.zeros((16, 4, 3))
+    state[:8] = [0.0, -1.0, 1.0]
+    state[8:] = [1.0, 0.0, -1.0]
+    with np.errstate(over="ignore"):
+        assert np.isfinite(infer(model, [[0] * 4] * 8, resume=(0, state[:8])).logits).all()
+        for workers in (1, 0):
+            monkeypatch.setattr(host_model, "_workers", lambda: workers)
+            with pytest.raises(ContractViolationError, match="softmax row with no finite entry"):
+                infer(model, [[0] * 4] * 16, resume=(0, state))
+    assert two_parts == [[(0, 8), (8, 16)]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_forked_child_runs_a_split_pass(host, cases, two_parts):
+    """A child forked after a split pass makes its own worker threads: the parent's
+    do not exist in it, and a pass waiting on them would hang."""
+    model, _ = host
+    contexts = _contexts(cases)
+    logits = infer(model, contexts).logits
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)
+            code = 0 if np.array_equal(infer(model, contexts).logits, logits) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert len(two_parts) == 1

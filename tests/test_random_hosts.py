@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dualstream import autodiff as ad
+from dualstream import model as host_model
 from dualstream.autodiff import GradTape, Tensor
 from dualstream.errors import ContractViolationError
 from dualstream.fusion import (
@@ -183,3 +184,56 @@ def test_the_fusion_record_equals_the_block_taped_op_by_op(case):
     assert grads.pop("w_share") is None and want_grads.pop("w_share") is None
     for name in TRAINED_NAMES:
         assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@st.composite
+def split_batches(draw):
+    """A random host, 2-20 token rows of one length, a resume layer, a stop layer at
+    or above it or none, a hook layer between them or none, and a seed."""
+    n_layers, n_heads = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                         d_model=n_heads * draw(st.integers(1, 6)),
+                         d_ff=draw(st.integers(1, 8)), vocab_size=11, max_seq=10,
+                         seed=draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, 10), min_size=n, max_size=n),
+                         min_size=2, max_size=20))
+    start = draw(st.integers(0, n_layers))
+    stop = draw(st.none() | st.integers(start, n_layers - 1)) if start < n_layers else None
+    top = n_layers if stop is None else stop
+    hook = draw(st.none() | st.integers(start, top - 1)) if start < top else None
+    return TinyTransformer.random(config), rows, start, stop, hook, config.seed
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(split_batches())
+def test_a_split_batch_equals_the_unsplit_pass_on_random_hosts(case):
+    """A batch cut into one-row parts, run at once on worker threads and put back
+    together, gives the hidden states, attention patterns and logits of the unsplit
+    pass bit for bit: resumed or not, stopped early or not, each row with its own hook."""
+    model, rows, start, stop, hook, rng_seed = case
+    d = model.config.d_model
+    rng = np.random.default_rng(rng_seed)
+    states = np.stack([([embed(model, row)] + infer(model, row).hidden)[start] for row in rows])
+    options = None
+    if hook is not None:
+        params = DsspParams.init_random(d, d_ff=5, top_t=2, seed=rng_seed)
+        options = ForwardOptions(hook, [make_dssp_hook(rng.normal(size=(int(rng.integers(1, 5)), d)),
+                                                       params) for _ in rows])
+    resume = None if start == 0 else (start, states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(host_model, "_workers", lambda: 0)
+        whole = infer(model, rows, options, resume, stop)
+        calls = []
+        run_parts = host_model._run_parts
+        mp.setattr(host_model, "_run_parts",
+                   lambda run, parts, workers: calls.append(len(parts)) or run_parts(run, parts, workers))
+        mp.setattr(host_model, "PART_ROWS", 1)
+        mp.setattr(host_model, "_workers", lambda: 19)
+        split = infer(model, rows, options, resume, stop)
+    assert calls == [len(rows)]
+    assert (split.logits is None) == (whole.logits is None) == (stop is not None)
+    assert stop is not None or np.array_equal(split.logits, whole.logits)
+    for a, b in zip(split.hidden + split.attention, whole.hidden + whole.attention, strict=True):
+        assert np.array_equal(a, b)
