@@ -78,7 +78,8 @@ class ForwardOptions:
     """Fusion-hook placement for a forward pass: ``dssp_hook`` is one hook for every
     row, or a sequence of hooks, one per row of a ``(B, n)`` batch.  When ``infer``
     splits a batch into row parts, a hook may run on a worker thread, at the same
-    time as other rows' hooks, in the caller's context."""
+    time as other rows' hooks, in the caller's context; a pass the hook starts
+    runs serially."""
     dssp_layer: int | None = None
     dssp_hook: Hook | Sequence[Hook] | None = None
 
@@ -269,7 +270,8 @@ def infer(
     A batch of at least ``2 * PART_ROWS`` rows runs as contiguous row parts on
     every core the process may run on (``_run_parts``), with the same bits; every
     argument is checked on the whole batch first, and a part's error is raised
-    once every part is done, the first in row order.
+    once every part is done, the first in row order.  A pass started inside a
+    part (by a hook) runs serially.
 
     ``resume=(k, h)`` starts at layer ``k`` from ``h``, the residual stream
     entering it (``hidden[k - 1]`` of an earlier trace of the same tokens);
@@ -317,7 +319,7 @@ def _host_pass(model, toks, options, resume, stop, saved: list | None = None) ->
     hooks = None if opts.dssp_layer is None else opts.row_hooks(b)
 
     run = functools.partial(_layers, model, start, stop, opts.dssp_layer, saved=saved)
-    workers = _workers() if b >= 2 * PART_ROWS else 0
+    workers = _workers() if b >= 2 * PART_ROWS and not _in_part.get() else 0
     if not workers:
         trace = run(x, hooks)
     else:
@@ -388,13 +390,16 @@ def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
 # batch of at least 2 * PART_ROWS rows is cut into contiguous parts that run at
 # once: part 0 on the calling thread, every other part on a worker thread, one
 # per extra core in the process's CPU affinity mask.  numpy leaves the GIL
-# inside BLAS and its array loops, so the parts overlap.
+# inside BLAS and its array loops, so the parts overlap.  A pass that starts
+# inside a part (a hook's own ``infer``) runs serially: it would otherwise wait
+# for a worker that may be running the part it was called from.
 
 # Fewest rows in a part.  A single sequence and the (2, n) detection pair of one
 # record never split, nor does any batch of fewer than 2 * PART_ROWS rows.
 PART_ROWS = 8
 
 _pool: tuple[int, int, ThreadPoolExecutor] | None = None    # (pid, threads, pool)
+_in_part = contextvars.ContextVar("in_part", default=False)
 
 
 def _workers() -> int:
@@ -420,11 +425,13 @@ def _run_parts(run: Callable[[int, int], ForwardTrace], parts: list[tuple[int, i
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         # a forked child inherits the parent's pool but none of its threads
         _pool = (os.getpid(), workers, ThreadPoolExecutor(workers, "host-part"))
+    flag = _in_part.set(True)    # for part 0 here and in the context copies the others run in
     futures = [_pool[2].submit(contextvars.copy_context().run, run, *part) for part in parts[1:]]
     try:
         first = run(*parts[0])
     finally:
         wait(futures)
+        _in_part.reset(flag)
     return [first] + [f.result() for f in futures]
 
 

@@ -18,7 +18,6 @@ another, its host passes batched over blocks of records of one shape
 """
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -235,18 +234,6 @@ def _blocks(keys: dict) -> list[list[int]]:
             for j in range(0, len(g), BLOCK_RECORDS)]
 
 
-@contextlib.contextmanager
-def _charge(seconds: list[float] | None, rows: list[int]):
-    """Share the time of the enclosed work evenly among ``rows``' entries of
-    ``seconds`` (None: untimed)."""
-    t0 = time.perf_counter()
-    yield
-    if seconds is not None:
-        share = (time.perf_counter() - t0) / len(rows)
-        for i in rows:
-            seconds[i] += share
-
-
 @dataclass
 class PipelineTrace(JsonRecord):
     """What one record went through: verdict, optional filter, answer, timings."""
@@ -281,7 +268,7 @@ class Evidence:
 
 def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
                   stops: dict[int, int | None], read: Callable[[int, Evidence], Any],
-                  seconds: list[float] | None = None) -> dict[int, Any]:
+                  ) -> dict[int, Any]:
     """``read(i, evidence)`` of the context forward of each ``records[i]`` that
     ``stops`` names, keyed by ``i`` in the order of ``stops``; the forward runs
     up to layer ``stops[i]``'s attention pattern (``infer``'s ``stop``; None runs
@@ -304,11 +291,10 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
                 f"record {records[i].record_id!r} has no evidence tokens to retrieve")
     out = dict.fromkeys(stops)
     for block in _blocks({i: (len(contexts[i]), stops[i]) for i in stops}):
-        with _charge(seconds, block):
-            trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
-            for row, i in enumerate(block):
-                span = (len(records[i].question) + 1, len(contexts[i]))
-                out[i] = read(i, Evidence(contexts[i], span, trace.row(row)))
+        trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
+        for row, i in enumerate(block):
+            span = (len(records[i].question) + 1, len(contexts[i]))
+            out[i] = read(i, Evidence(contexts[i], span, trace.row(row)))
     return out
 
 
@@ -347,37 +333,34 @@ def _question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Voca
 
 
 def detect_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
-                 config: RunConfig, seconds: list[float] | None = None,
-                 ) -> list[tuple[DetectionVerdict, np.ndarray]]:
+                 config: RunConfig) -> list[tuple[DetectionVerdict, np.ndarray]]:
     """Stage 1: compare each question with its variant.
 
     Questions of one length run with their variants as one ``(2B, n)``
     ``infer`` and one ``logit_lens`` per block.  Also returns each question's
     last-position logits, from which the plain decode draws its first token.
     """
-    return _detect_pairs(model, _question_pairs(model, records, vocab), config, seconds)
+    return _detect_pairs(model, _question_pairs(model, records, vocab), config)
 
 
 def _detect_pairs(model: TinyTransformer, pairs: list[tuple[list[int], list[int]]],
-                  config: RunConfig, seconds: list[float] | None,
-                  ) -> list[tuple[DetectionVerdict, np.ndarray]]:
+                  config: RunConfig) -> list[tuple[DetectionVerdict, np.ndarray]]:
     """``detect_stage`` of checked ``(question, variant)`` pairs."""
     out: list = [None] * len(pairs)
     for block in _blocks({i: len(question) for i, (question, _) in enumerate(pairs)}):
-        with _charge(seconds, block):
-            batch = infer(model, [pairs[i][0] for i in block] + [pairs[i][1] for i in block])
-            lens = logit_lens(model, batch.hidden)
-            for row, i in enumerate(block):
-                profile = divergence_profile(lens[:, row], lens[:, len(block) + row])
-                out[i] = (detect(profile, delta=config.delta, aggregation=config.aggregation),
-                          batch.logits[row, -1].copy())
+        batch = infer(model, [pairs[i][0] for i in block] + [pairs[i][1] for i in block])
+        lens = logit_lens(model, batch.hidden)
+        for row, i in enumerate(block):
+            profile = divergence_profile(lens[:, row], lens[:, len(block) + row])
+            out[i] = (detect(profile, delta=config.delta, aggregation=config.aggregation),
+                      batch.logits[row, -1].copy())
     return out
 
 
 def filter_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
                  calibration: Calibration, lam: float, stops: dict[int, int],
                  read: Callable[[int, FilterProfile, Evidence], Any] = lambda i, p, e: p,
-                 seconds: list[float] | None = None) -> dict[int, Any]:
+                 ) -> dict[int, Any]:
     """Stage 2: score the evidence tokens of each ``records[i]`` that ``stops`` names
     from its context forward (``read_evidence``), and return
     ``read(i, profile, evidence)``, by default the profile, keyed by ``i``.
@@ -391,7 +374,7 @@ def filter_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab |
             calibration.entropy_orig, calibration.entropy_offset, lam)
         return read(i, profile, evidence)
 
-    return read_evidence(model, records, vocab, stops, score, seconds)
+    return read_evidence(model, records, vocab, stops, score)
 
 
 @dataclass
@@ -418,8 +401,9 @@ def run_records(records, config: RunConfig, bundle: Bundle) -> list[PipelineTrac
     context forward in blocks of one context length and stop, and the fused
     decode's first token in blocks of one context length and hook layer; each
     answer token after the first is decoded per record.  A record's
-    ``timings`` are, per stage, an even share of the time of each block it ran
-    in, plus, for ``decode``, the decoding of its own answer.
+    ``timings`` are, per stage it ran, an even share of its window's time in
+    that stage: detection and decode over the window's records, the filter
+    stage over its retrieved records.
 
     Which error wins: every record's answer, question and variant are checked,
     in list order, before the first window, so such an error ends the run
@@ -444,8 +428,9 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     """``run_records`` of one window, given its checked question pairs; its fusion
     states die with the call."""
     model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
-    detect_s, filter_s, decode_s = ([0.0] * len(records) for _ in range(3))
-    detected = _detect_pairs(model, pairs, config, detect_s)
+    t0 = time.perf_counter()
+    detected = _detect_pairs(model, pairs, config)
+    t1 = time.perf_counter()
     # the fused block enters at a flagged verdict's insertion layer if it can, else at
     # the offset layer
     layers = {i: v.insertion_layer if v.hallucination and v.insertion_layer >= 1
@@ -462,33 +447,35 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
 
     fused = filter_stage(model, records, vocab, cal, config.lam,
                          {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()},
-                         fuse, filter_s)
+                         fuse)
+    t2 = time.perf_counter()
 
     # the fused decode's first token; the layers below the hook are the context forward's
     first_logits = [logits for _, logits in detected]
     for block in _blocks({i: (len(f.tokens), layers[i]) for i, f in fused.items()}):
-        with _charge(decode_s, block):
-            layer = layers[block[0]]
-            batch = infer(model, [fused[i].tokens for i in block],
-                          ForwardOptions(layer, [fused[i].hook for i in block]),
-                          (layer, np.stack([fused[i].state for i in block])))
-            for row, i in enumerate(block):
-                first_logits[i] = batch.logits[row, -1].copy()
+        layer = layers[block[0]]
+        batch = infer(model, [fused[i].tokens for i in block],
+                      ForwardOptions(layer, [fused[i].hook for i in block]),
+                      (layer, np.stack([fused[i].state for i in block])))
+        for row, i in enumerate(block):
+            first_logits[i] = batch.logits[row, -1].copy()
 
     traces = []
     for i, (record, (verdict, _)) in enumerate(zip(records, detected)):
         f = fused.get(i)
-        with _charge(decode_s, [i]):
-            prompt, options = ((record.question, None) if f is None else
-                               (f.tokens, ForwardOptions(layers[i], f.hook)))
-            answer = generate_from(model, prompt, first_logits[i],
-                                   max(1, len(record.answer)), options)
-        timings = {"detect": detect_s[i], "filter": filter_s[i], "decode": decode_s[i]}
-        if f is None:
-            del timings["filter"]
-        profile = None if f is None else f.profile
-        traces.append(PipelineTrace(record.record_id, verdict, profile, answer, timings,
-                                    forced=config.force_retrieval))
+        prompt, options = ((record.question, None) if f is None else
+                           (f.tokens, ForwardOptions(layers[i], f.hook)))
+        answer = generate_from(model, prompt, first_logits[i],
+                               max(1, len(record.answer)), options)
+        traces.append(PipelineTrace(record.record_id, verdict, None if f is None else f.profile,
+                                    answer, forced=config.force_retrieval))
+    t3 = time.perf_counter()
+
+    # each record's even share of its window's time in each stage it ran
+    shares = {"detect": (t1 - t0) / len(records), "filter": (t2 - t1) / max(1, len(fused)),
+              "decode": (t3 - t2) / len(records)}
+    for trace in traces:
+        trace.timings = {k: t for k, t in shares.items() if k != "filter" or trace.filter}
     return traces
 
 

@@ -476,3 +476,41 @@ def test_a_forked_child_runs_a_split_pass(host, cases, two_parts):
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert len(two_parts) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_pass_a_hook_starts_inside_a_part_runs_serially(host, cases, two_parts, monkeypatch):
+    """Each row's hook runs its own 16-row pass inside a split hooked pass, and gets
+    the unsplit pass's arrays.  Split, the inner pass of the worker's part would wait
+    for the one worker, which is running that part; so the child is alarmed, and a
+    hang fails the test rather than the suite."""
+    model, _ = host
+    contexts = _contexts(cases)
+    monkeypatch.setattr(host_model, "_workers", lambda: 0)
+    want = infer(model, contexts)
+    monkeypatch.setattr(host_model, "_workers", lambda: 1)
+    inner = []
+
+    def hook(xn):
+        inner.append(infer(model, contexts))
+        return xn
+
+    def same(trace) -> bool:
+        return np.array_equal(trace.logits, want.logits) and all(
+            np.array_equal(a, b) for a, b in zip(trace.hidden + trace.attention,
+                                                 want.hidden + want.attention, strict=True))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)
+            infer(model, contexts, ForwardOptions(2, hook))
+            code = 0 if (len(inner) == 16 and all(map(same, inner))
+                         and two_parts == [[(0, 8), (8, 16)]]) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import types
 import weakref
 
 import numpy as np
@@ -481,6 +482,43 @@ def test_a_windowed_run_equals_one_window_and_each_record_alone(mixed, config, b
     windowed = [_without_timings(t) for t in run_records(mixed, cfg, bundle)]
     alone = [_without_timings(pipeline_run(r, cfg, bundle)) for r in mixed]
     assert windowed == whole == alone
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_record_gets_an_even_share_of_its_windows_time_in_each_stage(mixed, config, bundle,
+                                                                       monkeypatch, forced):
+    """The clock is read four times per window: before detection, after it, after the
+    filter stage and after the decode.  A record's ``detect`` and ``decode`` are its
+    window's span over the window's records, its ``filter`` the span over the window's
+    retrieved records; ``evaluate`` then gives each stage's total over its count."""
+    cfg = dataclasses.replace(config, force_retrieval=forced)
+    reads = []
+
+    def clock() -> float:
+        reads.append(float(len(reads) ** 2))     # every span differs from every other
+        return reads[-1]
+
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=clock))
+    monkeypatch.setattr(pipeline, "WINDOW_RECORDS", 24)
+    traces = run_records(mixed, cfg, bundle)
+    assert len(reads) == 8
+    totals = {"detect": [0.0, 0], "filter": [0.0, 0], "decode": [0.0, 0]}
+    for w, window in enumerate((traces[:24], traces[24:])):
+        t0, t1, t2, t3 = reads[4 * w:4 * w + 4]
+        spans = {"detect": (t1 - t0, len(window)), "decode": (t3 - t2, len(window)),
+                 "filter": (t2 - t1, sum(t.filter is not None for t in window))}
+        assert 0 < spans["filter"][1] <= len(window)
+        for trace in window:
+            stages = ["detect", "filter", "decode"] if trace.filter else ["detect", "decode"]
+            assert trace.timings == {k: spans[k][0] / spans[k][1] for k in stages}
+            assert list(trace.timings) == stages
+        for stage, (span, count) in spans.items():
+            totals[stage][0] += span
+            totals[stage][1] += count
+    assert {t.filter is None for t in traces} == ({False} if forced else {False, True})
+    means = evaluate(traces, mixed)["mean_stage_times"]
+    assert means == pytest.approx({k: span / count for k, (span, count) in totals.items()},
+                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("forced", [False, True])
