@@ -10,8 +10,9 @@ touches a taped leaf records nothing.
 
 The host and the fused block run in plain numpy, each one tape record
 (``emit``) whose hand-written adjoint uses the arithmetic they share here:
-``row_softmax`` (the one softmax), ``normalize`` and ``attention_vjp``.  The
-other per-op kernels of their oracles, taped op by op, live in the tests.
+``row_softmax`` (the one softmax), ``normalize``, and ``attend`` (every
+attention) beside its adjoint ``attention_vjp``.  The other per-op kernels
+of their oracles, taped op by op, live in the tests.
 
 Kernels are backed by numpy float64; given identical inputs a run is
 bit-deterministic within a process.  Tapes are not thread-safe -- confine a
@@ -196,16 +197,34 @@ def row_softmax(a: Array, scale_factor: float) -> Array:
 
 
 def row_softmax_vjp(g: Array, y: Array, scale_factor: float) -> Array:
-    """``softmax_rows``'s input adjoint, given ``g``, the adjoint of its output ``y``."""
-    return scale_factor * y * (g - (g * y).sum(axis=1, keepdims=True))
+    """``softmax_rows``'s input adjoint over the last axis, given ``g``, its output ``y``'s."""
+    return scale_factor * y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array | None, d_k: int,
+           mask: Array | None = None, q: Array | None = None) -> tuple[Array | None, tuple]:
+    """``a @ v`` for ``a = row_softmax(q @ kt [+ mask], 1 / sqrt(d_k))``, and what
+    ``attention_vjp`` reads, ``(q, kt, a, v, scale)``, over any leading axes, one BLAS
+    call per 2-d slice.  ``q = x @ wq`` unless the caller has it, ``kt`` is a contiguous
+    copy of ``(y @ wk)^T``, as a taped transpose is, and ``v = y @ wv``; with no ``wv``,
+    only ``a`` is computed, and ``a @ v`` and ``v`` are None."""
+    if isinstance(d_k, bool) or not isinstance(d_k, (int, np.integer)) or d_k < 1:
+        raise ContractViolationError(f"attention d_k must be an integer >= 1, got {d_k!r}")
+    q = x @ wq if q is None else q
+    kt = np.ascontiguousarray((y @ wk).swapaxes(-1, -2))
+    scale = 1.0 / np.sqrt(d_k)
+    a = row_softmax(q @ kt if mask is None else q @ kt + mask, scale)
+    v = None if wv is None else y @ wv
+    return None if v is None else a @ v, (q, kt, a, v, scale)
 
 
 def attention_vjp(g: Array, q: Array, kt: Array, a: Array, v: Array,
                   scale_factor: float) -> tuple[Array, Array, Array]:
-    """Q's, K's and V's adjoints in ``a @ v``, ``a = row_softmax(q @ kt [+ mask], scale_factor)``,
-    given ``g``, its output's: the bits of the taped matmul, transpose and softmax."""
-    gs = row_softmax_vjp(g @ v.T, a, scale_factor)
-    return gs @ kt.T, (q.T @ gs).T, a.T @ g
+    """Q's, K's and V's adjoints in ``attend``'s ``a @ v``, given ``g``, its output's:
+    the bits of the taped matmul, transpose and softmax, over any leading axes."""
+    t = lambda m: m.swapaxes(-1, -2)
+    gs = row_softmax_vjp(g @ t(v), a, scale_factor)
+    return gs @ t(kt), t(t(q) @ gs), t(a) @ g
 
 
 def normalize(x: Array) -> tuple[Array, Array]:

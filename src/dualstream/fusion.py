@@ -186,10 +186,9 @@ def load_dssp_params(path) -> DsspParams:
 # attention primitives (single-head, no causal mask, no positions)
 # ---------------------------------------------------------------------------
 #
-# Plain numpy.  Each repeats the arithmetic of its counterpart taped op by op
-# (kept in the tests as the oracle), so the two agree bit for bit: a taped
-# transpose is a contiguous copy, and the softmax and the attention adjoint
-# are the host's, ``autodiff.row_softmax`` and ``autodiff.attention_vjp``.
+# Plain numpy, on the host's attention kernel and its adjoint, ``autodiff.attend``
+# and ``attention_vjp``: each repeats the arithmetic of its counterpart taped op
+# by op (kept in the tests as the oracle), so the two agree bit for bit.
 
 def shared_similarity(internal, external, w_share, d_k: int | None = None) -> Tensor:
     """Row-stochastic |I| x |D-hat| similarity, both streams projected by w_share."""
@@ -197,8 +196,7 @@ def shared_similarity(internal, external, w_share, d_k: int | None = None) -> Te
     w = _array(w_share, "w_share")
     if x.shape[1] != w.shape[0] or y.shape[1] != w.shape[0]:
         raise ContractViolationError("stream width does not match w_share")
-    dk = w.shape[0] if d_k is None else int(d_k)
-    return Tensor(ad.row_softmax((x @ w) @ (y @ w).T.copy(), 1.0 / math.sqrt(dk)))
+    return Tensor(ad.attend(x, y, w, w, None, w.shape[0] if d_k is None else d_k)[1][2])
 
 
 def shared_rows(internal, external, w_share, top_t: int) -> Array:
@@ -213,18 +211,6 @@ def shared_rows(internal, external, w_share, top_t: int) -> Array:
     return y[np.argsort(-mass, kind="stable")[:int(top_t)]]
 
 
-def _attend(x: Array, y: Array, wq: Array, wk: Array, wv: Array,
-            q: Array | None = None) -> tuple[Array, tuple]:
-    """softmax(QK^T / sqrt(d_k)) V with Q = x wq (or ``q``, when the caller has it),
-    K = y wk and V = y wv, and what its adjoint reads (``autodiff.attention_vjp``)."""
-    q = x @ wq if q is None else q
-    kt = (y @ wk).T.copy()
-    scale = 1.0 / math.sqrt(wq.shape[0])
-    a = ad.row_softmax(q @ kt, scale)
-    v = y @ wv
-    return a @ v, (q, kt, a, v, scale)
-
-
 def cross_attention(queries, keys_values, wq, wk, wv) -> Array:
     """softmax(QK^T / sqrt(d_k)) V with queries from one stream, keys/values from the
     other; d_k is the query projection's input width."""
@@ -233,7 +219,7 @@ def cross_attention(queries, keys_values, wq, wk, wv) -> Array:
     if (x.shape[1] != wq.shape[0] or y.shape[1] != wk.shape[0] or y.shape[1] != wv.shape[0]
             or wq.shape[1] != wk.shape[1]):
         raise ContractViolationError("stream width does not match attention weights")
-    return _attend(x, y, wq, wk, wv)[0]
+    return ad.attend(x, y, wq, wk, wv, wq.shape[0])[0]
 
 
 def self_attention(stream, wq, wk, wv) -> Array:
@@ -279,15 +265,15 @@ def dssp_update(internal, external, params: DsspParams,
     s = (p["wq_s"], p["wk_s"], p["wv_s"])
     c = (p["wq_c"], p["wk_c"], p["wv_c"])
     xq = x @ p["wq_c"]      # the internal stream's queries, in each of its three cross attentions
-    enh, enh_saved = _attend(x, shared, *c, q=xq)
-    sx, sx_saved = _attend(x, x, *s)
-    cxy, cxy_saved = _attend(x, y, *c, q=xq)
-    sy, sy_saved = _attend(y, y, *s)
-    cyx, cyx_saved = _attend(y, x, *c)
+    enh, enh_saved = ad.attend(x, shared, *c, params.d_k, q=xq)
+    sx, sx_saved = ad.attend(x, x, *s, params.d_k)
+    cxy, cxy_saved = ad.attend(x, y, *c, params.d_k, q=xq)
+    sy, sy_saved = ad.attend(y, y, *s, params.d_k)
+    cyx, cyx_saved = ad.attend(y, x, *c, params.d_k)
     # the external private residue has length |D-hat|; re-query it with the
     # internal stream so all three branches align to |I| before fusion
     residue = sy - cyx
-    ext, ext_saved = _attend(x, residue, *c, q=xq)
+    ext, ext_saved = ad.attend(x, residue, *c, params.d_k, q=xq)
 
     u = np.hstack([enh, sx - cxy, ext])
     pre_relu = u @ p["w_f"] + p["b_f"]

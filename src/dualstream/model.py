@@ -209,26 +209,19 @@ def _resume_state(cfg: ModelConfig, opts: ForwardOptions, resume: tuple[int, Arr
 # One numpy block serves ``infer``, ``forward`` and ``fused_logits``.  It
 # repeats the arithmetic of the host taped op by op (kept in the tests as the
 # oracle), so the two agree bit for bit, and it shares that arithmetic with the
-# fused block through ``autodiff``: the softmax is ``row_softmax`` and the
-# tail's attention adjoint ``attention_vjp``.  That holds only while every matmul
-# keeps the shapes and memory layout of its taped counterpart: numpy runs a
-# stacked matmul as one BLAS call per 2-d slice, but BLAS picks its kernel from
-# the slice shape, so packing heads into one projection or batching (1, d) rows
-# into one (B, d) matmul changes the rounding.  So the per-head Q/K/V weights
-# are views of one stack per layer (``TinyTransformer.qkv``), and every layer
-# norm standardizes with the tape's own kernel, ``autodiff.normalize``.
+# fused block through ``autodiff``: a layer's heads are one ``attend`` over
+# their (B, H, n, d_head) stack, and one ``attention_vjp`` in the tail's
+# adjoint.  That holds only while every matmul keeps the shapes and memory
+# layout of its taped counterpart: numpy runs a stacked matmul as one BLAS call
+# per 2-d slice, but BLAS picks its kernel from the slice shape, so packing
+# heads into one projection or batching (1, d) rows into one (B, d) matmul
+# changes the rounding.  So the per-head Q/K/V weights are views of one stack
+# per layer (``TinyTransformer.qkv``), and every layer norm standardizes with
+# the tape's own kernel, ``autodiff.normalize``.
 
 def layer_norm(x: Array, gain: Array, bias: Array) -> Array:
     """``autodiff.layer_norm`` in plain numpy, over the last axis, bit for bit."""
     return ad.normalize(x)[0] * gain + bias
-
-
-def _attention(xn: Array, wq: Array, wk: Array) -> tuple[Array, Array, Array]:
-    """Q, contiguous K^T and the causal softmax pattern of normed ``(B, n, d)`` rows,
-    one matmul per row and head."""
-    q, k = xn[:, None] @ wq, xn[:, None] @ wk
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    return q, kt, ad.row_softmax(q @ kt + _causal_mask(xn.shape[-2]), 1.0 / np.sqrt(wq.shape[-1]))
 
 
 def _tokens(config: ModelConfig, tokens) -> Array:
@@ -339,6 +332,9 @@ def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
     cfg = model.config
     w = model.weights
     b, n, d = x.shape
+    # every head's causal attention of normed rows, one matmul per row and head
+    attend_heads = lambda xn, wq, wk, wv=None: ad.attend(
+        xn[:, None], xn[:, None], wq, wk, wv, cfg.d_head, _causal_mask(n))
     hidden: list[Array] = []
     attention: list[Array] = []
     for l in range(start, cfg.n_layers if stop is None else stop):
@@ -352,14 +348,12 @@ def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
             attn_out = np.stack(outs)
             attention.append(np.broadcast_to(np.eye(n), (b, cfg.n_heads, n, n)).copy())
         else:
-            wq, wk, wv = model.qkv[l]
-            q, kt, pattern = _attention(xn, wq, wk)
-            v = xn[:, None] @ wv
+            out, (q, kt, pattern, v, scale) = attend_heads(xn, *model.qkv[l])
             attention.append(pattern)
-            merged = (pattern @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+            merged = out.transpose(0, 2, 1, 3).reshape(b, n, d)
             attn_out = merged @ w[f"l{l}.attn.wo"] + w[f"l{l}.attn.bo"]
             if saved is not None:
-                attn = (xhat[0], inv[0], q[0], kt[0], v[0], pattern[0])
+                attn = (xhat[0], inv[0], (q[0], kt[0], pattern[0], v[0], scale))
         x = x + attn_out
         xhat, inv = ad.normalize(x)
         yn = xhat * w[f"l{l}.ln2.gain"] + w[f"l{l}.ln2.bias"]
@@ -378,7 +372,7 @@ def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
             saved.append((xhat[0], inv[0]))
     else:
         xn = layer_norm(x, w[f"l{stop}.ln1.gain"], w[f"l{stop}.ln1.bias"])
-        attention.append(_attention(xn, *model.qkv[stop][:2])[2])
+        attention.append(attend_heads(xn, *model.qkv[stop][:2])[1][2])
     return ForwardTrace(hidden, attention, logits)
 
 
@@ -480,8 +474,8 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
     ``backward`` over the tail taped op by op, host weights constant, gives
     the same bits: this replays its adjoints in its order.  At each residual
     add the stream's adjoint is the residual one with the layer norm's added
-    to it; in attention, heads go from the last down, and each adds its V,
-    then K, then Q adjoint to that of the normed stream.
+    to it; in attention, one ``attention_vjp`` takes every head, and the heads,
+    from the last down, each add their V, K, then Q adjoint to the stream's.
     """
     w = model.weights
     g = ad.normalize_vjp((g @ model.unembed.T) * w["lnf.gain"], *final)
@@ -490,14 +484,14 @@ def _tail_vjp(model: TinyTransformer, layers: list, final: tuple, g: Array) -> t
         g = g + ad.normalize_vjp((gh @ w[f"l{l}.ffn.w1"].T) * w[f"l{l}.ln2.gain"], xhat, inv)
         if attn is None:      # the hooked layer, the first run: g is the block output's adjoint
             break
-        xhat, inv, q, kt, v, pattern = attn
+        xhat, inv, heads = attn
         wq, wk, wv = model.qkv[l]
-        scale = 1.0 / np.sqrt(wq.shape[-1])
-        heads = np.hsplit(g @ w[f"l{l}.attn.wo"].T, len(wq))
+        # the (H, n, d_head) stack of head adjoints: views of one product's column blocks
+        gq, gk, gv = ad.attention_vjp(
+            (g @ w[f"l{l}.attn.wo"].T).reshape(len(g), len(wq), -1).swapaxes(0, 1), *heads)
         gxn = None
         for h in reversed(range(len(wq))):
-            gq, gk, gv = ad.attention_vjp(heads[h], q[h], kt[h], pattern[h], v[h], scale)
-            for part in (gv @ wv[h].T, gk @ wk[h].T, gq @ wq[h].T):
+            for part in (gv[h] @ wv[h].T, gk[h] @ wk[h].T, gq[h] @ wq[h].T):
                 gxn = part if gxn is None else gxn + part
         g = g + ad.normalize_vjp(gxn * w[f"l{l}.ln1.gain"], xhat, inv)
     return (g,)

@@ -305,6 +305,24 @@ def test_dimension_mismatch_raises():
         shared_similarity(np.ones((2, 3)), np.ones((2, 3)), np.eye(4))
 
 
+@pytest.mark.parametrize("d_k", [0, -1, float("nan"), 2.5])
+def test_shared_similarity_refuses_a_d_k_that_is_not_an_integer_of_at_least_1(d_k):
+    with pytest.raises(ContractViolationError, match="d_k"):
+        shared_similarity(np.ones((2, 3)), np.ones((2, 3)), np.eye(3), d_k=d_k)
+
+
+def test_a_query_projection_of_zero_input_width_is_refused():
+    """A zero-width query projection leaves no ``1 / sqrt(d_k)`` to scale the scores
+    by, so each attention refuses it; the fused block's width is its ``d_model``."""
+    with pytest.raises(ContractViolationError, match="d_k"):
+        cross_attention(np.ones((2, 0)), np.ones((2, 0)), *np.ones((3, 0, 2)))
+    with pytest.raises(ContractViolationError, match="d_k"):
+        shared_similarity(np.ones((2, 0)), np.ones((2, 0)), np.ones((0, 0)))
+    params = DsspParams(top_t=1, **{n: np.zeros(s) for n, s in param_shapes(0, 2).items()})
+    with pytest.raises(ContractViolationError, match="d_k"):
+        dssp_update(np.ones((2, 0)), np.ones((1, 0)), params)
+
+
 # ---------------------------------------------------------------------------
 # full fusion pass
 # ---------------------------------------------------------------------------

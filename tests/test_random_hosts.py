@@ -30,6 +30,8 @@ from dualstream.model import (
     forward,
     fused_logits,
     infer,
+    layer_norm,
+    logit_lens,
 )
 import taped_fusion
 from taped_host import taped_forward, taped_logits
@@ -148,6 +150,24 @@ def test_a_batch_equals_its_rows_run_alone_on_random_hosts(case):
     if hook is not None and len(rows) > 1:
         with pytest.raises(ContractViolationError, match="hooks for a batch"):
             infer(model, rows, options(hooks[1:]), resume(np.stack(states)), stop)
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(batched_hosts())
+def test_a_stacked_logit_lens_equals_one_row_readouts_on_random_hosts(case):
+    """``logit_lens`` of a batch's hidden states gives every layer and row the
+    distribution of that row's last state read out alone, a ``(1, d)`` matmul,
+    bit for bit."""
+    model, rows = case[:2]
+    w = model.weights
+    hidden = infer(model, rows).hidden
+    lens = logit_lens(model, hidden)
+    assert lens.shape == (len(hidden), len(rows), model.config.vocab_size)
+    for got, h in zip(lens, hidden, strict=True):
+        for r, row in enumerate(h):
+            last = layer_norm(row[-1:], w["lnf.gain"], w["lnf.bias"])
+            assert np.array_equal(got[r], ad.row_softmax(last @ w["tok_emb"].T, 1.0)[0])
 
 
 @st.composite
