@@ -33,13 +33,14 @@ from .pipeline import (
     RunConfig,
     detect_stage,
     evaluate,
-    filter_stage,
+    filter_profile,
     load_bundle,
     load_config,
     load_host,
     make_train_examples,
     probe_calibration,
     probe_questions,
+    read_evidence,
     run_records,
     write_config_echo,
 )
@@ -229,14 +230,12 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     cal = probe_calibration(model, vocab)
     records = _resolve_records(args, config)
-    stop = max(cal.key_layer, cal.offset_layer)
-    profiles = filter_stage(model, records, vocab, cal, config.lam,
-                            dict.fromkeys(range(len(records)), stop))
-    rows = []
-    for record, profile in zip(records, profiles.values()):
-        row = {"record_id": record.record_id, **profile.to_json()}
-        row.pop("delta_a")
-        rows.append(row)
+    stops = dict.fromkeys(range(len(records)), max(cal.key_layer, cal.offset_layer))
+    rows: list = [None] * len(records)
+    for i, evidence in read_evidence(model, records, vocab, stops):
+        rows[i] = {"record_id": records[i].record_id,
+                   **filter_profile(cal, evidence, config.lam).to_json()}
+        rows[i].pop("delta_a")
     write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
 

@@ -32,7 +32,11 @@ STREAM_ORIGINS = ("internal", "external")
 
 
 def param_shapes(d_model: int, d_ff: int) -> dict[str, tuple[int, int]]:
-    """Name and shape of every fusion tensor, in checkpoint order."""
+    """Name and shape of every fusion tensor, in checkpoint order; each width must be at
+    least 1."""
+    for name, width in (("d_model", d_model), ("d_ff", d_ff)):
+        if width < 1:
+            raise ContractViolationError(f"fusion {name} {width} is below 1")
     d = d_model
     return {"w_share": (d, d),
             "wq_s": (d, d), "wk_s": (d, d), "wv_s": (d, d),
@@ -173,7 +177,8 @@ def load_dssp_params(path) -> DsspParams:
     """Load a fusion checkpoint: exactly the finite tensors of ``param_shapes`` for the
     stored ``w_share`` and ``w_f`` widths, plus a (1, 1) integer ``top_t``."""
     tensors = load_tensors(path)
-    width = lambda name, axis: tensors[name].shape[axis] if name in tensors else 0
+    # a missing tensor is reported by name, not as a zero width
+    width = lambda name, axis: tensors[name].shape[axis] if name in tensors else 1
     expect_tensors(tensors, {**param_shapes(width("w_share", 0), width("w_f", 1)),
                              "top_t": (1, 1)}, "fusion checkpoint")
     top_t = tensors.pop("top_t")[0, 0]

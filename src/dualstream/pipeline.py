@@ -14,14 +14,15 @@ three stages:
 
 A record list goes through one stage at a time, one window of records after
 another, its host passes batched over blocks of records of one shape
-(``run_records``).
+(``run_records``).  Stage 2 loops over ``read_evidence``, which checks every
+retrieved record when called and then yields its context forward block by block.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -267,17 +268,16 @@ class Evidence:
 
 
 def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
-                  stops: dict[int, int | None], read: Callable[[int, Evidence], Any],
-                  ) -> dict[int, Any]:
-    """``read(i, evidence)`` of the context forward of each ``records[i]`` that
-    ``stops`` names, keyed by ``i`` in the order of ``stops``; the forward runs
-    up to layer ``stops[i]``'s attention pattern (``infer``'s ``stop``; None runs
-    the whole host).  The filter scores this forward and the fused block reads
-    from it, so a record with no evidence tokens is refused before any pass.
+                  stops: dict[int, int | None]) -> Iterator[tuple[int, Evidence]]:
+    """The context forward of each ``records[i]`` that ``stops`` names, as ``(i,
+    evidence)`` pairs, block by block; it runs up to layer ``stops[i]``'s attention
+    pattern (``infer``'s ``stop``; None runs the whole host), which the filter scores
+    and the fused block reads.
 
-    Contexts of one length and stop run as one ``(B, n)`` ``infer`` per block,
-    and a block's rows are read before the next block runs: what ``read``
-    returns should hold no view of the trace, or the block's arrays stay alive.
+    Refusals come at the call: every answer, context and evidence is checked before
+    any pass.  Contexts of one length and stop then run as one ``(B, n)`` ``infer``
+    per block, when the loop reaches it.  The caller keeps no view of an evidence's
+    trace after its turn, or the block's arrays stay alive.
     """
     if vocab is None and stops:
         raise ContractViolationError(
@@ -289,13 +289,20 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
         if not any(records[i].documents):
             raise ContractViolationError(
                 f"record {records[i].record_id!r} has no evidence tokens to retrieve")
-    out = dict.fromkeys(stops)
-    for block in _blocks({i: (len(contexts[i]), stops[i]) for i in stops}):
-        trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
-        for row, i in enumerate(block):
-            span = (len(records[i].question) + 1, len(contexts[i]))
-            out[i] = read(i, Evidence(contexts[i], span, trace.row(row)))
-    return out
+
+    def rows():
+        for block in _blocks({i: (len(contexts[i]), stops[i]) for i in stops}):
+            trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
+            for row, i in enumerate(block):
+                span = (len(records[i].question) + 1, len(contexts[i]))
+                yield i, Evidence(contexts[i], span, trace.row(row))
+    return rows()
+
+
+def filter_profile(calibration: Calibration, evidence: Evidence, lam: float) -> FilterProfile:
+    """Stage 2: score ``evidence``'s tokens from the key and offset layers' attention."""
+    return compute_filter_profile(evidence.trace, calibration, evidence.span,
+                                  calibration.entropy_orig, calibration.entropy_offset, lam)
 
 
 def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
@@ -355,26 +362,6 @@ def _detect_pairs(model: TinyTransformer, pairs: list[tuple[list[int], list[int]
             out[i] = (detect(profile, delta=config.delta, aggregation=config.aggregation),
                       batch.logits[row, -1].copy())
     return out
-
-
-def filter_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
-                 calibration: Calibration, lam: float, stops: dict[int, int],
-                 read: Callable[[int, FilterProfile, Evidence], Any] = lambda i, p, e: p,
-                 ) -> dict[int, Any]:
-    """Stage 2: score the evidence tokens of each ``records[i]`` that ``stops`` names
-    from its context forward (``read_evidence``), and return
-    ``read(i, profile, evidence)``, by default the profile, keyed by ``i``.
-
-    The forward stops at layer ``stops[i]``, the deepest layer the caller
-    reads; the filter itself reads the key and offset layers' attention.
-    """
-    def score(i: int, evidence: Evidence):
-        profile = compute_filter_profile(
-            evidence.trace, calibration, evidence.span,
-            calibration.entropy_orig, calibration.entropy_offset, lam)
-        return read(i, profile, evidence)
-
-    return read_evidence(model, records, vocab, stops, score)
 
 
 @dataclass
@@ -437,22 +424,22 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
               else cal.offset_layer
               for i, (v, _) in enumerate(detected) if v.hallucination or config.force_retrieval}
 
-    def fuse(i: int, profile: FilterProfile, evidence: Evidence) -> _Fusion:
+    fused = {}
+    stops = {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()}
+    for i, evidence in read_evidence(model, records, vocab, stops):
+        profile = filter_profile(cal, evidence, config.lam)
         raw = offset_layer_stream(model, evidence.trace, evidence.span, layers[i])
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), profile.eq, profile.epsilon,
             profile.delta_entropy, rescale=config.rescale)
-        return _Fusion(profile, evidence.tokens, make_dssp_hook(filtered.tokens, bundle.params),
-                       evidence.trace.hidden[layers[i] - 1].copy())
-
-    fused = filter_stage(model, records, vocab, cal, config.lam,
-                         {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()},
-                         fuse)
+        fused[i] = _Fusion(profile, evidence.tokens,
+                           make_dssp_hook(filtered.tokens, bundle.params),
+                           evidence.trace.hidden[layers[i] - 1].copy())
     t2 = time.perf_counter()
 
     # the fused decode's first token; the layers below the hook are the context forward's
     first_logits = [logits for _, logits in detected]
-    for block in _blocks({i: (len(f.tokens), layers[i]) for i, f in fused.items()}):
+    for block in _blocks({i: (len(fused[i].tokens), layers[i]) for i in layers}):
         layer = layers[block[0]]
         batch = infer(model, [fused[i].tokens for i in block],
                       ForwardOptions(layer, [fused[i].hook for i in block]),
@@ -520,11 +507,9 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
     training example for ``insertion_layer``; contexts of one length run as one
     full ``(B, n)`` forward per block (``read_evidence``)."""
     records = list(records)
-
-    def example(i: int, evidence: Evidence) -> TrainExample:
+    examples: list = [None] * len(records)
+    for i, evidence in read_evidence(model, records, vocab, dict.fromkeys(range(len(records)))):
         dhat = offset_layer_stream(model, evidence.trace, evidence.span, insertion_layer)
-        return TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
-                                       evidence.trace, insertion_layer)
-
-    return list(read_evidence(model, records, vocab, dict.fromkeys(range(len(records))),
-                              example).values())
+        examples[i] = TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
+                                              evidence.trace, insertion_layer)
+    return examples

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from dualstream import cli, errors
+from dualstream import cli, errors, pipeline
 from dualstream.cli import main
 from dualstream.dataset import QARecord, Vocab
 from dualstream.fixtures import (
@@ -108,6 +108,29 @@ def test_filter_profiles_every_record(setup, tmp_path):
     for row in rows:
         assert row["epsilon"] == pytest.approx(GATE_EPSILON, abs=1e-12)
         assert sum(row["eq"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
+    """Contexts of 10 and 20 tokens interleave, so the context forward's blocks run in
+    another order than the records; each row is what its record gets filtered alone."""
+    cfg, _ = setup
+    out = tmp_path / "out"
+    assert run_cli("filter", "--config", cfg, "--fixture", "40", "--noise", "0.5",
+                   "--out", str(out)) == 0
+    rows = read_jsonl(out / "filters.jsonl")
+    records = fixture_dataset(40, noise_rate=0.5, seed=0)
+    lengths = [len(pipeline.context_tokens(r, fixture_vocab())) for r in records]
+    assert set(lengths) == {10, 20} and lengths != sorted(lengths)
+    assert [row["record_id"] for row in rows] == [r.record_id for r in records]
+    config = RunConfig.from_json(read_json(cfg))
+    model, vocab = pipeline.load_host(config)
+    cal = probe_calibration(model, vocab)
+    stop = max(cal.key_layer, cal.offset_layer)
+    for record, row in zip(records, rows, strict=True):
+        [(_, evidence)] = pipeline.read_evidence(model, [record], vocab, {0: stop})
+        alone = pipeline.filter_profile(cal, evidence, config.lam).to_json()
+        alone.pop("delta_a")
+        assert row == json.loads(json.dumps({"record_id": record.record_id, **alone}))
 
 
 def test_pipeline_report_and_echo_rerun_are_bit_identical(setup, tmp_path):

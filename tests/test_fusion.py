@@ -1,6 +1,7 @@
 """Mixed-attention fusion tests: hand cases, naive oracles, gradients."""
 import dataclasses
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from dualstream.fusion import (
     shared_rows,
     shared_similarity,
 )
+from dualstream.tensorstore import save_tensors
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +118,6 @@ def test_params_checkpoint_round_trip(tmp_path):
 
 
 def test_params_checkpoint_missing_tensor(tmp_path):
-    from dualstream.tensorstore import save_tensors
-
     p = rand_params(3)
     arrays = p.to_arrays()
     arrays.pop("wv_c")
@@ -126,6 +126,37 @@ def test_params_checkpoint_missing_tensor(tmp_path):
     save_tensors(path, arrays)
     with pytest.raises(ContractViolationError, match="wv_c"):
         load_dssp_params(path)
+
+
+def _narrowed(**widths) -> dict:
+    """The arrays of a d_model 3, d_ff 4 block cut to a zero ``d_model`` (every axis of
+    3 or 9) or a zero ``d_ff`` (every axis of 4)."""
+    cut = {3, 9} if "d_model" in widths else {4}
+    return {n: a[tuple(slice(0 if k in cut else None) for k in a.shape)]
+            for n, a in rand_params(3, d_ff=4).to_arrays().items()}
+
+
+def _load_narrowed(**widths) -> DsspParams:
+    buf = io.BytesIO()
+    save_tensors(buf, {**_narrowed(**widths), "top_t": np.array([[2.0]])})
+    buf.seek(0)
+    return load_dssp_params(buf)
+
+
+@pytest.mark.parametrize("build, width", [
+    (lambda: DsspParams(top_t=2, **_narrowed(d_model=0)), "d_model 0"),
+    (lambda: DsspParams(top_t=2, **_narrowed(d_ff=0)), "d_ff 0"),
+    (lambda: DsspParams.init_random(0), "d_model 0"),
+    (lambda: DsspParams.init_random(3, d_ff=0), "d_ff 0"),
+    (lambda: DsspParams.init_random(-1), "d_model -1"),
+    (lambda: _load_narrowed(d_model=0), "d_model 0"),
+    (lambda: _load_narrowed(d_ff=0), "d_ff 0"),
+], ids=["params-d_model-0", "params-d_ff-0", "init_random-0", "init_random-d_ff-0",
+        "init_random-minus-1", "checkpoint-d_model-0", "checkpoint-d_ff-0"])
+def test_a_fusion_width_below_one_is_refused_by_name(build, width):
+    """The parameters, ``init_random`` and the checkpoint loader all refuse it."""
+    with pytest.raises(ContractViolationError, match=f"fusion {width} is below 1"):
+        build()
 
 
 def test_param_shapes_is_the_field_and_checkpoint_order():
@@ -313,14 +344,12 @@ def test_shared_similarity_refuses_a_d_k_that_is_not_an_integer_of_at_least_1(d_
 
 def test_a_query_projection_of_zero_input_width_is_refused():
     """A zero-width query projection leaves no ``1 / sqrt(d_k)`` to scale the scores
-    by, so each attention refuses it; the fused block's width is its ``d_model``."""
+    by, so each attention refuses it.  The fused block's width is its ``d_model``,
+    which ``DsspParams`` refuses at 0 (``test_a_fusion_width_below_one_is_refused_by_name``)."""
     with pytest.raises(ContractViolationError, match="d_k"):
         cross_attention(np.ones((2, 0)), np.ones((2, 0)), *np.ones((3, 0, 2)))
     with pytest.raises(ContractViolationError, match="d_k"):
         shared_similarity(np.ones((2, 0)), np.ones((2, 0)), np.ones((0, 0)))
-    params = DsspParams(top_t=1, **{n: np.zeros(s) for n, s in param_shapes(0, 2).items()})
-    with pytest.raises(ContractViolationError, match="d_k"):
-        dssp_update(np.ones((2, 0)), np.ones((1, 0)), params)
 
 
 # ---------------------------------------------------------------------------

@@ -412,9 +412,9 @@ def test_run_records_runs_one_host_pass_per_block(config, bundle, monkeypatch, f
 
 def test_a_stage_checks_every_record_before_its_first_host_pass(mixed, config, bundle,
                                                                monkeypatch):
-    """With two bad records, a stage refuses the first one and runs no host pass."""
+    """With two bad records, a stage refuses the first one and runs no host pass;
+    the context forward's reader refuses at the call, before its loop starts."""
     cfg = dataclasses.replace(config, force_retrieval=True)
-    vocab, cal = bundle.vocab, bundle.calibration
     bad_answer = dataclasses.replace(mixed[3], answer=[10**12])
     bad_question = dataclasses.replace(mixed[1], question=[-1] * 4, variant=[-1] * 4)
     bad_document = dataclasses.replace(mixed[2], documents=[[5, -2]])
@@ -432,17 +432,17 @@ def test_a_stage_checks_every_record_before_its_first_host_pass(mixed, config, b
             if stage == "detect":
                 run_records(corpus, cfg, bundle)
             else:
-                pipeline.filter_stage(bundle.model, corpus, vocab, cal, cfg.lam,
-                                      dict.fromkeys(range(len(corpus)), 3))
+                pipeline.read_evidence(bundle.model, corpus, bundle.vocab,
+                                       dict.fromkeys(range(len(corpus)), 3))
 
 
 @pytest.mark.parametrize("documents", [[], [[]]])
 def test_a_record_with_no_evidence_is_refused_by_name_before_any_context_forward(
         mixed, config, bundle, monkeypatch, documents):
-    """A retrieved record must carry evidence tokens: the filter, a forced run and the
-    training examples refuse one without, naming it, before any context forward; the
-    detector still takes it."""
-    model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
+    """A retrieved record must carry evidence tokens: the context forward's reader (at
+    the call), a forced run and the training examples refuse one without, naming it,
+    before any context forward; the detector still takes it."""
+    model, vocab = bundle.model, bundle.vocab
     empty = dataclasses.replace(mixed[0], record_id="bare", documents=documents,
                                 noise_mask=None)
     corpus = [mixed[0], empty]        # one question length: one detection block
@@ -457,8 +457,7 @@ def test_a_record_with_no_evidence_is_refused_by_name_before_any_context_forward
     monkeypatch.setattr(pipeline, "infer", counting_infer)
     forced = dataclasses.replace(config, force_retrieval=True)
     for run, passes in (
-            (lambda: pipeline.filter_stage(model, corpus, vocab, cal, config.lam,
-                                           dict.fromkeys(range(2), 3)), 0),
+            (lambda: pipeline.read_evidence(model, corpus, vocab, dict.fromkeys(range(2), 3)), 0),
             (lambda: make_train_examples(model, corpus, vocab, OFFSET_LAYER), 0),
             (lambda: run_records(corpus, forced, bundle), 1)):    # the detection pass only
         calls.clear()
@@ -547,6 +546,36 @@ def test_no_more_than_one_window_of_fusion_states_is_alive(mixed, config, bundle
     traces = run_records(mixed, cfg, bundle)
     assert len(refs) == sum(t.filter is not None for t in traces) >= 3 * 5
     assert 0 < max(seen) <= 5
+    assert alive() == 0
+
+
+@pytest.mark.parametrize("run", ["forced", "train_examples"])
+def test_no_more_than_the_previous_blocks_context_trace_is_alive(mixed, config, bundle,
+                                                                  monkeypatch, run):
+    """Counted at every context forward: while the next block runs, the evidence loop
+    keeps at most the previous block's trace alive, and no trace outlives the run.
+    A trace counts as alive while any array that holds its data is."""
+    refs, seen = [], []
+
+    def alive() -> int:
+        return sum(any(ref() is not None for ref in trace) for trace in refs)
+
+    def counting_infer(*args, **kwargs):
+        if "stop" not in kwargs:           # only the context forward passes a stop
+            return infer(*args, **kwargs)
+        seen.append(alive())
+        trace = infer(*args, **kwargs)
+        refs.append([weakref.ref(a if a.base is None else a.base)
+                     for a in trace.hidden + trace.attention])
+        return trace
+
+    monkeypatch.setattr(pipeline, "infer", counting_infer)
+    if run == "forced":
+        run_records(mixed, dataclasses.replace(config, force_retrieval=True), bundle)
+    else:
+        make_train_examples(bundle.model, mixed, bundle.vocab, OFFSET_LAYER)
+    assert len(seen) >= 3
+    assert seen[0] == 0 and max(seen) <= 1
     assert alive() == 0
 
 
