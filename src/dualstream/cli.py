@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .dataset import load_records
 from .errors import (
     ContractViolationError,
@@ -31,6 +33,7 @@ from .model import forward  # noqa: F401  -- kept bound here for the benchmark's
 from .pipeline import (
     PipelineTrace,
     RunConfig,
+    calibrate,
     detect_stage,
     evaluate,
     filter_profile,
@@ -38,8 +41,8 @@ from .pipeline import (
     load_config,
     load_host,
     make_train_examples,
-    probe_calibration,
     probe_questions,
+    question_pairs,
     read_evidence,
     run_records,
     write_config_echo,
@@ -188,8 +191,9 @@ def _write_csv(path, header, rows) -> None:
 def _cmd_detect(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
     records = _resolve_records(args, config)
+    detected = detect_stage(model, question_pairs(model, records, vocab), config)
     rows = [{"record_id": record.record_id, **verdict.to_json()}
-            for record, (verdict, _) in zip(records, detect_stage(model, records, vocab, config))]
+            for record, (verdict, _) in zip(records, detected)]
     write_jsonl(os.path.join(out_dir, "detect.jsonl"), rows)
     flagged = sum(r["hallucination"] for r in rows)
     write_json(os.path.join(out_dir, "detect_summary.json"), {
@@ -228,7 +232,7 @@ def _cmd_analyze_layers(args, config: RunConfig, out_dir: str) -> str:
 
 def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     model, vocab = load_host(config)
-    cal = probe_calibration(model, vocab)
+    cal = calibrate(model, probe_questions(vocab))
     records = _resolve_records(args, config)
     stops = dict.fromkeys(range(len(records)), max(cal.key_layer, cal.offset_layer))
     rows: list = [None] * len(records)
@@ -236,6 +240,7 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
         rows[i] = {"record_id": records[i].record_id,
                    **filter_profile(cal, evidence, config.lam).to_json()}
         rows[i].pop("delta_a")
+        del evidence
     write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
 
@@ -334,16 +339,18 @@ def _cmd_pipeline(args, config: RunConfig, out_dir: str) -> str:
     if not records:   # ``evaluate`` refuses it: refuse before writing any trace
         raise ContractViolationError("nothing to evaluate")
     traces = run_records(records, config, bundle)
-    rows = []
+    rows, stage_times = [], {}
     for trace in traces:
         row = trace.to_json()
-        row.pop("timings")  # wall-clock lives in timings.json, outputs stay reproducible
+        # wall-clock lives in timings.json, so the other outputs stay reproducible
+        for stage, seconds in row.pop("timings").items():
+            stage_times.setdefault(stage, []).append(seconds)
         rows.append(row)
     write_jsonl(os.path.join(out_dir, "traces.jsonl"), rows)
     report = evaluate(traces, records)
-    times = report.pop("mean_stage_times")
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_json(os.path.join(out_dir, "timings.json"), {"mean_stage_times": times})
+    write_json(os.path.join(out_dir, "timings.json"), {"mean_stage_times": {
+        stage: float(np.mean(times)) for stage, times in sorted(stage_times.items())}})
     return (f"accuracy {report['answer_token_accuracy']:.3f}, detection rate "
             f"{report['detection_rate']:.3f} on {report['n_records']} records "
             f"-> {out_dir}/traces.jsonl")

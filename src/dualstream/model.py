@@ -177,7 +177,11 @@ def _causal_mask(n: int) -> Array:
 
 
 def validate_tokens(config: ModelConfig, tokens: Sequence[int]) -> list[int]:
-    toks = [int(t) for t in tokens]
+    toks = []
+    for t in tokens:   # a float, bool or string id is refused, never truncated
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ContractViolationError(f"token id {t!r} is not an integer")
+        toks.append(int(t))
     if len(toks) == 0:
         raise ContractViolationError("empty token sequence")
     if len(toks) > config.max_seq:

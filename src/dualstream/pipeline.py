@@ -145,12 +145,15 @@ def calibrate(model: TinyTransformer, queries) -> Calibration:
     return calibration
 
 
-def probe_questions(vocab: Vocab) -> list[list[int]]:
+def probe_questions(vocab: Vocab | None) -> list[list[int]]:
     """Canonical probe set: subjects from the front and from the middle of the range.
 
     Sampling both halves keeps memorised and novel subjects in the sweep, so
     the key and offset layers both leave a visible entropy footprint.
     """
+    if vocab is None:
+        raise ContractViolationError(
+            "checkpoint metadata has no vocabulary to build probe questions from")
     subs = list(vocab.subject_ids)
     k = min(PROBE_SUBJECTS_PER_HALF, len(subs))
     picked = subs[:k] + subs[len(subs) // 2:len(subs) // 2 + k]
@@ -179,14 +182,6 @@ def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
                               f"{config.model_checkpoint}.json: meta.vocab")
 
 
-def probe_calibration(model: TinyTransformer, vocab: Vocab | None) -> Calibration:
-    """Calibrate on the canonical probe set of the checkpoint's vocabulary."""
-    if vocab is None:
-        raise ContractViolationError(
-            "checkpoint metadata has no vocabulary to build probe questions from")
-    return calibrate(model, probe_questions(vocab))
-
-
 def load_bundle(config: RunConfig) -> Bundle:
     """Load both checkpoints, calibrate on the vocabulary's probe set; share across records."""
     if not config.model_checkpoint or not config.dssp_checkpoint:
@@ -198,7 +193,7 @@ def load_bundle(config: RunConfig) -> Bundle:
                                      f"match the host's {model.config.d_model}")
     if config.top_t is not None:
         params.top_t = config.top_t
-    calibration = probe_calibration(model, vocab)
+    calibration = calibrate(model, probe_questions(vocab))
     if calibration.offset_layer == 0:
         raise ContractViolationError("host offset layer 0 cannot take the fused block, which "
                                      "reads the stream entering its layer")
@@ -276,8 +271,9 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
 
     Refusals come at the call: every answer, context and evidence is checked before
     any pass.  Contexts of one length and stop then run as one ``(B, n)`` ``infer``
-    per block, when the loop reaches it.  The caller keeps no view of an evidence's
-    trace after its turn, or the block's arrays stay alive.
+    per block, when the loop reaches it.  The iterator drops a block's trace before
+    the next block's pass, and the caller must drop its evidence at the end of each
+    turn, or that row view keeps the block's arrays alive through the next pass.
     """
     if vocab is None and stops:
         raise ContractViolationError(
@@ -296,6 +292,7 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
             for row, i in enumerate(block):
                 span = (len(records[i].question) + 1, len(contexts[i]))
                 yield i, Evidence(contexts[i], span, trace.row(row))
+            del trace
     return rows()
 
 
@@ -317,42 +314,33 @@ def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
                       model.weights[f"l{layer}.ln1.bias"])
 
 
-def variant_tokens(record: QARecord, vocab: Vocab | None) -> list[int]:
-    if record.variant is not None:
-        return list(record.variant)
-    if vocab is None:
-        raise ContractViolationError(
-            "record has no variant and no vocabulary is available to derive one")
-    return make_variant(list(record.question), {vocab.WH}, {vocab.AUX})
-
-
-def _question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
-                    ) -> list[tuple[list[int], list[int]]]:
+def question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
+                   ) -> list[tuple[list[int], list[int]]]:
     """Each record's checked question and variant tokens, in list order; its answer
-    is checked first."""
+    is checked first.  A record without a variant gets one derived from its
+    question, which needs the vocabulary."""
     pairs = []
     for record in records:
         validate_tokens(model.config, record.answer)
-        variant = variant_tokens(record, vocab)
+        variant = record.variant
+        if variant is None:
+            if vocab is None:
+                raise ContractViolationError(
+                    "record has no variant and no vocabulary is available to derive one")
+            variant = make_variant(list(record.question), {vocab.WH}, {vocab.AUX})
         pairs.append((validate_tokens(model.config, record.question),
                       validate_tokens(model.config, variant)))
     return pairs
 
 
-def detect_stage(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
+def detect_stage(model: TinyTransformer, pairs: list[tuple[list[int], list[int]]],
                  config: RunConfig) -> list[tuple[DetectionVerdict, np.ndarray]]:
-    """Stage 1: compare each question with its variant.
+    """Stage 1: compare each checked question with its variant (``question_pairs``).
 
     Questions of one length run with their variants as one ``(2B, n)``
     ``infer`` and one ``logit_lens`` per block.  Also returns each question's
     last-position logits, from which the plain decode draws its first token.
     """
-    return _detect_pairs(model, _question_pairs(model, records, vocab), config)
-
-
-def _detect_pairs(model: TinyTransformer, pairs: list[tuple[list[int], list[int]]],
-                  config: RunConfig) -> list[tuple[DetectionVerdict, np.ndarray]]:
-    """``detect_stage`` of checked ``(question, variant)`` pairs."""
     out: list = [None] * len(pairs)
     for block in _blocks({i: len(question) for i, (question, _) in enumerate(pairs)}):
         batch = infer(model, [pairs[i][0] for i in block] + [pairs[i][1] for i in block])
@@ -402,7 +390,7 @@ def run_records(records, config: RunConfig, bundle: Bundle) -> list[PipelineTrac
     later one.
     """
     records = list(records)
-    pairs = _question_pairs(bundle.model, records, bundle.vocab)
+    pairs = question_pairs(bundle.model, records, bundle.vocab)
     traces = []
     for lo in range(0, len(records), WINDOW_RECORDS):
         window = slice(lo, lo + WINDOW_RECORDS)
@@ -416,7 +404,7 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     states die with the call."""
     model, vocab, cal = bundle.model, bundle.vocab, bundle.calibration
     t0 = time.perf_counter()
-    detected = _detect_pairs(model, pairs, config)
+    detected = detect_stage(model, pairs, config)
     t1 = time.perf_counter()
     # the fused block enters at a flagged verdict's insertion layer if it can, else at
     # the offset layer
@@ -435,6 +423,7 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
         fused[i] = _Fusion(profile, evidence.tokens,
                            make_dssp_hook(filtered.tokens, bundle.params),
                            evidence.trace.hidden[layers[i] - 1].copy())
+        del evidence
     t2 = time.perf_counter()
 
     # the fused decode's first token; the layers below the hook are the context forward's
@@ -477,7 +466,7 @@ def pipeline_run(record: QARecord, config: RunConfig, bundle: Bundle) -> Pipelin
 # ---------------------------------------------------------------------------
 
 def evaluate(traces, records) -> dict:
-    """Exact-match accuracy, flag rate, and per-stage mean times as a JSON doc."""
+    """Exact-match accuracy and flag rate as a JSON doc; no wall-clock, so it reproduces."""
     traces = list(traces)
     records = list(records)
     if not traces:
@@ -489,15 +478,10 @@ def evaluate(traces, records) -> dict:
             raise ContractViolationError(
                 f"trace {trace.record_id!r} does not match record {record.record_id!r}")
     hits = [t.answer == list(r.answer) for t, r in zip(traces, records)]
-    stage_sums: dict[str, list[float]] = {}
-    for t in traces:
-        for stage, dt in t.timings.items():
-            stage_sums.setdefault(stage, []).append(dt)
     return {
         "n_records": len(records),
         "answer_token_accuracy": float(np.mean(hits)),
         "detection_rate": float(np.mean([t.verdict.hallucination for t in traces])),
-        "mean_stage_times": {k: float(np.mean(v)) for k, v in sorted(stage_sums.items())},
     }
 
 
@@ -512,4 +496,5 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
         dhat = offset_layer_stream(model, evidence.trace, evidence.span, insertion_layer)
         examples[i] = TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
                                               evidence.trace, insertion_layer)
+        del evidence
     return examples

@@ -35,7 +35,13 @@ from dualstream.fixtures import (
 )
 from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
 from dualstream.model import ModelConfig, TinyTransformer, save_model
-from dualstream.pipeline import PipelineTrace, RunConfig, probe_calibration, vocab_meta
+from dualstream.pipeline import (
+    PipelineTrace,
+    RunConfig,
+    calibrate,
+    probe_questions,
+    vocab_meta,
+)
 from dualstream.tensorstore import load_tensors, save_tensors
 
 GATE_EPSILON = 0.35667494393873234
@@ -124,7 +130,7 @@ def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
     assert [row["record_id"] for row in rows] == [r.record_id for r in records]
     config = RunConfig.from_json(read_json(cfg))
     model, vocab = pipeline.load_host(config)
-    cal = probe_calibration(model, vocab)
+    cal = calibrate(model, probe_questions(vocab))
     stop = max(cal.key_layer, cal.offset_layer)
     for record, row in zip(records, rows, strict=True):
         [(_, evidence)] = pipeline.read_evidence(model, [record], vocab, {0: stop})
@@ -133,15 +139,28 @@ def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
         assert row == json.loads(json.dumps({"record_id": record.record_id, **alone}))
 
 
-def test_pipeline_report_and_echo_rerun_are_bit_identical(setup, tmp_path):
+def test_pipeline_report_and_echo_rerun_are_bit_identical(setup, tmp_path, monkeypatch):
+    """The report holds only reproducible fields; ``timings.json`` holds each stage's
+    mean time over the records that ran it, from the traces the run made."""
     cfg, _ = setup
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    ran = []
+
+    def run_records(*args):
+        ran[:] = pipeline.run_records(*args)
+        return ran
+
+    monkeypatch.setattr(cli, "run_records", run_records)
     assert run_cli("pipeline", "--config", cfg, "--fixture", "16",
                    "--out", str(out1)) == 0
     report = read_json(out1 / "report.json")
     assert report == {"answer_token_accuracy": 1.0, "detection_rate": 0.5,
                       "n_records": 16}
-    assert "mean_stage_times" in read_json(out1 / "timings.json")
+    times = {k: [t.timings[k] for t in ran if k in t.timings]
+             for k in ("detect", "filter", "decode")}
+    assert [len(v) for v in times.values()] == [16, 8, 16]
+    assert read_json(out1 / "timings.json") == {"mean_stage_times": pytest.approx(
+        {k: sum(v) / len(v) for k, v in times.items()}, rel=1e-12)}
     assert run_cli("pipeline", "--config", str(out1 / "config_echo.json"),
                    "--fixture", "16", "--out", str(out2)) == 0
     assert (out1 / "traces.jsonl").read_bytes() == (out2 / "traces.jsonl").read_bytes()
@@ -179,6 +198,7 @@ def test_eval_scores_persisted_traces(setup, tmp_path):
     report = read_json(out / "scored" / "eval_report.json")
     assert report["answer_token_accuracy"] == 1.0
     assert report["detection_rate"] == 0.5
+    assert report == read_json(out / "report.json")   # no wall-clock field, empty or not
 
 
 def test_train_writes_checkpoint_and_report(setup, tmp_path):
@@ -295,7 +315,7 @@ def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
     vocab = fixture_vocab()
     host = TinyTransformer.random(ModelConfig(n_layers=4, n_heads=2, d_model=16, d_ff=8,
                                               vocab_size=vocab.size, max_seq=24, seed=6))
-    assert probe_calibration(host, vocab).offset_layer == 0
+    assert calibrate(host, probe_questions(vocab)).offset_layer == 0
     mpath, dpath, cfg = tmp_path / "host.bin", tmp_path / "fused.bin", tmp_path / "run.json"
     save_model(host, mpath, dtype="f64", meta=vocab_meta(vocab))
     save_dssp_params(dpath, DsspParams.init_random(16, seed=0))
@@ -307,6 +327,21 @@ def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
         assert (code, err) == (2, ["error:ContractViolationError: host offset layer 0 cannot "
                                    "take the fused block, which reads the stream entering "
                                    "its layer"])
+
+
+def test_a_host_with_no_vocabulary_cannot_be_calibrated(setup, tmp_path):
+    """``filter`` and ``pipeline`` calibrate on the probe set, which the checkpoint's
+    vocabulary builds: a host saved without one ends in one line saying so."""
+    model, _ = build_fixture_model()
+    mpath, cfg = tmp_path / "host.bin", tmp_path / "run.json"
+    save_model(model, mpath, dtype="f64")
+    doc = read_json(setup[0])
+    cfg.write_text(json.dumps({**doc, "model_checkpoint": str(mpath)}))
+    for command in ("filter", "pipeline"):
+        code, err = _run_cli_quietly([command, "--config", str(cfg), "--fixture", "4",
+                                      "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, ["error:ContractViolationError: checkpoint metadata has no "
+                                   "vocabulary to build probe questions from"])
 
 
 def test_module_entry_point_runs_without_warnings():

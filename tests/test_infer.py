@@ -40,7 +40,7 @@ from dualstream.model import (
     logit_lens,
     save_model,
 )
-from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, variant_tokens
+from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, question_pairs
 from taped_host import taped_forward
 
 
@@ -52,12 +52,13 @@ def host():
 @pytest.fixture(scope="module")
 def cases(host):
     """(question, variant, context, evidence span) for all 64 fixture records."""
-    _, layout = host
+    model, layout = host
+    records = fixture_dataset(noise_rate=1.0, seed=0)
     out = []
-    for record in fixture_dataset(noise_rate=1.0, seed=0):
+    for record, (question, variant) in zip(records,
+                                           question_pairs(model, records, layout.vocab)):
         ctx = context_tokens(record, layout.vocab)
-        out.append((list(record.question), variant_tokens(record, layout.vocab), ctx,
-                    (len(record.question) + 1, len(ctx))))
+        out.append((question, variant, ctx, (len(record.question) + 1, len(ctx))))
     assert len(out) == 64
     return out
 

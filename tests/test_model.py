@@ -1,6 +1,8 @@
 """Toy transformer: hand-evaluated oracle, layer removal, hooks, greedy decoding."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from dualstream.model import (
     forward,
     fused_logits,
     generate,
+    generate_from,
     infer,
     layer_distributions,
     load_model,
@@ -170,6 +173,37 @@ def test_forward_input_validation():
         forward(m, list(range(11)))
     with pytest.raises(ContractViolationError):
         forward(m, [1], ForwardOptions(dssp_layer=5, dssp_hook=lambda t: t))
+
+
+_RUNS = {
+    "infer": lambda m, toks: infer(m, toks),
+    "infer_batch": lambda m, toks: infer(m, [[1, 2, 3], toks]),
+    "forward": lambda m, toks: forward(m, toks),
+    "generate_from": lambda m, toks: generate_from(m, toks, np.zeros(12)),
+}
+
+
+@pytest.mark.parametrize("run", list(_RUNS))
+@pytest.mark.parametrize("bad", [2.7, 3.0, True, np.float64(3.9), np.float32(2), np.bool_(True),
+                                 "3"])
+def test_a_token_id_that_is_not_an_integer_is_refused_by_value(run, bad):
+    """A float, bool or string token id is refused naming the value, never truncated."""
+    m = TinyTransformer.random(small_config())
+    with pytest.raises(ContractViolationError,
+                       match=re.escape(f"token id {bad!r} is not an integer")):
+        _RUNS[run](m, [1, bad, 4])
+
+
+@pytest.mark.parametrize("run", list(_RUNS))
+def test_python_and_numpy_integer_token_ids_are_accepted(run):
+    m = TinyTransformer.random(small_config())
+    want = _RUNS[run](m, [1, 2, 4])
+    for toks in ([1, np.int64(2), np.uint8(4)], np.array([1, 2, 4], dtype=np.int32)):
+        got = _RUNS[run](m, toks)
+        if run == "generate_from":
+            assert got == want
+        else:
+            assert np.array_equal(got.logits, want.logits)
 
 
 def test_hook_replaces_attention_output():

@@ -35,6 +35,7 @@ from dualstream.model import (
 )
 import taped_fusion
 from taped_host import taped_forward, taped_logits
+from test_infer import assert_sweep_matches_hosts_without_each_layer, without_layer
 
 
 @st.composite
@@ -257,3 +258,29 @@ def test_a_split_batch_equals_the_unsplit_pass_on_random_hosts(case):
     assert stop is not None or np.array_equal(split.logits, whole.logits)
     for a, b in zip(split.hidden + split.attention, whole.hidden + whole.attention, strict=True):
         assert np.array_equal(a, b)
+
+
+@st.composite
+def swept_hosts(draw):
+    """A random host and 1-4 queries of each of one to three lengths, interleaved."""
+    n_layers, n_heads = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                         d_model=n_heads * draw(st.integers(1, 8)),
+                         d_ff=draw(st.integers(1, 12)), vocab_size=11, max_seq=8,
+                         seed=draw(st.integers(0, 2**16)))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    queries = [q for n in lengths
+               for q in draw(st.lists(st.lists(st.integers(0, 10), min_size=n, max_size=n),
+                                      min_size=1, max_size=4))]
+    return TinyTransformer.random(config), draw(st.permutations(queries))
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(swept_hosts())
+def test_the_pruning_sweep_equals_the_taped_per_query_sweep_on_random_hosts(case):
+    """Every layer-removal run of the batched sweep, each a resume from the baseline's
+    stream, gives the entropies of greedy taped decoding on hosts without that layer."""
+    model, queries = case
+    assert_sweep_matches_hosts_without_each_layer(
+        model, queries, [without_layer(model, l) for l in range(model.config.n_layers)])
