@@ -171,9 +171,6 @@ def _queries_for_sweep(args, config: RunConfig, vocab):
         for record in _resolve_records(args, config):
             seen.setdefault(tuple(record.question))
         return [list(q) for q in seen]
-    if vocab is None:
-        raise ContractViolationError(
-            "checkpoint metadata has no vocabulary; pass --records or --fixture")
     return probe_questions(vocab)
 
 
@@ -239,7 +236,6 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     for i, evidence in read_evidence(model, records, vocab, stops):
         rows[i] = {"record_id": records[i].record_id,
                    **filter_profile(cal, evidence, config.lam).to_json()}
-        rows[i].pop("delta_a")
         del evidence
     write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
@@ -339,16 +335,13 @@ def _cmd_pipeline(args, config: RunConfig, out_dir: str) -> str:
     if not records:   # ``evaluate`` refuses it: refuse before writing any trace
         raise ContractViolationError("nothing to evaluate")
     traces = run_records(records, config, bundle)
-    rows, stage_times = [], {}
-    for trace in traces:
-        row = trace.to_json()
-        # wall-clock lives in timings.json, so the other outputs stay reproducible
-        for stage, seconds in row.pop("timings").items():
-            stage_times.setdefault(stage, []).append(seconds)
-        rows.append(row)
-    write_jsonl(os.path.join(out_dir, "traces.jsonl"), rows)
+    write_jsonl(os.path.join(out_dir, "traces.jsonl"), [trace.to_json() for trace in traces])
     report = evaluate(traces, records)
     write_json(os.path.join(out_dir, "report.json"), report)
+    stage_times = {}
+    for trace in traces:
+        for stage, seconds in trace.timings.items():
+            stage_times.setdefault(stage, []).append(seconds)
     write_json(os.path.join(out_dir, "timings.json"), {"mean_stage_times": {
         stage: float(np.mean(times)) for stage, times in sorted(stage_times.items())}})
     return (f"accuracy {report['answer_token_accuracy']:.3f}, detection rate "

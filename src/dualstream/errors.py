@@ -128,8 +128,9 @@ def field_types(cls) -> dict:
 
 @functools.cache
 def _json_fields(cls) -> dict:
-    """JSON key -> field of the dataclass ``cls``."""
-    return {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+    """JSON key -> field of the dataclass ``cls``; a field keyed None has no key."""
+    keyed = ((f.metadata.get("json", f.name), f) for f in dataclasses.fields(cls))
+    return {key: f for key, f in keyed if key is not None}
 
 
 class JsonRecord:
@@ -137,7 +138,8 @@ class JsonRecord:
 
     ``from_json`` refuses a key that names no field, then reads the keys in
     field order with ``read_field``; a field with a default may be absent.
-    A field's ``metadata["json"]`` renames its key, and its ``metadata["none"]``
+    A field's ``metadata["json"]`` renames its key (None: no key, so the field
+    is never written and its name is refused), and its ``metadata["none"]``
     is the JSON value that stands for None, in which case JSON null is refused.
     """
 

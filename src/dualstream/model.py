@@ -135,21 +135,6 @@ class TinyTransformer:
                 self.weights.update(zip(part, stack))
         self.unembed = np.ascontiguousarray(self.weights["tok_emb"].T)
 
-    @classmethod
-    def random(cls, config: ModelConfig) -> "TinyTransformer":
-        rng = np.random.default_rng(config.seed)
-        std = {"tok_emb": 0.5, "pos_emb": 0.1}
-        proj = 0.3 / np.sqrt(config.d_model)
-        w: dict[str, Array] = {}
-        for name, shape in weight_shapes(config).items():
-            if name.endswith("gain"):
-                w[name] = np.ones(shape)
-            elif name.endswith(("bias", "bo", "b1", "b2")):
-                w[name] = np.zeros(shape)
-            else:
-                w[name] = rng.normal(0.0, std.get(name, proj), size=shape)
-        return cls(config, w)
-
 
 def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """Name and shape of every host weight, in checkpoint order."""

@@ -232,12 +232,13 @@ def _blocks(keys: dict) -> list[list[int]]:
 
 @dataclass
 class PipelineTrace(JsonRecord):
-    """What one record went through: verdict, optional filter, answer, timings."""
+    """What one record went through: verdict, optional filter, answer.  Its
+    ``timings`` (stage -> seconds) are wall clock, so they stay out of its JSON form."""
     record_id: str
     verdict: DetectionVerdict
     filter: FilterProfile | None = field(metadata={"none": "skipped"})
     answer: list[int]
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict, metadata={"json": None})
     forced: bool = False
 
     def __post_init__(self):

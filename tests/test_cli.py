@@ -34,7 +34,7 @@ from dualstream.fixtures import (
     fixture_vocab,
 )
 from dualstream.fusion import DsspParams, load_dssp_params, save_dssp_params
-from dualstream.model import ModelConfig, TinyTransformer, save_model
+from dualstream.model import ModelConfig, save_model
 from dualstream.pipeline import (
     PipelineTrace,
     RunConfig,
@@ -43,6 +43,7 @@ from dualstream.pipeline import (
     vocab_meta,
 )
 from dualstream.tensorstore import load_tensors, save_tensors
+from random_host import random_host
 
 GATE_EPSILON = 0.35667494393873234
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -116,6 +117,17 @@ def test_filter_profiles_every_record(setup, tmp_path):
         assert sum(row["eq"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_filter_row_is_a_forced_traces_filter_entry(setup, tmp_path):
+    """``filter`` writes each record's whole profile, the JSON form a forced trace holds."""
+    cfg, recs = setup
+    f, p = tmp_path / "filter", tmp_path / "pipeline"
+    assert run_cli("filter", "--config", cfg, "--records", recs, "--out", str(f)) == 0
+    assert run_cli("pipeline", "--config", cfg, "--records", recs, "--force-retrieval",
+                   "--out", str(p)) == 0
+    assert read_jsonl(f / "filters.jsonl") == [{"record_id": t["record_id"], **t["filter"]}
+                                               for t in read_jsonl(p / "traces.jsonl")]
+
+
 def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
     """Contexts of 10 and 20 tokens interleave, so the context forward's blocks run in
     another order than the records; each row is what its record gets filtered alone."""
@@ -135,7 +147,6 @@ def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
     for record, row in zip(records, rows, strict=True):
         [(_, evidence)] = pipeline.read_evidence(model, [record], vocab, {0: stop})
         alone = pipeline.filter_profile(cal, evidence, config.lam).to_json()
-        alone.pop("delta_a")
         assert row == json.loads(json.dumps({"record_id": record.record_id, **alone}))
 
 
@@ -313,8 +324,8 @@ def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
     layer is 0 cannot take it: a gated or forced pipeline and a train end at load in one
     line naming the offset layer."""
     vocab = fixture_vocab()
-    host = TinyTransformer.random(ModelConfig(n_layers=4, n_heads=2, d_model=16, d_ff=8,
-                                              vocab_size=vocab.size, max_seq=24, seed=6))
+    host = random_host(ModelConfig(n_layers=4, n_heads=2, d_model=16, d_ff=8,
+                                   vocab_size=vocab.size, max_seq=24, seed=6))
     assert calibrate(host, probe_questions(vocab)).offset_layer == 0
     mpath, dpath, cfg = tmp_path / "host.bin", tmp_path / "fused.bin", tmp_path / "run.json"
     save_model(host, mpath, dtype="f64", meta=vocab_meta(vocab))
@@ -331,14 +342,16 @@ def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
 
 def test_a_host_with_no_vocabulary_cannot_be_calibrated(setup, tmp_path):
     """``filter`` and ``pipeline`` calibrate on the probe set, which the checkpoint's
-    vocabulary builds: a host saved without one ends in one line saying so."""
+    vocabulary builds, and so does ``analyze-layers`` given no records: a host saved
+    without one ends in one line saying so."""
     model, _ = build_fixture_model()
     mpath, cfg = tmp_path / "host.bin", tmp_path / "run.json"
     save_model(model, mpath, dtype="f64")
     doc = read_json(setup[0])
     cfg.write_text(json.dumps({**doc, "model_checkpoint": str(mpath)}))
-    for command in ("filter", "pipeline"):
-        code, err = _run_cli_quietly([command, "--config", str(cfg), "--fixture", "4",
+    for command, *records in (["filter", "--fixture", "4"], ["pipeline", "--fixture", "4"],
+                              ["analyze-layers"]):
+        code, err = _run_cli_quietly([command, "--config", str(cfg), *records,
                                       "--out", str(tmp_path / "out")])
         assert (code, err) == (2, ["error:ContractViolationError: checkpoint metadata has no "
                                    "vocabulary to build probe questions from"])

@@ -16,7 +16,7 @@ _RECORD = {"id": "r0", "question": [2, 3, 4, 8], "answer": [80], "documents": [[
 _VERDICT = {"hallucination": False, "statistic": 0.5, "delta": 1.0, "aggregation": "tail_sum(2)",
             "insertion_layer": 3, "per_layer": [0.25, 0.5]}
 _TRACE = {"record_id": "r0", "verdict": _VERDICT, "filter": "skipped", "answer": [80],
-          "timings": {"detect": 0.25}, "forced": False}
+          "forced": False}
 _MODEL_CONFIG = {"n_layers": 6, "n_heads": 2, "d_model": 158, "d_ff": 64, "vocab_size": 151,
                  "max_seq": 48, "seed": 3}
 
@@ -46,9 +46,12 @@ _CASES = {
                                   "field 'filter': expected a JSON object, got NoneType"),
     "record_variant_null_accepted": (QARecord, {**_RECORD, "variant": None},
                                      lambda r: r.variant is None),
+    # wall-clock ``timings`` are no part of a trace's JSON form, read or written
     "trace_timings_and_forced_absent_accepted": (
-        PipelineTrace, {k: v for k, v in _TRACE.items() if k not in ("timings", "forced")},
-        lambda t: t.timings == {} and t.forced is False),
+        PipelineTrace, {k: v for k, v in _TRACE.items() if k != "forced"},
+        lambda t: t.timings == {} and t.forced is False and "timings" not in t.to_json()),
+    "trace_timings_refused": (PipelineTrace, {**_TRACE, "timings": {"detect": 0.25}},
+                              "field 'timings': PipelineTrace has no such field"),
     "record_id_absent_refused": (QARecord, {k: v for k, v in _RECORD.items() if k != "id"},
                                  "missing field 'id'"),
     "bool_for_int_refused": (DetectionVerdict, {**_VERDICT, "insertion_layer": True},

@@ -1,10 +1,12 @@
 """Knowledge-filter tests: sweep, classification, energy quotient, gate."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from dualstream import filtering
 from dualstream.errors import ContractViolationError, LayerStructureError
 from dualstream.filtering import (
     ENTROPY_DROP_THRESHOLD,
@@ -20,7 +22,8 @@ from dualstream.filtering import (
     pruning_sweep,
 )
 from dualstream.fusion import KnowledgeStream
-from dualstream.model import ForwardTrace, ModelConfig, TinyTransformer
+from dualstream.model import ForwardTrace, ModelConfig, infer
+from random_host import random_host
 
 # frozen high-precision oracles (softmax / log evaluated independently)
 EQ_ZERO_ONE_LAM1 = (0.731058578630005, 0.268941421369995)
@@ -46,7 +49,7 @@ def test_sweep_deltas():
 def test_pruning_sweep_identity_layer_has_exact_zero_delta():
     cfg = ModelConfig(n_layers=3, n_heads=2, d_model=8, d_ff=16, vocab_size=11,
                       max_seq=12, seed=5)
-    model = TinyTransformer.random(cfg)
+    model = random_host(cfg)
     # make layer 1 contribute exactly nothing to the residual stream
     for name in ("l1.attn.wo", "l1.attn.bo", "l1.ffn.w2", "l1.ffn.b2"):
         model.weights[name] = np.zeros_like(model.weights[name])
@@ -56,11 +59,36 @@ def test_pruning_sweep_identity_layer_has_exact_zero_delta():
     assert sweep.deltas[1] == 0.0  # bit-exact: identical answers either way
 
 
+def test_pruning_sweep_runs_same_length_queries_in_capped_passes(monkeypatch):
+    """No pass holds more than ``SWEEP_PASS_QUERIES`` queries, and the capped sweep
+    equals the sweep of whole same-length groups exactly."""
+    cfg = ModelConfig(n_layers=3, n_heads=2, d_model=8, d_ff=16, vocab_size=11,
+                      max_seq=12, seed=5)
+    model = random_host(cfg)
+    rng = np.random.default_rng(0)
+    lengths = [int(n) for n in rng.integers(2, 5, size=40)]
+    queries = [[int(t) for t in rng.integers(0, 11, size=n)] for n in lengths]
+    whole = pruning_sweep(model, queries)
+    rows = []
+
+    def recording_infer(model, tokens, *args, **kwargs):
+        rows.append(len(tokens))
+        return infer(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(filtering, "SWEEP_PASS_QUERIES", 3)
+    monkeypatch.setattr(filtering, "infer", recording_infer)
+    capped = pruning_sweep(model, queries)
+    passes = sum(-(-lengths.count(n) // 3) for n in set(lengths))
+    assert max(rows) == 3 and len(rows) == (cfg.n_layers + 1) * passes
+    assert capped.baseline_entropy == whole.baseline_entropy
+    assert np.array_equal(capped.layer_entropies, whole.layer_entropies)
+
+
 def test_pruning_sweep_requires_queries():
     cfg = ModelConfig(n_layers=2, n_heads=1, d_model=4, d_ff=8, vocab_size=7,
                       max_seq=8, seed=0)
-    with pytest.raises(ContractViolationError):
-        pruning_sweep(TinyTransformer.random(cfg), [])
+    with pytest.raises(ContractViolationError, match="pruning sweep needs at least one query"):
+        pruning_sweep(random_host(cfg), [])
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +123,7 @@ def test_classify_layers_tie_breaks_to_lowest_index():
 def test_classify_layers_flat_sweep_rejected():
     with pytest.raises(LayerStructureError, match="no separable key/offset structure"):
         classify_layers(PruningSweep(1.0, [0.3, 0.3, 0.3]))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="need at least two layers to classify"):
         classify_layers(PruningSweep(1.0, [0.3]))
 
 
@@ -141,11 +169,13 @@ def test_attention_scores_match_naive_reduction():
 
 def test_attention_scores_span_errors():
     trace = fake_trace([np.full((1, 4, 4), 0.25)])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="layer 1 outside trace"):
         attention_token_scores(trace, 1, (0, 2))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=re.escape("span (2, 2) empty or outside sequence of length 4")):
         attention_token_scores(trace, 0, (2, 2))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=re.escape("span (1, 9) empty or outside sequence of length 4")):
         attention_token_scores(trace, 0, (1, 9))
 
 
@@ -184,11 +214,11 @@ def test_energy_quotient_monotone_and_normalized():
 
 
 def test_energy_quotient_errors():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="energy quotient needs at least one token"):
         energy_quotient([], lam=1.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="scores and lam must be finite"):
         energy_quotient([np.inf, 0.0], lam=1.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="scores and lam must be finite"):
         energy_quotient([0.0, 1.0], lam=math.nan)
 
 
@@ -226,11 +256,11 @@ def test_entropy_gate_active_lower_bound():
 
 
 def test_entropy_gate_errors():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="baseline entropy must be finite and > 0"):
         entropy_gate(0.0, 0.5)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="baseline entropy must be finite and > 0"):
         entropy_gate(-1.0, 0.5)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="offset entropy must be finite"):
         entropy_gate(1.0, math.inf)
 
 
@@ -284,13 +314,14 @@ def test_filter_never_amplifies_beyond_formula():
 
 def test_filter_validation():
     stream = KnowledgeStream(np.ones((2, 2)), "external")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=re.escape("rescale must be one of ('none', 'seq_len')")):
         filter_knowledge(stream, [0.5, 0.5], 0.1, -0.5, rescale="mean")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="eq length 1 != stream token count 2"):
         filter_knowledge(stream, [1.0], 0.1, -0.5)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="probability mass 1.2 not within 1e-9 of 1"):
         filter_knowledge(stream, [0.9, 0.3], 0.1, -0.5)  # mass != 1
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="epsilon must be >= 0"):
         filter_knowledge(stream, [0.5, 0.5], -0.1, -0.5)
 
 
@@ -300,11 +331,12 @@ def test_filter_validation():
 
 def test_filter_profile_invariants():
     FilterProfile(1, 3, [0.2, -0.2], energy_quotient([0.2, -0.2]), 0.3, -0.4)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="key and offset layer must differ"):
         FilterProfile(2, 2, [0.0], [1.0], 0.0, 0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="probability mass 1.2 not within 1e-9 of 1"):
         FilterProfile(1, 2, [0.0, 0.0], [0.9, 0.3], 0.0, 0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="epsilon must be zero when the gate is inactive"):
         FilterProfile(1, 2, [0.0, 0.0], [0.5, 0.5], 0.2, 0.0)  # gate off, eps on
 
 

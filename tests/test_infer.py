@@ -41,6 +41,7 @@ from dualstream.model import (
     save_model,
 )
 from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, question_pairs
+from random_host import random_host
 from taped_host import taped_forward
 
 
@@ -277,9 +278,9 @@ def test_pruning_sweep_matches_the_taped_reference(host, hosts_without_layer, ca
 def test_pruning_sweep_matches_the_taped_reference_on_random_hosts(seed):
     rng = np.random.default_rng(seed)
     n_layers, n_heads = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-    model = TinyTransformer.random(ModelConfig(n_layers=n_layers, n_heads=n_heads,
-                                               d_model=4 * n_heads, d_ff=16, vocab_size=20,
-                                               max_seq=12, seed=seed))
+    model = random_host(ModelConfig(n_layers=n_layers, n_heads=n_heads,
+                                    d_model=4 * n_heads, d_ff=16, vocab_size=20,
+                                    max_seq=12, seed=seed))
     queries = ([list(q) for q in rng.integers(0, 20, size=(12, 5))]
                + [list(q) for q in rng.integers(0, 20, size=(6, 8))])
     assert_sweep_matches_hosts_without_each_layer(
@@ -439,7 +440,7 @@ def test_a_softmax_failure_in_a_worker_part_is_the_unsplit_error(two_parts, monk
     """Rows 8.. of a 16-row batch overflow to a query-key row with no finite entry;
     the worker's part raises the unsplit pass's error."""
     config = ModelConfig(n_layers=1, n_heads=1, d_model=3, d_ff=1, vocab_size=3, max_seq=4)
-    weights = TinyTransformer.random(config).weights
+    weights = random_host(config).weights
     weights.update({"l0.attn.wq.h0": np.diag([1e200, 1.0, 1.0]),
                     "l0.attn.wk.h0": np.diag([-1e200, 1.0, 1.0])})
     model = TinyTransformer(config, weights)

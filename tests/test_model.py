@@ -25,6 +25,7 @@ from dualstream.model import (
     load_model,
     save_model,
 )
+from random_host import random_host
 
 
 def small_config(**kw) -> ModelConfig:
@@ -101,7 +102,7 @@ def test_forward_matches_hand_evaluation():
 
 
 def test_trace_shapes_and_attention_rows():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     trace = forward(m, [1, 2, 3, 4, 5])
     assert len(trace.hidden) == 2 and len(trace.attention) == 2
     for h in trace.hidden:
@@ -114,14 +115,14 @@ def test_trace_shapes_and_attention_rows():
 
 
 def test_causal_mask_blocks_future():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     a = forward(m, [1, 2, 3, 4]).attention[0]
     for h in range(a.shape[0]):
         assert_allclose(a[h], np.tril(a[h]), atol=0)
 
 
 def test_prefix_invariance_under_causality():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     long = forward(m, [3, 4, 5, 6])
     short = forward(m, [3, 4, 5])
     assert_allclose(long.logits[:3], short.logits, rtol=1e-12, atol=1e-12)
@@ -129,7 +130,7 @@ def test_prefix_invariance_under_causality():
 
 def test_skip_all_layers_reduces_to_embedding_readout():
     """Removing every layer is a resume past the last one from the embeddings."""
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     tokens = [2, 7, 1]
     w = m.weights
     x = w["tok_emb"][tokens] + w["pos_emb"][:3]
@@ -141,7 +142,7 @@ def test_skip_all_layers_reduces_to_embedding_readout():
 
 
 def test_embed_is_the_stream_entering_layer_0():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     rows = [[2, 7, 1], [5, 5, 0]]
     batch = embed(m, rows)
     assert batch.shape == (2, 3, 8)
@@ -156,7 +157,7 @@ def test_embed_is_the_stream_entering_layer_0():
 
 
 def test_forward_deterministic():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     t1 = forward(m, [1, 2, 3])
     t2 = forward(m, [1, 2, 3])
     assert np.array_equal(t1.logits, t2.logits)
@@ -164,7 +165,7 @@ def test_forward_deterministic():
 
 
 def test_forward_input_validation():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     with pytest.raises(ContractViolationError):
         forward(m, [])
     with pytest.raises(ContractViolationError):
@@ -188,7 +189,7 @@ _RUNS = {
                                  "3"])
 def test_a_token_id_that_is_not_an_integer_is_refused_by_value(run, bad):
     """A float, bool or string token id is refused naming the value, never truncated."""
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     with pytest.raises(ContractViolationError,
                        match=re.escape(f"token id {bad!r} is not an integer")):
         _RUNS[run](m, [1, bad, 4])
@@ -196,7 +197,7 @@ def test_a_token_id_that_is_not_an_integer_is_refused_by_value(run, bad):
 
 @pytest.mark.parametrize("run", list(_RUNS))
 def test_python_and_numpy_integer_token_ids_are_accepted(run):
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     want = _RUNS[run](m, [1, 2, 4])
     for toks in ([1, np.int64(2), np.uint8(4)], np.array([1, 2, 4], dtype=np.int32)):
         got = _RUNS[run](m, toks)
@@ -207,7 +208,7 @@ def test_python_and_numpy_integer_token_ids_are_accepted(run):
 
 
 def test_hook_replaces_attention_output():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     tokens = [1, 2, 3]
 
     def zero_hook(xn: np.ndarray) -> np.ndarray:
@@ -227,7 +228,7 @@ def test_hook_replaces_attention_output():
 def test_hook_output_must_be_an_array_shaped_like_its_input():
     """A hook trades arrays: a Tensor, or an array of another shape, is refused, for a
     single sequence and for every row of a batch."""
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     misshapen = [lambda xn: xn[:-1], lambda xn: np.zeros((xn.shape[0], xn.shape[1] + 1))]
     for hook in [lambda xn: Tensor(xn), lambda xn: xn.tolist(), *misshapen]:
         with pytest.raises(ContractViolationError, match="array shaped like its input"):
@@ -246,7 +247,7 @@ def test_fused_logits_gradient_matches_central_differences(layer):
     """``fused_logits`` of a block whose output is a taped row: its logits are those of
     the array hook of the same values, and the tail record's adjoint matches central
     differences of the logits' sum."""
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     tokens = [1, 2, 4]
     resume = (layer, ([embed(m, tokens)] + forward(m, tokens).hidden)[layer])
     tape = GradTape()
@@ -273,7 +274,7 @@ def test_fused_logits_gradient_matches_central_differences(layer):
 
 
 def test_layer_distributions_last_entry_matches_logits():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     tokens = [3, 1, 4]
     profile = layer_distributions(m, tokens)
     assert len(profile) == 2
@@ -286,14 +287,14 @@ def test_layer_distributions_last_entry_matches_logits():
 
 
 def test_layer_distributions_deterministic():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     p1 = layer_distributions(m, [1, 2])
     p2 = layer_distributions(m, [1, 2])
     assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
 
 
 def test_generate_validation():
-    m = TinyTransformer.random(small_config())
+    m = random_host(small_config())
     (answer,) = generate(m, [1, 2], n_samples=1, temperature=0.0, seed=0, max_new_tokens=4)
     assert len(answer) == 4
     # decoding is greedy only: a request for sampling is refused, not ignored
@@ -305,7 +306,7 @@ def test_generate_validation():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    m = TinyTransformer.random(small_config(seed=5))
+    m = random_host(small_config(seed=5))
     path = tmp_path / "model.bin"
     save_model(m, path, dtype="f64", meta={"note": "test"})
     loaded, meta = load_model(path)
@@ -320,7 +321,7 @@ def test_checkpoint_round_trip(tmp_path):
 @pytest.mark.parametrize("host", ["random", "fixture"])
 def test_checkpoint_resave_is_byte_identical(tmp_path, dtype, host):
     """Stacking the Q/K/V heads on load changes no byte that ``save_model`` writes."""
-    m = TinyTransformer.random(small_config(seed=5)) if host == "random" else build_fixture_model()[0]
+    m = random_host(small_config(seed=5)) if host == "random" else build_fixture_model()[0]
     first, second = tmp_path / "first.bin", tmp_path / "second.bin"
     save_model(m, first, dtype=dtype)
     save_model(load_model(first)[0], second, dtype=dtype)

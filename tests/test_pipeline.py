@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import types
 import weakref
 
@@ -95,15 +96,26 @@ def test_config_json_round_trip(config):
 def test_config_rejects_out_of_range_fields(checkpoints):
     mpath, dpath = checkpoints
     good = dict(model_checkpoint=mpath, dssp_checkpoint=dpath)
-    for bad in (dict(delta=0.0), dict(aggregation="median"), dict(lam=-1.0),
-                dict(top_t=0), dict(rescale="l2"), dict(mu=1.5), dict(nu=-0.2),
-                dict(lam="80"), dict(seed=1.5), dict(top_t=2.0), dict(delta=True),
-                dict(force_retrieval=1), dict(out_dir=None), dict(lam=10**400),
-                dict(top_t=2**53 + 1)):
-        with pytest.raises(ContractViolationError):
+    for bad, refused in ((dict(delta=0.0), "delta must be finite and > 0"),
+                         (dict(aggregation="median"), "aggregation must be one of"),
+                         (dict(lam=-1.0), "lam must be finite and > 0"),
+                         (dict(top_t=0), "top_t must lie in 1..2**53"),
+                         (dict(rescale="l2"), "rescale must be one of"),
+                         (dict(mu=1.5), "mu must lie in (0, 1)"),
+                         (dict(nu=-0.2), "nu must be finite and >= 0"),
+                         (dict(lam="80"), "field 'lam': expected float, got str"),
+                         (dict(seed=1.5), "field 'seed': expected int, got float"),
+                         (dict(top_t=2.0), "field 'top_t': expected int, got float"),
+                         (dict(delta=True), "field 'delta': expected float, got bool"),
+                         (dict(force_retrieval=1),
+                          "field 'force_retrieval': expected bool, got int"),
+                         (dict(out_dir=None), "field 'out_dir': expected str, got NoneType"),
+                         (dict(lam=10**400), "field 'lam': int too large to convert to float"),
+                         (dict(top_t=2**53 + 1), "top_t must lie in 1..2**53")):
+        with pytest.raises(ContractViolationError, match=re.escape(refused)):
             RunConfig(**good, **bad)
     assert RunConfig(**good, top_t=2**53).top_t == 2**53   # the largest a float64 holds exactly
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="field 'budget': RunConfig has no such field"):
         RunConfig.from_json({**good, "budget": 3})
 
 
@@ -112,7 +124,8 @@ def test_load_config_requires_existing_checkpoints(tmp_path, config):
     doc["dssp_checkpoint"] = str(tmp_path / "missing.bin")
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ContractViolationError):
+    refused = f"dssp_checkpoint path does not exist: {doc['dssp_checkpoint']}"
+    with pytest.raises(ContractViolationError, match=re.escape(refused)):
         load_config(path)
 
 
@@ -154,7 +167,8 @@ def test_bundle_without_vocab_needs_probe_queries(host, tmp_path, checkpoints):
     mpath = str(tmp_path / "bare.bin")
     save_model(model, mpath, dtype="f64")
     cfg = RunConfig(model_checkpoint=mpath, dssp_checkpoint=checkpoints[1])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="checkpoint metadata has no vocabulary to build probe questions from"):
         load_bundle(cfg)
     # such a checkpoint calibrates only on probe questions the caller supplies
     loaded, vocab = load_host(cfg)
@@ -236,9 +250,7 @@ def test_context_forward_stops_at_the_deepest_layer_read(records, config, bundle
         calls.clear()
         lens_calls.clear()
         trace = pipeline_run(record, cfg, bundle)
-        got, want = trace.to_json(), dict(ref)
-        got.pop("timings"), want.pop("timings")
-        assert got == want
+        assert trace.to_json() == ref
         assert len(lens_calls) == 1
         ctx = context_tokens(record, vocab)
         # the record's context forward: a one-row batch of its context, with no hook
@@ -289,7 +301,8 @@ def test_trace_json_round_trip(records, config, bundle, traces):
 def test_trace_invariant_rejects_ungated_filter(traces):
     flagged = next(t for t in traces if t.filter is not None)
     calm = next(t for t in traces if t.filter is None)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="filter stage present although the verdict did not gate it in"):
         PipelineTrace(record_id="x", verdict=calm.verdict,
                       filter=flagged.filter, answer=[0])
 
@@ -306,7 +319,8 @@ def test_offset_layer_stream_requires_hideable_layer(host, records):
     model, layout = host
     toks = context_tokens(records[0], layout.vocab)
     trace = infer(model, toks)
-    with pytest.raises(ContractViolationError):
+    refused = "fused layer 0 outside 1..5: the trace holds 6 of 6 layers"
+    with pytest.raises(ContractViolationError, match=re.escape(refused)):
         offset_layer_stream(model, trace, (5, len(toks)), 0)
 
 
@@ -343,21 +357,15 @@ def mixed(host):
     return out
 
 
-def _without_timings(trace: PipelineTrace) -> dict:
-    doc = trace.to_json()
-    doc.pop("timings")
-    return doc
-
-
 @pytest.mark.parametrize("forced", [False, True])
 def test_a_mixed_corpus_run_equals_its_records_run_alone(mixed, config, bundle, forced):
     """``run_records`` over a corpus of mixed shapes gives each record the trace it
-    gets alone, ``timings`` aside; its timings name the stages the record ran."""
+    gets alone, wall-clock ``timings`` aside; its timings name the stages the record ran."""
     cfg = dataclasses.replace(config, force_retrieval=forced)
     vocab, cal = bundle.vocab, bundle.calibration
     traces = run_records(mixed, cfg, bundle)
     alone = [pipeline_run(r, cfg, bundle) for r in mixed]
-    assert [_without_timings(t) for t in traces] == [_without_timings(t) for t in alone]
+    assert [t.to_json() for t in traces] == [t.to_json() for t in alone]
     for trace in traces:
         stages = ["detect", "filter", "decode"] if trace.filter else ["detect", "decode"]
         assert list(trace.timings) == stages
@@ -477,10 +485,10 @@ def test_a_windowed_run_equals_one_window_and_each_record_alone(mixed, config, b
                                                                 monkeypatch, forced):
     cfg = dataclasses.replace(config, force_retrieval=forced)
     assert len(mixed) < pipeline.WINDOW_RECORDS
-    whole = [_without_timings(t) for t in run_records(mixed, cfg, bundle)]
+    whole = [t.to_json() for t in run_records(mixed, cfg, bundle)]
     monkeypatch.setattr(pipeline, "WINDOW_RECORDS", 5)
-    windowed = [_without_timings(t) for t in run_records(mixed, cfg, bundle)]
-    alone = [_without_timings(pipeline_run(r, cfg, bundle)) for r in mixed]
+    windowed = [t.to_json() for t in run_records(mixed, cfg, bundle)]
+    alone = [pipeline_run(r, cfg, bundle).to_json() for r in mixed]
     assert windowed == whole == alone
 
 
@@ -629,11 +637,12 @@ def test_an_error_after_detection_comes_from_the_first_window_that_has_one(
 # ---------------------------------------------------------------------------
 
 def test_evaluate_rejects_bad_inputs(records, traces):
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="nothing to evaluate"):
         evaluate([], [])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="traces and records are misaligned"):
         evaluate(traces, records[:-1])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="trace 'rec0001' does not match record 'rec0000'"):
         evaluate([traces[1], traces[0]], records[:2])
 
 

@@ -25,7 +25,6 @@ from dualstream.fusion import (
 from dualstream.model import (
     ForwardOptions,
     ModelConfig,
-    TinyTransformer,
     embed,
     forward,
     fused_logits,
@@ -33,6 +32,7 @@ from dualstream.model import (
     layer_norm,
     logit_lens,
 )
+from random_host import random_host
 import taped_fusion
 from taped_host import taped_forward, taped_logits
 from test_infer import assert_sweep_matches_hosts_without_each_layer, without_layer
@@ -48,7 +48,7 @@ def hooked_hosts(draw):
                          seed=draw(st.integers(0, 2**16)))
     tokens = draw(st.lists(st.integers(0, 10), min_size=1, max_size=16))
     hook = draw(st.integers(0, n_layers - 1))
-    return TinyTransformer.random(config), tokens, hook, draw(st.integers(0, hook)), config.seed
+    return random_host(config), tokens, hook, draw(st.integers(0, hook)), config.seed
 
 
 def hooked_pass(model, tokens, hook, resume, params, dhat, probe, oracle=None):
@@ -118,7 +118,7 @@ def batched_hosts(draw):
     stop = draw(st.none() | st.integers(start, n_layers - 1)) if start < n_layers else None
     top = n_layers if stop is None else stop
     hook = draw(st.none() | st.integers(start, top - 1)) if start < top else None
-    return TinyTransformer.random(config), rows, start, stop, hook, config.seed
+    return random_host(config), rows, start, stop, hook, config.seed
 
 
 @seed(20261019)
@@ -223,7 +223,7 @@ def split_batches(draw):
     stop = draw(st.none() | st.integers(start, n_layers - 1)) if start < n_layers else None
     top = n_layers if stop is None else stop
     hook = draw(st.none() | st.integers(start, top - 1)) if start < top else None
-    return TinyTransformer.random(config), rows, start, stop, hook, config.seed
+    return random_host(config), rows, start, stop, hook, config.seed
 
 
 @seed(20261019)
@@ -272,7 +272,7 @@ def swept_hosts(draw):
     queries = [q for n in lengths
                for q in draw(st.lists(st.lists(st.integers(0, 10), min_size=n, max_size=n),
                                       min_size=1, max_size=4))]
-    return TinyTransformer.random(config), draw(st.permutations(queries))
+    return random_host(config), draw(st.permutations(queries))
 
 
 @seed(20261019)

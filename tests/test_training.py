@@ -21,7 +21,6 @@ from dualstream.fusion import PARAM_NAMES, TRAINED_NAMES, DsspParams, dssp_updat
 from dualstream.model import (
     ForwardOptions,
     ModelConfig,
-    TinyTransformer,
     forward,
     fused_logits,
     infer,
@@ -41,6 +40,7 @@ from dualstream.training import (
     grid_search,
     train,
 )
+from random_host import random_host
 import taped_fusion
 from taped_host import taped_logits
 
@@ -89,7 +89,7 @@ def small_setup(seed=1, d_model=4):
     evidence rows for insertion at layer 1."""
     cfg = ModelConfig(n_layers=2, n_heads=1, d_model=d_model, d_ff=8,
                       vocab_size=9, max_seq=8, seed=seed)
-    model = TinyTransformer.random(cfg)
+    model = random_host(cfg)
     params = DsspParams.init_random(d_model, d_ff=6, top_t=2, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     dataset = [
