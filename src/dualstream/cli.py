@@ -167,10 +167,8 @@ def _training_setup(args, config: RunConfig):
 
 def _queries_for_sweep(args, config: RunConfig, vocab):
     if args.records is not None or args.fixture is not None:
-        seen: dict[tuple, None] = {}
-        for record in _resolve_records(args, config):
-            seen.setdefault(tuple(record.question))
-        return [list(q) for q in seen]
+        records = _resolve_records(args, config)
+        return [list(q) for q in dict.fromkeys(tuple(r.question) for r in records)]
     return probe_questions(vocab)
 
 

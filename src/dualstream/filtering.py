@@ -20,7 +20,7 @@ from .autodiff import row_softmax
 from .divergence import semantic_entropy, validate_prob_vector
 from .errors import ContractViolationError, JsonRecord, LayerStructureError
 from .fusion import KnowledgeStream
-from .model import ForwardTrace, TinyTransformer, embed, infer
+from .model import ForwardTrace, TinyTransformer, blocks, embed, infer
 
 Array = np.ndarray
 
@@ -73,11 +73,7 @@ def pruning_sweep(model: TinyTransformer, queries: Sequence[Sequence[int]],
     n_layers = model.config.n_layers
     # greedy answer per run (the baseline, then layer r - 1 removed) and query
     answers = [[None] * len(queries) for _ in range(n_layers + 1)]
-    by_length: dict[int, list[int]] = {}
-    for qi, query in enumerate(queries):
-        by_length.setdefault(len(query), []).append(qi)
-    for group in [g[j:j + SWEEP_PASS_QUERIES] for g in by_length.values()
-                  for j in range(0, len(g), SWEEP_PASS_QUERIES)]:
+    for group in blocks({qi: len(query) for qi, query in enumerate(queries)}, SWEEP_PASS_QUERIES):
         tokens = [queries[qi] for qi in group]
         base = infer(model, tokens)
         entering = [embed(model, tokens)] + base.hidden[:-1]

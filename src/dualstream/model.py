@@ -365,6 +365,15 @@ def _layers(model, start, stop, hook_layer, x, hooks, saved) -> ForwardTrace:
     return ForwardTrace(hidden, attention, logits)
 
 
+def blocks(keys: dict, cap: int) -> list[list]:
+    """The rows that share a batched pass: the keys of ``keys`` (row -> its pass's shape)
+    grouped by shape, in order of first appearance, in blocks of at most ``cap``."""
+    groups: dict = {}
+    for i, key in keys.items():
+        groups.setdefault(key, []).append(i)
+    return [g[j:j + cap] for g in groups.values() for j in range(0, len(g), cap)]
+
+
 # ---------------------------------------------------------------------------
 # row parts: a large batch on every core the process may run on
 # ---------------------------------------------------------------------------
@@ -430,8 +439,23 @@ def forward(
 
 
 # ---------------------------------------------------------------------------
-# the training pass: the fused block's output and the frozen tail above it
+# the fused block: where it enters, what it reads, and the training pass through it
 # ---------------------------------------------------------------------------
+
+def check_insertion_layer(n_layers: int, layer: int) -> None:
+    """Refuse a layer the fused block cannot enter: it reads ``hidden[layer - 1]``."""
+    if not 1 <= layer < n_layers:
+        raise ContractViolationError(f"insertion layer {layer} outside 1..{n_layers - 1}")
+
+
+def fused_input(model: TinyTransformer, layer: int, h: Array) -> Array:
+    """What the fused block at ``layer`` reads of ``h``, rows of the stream entering
+    it: the layer's first norm of them, bit for bit what ``_layers`` hands a hook."""
+    check_insertion_layer(model.config.n_layers, layer)
+    w = model.weights
+    return layer_norm(np.asarray(h, dtype=np.float64), w[f"l{layer}.ln1.gain"],
+                      w[f"l{layer}.ln1.bias"])
+
 
 def fused_logits(model: TinyTransformer, tokens: Sequence[int], resume: tuple[int, Array],
                  block: Callable[[Array], Tensor]) -> Tensor:

@@ -58,9 +58,11 @@ from .model import (
     ForwardOptions,
     ForwardTrace,
     TinyTransformer,
+    blocks,
+    check_insertion_layer,
+    fused_input,
     generate_from,
     infer,
-    layer_norm,
     load_model,
     logit_lens,
     validate_tokens,
@@ -157,10 +159,7 @@ def probe_questions(vocab: Vocab | None) -> list[list[int]]:
     subs = list(vocab.subject_ids)
     k = min(PROBE_SUBJECTS_PER_HALF, len(subs))
     picked = subs[:k] + subs[len(subs) // 2:len(subs) // 2 + k]
-    seen: dict[int, None] = {}
-    for s in picked:
-        seen.setdefault(s)
-    return [make_question(vocab, s) for s in seen]
+    return [make_question(vocab, s) for s in dict.fromkeys(picked)]
 
 
 @dataclass
@@ -220,16 +219,6 @@ def vocab_meta(vocab: Vocab) -> dict:
 BLOCK_RECORDS = 16
 
 
-def _blocks(keys: dict) -> list[list[int]]:
-    """The positions of ``keys`` grouped by equal key, in order of first appearance,
-    each group cut into blocks of at most ``BLOCK_RECORDS``."""
-    groups: dict = {}
-    for i, key in keys.items():
-        groups.setdefault(key, []).append(i)
-    return [g[j:j + BLOCK_RECORDS] for g in groups.values()
-            for j in range(0, len(g), BLOCK_RECORDS)]
-
-
 @dataclass
 class PipelineTrace(JsonRecord):
     """What one record went through: verdict, optional filter, answer.  Its
@@ -242,9 +231,11 @@ class PipelineTrace(JsonRecord):
     forced: bool = False
 
     def __post_init__(self):
-        if self.filter is not None and not (self.verdict.hallucination or self.forced):
+        gated = self.verdict.hallucination or self.forced
+        if (self.filter is not None) != gated:
             raise ContractViolationError(
-                "filter stage present although the verdict did not gate it in")
+                "filter stage skipped although the verdict or force_retrieval gated it in" if gated
+                else "filter stage present although the verdict did not gate it in")
 
 
 def context_tokens(record: QARecord, vocab: Vocab) -> list[int]:
@@ -288,7 +279,7 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
                 f"record {records[i].record_id!r} has no evidence tokens to retrieve")
 
     def rows():
-        for block in _blocks({i: (len(contexts[i]), stops[i]) for i in stops}):
+        for block in blocks({i: (len(contexts[i]), stops[i]) for i in stops}, BLOCK_RECORDS):
             trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
             for row, i in enumerate(block):
                 span = (len(records[i].question) + 1, len(contexts[i]))
@@ -301,18 +292,6 @@ def filter_profile(calibration: Calibration, evidence: Evidence, lam: float) -> 
     """Stage 2: score ``evidence``'s tokens from the key and offset layers' attention."""
     return compute_filter_profile(evidence.trace, calibration, evidence.span,
                                   calibration.entropy_orig, calibration.entropy_offset, lam)
-
-
-def offset_layer_stream(model: TinyTransformer, trace, span: tuple[int, int],
-                        layer: int) -> np.ndarray:
-    """Evidence rows exactly as the fused block at ``layer`` will read them."""
-    depth, n_layers = len(trace.hidden), model.config.n_layers
-    if not 1 <= layer <= min(depth, n_layers - 1):
-        raise ContractViolationError(f"fused layer {layer} outside 1..{min(depth, n_layers - 1)}: "
-                                     f"the trace holds {depth} of {n_layers} layers")
-    rows = np.asarray(trace.hidden[layer - 1][span[0]:span[1]])
-    return layer_norm(rows, model.weights[f"l{layer}.ln1.gain"],
-                      model.weights[f"l{layer}.ln1.bias"])
 
 
 def question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
@@ -343,7 +322,7 @@ def detect_stage(model: TinyTransformer, pairs: list[tuple[list[int], list[int]]
     last-position logits, from which the plain decode draws its first token.
     """
     out: list = [None] * len(pairs)
-    for block in _blocks({i: len(question) for i, (question, _) in enumerate(pairs)}):
+    for block in blocks({i: len(q) for i, (q, _) in enumerate(pairs)}, BLOCK_RECORDS):
         batch = infer(model, [pairs[i][0] for i in block] + [pairs[i][1] for i in block])
         lens = logit_lens(model, batch.hidden)
         for row, i in enumerate(block):
@@ -417,19 +396,19 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     stops = {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()}
     for i, evidence in read_evidence(model, records, vocab, stops):
         profile = filter_profile(cal, evidence, config.lam)
-        raw = offset_layer_stream(model, evidence.trace, evidence.span, layers[i])
+        entering = evidence.trace.hidden[layers[i] - 1]
+        raw = fused_input(model, layers[i], entering[slice(*evidence.span)])
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), profile.eq, profile.epsilon,
             profile.delta_entropy, rescale=config.rescale)
         fused[i] = _Fusion(profile, evidence.tokens,
-                           make_dssp_hook(filtered.tokens, bundle.params),
-                           evidence.trace.hidden[layers[i] - 1].copy())
-        del evidence
+                           make_dssp_hook(filtered.tokens, bundle.params), entering.copy())
+        del evidence, entering
     t2 = time.perf_counter()
 
     # the fused decode's first token; the layers below the hook are the context forward's
     first_logits = [logits for _, logits in detected]
-    for block in _blocks({i: (len(fused[i].tokens), layers[i]) for i in layers}):
+    for block in blocks({i: (len(fused[i].tokens), layers[i]) for i in layers}, BLOCK_RECORDS):
         layer = layers[block[0]]
         batch = infer(model, [fused[i].tokens for i in block],
                       ForwardOptions(layer, [fused[i].hook for i in block]),
@@ -491,10 +470,12 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
     """Freeze each record's context, raw evidence rows and host pass into a
     training example for ``insertion_layer``; contexts of one length run as one
     full ``(B, n)`` forward per block (``read_evidence``)."""
+    check_insertion_layer(model.config.n_layers, insertion_layer)
     records = list(records)
     examples: list = [None] * len(records)
     for i, evidence in read_evidence(model, records, vocab, dict.fromkeys(range(len(records)))):
-        dhat = offset_layer_stream(model, evidence.trace, evidence.span, insertion_layer)
+        dhat = fused_input(model, insertion_layer,
+                           evidence.trace.hidden[insertion_layer - 1][slice(*evidence.span)])
         examples[i] = TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
                                               evidence.trace, insertion_layer)
         del evidence

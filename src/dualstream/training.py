@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError, field_types, read_field
 from .fusion import PARAM_NAMES, DsspParams, dssp_update, save_dssp_params, shared_rows
-from .model import ForwardTrace, TinyTransformer, fused_logits, layer_norm
+from .model import ForwardTrace, TinyTransformer, check_insertion_layer, fused_input, fused_logits
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 
 Array = np.ndarray
@@ -94,9 +94,7 @@ class TrainExample:
         the host's full forward over ``tokens``; owns copies, not views of the trace."""
         if trace.logits is None:
             raise ContractViolationError("trace stopped before the logits; the example needs them")
-        if not 1 <= insertion_layer <= len(trace.hidden):
-            raise ContractViolationError(
-                f"insertion layer {insertion_layer} outside 1..{len(trace.hidden)}")
+        check_insertion_layer(len(trace.hidden), insertion_layer)
         return cls(tokens, answer_id, dhat, ad.row_softmax(trace.logits[-1], 1.0),
                    (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 
@@ -155,9 +153,7 @@ def train(
     """
     if len(dataset) == 0:
         raise ContractViolationError("dataset must be non-empty")
-    if not 1 <= insertion_layer < model.config.n_layers:
-        raise ContractViolationError(
-            f"insertion layer {insertion_layer} outside 1..{model.config.n_layers - 1}")
+    check_insertion_layer(model.config.n_layers, insertion_layer)
     for ex in dataset:
         if ex.resume[0] != insertion_layer:
             raise ContractViolationError(
@@ -166,12 +162,9 @@ def train(
             raise ContractViolationError(
                 f"resume state has shape {np.shape(ex.resume[1])}, "
                 f"expected {(len(ex.tokens), model.config.d_model)}")
-    # the fused block's input is the layer norm of the frozen resume state, so
-    # each example's shared rows are the same at every step
-    w = model.weights
-    gain, bias = w[f"l{insertion_layer}.ln1.gain"], w[f"l{insertion_layer}.ln1.bias"]
-    shared = [shared_rows(layer_norm(np.asarray(ex.resume[1], dtype=np.float64), gain, bias),
-                          ex.dhat, params.w_share, params.top_t) for ex in dataset]
+    # the fused block reads the frozen resume state, so its shared rows serve every step
+    shared = [shared_rows(fused_input(model, insertion_layer, ex.resume[1]), ex.dhat,
+                          params.w_share, params.top_t) for ex in dataset]
 
     rng = np.random.default_rng(hyper.seed)
     warmup_steps = math.ceil(WARMUP_RATIO * (hyper.epochs * len(dataset)))

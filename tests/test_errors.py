@@ -44,6 +44,13 @@ def _round_trip(record):
 _CASES = {
     "trace_filter_null_refused": (PipelineTrace, {**_TRACE, "filter": None},
                                   "field 'filter': expected a JSON object, got NoneType"),
+    # a flagged or forced record always runs the filter, so a trace that skips it is refused
+    "trace_flagged_filter_skipped_refused": (
+        PipelineTrace, {**_TRACE, "verdict": {**_VERDICT, "hallucination": True}},
+        "filter stage skipped although the verdict or force_retrieval gated it in"),
+    "trace_forced_filter_skipped_refused": (
+        PipelineTrace, {**_TRACE, "forced": True},
+        "filter stage skipped although the verdict or force_retrieval gated it in"),
     "record_variant_null_accepted": (QARecord, {**_RECORD, "variant": None},
                                      lambda r: r.variant is None),
     # wall-clock ``timings`` are no part of a trace's JSON form, read or written

@@ -32,6 +32,7 @@ from dualstream.model import (
     TinyTransformer,
     embed,
     forward,
+    fused_input,
     generate,
     infer,
     layer_distributions,
@@ -40,7 +41,7 @@ from dualstream.model import (
     logit_lens,
     save_model,
 )
-from dualstream.pipeline import context_tokens, offset_layer_stream, probe_questions, question_pairs
+from dualstream.pipeline import context_tokens, probe_questions, question_pairs
 from random_host import random_host
 from taped_host import taped_forward
 
@@ -127,7 +128,8 @@ def test_fusion_hook_at_the_offset_layer(host, cases):
     model, layout = host
     params = build_copier_params(layout)
     for _, _, ctx, span in cases:
-        dhat = offset_layer_stream(model, taped_forward(model, ctx), span, OFFSET_LAYER)
+        entering = taped_forward(model, ctx).hidden[OFFSET_LAYER - 1]
+        dhat = fused_input(model, OFFSET_LAYER, entering[span[0]:span[1]])
         opts = ForwardOptions(dssp_layer=OFFSET_LAYER, dssp_hook=make_dssp_hook(dhat, params))
         ref = taped_forward(model, ctx, opts)
         assert_same(infer(model, ctx, opts), ref)

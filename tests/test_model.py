@@ -16,7 +16,9 @@ from dualstream.model import (
     ModelConfig,
     TinyTransformer,
     embed,
+    blocks,
     forward,
+    fused_input,
     fused_logits,
     generate,
     generate_from,
@@ -35,9 +37,9 @@ def small_config(**kw) -> ModelConfig:
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="d_model 8 not divisible by n_heads 3"):
         ModelConfig(n_layers=1, n_heads=3, d_model=8, d_ff=4, vocab_size=4, max_seq=4)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="n_layers must be >= 1, got 0"):
         ModelConfig(n_layers=0, n_heads=1, d_model=4, d_ff=4, vocab_size=4, max_seq=4)
 
 
@@ -152,7 +154,7 @@ def test_embed_is_the_stream_entering_layer_0():
         resumed = forward(m, tokens, resume=(0, embed(m, tokens)))
         assert np.array_equal(resumed.logits, ref.logits)
         assert all(np.array_equal(a, b) for a, b in zip(resumed.hidden, ref.hidden))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="token id 99 outside vocab of 12"):
         embed(m, [99])
 
 
@@ -166,13 +168,13 @@ def test_forward_deterministic():
 
 def test_forward_input_validation():
     m = random_host(small_config())
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="empty token sequence"):
         forward(m, [])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="token id 99 outside vocab of 12"):
         forward(m, [99])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="sequence length 11 exceeds max_seq 10"):
         forward(m, list(range(11)))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="hook layer 5 outside model"):
         forward(m, [1], ForwardOptions(dssp_layer=5, dssp_hook=lambda t: t))
 
 
@@ -301,7 +303,8 @@ def test_generate_validation():
     for n_samples, temperature in ((0, 0.0), (2, 0.0), (1, -1.0), (1, 0.5)):
         with pytest.raises(ContractViolationError, match="greedy"):
             generate(m, [1], n_samples=n_samples, temperature=temperature, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="prompt plus max_new_tokens exceeds max_seq"):
         generate(m, list(range(10)), n_samples=1, temperature=0.0, seed=0, max_new_tokens=1)
 
 
@@ -326,3 +329,23 @@ def test_checkpoint_resave_is_byte_identical(tmp_path, dtype, host):
     save_model(m, first, dtype=dtype)
     save_model(load_model(first)[0], second, dtype=dtype)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_blocks_group_rows_by_shape_in_order_of_first_appearance():
+    keys = {0: "a", 1: "b", 2: "a", 5: "c", 3: "a", 4: "b", 9: "a"}
+    assert blocks(keys, 16) == [[0, 2, 3, 9], [1, 4], [5]]
+    assert blocks(keys, 2) == [[0, 2], [3, 9], [1, 4], [5]]
+    assert blocks(keys, 3) == [[0, 2, 3], [9], [1, 4], [5]]
+    assert blocks(keys, 1) == [[0], [2], [3], [9], [1], [4], [5]]
+    assert blocks({}, 4) == []
+
+
+@pytest.mark.parametrize("layer", [0, 6, 7])
+def test_fused_input_refuses_a_layer_the_block_cannot_enter(layer):
+    """Layer 0 has no stream entering it from a layer below, and the 6-layer fixture
+    host has no layer 6 or 7 to fuse at."""
+    model = build_fixture_model()[0]
+    h = infer(model, [1, 2, 3]).hidden[0]
+    with pytest.raises(ContractViolationError,
+                       match=re.escape(f"insertion layer {layer} outside 1..5")):
+        fused_input(model, layer, h)

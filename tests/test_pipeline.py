@@ -22,7 +22,7 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import save_dssp_params
-from dualstream.model import infer, logit_lens, save_model
+from dualstream.model import fused_input, infer, logit_lens, save_model
 from dualstream.pipeline import (
     Bundle,
     PipelineTrace,
@@ -34,7 +34,6 @@ from dualstream.pipeline import (
     load_config,
     load_host,
     make_train_examples,
-    offset_layer_stream,
     pipeline_run,
     probe_questions,
     run_records,
@@ -313,23 +312,6 @@ def test_pipeline_is_deterministic_across_fresh_bundles(records, config, traces)
         assert t1.answer == t2.answer
         assert t1.verdict.statistic == t2.verdict.statistic
         assert t1.verdict.insertion_layer == t2.verdict.insertion_layer
-
-
-def test_offset_layer_stream_requires_hideable_layer(host, records):
-    model, layout = host
-    toks = context_tokens(records[0], layout.vocab)
-    trace = infer(model, toks)
-    refused = "fused layer 0 outside 1..5: the trace holds 6 of 6 layers"
-    with pytest.raises(ContractViolationError, match=re.escape(refused)):
-        offset_layer_stream(model, trace, (5, len(toks)), 0)
-
-
-@pytest.mark.parametrize("stop, layer", [(2, 3), (None, 6), (None, 7)])
-def test_offset_layer_stream_names_a_layer_the_trace_does_not_reach(host, records, stop, layer):
-    model, layout = host
-    trace = infer(model, context_tokens(records[0], layout.vocab), stop=stop)
-    with pytest.raises(ContractViolationError, match=f"fused layer {layer} .*trace holds"):
-        offset_layer_stream(model, trace, (5, 9), layer)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +638,8 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
         assert ex.answer_id == rec.answer[0]
         assert ex.dhat.shape == (len(ctx) - len(rec.question) - 1, layout.d_model)
         ref = taped_forward(model, ctx)
-        want = offset_layer_stream(model, ref, (len(rec.question) + 1, len(ctx)), OFFSET_LAYER)
+        want = fused_input(model, OFFSET_LAYER,
+                           ref.hidden[OFFSET_LAYER - 1][len(rec.question) + 1:])
         assert np.array_equal(ex.dhat, want)
         # the host pass train() resumes from
         z = np.exp(ref.logits[-1] - ref.logits[-1].max())
@@ -665,6 +648,20 @@ def test_make_train_examples_freezes_context_and_evidence(host, records):
         assert layer == OFFSET_LAYER
         assert np.array_equal(hidden, ref.hidden[OFFSET_LAYER - 1])
         assert hidden.base is None and ex.base.base is None   # no view pins a trace
+
+
+@pytest.mark.parametrize("layer", [0, 6, 7])
+def test_make_train_examples_refuses_a_bad_layer_before_any_host_pass(host, records,
+                                                                     monkeypatch, layer):
+    """Layer 0, the host's depth 6 and one past it are refused with the insertion-layer
+    message, with no context forward run, never as an ``IndexError`` after one."""
+    model, layout = host
+    calls = []
+    monkeypatch.setattr(pipeline, "infer", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ContractViolationError,
+                       match=re.escape(f"insertion layer {layer} outside 1..5")):
+        make_train_examples(model, records[:4], layout.vocab, layer)
+    assert calls == []
 
 
 def test_make_train_examples_resume_at_every_insertion_layer(host, records):

@@ -27,6 +27,7 @@ from dualstream.model import (
     ModelConfig,
     embed,
     forward,
+    fused_input,
     fused_logits,
     infer,
     layer_norm,
@@ -100,6 +101,33 @@ def test_forward_equals_the_taped_host_on_random_hosts(case):
     assert np.array_equal(trace.logits, logits) and np.array_equal(ref.logits, logits)
     for got, want in zip(trace.hidden + trace.attention, ref.hidden + ref.attention, strict=True):
         assert np.array_equal(got, want)
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hooked_hosts(), st.data())
+def test_a_hook_receives_the_fused_input_of_the_stream_entering_its_layer(case, data):
+    """At every layer the fused block may enter, a hook is handed exactly ``fused_input``
+    of the stream entering its layer, and an evidence span's rows of it are
+    ``fused_input`` of that span's rows; layers 0 and ``n_layers`` are refused."""
+    model, tokens, _, _, host_seed = case
+    n_layers = model.config.n_layers
+    rng = np.random.default_rng(host_seed)
+    for name in model.weights:    # a random host's norms are the identity; these are not
+        if ".ln1." in name:
+            mean = 1.0 if name.endswith("gain") else 0.0
+            model.weights[name] = rng.normal(mean, 0.5, (1, model.config.d_model))
+    lo = data.draw(st.integers(0, len(tokens) - 1))
+    hi = data.draw(st.integers(lo + 1, len(tokens)))
+    for k in range(1, n_layers):
+        seen = []
+        trace = infer(model, tokens, ForwardOptions(k, lambda xn: seen.append(xn.copy()) or xn))
+        assert np.array_equal(seen[0], fused_input(model, k, trace.hidden[k - 1]))
+        assert np.array_equal(seen[0][lo:hi], fused_input(model, k, trace.hidden[k - 1][lo:hi]))
+    for k in (0, n_layers):
+        with pytest.raises(ContractViolationError,
+                           match=rf"insertion layer {k} outside 1\.\.{n_layers - 1}$"):
+            fused_input(model, k, infer(model, tokens).hidden[0])
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Objective terms, training-loop behaviour, and grid-search tests."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dualstream.model import (
     ForwardOptions,
     ModelConfig,
     forward,
+    fused_input,
     fused_logits,
     infer,
 )
@@ -109,11 +111,11 @@ def test_hyperparams_defaults_and_validation():
     h = Hyperparams()
     assert (h.mu, h.nu, h.lr, h.epochs, WARMUP_RATIO) == (0.55, 0.1, 4e-5, 7, 0.1)
     Hyperparams(lr=0.0)  # no-op runs allowed
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="mu and nu must be finite and >= 0"):
         Hyperparams(mu=-0.1)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="lr must be finite and >= 0"):
         Hyperparams(lr=-1e-6)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="epochs must be >= 1"):
         Hyperparams(epochs=0)
     for field in ("mu", "nu", "lr"):
         for bad in (math.nan, math.inf):
@@ -164,16 +166,16 @@ def test_kl_term_basics():
 
 
 def test_loss_term_length_mismatch():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="length mismatch: 2 vs 1"):
         conditional_entropy_term([0.5, 0.5], [1.0])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="length mismatch: 1 vs 2"):
         kl_term([1.0], [0.5, 0.5])
 
 
 def test_total_loss_weighted_sum():
     assert total_loss(1.7, 9.0, 4.0, 0.0, 0.0) == 1.7
     assert total_loss(1.0, 2.0, 3.0, 0.5, 0.1) == pytest.approx(2.3, abs=1e-12)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="ce must be finite"):
         total_loss(math.inf, 0.0, 0.0, 0.5, 0.1)
 
 
@@ -291,9 +293,9 @@ def test_resumed_taped_forward_equals_the_full_one(fixture_examples):
             assert np.array_equal(got_logits, logits)
             assert_same_gradients(got_grads, grads)
     ex = examples[0]
-    with pytest.raises(ContractViolationError):      # state of the wrong shape
+    with pytest.raises(ContractViolationError, match="resume state has shape"):
         answer_loss_gradients(model, params, ex, resume=(OFFSET_LAYER, hidden[0][1:]))
-    with pytest.raises(ContractViolationError):      # hooked layer below the resume layer
+    with pytest.raises(ContractViolationError, match="hooked layer below the resume layer"):
         forward(model, ex.tokens, ForwardOptions(OFFSET_LAYER, make_dssp_hook(ex.dhat, params)),
                 resume=(OFFSET_LAYER + 1, hidden[OFFSET_LAYER]))
 
@@ -435,17 +437,17 @@ def test_train_aborts_on_divergence_with_step_index():
 
 def test_train_input_validation():
     model, params, dataset = small_setup()
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="dataset must be non-empty"):
         train(model, params, [], Hyperparams(), insertion_layer=1)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"insertion layer 5 outside 1\.\.1"):
         train(model, params, dataset, Hyperparams(), insertion_layer=5)
     base = np.full(9, 1 / 9)
     resume = (1, np.zeros((1, 4)))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="example needs at least one token"):
         TrainExample(tokens=(), answer_id=1, dhat=np.ones((1, 4)), base=base, resume=resume)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="dhat must be a non-empty 2-d matrix"):
         TrainExample(tokens=(1,), answer_id=1, dhat=np.ones(4), base=base, resume=resume)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="base must be a 1-d distribution"):
         TrainExample(tokens=(1,), answer_id=1, dhat=np.ones((1, 4)), base=base[None],
                      resume=resume)
 
@@ -462,13 +464,29 @@ def test_train_rejects_insertion_at_layer_0():
         train(model, params, [layer0], Hyperparams(epochs=1), insertion_layer=0)
 
 
-@pytest.mark.parametrize("layer", [0, 3])
+@pytest.mark.parametrize("layer", [0, 2, 3])
 def test_from_trace_rejects_an_insertion_layer_outside_the_trace(layer):
+    """Layer 2 is the two-layer host's depth: ``train`` refuses it, so ``from_trace``
+    does too, rather than build an example no run can use."""
     model, _, dataset = small_setup()
     ex = dataset[0]
-    with pytest.raises(ContractViolationError, match=rf"insertion layer {layer} outside 1\.\.2"):
+    with pytest.raises(ContractViolationError, match=rf"insertion layer {layer} outside 1\.\.1"):
         TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat,
                                 infer(model, list(ex.tokens)), layer)
+
+
+@pytest.mark.parametrize("layer", [0, 2, 3])
+def test_train_from_trace_and_fused_input_refuse_a_layer_with_one_message(layer):
+    model, params, dataset = small_setup()
+    ex = dataset[0]
+    trace = infer(model, list(ex.tokens))
+    refused = re.escape(f"insertion layer {layer} outside 1..1")
+    with pytest.raises(ContractViolationError, match=refused):
+        train(model, params, dataset, Hyperparams(epochs=1), insertion_layer=layer)
+    with pytest.raises(ContractViolationError, match=refused):
+        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat, trace, layer)
+    with pytest.raises(ContractViolationError, match=refused):
+        fused_input(model, layer, trace.hidden[0])
 
 
 def test_from_trace_rejects_a_stopped_trace():
@@ -532,7 +550,7 @@ def test_grid_search_all_failures_rejected():
     def objective(mu, nu):
         raise ValueError("nope")
 
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="objective failed on every grid point"):
         grid_search(objective)
 
 
