@@ -330,11 +330,9 @@ def _cmd_grid_search(args, config: RunConfig, out_dir: str) -> str:
 def _cmd_pipeline(args, config: RunConfig, out_dir: str) -> str:
     bundle = load_bundle(config)
     records = list(_resolve_records(args, config))
-    if not records:   # ``evaluate`` refuses it: refuse before writing any trace
-        raise ContractViolationError("nothing to evaluate")
     traces = run_records(records, config, bundle)
+    report = evaluate(traces, records)   # refuses an empty run before any trace is written
     write_jsonl(os.path.join(out_dir, "traces.jsonl"), [trace.to_json() for trace in traces])
-    report = evaluate(traces, records)
     write_json(os.path.join(out_dir, "report.json"), report)
     stage_times = {}
     for trace in traces:

@@ -442,9 +442,14 @@ def forward(
 # the fused block: where it enters, what it reads, and the training pass through it
 # ---------------------------------------------------------------------------
 
+def can_enter(n_layers: int, layer: int) -> bool:
+    """Whether the fused block can enter ``layer``: it reads ``hidden[layer - 1]``."""
+    return 1 <= layer < n_layers
+
+
 def check_insertion_layer(n_layers: int, layer: int) -> None:
-    """Refuse a layer the fused block cannot enter: it reads ``hidden[layer - 1]``."""
-    if not 1 <= layer < n_layers:
+    """Refuse a layer the fused block cannot enter (``can_enter``)."""
+    if not can_enter(n_layers, layer):
         raise ContractViolationError(f"insertion layer {layer} outside 1..{n_layers - 1}")
 
 

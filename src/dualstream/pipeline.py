@@ -59,6 +59,7 @@ from .model import (
     ForwardTrace,
     TinyTransformer,
     blocks,
+    can_enter,
     check_insertion_layer,
     fused_input,
     generate_from,
@@ -177,8 +178,12 @@ def load_host(config: RunConfig) -> tuple[TinyTransformer, Vocab | None]:
     if not config.model_checkpoint:
         raise ContractViolationError("config names no model checkpoint")
     model, meta = load_model(config.model_checkpoint)
-    return model, read_record(Vocab | None, meta.get("vocab"),
-                              f"{config.model_checkpoint}.json: meta.vocab")
+    where = f"{config.model_checkpoint}.json: meta.vocab"
+    vocab = read_record(Vocab | None, meta.get("vocab"), where)
+    if vocab is not None and vocab.size > model.config.vocab_size:
+        raise ContractViolationError(f"{where}: vocabulary of {vocab.size} symbols exceeds "
+                                     f"the host's vocab_size of {model.config.vocab_size}")
+    return model, vocab
 
 
 def load_bundle(config: RunConfig) -> Bundle:
@@ -193,9 +198,7 @@ def load_bundle(config: RunConfig) -> Bundle:
     if config.top_t is not None:
         params.top_t = config.top_t
     calibration = calibrate(model, probe_questions(vocab))
-    if calibration.offset_layer == 0:
-        raise ContractViolationError("host offset layer 0 cannot take the fused block, which "
-                                     "reads the stream entering its layer")
+    check_insertion_layer(model.config.n_layers, calibration.offset_layer)
     return Bundle(model, params, vocab, calibration)
 
 
@@ -386,9 +389,8 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     t0 = time.perf_counter()
     detected = detect_stage(model, pairs, config)
     t1 = time.perf_counter()
-    # the fused block enters at a flagged verdict's insertion layer if it can, else at
-    # the offset layer
-    layers = {i: v.insertion_layer if v.hallucination and v.insertion_layer >= 1
+    layers = {i: v.insertion_layer
+              if v.hallucination and can_enter(model.config.n_layers, v.insertion_layer)
               else cal.offset_layer
               for i, (v, _) in enumerate(detected) if v.hallucination or config.force_retrieval}
 
@@ -421,8 +423,7 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
         f = fused.get(i)
         prompt, options = ((record.question, None) if f is None else
                            (f.tokens, ForwardOptions(layers[i], f.hook)))
-        answer = generate_from(model, prompt, first_logits[i],
-                               max(1, len(record.answer)), options)
+        answer = generate_from(model, prompt, first_logits[i], len(record.answer), options)
         traces.append(PipelineTrace(record.record_id, verdict, None if f is None else f.profile,
                                     answer, forced=config.force_retrieval))
     t3 = time.perf_counter()

@@ -321,8 +321,8 @@ def test_a_pipeline_over_no_records_writes_nothing_but_the_echoes(setup, tmp_pat
 
 def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
     """The fused block at layer k reads the stream entering it, so a host whose offset
-    layer is 0 cannot take it: a gated or forced pipeline and a train end at load in one
-    line naming the offset layer."""
+    layer is 0 cannot take it: a gated or forced pipeline and a train end at load in
+    ``check_insertion_layer``'s one line."""
     vocab = fixture_vocab()
     host = random_host(ModelConfig(n_layers=4, n_heads=2, d_model=16, d_ff=8,
                                    vocab_size=vocab.size, max_seq=24, seed=6))
@@ -335,9 +335,8 @@ def test_a_host_calibrated_to_offset_layer_0_ends_at_load(tmp_path):
                             ["train", "--epochs", "1"]):
         code, err = _run_cli_quietly([command, "--config", str(cfg), "--fixture", "4", *flags,
                                       "--out", str(tmp_path / "out")])
-        assert (code, err) == (2, ["error:ContractViolationError: host offset layer 0 cannot "
-                                   "take the fused block, which reads the stream entering "
-                                   "its layer"])
+        assert (code, err) == (2, ["error:ContractViolationError: insertion layer 0 "
+                                   "outside 1..3"])
 
 
 def test_a_host_with_no_vocabulary_cannot_be_calibrated(setup, tmp_path):
@@ -355,6 +354,25 @@ def test_a_host_with_no_vocabulary_cannot_be_calibrated(setup, tmp_path):
                                       "--out", str(tmp_path / "out")])
         assert (code, err) == (2, ["error:ContractViolationError: checkpoint metadata has no "
                                    "vocabulary to build probe questions from"])
+
+
+def test_a_host_whose_vocabulary_outgrows_it_ends_at_load(setup, tmp_path):
+    """A sidecar vocabulary of more symbols than the host's ``vocab_size`` would build
+    token ids the host cannot read: every command that loads the host refuses it in one
+    line naming the sidecar and both sizes."""
+    model, _ = build_fixture_model()
+    mpath, cfg = tmp_path / "host.bin", tmp_path / "run.json"
+    save_model(model, mpath, dtype="f64",
+               meta=vocab_meta(Vocab(n_subjects=300, n_objects=4, n_junk=80)))
+    doc = read_json(setup[0])
+    cfg.write_text(json.dumps({**doc, "model_checkpoint": str(mpath)}))
+    for command, *records in (["detect", "--fixture", "8"], ["filter", "--fixture", "8"],
+                              ["pipeline", "--fixture", "8"], ["analyze-layers"]):
+        code, err = _run_cli_quietly([command, "--config", str(cfg), *records,
+                                      "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, [f"error:ContractViolationError: {mpath}.json: meta.vocab: "
+                                   "vocabulary of 391 symbols exceeds the host's vocab_size "
+                                   "of 155"])
 
 
 def test_module_entry_point_runs_without_warnings():

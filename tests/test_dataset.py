@@ -26,9 +26,10 @@ def test_vocab_layout_is_contiguous_and_bounded():
 
 
 def test_vocab_validation():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="n_subjects must be >= 1"):
         Vocab(n_subjects=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="vocabulary of 707 symbols exceeds the 512-symbol budget"):
         Vocab(n_subjects=500, n_objects=100, n_junk=100)
     for bad in (dict(n_subjects=2.5), dict(n_junk=True), dict(n_objects="16")):
         with pytest.raises(ContractViolationError, match=next(iter(bad))):
@@ -42,20 +43,22 @@ def test_gold_object_map_is_deterministic_and_total():
         assert obj in v.object_ids
     assert v.gold_object(v.subject_ids[0]) == v.object_ids[0]
     assert v.gold_object(v.subject_ids[v.n_objects]) == v.object_ids[0]
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="token 2 is not a subject word"):
         v.gold_object(v.WH)
 
 
 def test_record_invariants():
     rec = QARecord("r0", [2, 3, 7, 4], [80], [[7, 4, 5, 80, 1]])
     assert rec.variant is None
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="variant must have the same length as the question"):
         QARecord("r1", [2, 3, 7, 4], [80], [], variant=[7, 3, 4])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="noise_mask rows must align with document tokens"):
         QARecord("r2", [2, 3, 7, 4], [80], [[7, 4]], noise_mask=[[True]])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="noise_mask must align with documents"):
         QARecord("r3", [2, 3, 7, 4], [80], [[7, 4]], noise_mask=[[True], [False]])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="question must be non-empty"):
         QARecord("r4", [], [80], [])
 
 
@@ -114,13 +117,15 @@ def test_subjects_cover_vocabulary_once_per_cycle():
 
 def test_dataset_validation():
     v = Vocab()
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="n_records must be >= 1"):
         make_conflict_dataset(0, v, 0.5, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"noise_rate must lie in \[0, 1\]"):
         make_conflict_dataset(4, v, 1.5, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="vocabulary too small for the question templates"):
         make_conflict_dataset(4, Vocab(n_subjects=2), 0.5, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="vocabulary too small for the question templates"):
         make_conflict_dataset(4, Vocab(n_objects=1), 0.5, seed=0)
 
 

@@ -137,17 +137,17 @@ def test_detect_is_deterministic():
 
 
 def test_profile_validation():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="layer counts differ: 1 vs 2"):
         divergence_profile([onehot(4, 0)], [onehot(4, 0), onehot(4, 1)])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="profile vocab dimensions differ"):
         divergence_profile([onehot(4, 0)], [onehot(5, 0)])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="divergence profile is empty"):
         DivergenceProfile(np.array([]))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"per-layer JSD outside \[0, 1\]"):
         DivergenceProfile(np.array([1.5]))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="delta must be >= 0"):
         detect(DivergenceProfile([0.5]), delta=-0.1)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="unknown aggregation 'median'"):
         detect(DivergenceProfile([0.5, 0.5]), aggregation="median")
 
 

@@ -50,14 +50,16 @@ def test_kl_nonnegative_property():
 
 
 def test_kl_rejects_bad_mass():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"probability mass 1\.1 not within 1e-9 of 1"):
         kl_divergence([0.5, 0.6], [0.5, 0.5])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"probability mass 0\.8999+ not within 1e-9 of 1"):
         kl_divergence([0.5, 0.5], [0.7, 0.2])
 
 
 def test_kl_rejects_length_mismatch():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="kl_divergence needs equal-length vectors"):
         kl_divergence([1.0], [0.5, 0.5])
 
 
@@ -95,9 +97,10 @@ def test_entropy_frozen_values():
 
 
 def test_validate_prob_vector_rejects_negative():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="probability vector has negative or non-finite entries"):
         validate_prob_vector([1.2, -0.2])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="probability vector is empty"):
         validate_prob_vector([])
 
 
@@ -121,7 +124,7 @@ def test_semantic_entropy_token_sequences():
 
 
 def test_semantic_entropy_empty_rejected():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="semantic_entropy needs at least one answer"):
         semantic_entropy([])
 
 

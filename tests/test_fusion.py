@@ -86,13 +86,13 @@ def rand_params(d_model, d_ff=None, top_t=10, seed=0):
 def test_knowledge_stream_validation():
     s = KnowledgeStream(np.ones((3, 4)), "external")
     assert s.seq_len == 3 and s.d_model == 4
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"non-empty 2-d matrix, got shape \(0, 4\)"):
         KnowledgeStream(np.ones((0, 4)), "external")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"non-empty 2-d matrix, got shape \(4,\)"):
         KnowledgeStream(np.ones(4), "external")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="stream contains non-finite entries"):
         KnowledgeStream(np.array([[np.nan, 0.0]]), "internal")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="origin must be one of"):
         KnowledgeStream(np.ones((2, 2)), "retrieved")
 
 
@@ -101,9 +101,10 @@ def test_params_shape_validation():
     assert p.d_model == 4 and p.d_ff == 6 and p.d_k == 4
     bad = p.to_arrays()
     bad["w_f"] = np.zeros((4, 6))  # must be 3*d_model rows
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"w_f must have shape \(12, 6\), got \(4, 6\)"):
         DsspParams(top_t=2, **bad)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"top_t must lie in 1\.\.2\*\*53"):
         DsspParams(top_t=0, **p.to_arrays())
 
 
@@ -194,7 +195,7 @@ def test_apply_updates_and_copy():
     p.apply_updates({"w_share": g}, lr=0.5)
     assert np.allclose(p.w_share, q.w_share - 0.5)
     assert np.array_equal(q.w_share, DsspParams.init_random(3, seed=1).w_share)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="unknown parameter 'nope'"):
         p.apply_updates({"nope": g}, lr=0.1)
 
 
@@ -259,7 +260,7 @@ def test_select_invariant_under_logit_shift():
 
 def test_select_errors():
     """A stream whose width is not ``w_share``'s, or a taped stream, is refused."""
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="stream width does not match w_share"):
         shared_rows(np.ones((2, 3)), np.ones((4, 2)), np.eye(3), top_t=2)
     with pytest.raises(ContractViolationError, match="taped"):
         shared_rows(np.ones((2, 3)), Tensor(np.ones((4, 3)), GradTape()), np.eye(3), top_t=2)
@@ -329,10 +330,11 @@ def test_differential_attention_hand_subtraction():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="stream width does not match attention weights"):
         cross_attention(np.ones((2, 3)), np.ones((2, 4)),
                         np.eye(3), np.eye(3), np.eye(3))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="stream width does not match w_share"):
         shared_similarity(np.ones((2, 3)), np.ones((2, 3)), np.eye(4))
 
 

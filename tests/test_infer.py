@@ -292,11 +292,12 @@ def test_pruning_sweep_matches_the_taped_reference_on_random_hosts(seed):
 def test_input_validation(host):
     model, _ = host
     ref = taped_forward(model, [7, 8, 9])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="batched token rows must share one length"):
         infer(model, [[7, 8, 9], [7, 8]])                 # ragged batch
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="empty token sequence"):
         infer(model, [])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"resume state has shape \(2, 158\), expected \(3, 158\)"):
         infer(model, [7, 8, 9], resume=(2, ref.hidden[0][:2]))   # wrong state shape
     with pytest.raises(ContractViolationError, match="resume"):
         infer(model, [7, 8, 9], ForwardOptions(dssp_layer=1, dssp_hook=lambda t: t),

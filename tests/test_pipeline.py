@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from dualstream import cli, pipeline
-from dualstream.dataset import QARecord, make_question
+from dualstream.dataset import QARecord, Vocab, make_question
+from dualstream.detector import detect
 from dualstream.errors import ContractViolationError, write_jsonl
 from dualstream.filtering import PruningSweep, entropy_gate
 from dualstream.fixtures import (
@@ -22,7 +23,7 @@ from dualstream.fixtures import (
     fixture_dataset,
 )
 from dualstream.fusion import save_dssp_params
-from dualstream.model import fused_input, infer, logit_lens, save_model
+from dualstream.model import fused_input, generate_from, infer, logit_lens, save_model
 from dualstream.pipeline import (
     Bundle,
     PipelineTrace,
@@ -175,6 +176,22 @@ def test_bundle_without_vocab_needs_probe_queries(host, tmp_path, checkpoints):
     assert calibrate(loaded, probe_questions(layout.vocab)).offset_layer == OFFSET_LAYER
 
 
+def test_load_host_refuses_a_vocabulary_larger_than_the_host(host, tmp_path):
+    """A sidecar vocabulary must fit the host's ``vocab_size``; the refusal names the
+    sidecar and both sizes, and a vocabulary that fits loads."""
+    model, layout = host
+    mpath = str(tmp_path / "wide.bin")
+    save_model(model, mpath, dtype="f64",
+               meta=vocab_meta(Vocab(n_subjects=300, n_objects=4, n_junk=80)))
+    with pytest.raises(ContractViolationError, match=re.escape(
+            f"{mpath}.json: meta.vocab: vocabulary of 391 symbols exceeds the host's "
+            f"vocab_size of {model.config.vocab_size}")):
+        load_host(RunConfig(model_checkpoint=mpath))
+    assert layout.vocab.size == model.config.vocab_size
+    save_model(model, mpath, dtype="f64", meta=vocab_meta(Vocab(n_subjects=8)))
+    assert load_host(RunConfig(model_checkpoint=mpath))[1] == Vocab(n_subjects=8)
+
+
 def test_calibration_refuses_a_zero_baseline_entropy_at_load_time(config, host, monkeypatch):
     """A sweep with separable layers but a baseline entropy the filter gate cannot
     divide by is refused by ``calibrate``, so ``load_bundle`` fails before any record."""
@@ -267,6 +284,45 @@ def test_context_forward_stops_at_the_deepest_layer_read(records, config, bundle
         assert kwargs["stop"] == stop
         assert (len(out.hidden), len(out.attention), out.logits) == (stop, stop + 1, None)
     assert retrieved == (len(records) if forced else len(records) // 2)
+
+
+def test_a_flagged_verdict_takes_the_fused_block_only_at_a_layer_it_can_enter(
+        records, config, bundle, monkeypatch):
+    """Flagged at insertion layer 0, which the fused block cannot enter, a record decodes
+    with the block at the offset layer, as a forced run decodes it; flagged at
+    ``n_layers - 1``, at that layer.  Each context forward stops at max(key, offset,
+    hook layer)."""
+    model, cal = bundle.model, bundle.calibration
+    top = model.config.n_layers - 1
+    flagged_at = iter([0, top])
+
+    def flagging_detect(*args, **kwargs):
+        return dataclasses.replace(detect(*args, **kwargs), hallucination=True,
+                                   insertion_layer=next(flagged_at))
+
+    stops, hooked, decoded = [], [], []
+
+    def recording_infer(model, tokens, *args, **kwargs):
+        if "stop" in kwargs:
+            stops.append(kwargs["stop"])
+        elif args:
+            hooked.append(args[0].dssp_layer)
+        return infer(model, tokens, *args, **kwargs)
+
+    def recording_generate_from(model, prompt, first_logits, max_new_tokens, options=None):
+        decoded.append(options.dssp_layer)
+        return generate_from(model, prompt, first_logits, max_new_tokens, options)
+
+    forced = pipeline_run(records[0], dataclasses.replace(config, force_retrieval=True), bundle)
+    monkeypatch.setattr(pipeline, "detect", flagging_detect)
+    monkeypatch.setattr(pipeline, "infer", recording_infer)
+    monkeypatch.setattr(pipeline, "generate_from", recording_generate_from)
+    low, high = run_records(records[:2], config, bundle)
+    assert [t.verdict.insertion_layer for t in (low, high)] == [0, top]
+    assert stops == [max(cal.key_layer, cal.offset_layer), top]
+    assert hooked == decoded == [cal.offset_layer, top]
+    assert (low.answer, low.filter.to_json()) == (forced.answer, forced.filter.to_json())
+    assert high.filter is not None
 
 
 def test_variant_is_derived_when_absent(records, config, bundle):

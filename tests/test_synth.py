@@ -67,13 +67,14 @@ def test_zero_private_dims_share_one_subspace():
 
 
 def test_stream_validation():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"dimension budget exceeded: 4\+3\+3 > d_model 8"):
         synth_streams(8, 2, 2, (4, 3, 3), 0.1, seed=0)  # 10 > 8
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"token counts must lie in 1\.\.512"):
         synth_streams(8, 0, 2, (2, 2, 2), 0.1, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="noise_scale must be finite and >= 0"):
         synth_streams(8, 2, 2, (2, 2, 2), -0.1, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="subspace dims must be >= 0"):
         synth_streams(8, 2, 2, (-1, 2, 2), 0.1, seed=0)
 
 
@@ -102,7 +103,8 @@ def test_report_energies_sum_to_total():
 
 def test_report_dimension_mismatch():
     d = synth_streams(10, 3, 3, (2, 2, 2), 0.1, seed=0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match=r"matrix width \(2, 9\) does not match d_model 10"):
         decomposition_report(np.ones((2, 9)), d)
 
 
@@ -113,7 +115,7 @@ def test_suppression_trial_repeatable_and_study_counts():
     assert 0 <= study["suppressed"] <= 10
     assert len(study["trials"]) == 10
     assert study["fraction"] == study["suppressed"] / 10
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match=r"trials must lie in 1\.\.10000, got 0"):
         suppression_study(0)
 
 

@@ -86,25 +86,26 @@ def test_insertion_order_preserved_in_header():
 
 def test_truncated_header_rejected():
     raw = container_bytes(_sample_tensors(), dtype="f32")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="container truncated: missing header length"):
         ts.load_tensors(io.BytesIO(raw[:4]))
 
 
 def test_truncated_payload_rejected():
     raw = container_bytes(_sample_tensors(), dtype="f32")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError,
+                       match="tensor 'ln_gain' blob extends past end of file"):
         ts.load_tensors(io.BytesIO(raw[:-8]))
 
 
 def test_garbage_header_rejected():
     import struct
     bad = struct.pack("<Q", 4) + b"\xff\xfe\x00\x01"
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="container header is not valid JSON"):
         ts.load_tensors(io.BytesIO(bad))
 
 
 def test_bad_dtype_rejected():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="unknown container dtype 'f16'"):
         ts.save_tensors(io.BytesIO(), {"a": np.zeros((1, 1))}, dtype="f16")
 
 
