@@ -234,7 +234,6 @@ def _cmd_filter(args, config: RunConfig, out_dir: str) -> str:
     for i, evidence in read_evidence(model, records, vocab, stops):
         rows[i] = {"record_id": records[i].record_id,
                    **filter_profile(cal, evidence, config.lam).to_json()}
-        del evidence
     write_jsonl(os.path.join(out_dir, "filters.jsonl"), rows)
     return f"profiled {len(rows)} records at lambda {config.lam} -> {out_dir}/filters.jsonl"
 

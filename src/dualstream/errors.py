@@ -56,9 +56,9 @@ def json_value(kind, value):
     """``value`` read as the annotation ``kind``; a value of another type raises TypeError.
 
     A scalar, or a bare ``list`` or ``dict``, is checked, never coerced: a bool
-    is no number, and an int may stand for a float.  ``T | None``, ``list[T]``,
-    ``tuple[T, ...]`` (from a JSON array only) and ``dict[str, T]`` read their
-    items in turn, and a ``JsonRecord`` reads itself.
+    is no number, and an int may stand for a float.  ``T | None``, ``list[T]`` and
+    ``tuple[T, ...]`` (from a JSON array only) read their items in turn, and a
+    ``JsonRecord`` reads itself.
     """
     kind = _ALIASES.get(kind, kind)
     if kind in _JSON_TYPES:
@@ -72,8 +72,6 @@ def json_value(kind, value):
         if not isinstance(value, list):
             raise TypeError(f"expected a JSON array, got {type(value).__name__}")
         return origin(json_value(args[0], v) for v in value)
-    if origin is dict:
-        return {k: json_value(args[1], v) for k, v in json_value(dict, value).items()}
     return kind.from_json(value)
 
 
@@ -85,8 +83,6 @@ def json_of(kind, value):
         return None if value is None else json_of(args[0], value)
     if origin in (list, tuple):
         return [json_of(args[0], v) for v in value]
-    if origin is dict:
-        return {k: json_of(args[1], v) for k, v in value.items()}
     return value.to_json() if isinstance(value, JsonRecord) else kind(value)
 
 

@@ -254,7 +254,7 @@ class Evidence:
     """One record's question-plus-evidence context and its host trace."""
     tokens: list[int]
     span: tuple[int, int]      # where the evidence documents sit in ``tokens``
-    trace: ForwardTrace
+    trace: ForwardTrace | None
 
 
 def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
@@ -265,10 +265,13 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
     and the fused block reads.
 
     Refusals come at the call: every answer, context and evidence is checked before
-    any pass.  Contexts of one length and stop then run as one ``(B, n)`` ``infer``
-    per block, when the loop reaches it.  The iterator drops a block's trace before
-    the next block's pass, and the caller must drop its evidence at the end of each
-    turn, or that row view keeps the block's arrays alive through the next pass.
+    any pass.  The answer check is the first refusal of ``dualstream filter``,
+    ``train`` and ``grid-search``, so it stays here, although in ``run_records`` it
+    repeats ``question_pairs``' check for the records a window retrieves.
+    Contexts of one length and stop then run as one ``(B, n)`` ``infer`` per block,
+    when the loop reaches it.  An evidence's trace lasts its turn: the iterator sets
+    it to None when asked for the next row, so no block's trace is alive while the
+    next block runs.
     """
     if vocab is None and stops:
         raise ContractViolationError(
@@ -286,7 +289,9 @@ def read_evidence(model: TinyTransformer, records: list[QARecord], vocab: Vocab 
             trace = infer(model, [contexts[i] for i in block], stop=stops[block[0]])
             for row, i in enumerate(block):
                 span = (len(records[i].question) + 1, len(contexts[i]))
-                yield i, Evidence(contexts[i], span, trace.row(row))
+                evidence = Evidence(contexts[i], span, trace.row(row))
+                yield i, evidence
+                evidence.trace = None
             del trace
     return rows()
 
@@ -398,14 +403,13 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     stops = {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()}
     for i, evidence in read_evidence(model, records, vocab, stops):
         profile = filter_profile(cal, evidence, config.lam)
-        entering = evidence.trace.hidden[layers[i] - 1]
-        raw = fused_input(model, layers[i], entering[slice(*evidence.span)])
+        state = evidence.trace.hidden[layers[i] - 1].copy()
+        raw = fused_input(model, layers[i], state[slice(*evidence.span)])
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), profile.eq, profile.epsilon,
             profile.delta_entropy, rescale=config.rescale)
         fused[i] = _Fusion(profile, evidence.tokens,
-                           make_dssp_hook(filtered.tokens, bundle.params), entering.copy())
-        del evidence, entering
+                           make_dssp_hook(filtered.tokens, bundle.params), state)
     t2 = time.perf_counter()
 
     # the fused decode's first token; the layers below the hook are the context forward's
@@ -479,5 +483,4 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
                            evidence.trace.hidden[insertion_layer - 1][slice(*evidence.span)])
         examples[i] = TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
                                               evidence.trace, insertion_layer)
-        del evidence
     return examples

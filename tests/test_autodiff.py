@@ -369,6 +369,30 @@ def test_mixed_tapes_rejected():
         ad.add(a, b)
 
 
+_ONES = ad.Tensor(np.ones((2, 3)))
+# (call, the refusal it must raise)
+_REFUSALS = {
+    "as_matrix_3d": (lambda: ad.as_matrix(np.ones((1, 1, 1))),
+                     "expected at most 2 dimensions, got 3"),
+    "item_of_a_row": (lambda: _ONES.item(), r"item\(\) needs a \(1,1\) tensor, got \(2, 3\)"),
+    "add_shapes": (lambda: ad.add(_ONES, ad.Tensor(np.ones((3, 2)))),
+                   r"add shapes incompatible: \(2, 3\) vs \(3, 2\)"),
+    "layer_norm_gain": (lambda: ad.layer_norm(_ONES, ad.Tensor(np.ones(2)), ad.Tensor(np.ones(3))),
+                        r"layer_norm gain/bias must be \(1, d\) rows"),
+    "take_rows_empty": (lambda: ad.take_rows(_ONES, []),
+                        "take_rows needs a non-empty 1-d index list"),
+    "take_rows_past_the_end": (lambda: ad.take_rows(_ONES, [2]), "take_rows index out of range"),
+    "pick_past_the_end": (lambda: ad.pick(_ONES, 0, 3), r"pick index \(0,3\) outside \(2, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_a_kernel_refuses_operands_outside_its_contract(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(ContractViolationError, match=message):
+        call()
+
+
 def test_forward_backward_bit_deterministic():
     def run():
         tape = ad.GradTape()

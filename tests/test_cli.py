@@ -145,7 +145,7 @@ def test_filter_of_a_mixed_length_corpus_writes_record_order(setup, tmp_path):
     cal = calibrate(model, probe_questions(vocab))
     stop = max(cal.key_layer, cal.offset_layer)
     for record, row in zip(records, rows, strict=True):
-        [(_, evidence)] = pipeline.read_evidence(model, [record], vocab, {0: stop})
+        _, evidence = next(pipeline.read_evidence(model, [record], vocab, {0: stop}))
         alone = pipeline.filter_profile(cal, evidence, config.lam).to_json()
         assert row == json.loads(json.dumps({"record_id": record.record_id, **alone}))
 
@@ -541,6 +541,7 @@ _BAD_FUSION_TENSORS = {
                                   "sidecar_n_layers_oversize", "sidecar_config_extra_key",
                                   "sidecar_vocab_extra_key",
                                   "fusion_tensor_nan", "config_negative_seed",
+                                  "config_without_a_model_checkpoint",
                                   "config_path_with_a_line_break", "cli_negative_seed"])
 def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys, case):
     cfg, recs = setup
@@ -568,6 +569,10 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
     elif case == "config_negative_seed":
         bad.write_text(json.dumps({**doc, "seed": -1}))
         argv, named = ["detect", "--config", str(bad), "--fixture", "4"], "seed"
+    elif case == "config_without_a_model_checkpoint":  # it names the fusion checkpoint only
+        bad.write_text(json.dumps({k: v for k, v in doc.items() if k != "model_checkpoint"}))
+        argv = ["detect", "--config", str(bad), "--fixture", "4"]
+        named = "config names no model checkpoint"
     elif case == "config_path_with_a_line_break":  # the error quotes it on one line
         bad.write_text(json.dumps({**doc, "model_checkpoint": "no\nsuch\x1ehost.bin"}))
         argv = ["detect", "--config", str(bad), "--fixture", "4"]

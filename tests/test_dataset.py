@@ -60,6 +60,8 @@ def test_record_invariants():
         QARecord("r3", [2, 3, 7, 4], [80], [[7, 4]], noise_mask=[[True], [False]])
     with pytest.raises(ContractViolationError, match="question must be non-empty"):
         QARecord("r4", [], [80], [])
+    with pytest.raises(ContractViolationError, match="answer must be non-empty"):
+        QARecord("r5", [2, 3, 7, 4], [], [])
 
 
 def test_templates_match_variant_rule():

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from dualstream.divergence import (
     jsd,
+    jsd_rows,
     kl_divergence,
     semantic_entropy,
     shannon_entropy,
@@ -61,6 +62,16 @@ def test_kl_rejects_bad_mass():
 def test_kl_rejects_length_mismatch():
     with pytest.raises(ContractViolationError, match="kl_divergence needs equal-length vectors"):
         kl_divergence([1.0], [0.5, 0.5])
+
+
+def test_jsd_rejects_a_shape_mismatch():
+    with pytest.raises(ContractViolationError, match="jsd needs equal-length vectors"):
+        jsd([1.0], [0.5, 0.5])
+    with pytest.raises(ContractViolationError,
+                       match=r"jsd_rows needs equal \(L, V\) arrays: \(1, 2\), \(2, 2\)"):
+        jsd_rows(np.full((1, 2), 0.5), np.full((2, 2), 0.5))
+    with pytest.raises(ContractViolationError, match=r"jsd_rows needs equal \(L, V\) arrays"):
+        jsd_rows(np.full(2, 0.5), np.full(2, 0.5))
 
 
 def test_jsd_frozen_value():

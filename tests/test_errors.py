@@ -1,12 +1,15 @@
 """The JSON codec's edge cases, one row each: what it refuses, accepts and writes."""
 import json
 import re
+import types
+import typing
 
 import pytest
 
+from dualstream import errors
 from dualstream.dataset import QARecord, Vocab
 from dualstream.detector import DetectionVerdict
-from dualstream.errors import ContractViolationError, read_jsonl
+from dualstream.errors import ContractViolationError, JsonRecord, read_jsonl
 from dualstream.fusion import DsspParams
 from dualstream.model import ModelConfig
 from dualstream.pipeline import PipelineTrace, RunConfig
@@ -139,3 +142,35 @@ def test_jsonl_reader_names_the_file_and_the_physical_line(tmp_path):
     path.write_text(f"\n{json.dumps(_RECORD)}\n[1, 2\n")  # blank lines count too
     with pytest.raises(ContractViolationError, match=re.escape(f"{path} line 3 is not valid JSON")):
         read_jsonl(path, QARecord)
+
+
+def _codec_reads(kind) -> bool:
+    """Whether ``errors.json_value`` and ``errors.json_of`` read and write the annotation
+    ``kind``: a scalar, a bare ``list`` or ``dict``, the ``ndarray`` alias, ``T | None``,
+    ``list[T]``, ``tuple[T, ...]`` or a ``JsonRecord``."""
+    kind = errors._ALIASES.get(kind, kind)
+    if kind in errors._JSON_TYPES:
+        return True
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return len(args) == 2 and args[1] is type(None) and _codec_reads(args[0])
+    if origin is not None:
+        tuple_of_any_length = origin is tuple and args[1:] == (...,)
+        return (origin is list or tuple_of_any_length) and _codec_reads(args[0])
+    return isinstance(kind, type) and issubclass(kind, JsonRecord)
+
+
+def _subclasses(cls) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in [sub, *_subclasses(sub)]]
+
+
+def test_every_json_field_has_an_annotation_the_codec_reads():
+    """Each keyed field of every ``JsonRecord`` in ``src/`` (conftest imports them all):
+    a field the codec cannot read fails here, not in a traceback when a document loads."""
+    records = {c for c in _subclasses(JsonRecord) if c.__module__.startswith("dualstream.")}
+    assert {QARecord, Vocab, DetectionVerdict, PipelineTrace, RunConfig, ModelConfig} <= records
+    unread = [f"{cls.__name__}.{f.name}: {errors.field_types(cls)[f.name]}"
+              for cls in records for f in errors._json_fields(cls).values()
+              if not _codec_reads(errors.field_types(cls)[f.name])]
+    assert unread == []
+    assert not _codec_reads(dict[str, float]) and not _codec_reads(tuple[int, int])

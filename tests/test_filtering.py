@@ -125,6 +125,8 @@ def test_classify_layers_flat_sweep_rejected():
         classify_layers(PruningSweep(1.0, [0.3, 0.3, 0.3]))
     with pytest.raises(ContractViolationError, match="need at least two layers to classify"):
         classify_layers(PruningSweep(1.0, [0.3]))
+    with pytest.raises(ContractViolationError, match="sweep needs at least one layer"):
+        PruningSweep(1.0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,8 @@ def test_filter_profile_invariants():
         FilterProfile(2, 2, [0.0], [1.0], 0.0, 0.0)
     with pytest.raises(ContractViolationError, match="probability mass 1.2 not within 1e-9 of 1"):
         FilterProfile(1, 2, [0.0, 0.0], [0.9, 0.3], 0.0, 0.0)
+    with pytest.raises(ContractViolationError, match="epsilon must be >= 0"):
+        FilterProfile(1, 2, [0.0, 0.0], [0.5, 0.5], -0.1, -0.5)
     with pytest.raises(ContractViolationError,
                        match="epsilon must be zero when the gate is inactive"):
         FilterProfile(1, 2, [0.0, 0.0], [0.5, 0.5], 0.2, 0.0)  # gate off, eps on

@@ -197,6 +197,8 @@ def test_apply_updates_and_copy():
     assert np.array_equal(q.w_share, DsspParams.init_random(3, seed=1).w_share)
     with pytest.raises(ContractViolationError, match="unknown parameter 'nope'"):
         p.apply_updates({"nope": g}, lr=0.1)
+    with pytest.raises(ContractViolationError, match="gradient shape mismatch for w_share"):
+        p.apply_updates({"w_share": g[:1]}, lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +451,17 @@ def test_dssp_update_refuses_a_taped_stream():
             dssp_update(internal, external, params, params.leaves(tape))
     with pytest.raises(ContractViolationError, match="taped internal stream"):
         make_dssp_hook(y, params)(Tensor(x, tape))
+
+
+def test_dssp_update_refuses_a_missing_leaf_and_a_stream_of_another_width():
+    params = rand_params(4, seed=31)
+    leaves = params.leaves(GradTape())
+    del leaves["wq_s"]
+    with pytest.raises(ContractViolationError, match=r"leaves missing parameters: \['wq_s'\]"):
+        dssp_update(np.ones((5, 4)), np.ones((3, 4)), params, leaves)
+    with pytest.raises(ContractViolationError,
+                       match="stream width does not match the fusion parameters"):
+        dssp_update(np.ones((5, 4)), np.ones((3, 5)), params)
 
 
 def test_dssp_gradients_match_finite_differences():

@@ -296,6 +296,14 @@ def test_input_validation(host):
         infer(model, [[7, 8, 9], [7, 8]])                 # ragged batch
     with pytest.raises(ContractViolationError, match="empty token sequence"):
         infer(model, [])
+    with pytest.raises(ContractViolationError, match="empty token batch"):
+        infer(model, np.empty((0, 4), np.int64))
+    with pytest.raises(ContractViolationError,
+                       match=r"tokens must be \(n,\) or \(B, n\), got 3 dimensions"):
+        infer(model, np.full((1, 2, 3), 7))
+    for layer in (-1, 7):
+        with pytest.raises(ContractViolationError, match=f"resume layer {layer} outside 0..6"):
+            infer(model, [7, 8, 9], resume=(layer, ref.hidden[0]))
     with pytest.raises(ContractViolationError,
                        match=r"resume state has shape \(2, 158\), expected \(3, 158\)"):
         infer(model, [7, 8, 9], resume=(2, ref.hidden[0][:2]))   # wrong state shape

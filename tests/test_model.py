@@ -306,6 +306,8 @@ def test_generate_validation():
     with pytest.raises(ContractViolationError,
                        match="prompt plus max_new_tokens exceeds max_seq"):
         generate(m, list(range(10)), n_samples=1, temperature=0.0, seed=0, max_new_tokens=1)
+    with pytest.raises(ContractViolationError, match="max_new_tokens must be >= 1"):
+        generate_from(m, [1, 2], np.zeros(12), 0)
 
 
 def test_checkpoint_round_trip(tmp_path):

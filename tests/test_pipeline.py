@@ -513,6 +513,14 @@ def test_a_record_with_no_evidence_is_refused_by_name_before_any_context_forward
         assert calls == [False] * passes
 
 
+def test_the_host_loader_and_the_evidence_reader_refuse_what_they_lack(mixed, bundle):
+    with pytest.raises(ContractViolationError, match="config names no model checkpoint"):
+        pipeline.load_host(RunConfig())
+    with pytest.raises(ContractViolationError,
+                       match="retrieval path needs the checkpoint vocabulary to build context"):
+        make_train_examples(bundle.model, mixed, None, OFFSET_LAYER)
+
+
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
@@ -596,12 +604,13 @@ def test_no_more_than_one_window_of_fusion_states_is_alive(mixed, config, bundle
     assert alive() == 0
 
 
-@pytest.mark.parametrize("run", ["forced", "train_examples", "filter_command"])
+@pytest.mark.parametrize("run", ["forced", "train_examples", "filter_command", "kept"])
 def test_no_context_trace_is_alive_while_the_next_block_runs(mixed, config, bundle,
                                                              monkeypatch, tmp_path, run):
     """Counted at every context forward: the evidence loop has dropped the previous
     block's trace before the next block runs, and no trace outlives the run.  A
-    trace counts as alive while any array that holds its data is."""
+    trace counts as alive while any array that holds its data is.  ``kept`` keeps
+    every evidence the loop hands out: each one's trace has ended with its turn."""
     refs, seen = [], []
 
     def alive() -> int:
@@ -621,11 +630,15 @@ def test_no_context_trace_is_alive_while_the_next_block_runs(mixed, config, bund
         run_records(mixed, dataclasses.replace(config, force_retrieval=True), bundle)
     elif run == "train_examples":
         make_train_examples(bundle.model, mixed, bundle.vocab, OFFSET_LAYER)
-    else:
+    elif run == "filter_command":
         (tmp_path / "run.json").write_text(json.dumps(config.to_json()))
         write_jsonl(tmp_path / "mixed.jsonl", [r.to_json() for r in mixed])
         assert cli.main(["filter", "--config", str(tmp_path / "run.json"), "--records",
                          str(tmp_path / "mixed.jsonl"), "--out", str(tmp_path)]) == 0
+    else:
+        stops = dict.fromkeys(range(len(mixed)), OFFSET_LAYER)
+        kept = list(pipeline.read_evidence(bundle.model, mixed, bundle.vocab, stops))
+        assert all(evidence.trace is None for _, evidence in kept)
     assert len(seen) >= 3
     assert max(seen) == 0
     assert alive() == 0

@@ -107,6 +107,9 @@ def test_garbage_header_rejected():
 def test_bad_dtype_rejected():
     with pytest.raises(ContractViolationError, match="unknown container dtype 'f16'"):
         ts.save_tensors(io.BytesIO(), {"a": np.zeros((1, 1))}, dtype="f16")
+    entry = {"name": "w", "rows": 1, "cols": 1, "dtype": "f16", "byte_offset": 0}
+    with pytest.raises(ContractViolationError, match="tensor 'w' has unknown dtype 'f16'"):
+        ts.load_tensors(io.BytesIO(_container({"tensors": [entry]}, bytes(8))))
 
 
 def _container(header, payload: bytes) -> bytes:

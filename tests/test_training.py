@@ -441,6 +441,10 @@ def test_train_input_validation():
         train(model, params, [], Hyperparams(), insertion_layer=1)
     with pytest.raises(ContractViolationError, match=r"insertion layer 5 outside 1\.\.1"):
         train(model, params, dataset, Hyperparams(), insertion_layer=5)
+    short = dataclasses.replace(dataset[0], resume=(1, dataset[0].resume[1][:2]))
+    with pytest.raises(ContractViolationError,
+                       match=re.escape("resume state has shape (2, 4), expected (3, 4)")):
+        train(model, params, [short], Hyperparams(), insertion_layer=1)
     base = np.full(9, 1 / 9)
     resume = (1, np.zeros((1, 4)))
     with pytest.raises(ContractViolationError, match="example needs at least one token"):
