@@ -564,7 +564,8 @@ def generate_from(
     max_new_tokens: int = 1,
     options: ForwardOptions | None = None,
 ) -> list[int]:
-    """Greedy answer from the prompt's last-position logits, already computed.
+    """Greedy answer from the prompt's last-position logits, already computed and
+    shaped ``(vocab_size,)``.
 
     Each token is the argmax of its logits (the lowest index on ties); each
     token after the first re-runs the whole prefix through ``infer``.
@@ -574,6 +575,9 @@ def generate_from(
     seq = validate_tokens(model.config, prompt)
     if len(seq) + max_new_tokens > model.config.max_seq:
         raise ContractViolationError("prompt plus max_new_tokens exceeds max_seq")
+    if np.shape(first_logits) != (model.config.vocab_size,):
+        raise ContractViolationError(f"first_logits shaped {np.shape(first_logits)}, not the "
+                                     f"vocabulary's ({model.config.vocab_size},)")
     logits = first_logits
     for step in range(max_new_tokens):
         if step:

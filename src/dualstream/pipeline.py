@@ -26,6 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .autodiff import row_softmax
 from .dataset import QARecord, Vocab, make_question
 from .detector import (
     AGGREGATIONS,
@@ -302,6 +303,14 @@ def filter_profile(calibration: Calibration, evidence: Evidence, lam: float) -> 
                                   calibration.entropy_orig, calibration.entropy_offset, lam)
 
 
+def _fused_inputs(model: TinyTransformer, layer: int, evidence: Evidence,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The fused block's frozen inputs at ``layer``: a copy of the stream entering it,
+    from which the fused decode resumes, and ``fused_input`` of its evidence rows."""
+    state = evidence.trace.hidden[layer - 1].copy()
+    return state, fused_input(model, layer, state[slice(*evidence.span)])
+
+
 def question_pairs(model: TinyTransformer, records: list[QARecord], vocab: Vocab | None,
                    ) -> list[tuple[list[int], list[int]]]:
     """Each record's checked question and variant tokens, in list order; its answer
@@ -403,8 +412,7 @@ def _run_window(records: list[QARecord], pairs: list[tuple[list[int], list[int]]
     stops = {i: max(cal.key_layer, cal.offset_layer, h) for i, h in layers.items()}
     for i, evidence in read_evidence(model, records, vocab, stops):
         profile = filter_profile(cal, evidence, config.lam)
-        state = evidence.trace.hidden[layers[i] - 1].copy()
-        raw = fused_input(model, layers[i], state[slice(*evidence.span)])
+        state, raw = _fused_inputs(model, layers[i], evidence)
         filtered = filter_knowledge(
             KnowledgeStream(raw, "external"), profile.eq, profile.epsilon,
             profile.delta_entropy, rescale=config.rescale)
@@ -479,8 +487,8 @@ def make_train_examples(model: TinyTransformer, records, vocab: Vocab,
     records = list(records)
     examples: list = [None] * len(records)
     for i, evidence in read_evidence(model, records, vocab, dict.fromkeys(range(len(records)))):
-        dhat = fused_input(model, insertion_layer,
-                           evidence.trace.hidden[insertion_layer - 1][slice(*evidence.span)])
-        examples[i] = TrainExample.from_trace(evidence.tokens, int(records[i].answer[0]), dhat,
-                                              evidence.trace, insertion_layer)
+        state, dhat = _fused_inputs(model, insertion_layer, evidence)
+        examples[i] = TrainExample(evidence.tokens, int(records[i].answer[0]), dhat,
+                                   row_softmax(evidence.trace.logits[-1], 1.0),
+                                   (insertion_layer, state))
     return examples

@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
 from .errors import ContractViolationError, TrainingDivergedError, field_types, read_field
 from .fusion import PARAM_NAMES, DsspParams, dssp_update, save_dssp_params, shared_rows
-from .model import ForwardTrace, TinyTransformer, check_insertion_layer, fused_input, fused_logits
+from .model import TinyTransformer, check_insertion_layer, fused_input, fused_logits
 from .model import forward  # noqa: F401  -- kept bound here for the benchmark's tracer test
 
 Array = np.ndarray
@@ -86,17 +86,6 @@ class TrainExample:
             raise ContractViolationError("dhat must be a non-empty 2-d matrix")
         if self.base.ndim != 1:
             raise ContractViolationError("base must be a 1-d distribution")
-
-    @classmethod
-    def from_trace(cls, tokens: Sequence[int], answer_id: int, dhat: Array,
-                   trace: ForwardTrace, insertion_layer: int) -> "TrainExample":
-        """The example for ``insertion_layer``, its host fields read off ``trace``,
-        the host's full forward over ``tokens``; owns copies, not views of the trace."""
-        if trace.logits is None:
-            raise ContractViolationError("trace stopped before the logits; the example needs them")
-        check_insertion_layer(len(trace.hidden), insertion_layer)
-        return cls(tokens, answer_id, dhat, ad.row_softmax(trace.logits[-1], 1.0),
-                   (insertion_layer, trace.hidden[insertion_layer - 1].copy()))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 central finite differences."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,10 +241,11 @@ def test_backward_requires_scalar_seed():
     tape = ad.GradTape()
     theta = ad.Tensor(np.ones((2, 2)), tape)
     y = ad.mul(theta, theta)
-    with pytest.raises(ContractViolationError, match="scalar"):
+    scalar = re.escape("backward seed must be scalar, got (2, 2)")
+    with pytest.raises(ContractViolationError, match=scalar):
         ad.backward(tape, y)
     # the seed's shape is checked before the tape is
-    with pytest.raises(ContractViolationError, match="scalar"):
+    with pytest.raises(ContractViolationError, match=scalar):
         ad.backward(ad.GradTape(), y)
 
 

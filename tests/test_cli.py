@@ -299,9 +299,8 @@ def test_errors_exit_nonzero_with_single_parseable_line(setup, tmp_path, capsys)
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
     assert run_cli("pipeline", "--config", cfg, "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:ContractViolationError:")
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr().err == (
+        "error:ContractViolationError: provide --records or --fixture\n")
 
 
 def test_a_pipeline_over_no_records_writes_nothing_but_the_echoes(setup, tmp_path, capsys):
@@ -419,13 +418,15 @@ _BAD_HEADERS = {
     "entry_not_object": ({"tensors": [7]}, "entry"),
     "entry_without_rows": ({"tensors": [{k: v for k, v in _ENTRY.items() if k != "rows"}]},
                            "rows"),
-    "negative_byte_offset": ({"tensors": [{**_ENTRY, "byte_offset": -8}]}, "byte_offset"),
+    "negative_byte_offset": ({"tensors": [{**_ENTRY, "byte_offset": -8}]},
+                             "tensor 'tok_emb' field byte_offset must be >= 0"),
     "bool_rows": ({"tensors": [{**_ENTRY, "rows": True}]}, "rows"),
     "list_dtype": ({"tensors": [{**_ENTRY, "dtype": ["f64"]}]}, "dtype"),
-    "duplicate_names": ({"tensors": [_ENTRY, {**_ENTRY, "byte_offset": 8}]}, "duplicate"),
+    "duplicate_names": ({"tensors": [_ENTRY, {**_ENTRY, "byte_offset": 8}]},
+                        "duplicate tensor name 'tok_emb'"),
     "overlapping_byte_ranges": ({"tensors": [{**_ENTRY, "rows": 2},
                                              {**_ENTRY, "name": "pos_emb", "byte_offset": 8}]},
-                                "'tok_emb' and 'pos_emb'"),
+                                "tensors 'tok_emb' and 'pos_emb' share bytes"),
 }
 
 
@@ -463,17 +464,17 @@ _UNREADABLE_FILES = {
     "config_not_utf8": (_NOT_UTF8, _READ_CONFIG, "is not UTF-8 text"),
     "traces_not_utf8": (_NOT_UTF8, _READ_TRACES, "is not UTF-8 text"),
     "sidecar_not_utf8": (_NOT_UTF8, _READ_SIDECAR, "is not UTF-8 text"),
-    "config_truncated": (b'{"lam": ', _READ_CONFIG, "{file} is not valid JSON"),
+    "config_truncated": (b'{"lam": ', _READ_CONFIG, "{file} is not valid JSON: "),
     # RECORD stands for a valid record line, so only line 2 is at fault
     "records_truncated_on_line_2": (b'RECORD\n{"id": \n', _READ_RECORDS,
-                                    "{file} line 2 is not valid JSON"),
-    "traces_truncated": (b'{"record_id": ', _READ_TRACES, "{file} line 1 is not valid JSON"),
-    "sidecar_truncated": (b'{"config": {', _READ_SIDECAR, "{file} is not valid JSON"),
+                                    "{file} line 2 is not valid JSON: "),
+    "traces_truncated": (b'{"record_id": ', _READ_TRACES, "{file} line 1 is not valid JSON: "),
+    "sidecar_truncated": (b'{"config": {', _READ_SIDECAR, "{file} is not valid JSON: "),
     "config_5000_digit_integer": (b'{"seed": ' + _HUGE_INT + b"}", _READ_CONFIG,
-                                  "{file} is not valid JSON"),
+                                  "{file} is not valid JSON: "),
     "record_5000_digit_integer": (b'{"id": "r", "question": [' + _HUGE_INT + b"]}\n",
-                                  _READ_RECORDS, "{file} line 1 is not valid JSON"),
-    "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON"),
+                                  _READ_RECORDS, "{file} line 1 is not valid JSON: "),
+    "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON: "),
 }
 # record fields replaced (_ABSENT: dropped), and what the error names, {file} naming the file
 _ABSENT = object()
@@ -635,7 +636,7 @@ def test_malformed_inputs_exit_2_with_one_contract_line(setup, tmp_path, capsys,
             named = str(tmp_path / "bad.json")
         elif case == "sidecar_n_layers_oversize":
             sidecar["config"]["n_layers"] = 10**12
-            named = "n_layers"
+            named = "config n_layers x n_heads exceeds the"
         elif case == "sidecar_vocab_not_an_object":
             sidecar["meta"]["vocab"] = [40, 40]
             named = "vocab"

@@ -342,6 +342,8 @@ def test_filter_profile_invariants():
     with pytest.raises(ContractViolationError,
                        match="epsilon must be zero when the gate is inactive"):
         FilterProfile(1, 2, [0.0, 0.0], [0.5, 0.5], 0.2, 0.0)  # gate off, eps on
+    with pytest.raises(ContractViolationError, match="delta_a and eq lengths differ"):
+        FilterProfile(1, 2, [0.0], [0.5, 0.5], 0.0, 0.0)
 
 
 def test_compute_filter_profile_favours_key_attended_tokens():
@@ -372,5 +374,6 @@ def test_compute_filter_profile_refuses_an_entropy_pair_not_its_calibrations():
     trace = fake_trace([np.full((1, n, n), 1 / n)] * 2)
     cls = Calibration(key_layer=1, offset_layer=0, entropy_orig=1.0, entropy_offset=0.5)
     for pair in ((1.0, 0.25), (2.0, 0.5), (0.5, 1.0)):
-        with pytest.raises(ContractViolationError, match="calibration"):
+        with pytest.raises(ContractViolationError, match=re.escape(
+                f"entropy pair {pair} is not the calibration's (1.0, 0.5)")):
             compute_filter_profile(trace, cls, (1, 4), *pair)

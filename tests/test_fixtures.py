@@ -331,8 +331,9 @@ def test_training_reduces_composite_loss_on_fixture_records(host):
         toks = context_tokens(rec, v)
         trace = forward(model, toks)
         dhat = external_stream(model, trace, (len(rec.question) + 1, len(toks)))
-        examples.append(TrainExample.from_trace(toks, int(rec.answer[0]), dhat, trace,
-                                                OFFSET_LAYER))
+        examples.append(TrainExample(toks, int(rec.answer[0]), dhat,
+                                     ad.row_softmax(trace.logits[-1], 1.0),
+                                     (OFFSET_LAYER, trace.hidden[OFFSET_LAYER - 1].copy())))
     report = train(model, build_training_init(layout, seed=0), examples,
                    Hyperparams(epochs=3), insertion_layer=OFFSET_LAYER)
     means = report.epoch_mean_losses()

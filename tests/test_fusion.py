@@ -129,6 +129,14 @@ def test_params_checkpoint_missing_tensor(tmp_path):
         load_dssp_params(path)
 
 
+def test_params_checkpoint_fractional_top_t(tmp_path):
+    path = tmp_path / "broken.bin"
+    save_tensors(path, {**rand_params(3).to_arrays(), "top_t": np.array([[2.5]])})
+    with pytest.raises(ContractViolationError,
+                       match="fusion checkpoint top_t 2.5 is not an integer"):
+        load_dssp_params(path)
+
+
 def _narrowed(**widths) -> dict:
     """The arrays of a d_model 3, d_ff 4 block cut to a zero ``d_model`` (every axis of
     3 or 9) or a zero ``d_ff`` (every axis of 4)."""
@@ -449,7 +457,7 @@ def test_dssp_update_refuses_a_taped_stream():
     for internal, external in ((Tensor(x, tape), y), (x, Tensor(y, tape))):
         with pytest.raises(ContractViolationError, match="taped"):
             dssp_update(internal, external, params, params.leaves(tape))
-    with pytest.raises(ContractViolationError, match="taped internal stream"):
+    with pytest.raises(ContractViolationError, match="taped internal stream: fusion gives adjoints to its parameters only"):
         make_dssp_hook(y, params)(Tensor(x, tape))
 
 

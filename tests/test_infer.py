@@ -6,6 +6,7 @@ reproducible if it rounds exactly as the taped host does.  No BLAS or SIMD
 settings are pinned.
 """
 import os
+import re
 import signal
 import time
 import warnings
@@ -331,7 +332,9 @@ def test_stop_validation(host, case):
     if "hook" in given:
         opts = ForwardOptions(dssp_layer=given["hook"], dssp_hook=lambda t: t)
     resume = (given["resume"], ref.hidden[given["resume"] - 1]) if "resume" in given else None
-    with pytest.raises(ContractViolationError, match="stop"):
+    refused = ("hooked layer at or above the stop layer" if "hook" in given else
+               re.escape(f"stop layer {stop} outside {given.get('resume', 0)}..5"))
+    with pytest.raises(ContractViolationError, match=refused):
         infer(model, tokens, opts, resume, stop=stop)
 
 

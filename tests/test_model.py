@@ -301,13 +301,26 @@ def test_generate_validation():
     assert len(answer) == 4
     # decoding is greedy only: a request for sampling is refused, not ignored
     for n_samples, temperature in ((0, 0.0), (2, 0.0), (1, -1.0), (1, 0.5)):
-        with pytest.raises(ContractViolationError, match="greedy"):
+        with pytest.raises(ContractViolationError,
+                           match="decoding is greedy: n_samples must be 1, temperature 0"):
             generate(m, [1], n_samples=n_samples, temperature=temperature, seed=0)
     with pytest.raises(ContractViolationError,
                        match="prompt plus max_new_tokens exceeds max_seq"):
         generate(m, list(range(10)), n_samples=1, temperature=0.0, seed=0, max_new_tokens=1)
     with pytest.raises(ContractViolationError, match="max_new_tokens must be >= 1"):
         generate_from(m, [1, 2], np.zeros(12), 0)
+
+
+@pytest.mark.parametrize("max_new_tokens", [1, 2])
+@pytest.mark.parametrize("shape", [(), (11,), (13,), (300,), (1, 12), (2, 12), (12, 1)])
+def test_generate_from_refuses_first_logits_not_shaped_like_the_vocabulary(shape,
+                                                                          max_new_tokens):
+    """Logits of another shape are refused naming both shapes, never read as a token
+    outside the vocabulary or as the argmax of a flattened batch."""
+    m = random_host(small_config())
+    with pytest.raises(ContractViolationError,
+                       match=re.escape(f"first_logits shaped {shape}, not the vocabulary's (12,)")):
+        generate_from(m, [1, 2], np.arange(float(np.prod(shape))).reshape(shape), max_new_tokens)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -514,6 +514,8 @@ def test_a_record_with_no_evidence_is_refused_by_name_before_any_context_forward
 
 
 def test_the_host_loader_and_the_evidence_reader_refuse_what_they_lack(mixed, bundle):
+    with pytest.raises(ContractViolationError, match="config names no checkpoint pair to load"):
+        load_bundle(RunConfig())
     with pytest.raises(ContractViolationError, match="config names no model checkpoint"):
         pipeline.load_host(RunConfig())
     with pytest.raises(ContractViolationError,

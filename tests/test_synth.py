@@ -70,6 +70,10 @@ def test_stream_validation():
     with pytest.raises(ContractViolationError,
                        match=r"dimension budget exceeded: 4\+3\+3 > d_model 8"):
         synth_streams(8, 2, 2, (4, 3, 3), 0.1, seed=0)  # 10 > 8
+    for d_model in (0, 513):
+        with pytest.raises(ContractViolationError,
+                           match=rf"d_model must lie in 1\.\.512, got {d_model}"):
+            synth_streams(d_model, 2, 2, (2, 2, 2), 0.1, seed=0)
     with pytest.raises(ContractViolationError, match=r"token counts must lie in 1\.\.512"):
         synth_streams(8, 0, 2, (2, 2, 2), 0.1, seed=0)
     with pytest.raises(ContractViolationError, match="noise_scale must be finite and >= 0"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import struct
 import tracemalloc
 
@@ -110,6 +111,19 @@ def test_bad_dtype_rejected():
     entry = {"name": "w", "rows": 1, "cols": 1, "dtype": "f16", "byte_offset": 0}
     with pytest.raises(ContractViolationError, match="tensor 'w' has unknown dtype 'f16'"):
         ts.load_tensors(io.BytesIO(_container({"tensors": [entry]}, bytes(8))))
+
+
+def test_expect_tensors_names_what_is_missing_unexpected_or_misshapen():
+    good = {"a": np.zeros((1, 2)), "b": np.ones((2, 2))}
+    shapes = {"a": (1, 2), "b": (2, 2)}
+    ts.expect_tensors(good, shapes, "host checkpoint")
+    with pytest.raises(ContractViolationError,
+                       match=re.escape("host checkpoint tensors missing ['b'], unexpected ['c']")):
+        ts.expect_tensors({"a": good["a"], "c": good["b"]}, shapes, "host checkpoint")
+    for bad in (np.ones((2, 1)), np.full((2, 2), np.nan)):
+        with pytest.raises(ContractViolationError, match=re.escape(
+                "host checkpoint tensor 'b' is not a finite (2, 2) matrix")):
+            ts.expect_tensors({**good, "b": bad}, shapes, "host checkpoint")
 
 
 def _container(header, payload: bytes) -> bytes:

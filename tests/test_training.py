@@ -94,11 +94,12 @@ def small_setup(seed=1, d_model=4):
     model = random_host(cfg)
     params = DsspParams.init_random(d_model, d_ff=6, top_t=2, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
-    dataset = [
-        TrainExample.from_trace(tokens, answer, rng.normal(size=(len(tokens), d_model)),
-                                infer(model, list(tokens)), 1)
-        for tokens, answer in (((1, 2, 3), 5), ((4, 5), 2), ((6, 7, 8, 1), 7))
-    ]
+    dataset = []
+    for tokens, answer in (((1, 2, 3), 5), ((4, 5), 2), ((6, 7, 8, 1), 7)):
+        trace = infer(model, list(tokens))
+        dataset.append(TrainExample(tokens, answer, rng.normal(size=(len(tokens), d_model)),
+                                    ad.row_softmax(trace.logits[-1], 1.0),
+                                    (1, trace.hidden[0].copy())))
     return model, params, dataset
 
 
@@ -441,6 +442,10 @@ def test_train_input_validation():
         train(model, params, [], Hyperparams(), insertion_layer=1)
     with pytest.raises(ContractViolationError, match=r"insertion layer 5 outside 1\.\.1"):
         train(model, params, dataset, Hyperparams(), insertion_layer=5)
+    with pytest.raises(ContractViolationError,
+                       match="example resumes at layer 2, not the insertion layer 1"):
+        train(model, params, [dataclasses.replace(dataset[0], resume=(2, dataset[0].resume[1]))],
+              Hyperparams(), insertion_layer=1)
     short = dataclasses.replace(dataset[0], resume=(1, dataset[0].resume[1][:2]))
     with pytest.raises(ContractViolationError,
                        match=re.escape("resume state has shape (2, 4), expected (3, 4)")):
@@ -469,36 +474,18 @@ def test_train_rejects_insertion_at_layer_0():
 
 
 @pytest.mark.parametrize("layer", [0, 2, 3])
-def test_from_trace_rejects_an_insertion_layer_outside_the_trace(layer):
-    """Layer 2 is the two-layer host's depth: ``train`` refuses it, so ``from_trace``
-    does too, rather than build an example no run can use."""
-    model, _, dataset = small_setup()
-    ex = dataset[0]
-    with pytest.raises(ContractViolationError, match=rf"insertion layer {layer} outside 1\.\.1"):
-        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat,
-                                infer(model, list(ex.tokens)), layer)
-
-
-@pytest.mark.parametrize("layer", [0, 2, 3])
-def test_train_from_trace_and_fused_input_refuse_a_layer_with_one_message(layer):
+def test_train_make_train_examples_and_fused_input_refuse_a_layer_with_one_message(layer):
+    """Layer 2 is the two-layer host's depth: ``train`` refuses it, and so do
+    ``make_train_examples`` and ``fused_input``, rather than build an input no run
+    can use."""
     model, params, dataset = small_setup()
-    ex = dataset[0]
-    trace = infer(model, list(ex.tokens))
     refused = re.escape(f"insertion layer {layer} outside 1..1")
     with pytest.raises(ContractViolationError, match=refused):
         train(model, params, dataset, Hyperparams(epochs=1), insertion_layer=layer)
     with pytest.raises(ContractViolationError, match=refused):
-        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat, trace, layer)
+        make_train_examples(model, [], None, layer)
     with pytest.raises(ContractViolationError, match=refused):
-        fused_input(model, layer, trace.hidden[0])
-
-
-def test_from_trace_rejects_a_stopped_trace():
-    model, _, dataset = small_setup()
-    ex = dataset[0]
-    with pytest.raises(ContractViolationError, match="logits"):
-        TrainExample.from_trace(ex.tokens, ex.answer_id, ex.dhat,
-                                infer(model, list(ex.tokens), stop=1), 1)
+        fused_input(model, layer, dataset[0].resume[1])
 
 
 # ---------------------------------------------------------------------------
