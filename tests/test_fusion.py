@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,7 +351,8 @@ def test_dimension_mismatch_raises():
 
 @pytest.mark.parametrize("d_k", [0, -1, float("nan"), 2.5])
 def test_shared_similarity_refuses_a_d_k_that_is_not_an_integer_of_at_least_1(d_k):
-    with pytest.raises(ContractViolationError, match="d_k"):
+    with pytest.raises(ContractViolationError,
+                       match=re.escape(f"attention d_k must be an integer >= 1, got {d_k!r}")):
         shared_similarity(np.ones((2, 3)), np.ones((2, 3)), np.eye(3), d_k=d_k)
 
 
@@ -457,7 +459,8 @@ def test_dssp_update_refuses_a_taped_stream():
     for internal, external in ((Tensor(x, tape), y), (x, Tensor(y, tape))):
         with pytest.raises(ContractViolationError, match="taped"):
             dssp_update(internal, external, params, params.leaves(tape))
-    with pytest.raises(ContractViolationError, match="taped internal stream: fusion gives adjoints to its parameters only"):
+    with pytest.raises(ContractViolationError,
+                       match="taped internal stream: fusion gives adjoints to its parameters only"):
         make_dssp_hook(y, params)(Tensor(x, tape))
 
 

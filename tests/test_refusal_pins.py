@@ -11,12 +11,17 @@ is not a docstring: the ``match=`` patterns, the CLI ``error:`` lines and the
 tables that feed both.  A regex escape in it reads as the character it escapes.
 
 The rule: a test text pins a message when it holds the whole message, each
-field of either standing for any text, or when it holds a run of at least two
-consecutive words of one literal part of the message that no other refusal's
-message has.  One word is too weak to name a refusal (``greedy`` is in no other
-message, yet says nothing of ``n_samples must be 1, temperature 0``), and
-asking for the longest literal part misses fragments that name one refusal
-alone (``shaped like its input``).  So rewording a refusal's words unpins it.
+field of either standing for any text, or when the message holds the text: the
+text's words, punctuation aside, are words of the message in order, with two
+consecutive words of the text on two consecutive words of the message that no
+other refusal's message has.  Each field of the text, and each piece of regex
+syntax or format placeholder in it, stands for any words of the message; each
+field of the message stands for a value, at most two words of the text (``_fits``
+says how).  One word is too weak to name a refusal (``greedy`` is in no other
+message, yet says nothing of ``n_samples must be 1, temperature 0``), and asking
+for the longest literal part misses fragments that name one refusal alone
+(``shaped like its input``).  So a text no longer pins a refusal once a word of
+the refusal that the text holds is reworded.
 A message with no word of its own, ``read_record``'s ``{where}: {exc}``,
 carries the text of the error it wraps, which is pinned where that is raised.
 """
@@ -35,8 +40,9 @@ TEST_FILES = [*sorted(set((ROOT / "tests").glob("*.py")) - {pathlib.Path(__file_
 REFUSALS = {"ContractViolationError", "LayerStructureError", "VariantRuleError",
             "TrainingDivergedError"}
 WORD = re.compile(r"\w+")
-# where a regex stops being literal text: a wildcard, an alternation or a class
-_REGEX_BREAK = re.compile(r"(?<!\\)(?:\.[*+]\??|\||\[[^\]]*\]|\\[dwsbDWSB][*+?]?)")
+# where a test text stops being literal: a regex wildcard, alternation or class, or a
+# format placeholder
+_CUT = re.compile(r"(?<!\\)(?:\.[*+]\??|\||\[[^\]]*\]|\\[dwsbDWSB][*+?]?)|\{[^{}]*\}")
 # the messages with no word of their own, shown as ``file: message``
 _WORDLESS = ["errors.py: {}: {}"]
 
@@ -117,20 +123,51 @@ def _show(parts) -> str:
     return "".join("{}" if part is None else part for part in parts)
 
 
-def _words(parts) -> list[list[str]]:
-    """The words of each literal part, less a word a field runs into."""
-    found = []
+def _tokens(parts, cut: re.Pattern | None = None) -> tuple:
+    """A message or a test text as its words and cuts (None): each field, and each
+    match of ``cut``, is a cut; a word a cut runs into is read as part of it, and an
+    escape as the character it escapes."""
+    tokens = []
     for i, part in enumerate(parts):
-        if part is not None:
-            last = len(part) if i + 1 < len(parts) else None
-            found.append([m.group() for m in WORD.finditer(part)
-                          if not (m.start() == 0 < i or m.end() == last)])
-    return [words for words in found if words]
+        if part is None:
+            tokens.append(None)
+            continue
+        spans = cut.finditer(part) if cut else ()
+        bounds = [0, *(end for m in spans for end in m.span()), len(part)]
+        for a, b in zip(bounds[::2], bounds[1::2]):
+            piece = re.sub(r"\\(\W)", r"\1", part[a:b])
+            head, tail = a > 0 or i > 0, b < len(part) or i + 1 < len(parts)
+            tokens += [None] * (a > 0) + [
+                None if head and m.start() == 0 or tail and m.end() == len(piece) else m.group()
+                for m in WORD.finditer(piece)]
+    return tuple(tokens)
 
 
-def _runs(words: list[str]) -> list[str]:
-    """Every run of two or more consecutive ``words``."""
-    return [" ".join(words[a:b]) for a in range(len(words)) for b in range(a + 2, len(words) + 1)]
+def _fits(words, tokens, piece: str = "placed") -> bool:
+    """Whether the words and cuts ``words`` of a test text begin some text of the
+    message ``tokens``.  A cut of the text stands for any words of the message.  A
+    field of the message stands for at most two words of the text before its next
+    cut, about the most a value spells (``'tok_emb'``, ``2.5``, ``(2, 12)``), and each
+    piece of the text between two cuts that has words sets one on a word of the
+    message: ``piece`` says whether the current piece is ``fresh``, ``bare`` (its
+    words so far in a field) or ``placed``."""
+    if not words or words[0] is None:
+        return piece != "bare" and (not words or any(
+            _fits(words[1:], tokens[k:], "fresh") for k in range(len(tokens) + 1)))
+    if not tokens:
+        return False
+    if tokens[0] is None:
+        end = min(2, words.index(None) if None in words else len(words))
+        return any(_fits(words[k:], tokens[1:], "bare" if k and piece == "fresh" else piece)
+                   for k in range(end + 1))
+    return words[0] == tokens[0] and _fits(words[1:], tokens[1:])
+
+
+def _holds(tokens, text, q: int) -> bool:
+    """Whether some text of the message ``tokens`` holds the test ``text`` with its
+    words ``q`` and ``q + 1`` on two consecutive words of the message's own."""
+    return any(tokens[s:s + 2] == text[q:q + 2] and _fits(text[q:], tokens[s:])
+               and _fits(text[:q][::-1], tokens[:s][::-1]) for s in range(len(tokens) - 1))
 
 
 def unpinned(sites, texts) -> list[str]:
@@ -138,19 +175,21 @@ def unpinned(sites, texts) -> list[str]:
     # each text whole, an escape read as the character it escapes and a field as NUL
     whole = "\n".join("".join("\0" if part is None else re.sub(r"\\(\W)", r"\1", part)
                               for part in text) for text in texts)
-    # the texts' word runs, cut at their fields and regex syntax, one per line
-    spoken = "\n".join(f" {' '.join(WORD.findall(piece))} " for text in texts
-                       for part in text if part is not None for piece in _REGEX_BREAK.split(part))
-    runs = [[run for words in _words(parts) for run in _runs(words)] for _, parts in sites]
-    owners = defaultdict(set)
-    for k, site_runs in enumerate(runs):
-        for run in site_runs:
-            owners[run].add(k)
+    tokens = [_tokens(parts) for _, parts in sites]
+    sites_of = defaultdict(set)
+    for k, site_tokens in enumerate(tokens):
+        for pair in zip(site_tokens, site_tokens[1:]):
+            if None not in pair:
+                sites_of[pair].add(k)
+    pinned = set()
+    for text in {_tokens(text, _CUT) for text in texts}:
+        for q, pair in enumerate(zip(text, text[1:])):
+            if len(sites_of[pair]) == 1 and _holds(tokens[min(sites_of[pair])], text, q):
+                pinned |= sites_of[pair]
     found = []
     for k, (where, parts) in enumerate(sites):
         pattern = "".join(".*?" if part is None else re.escape(part) for part in parts)
-        if not (re.search(pattern, whole)
-                or any(owners[run] == {k} and f" {run} " in spoken for run in runs[k])):
+        if k not in pinned and not re.search(pattern, whole):
             found.append(f"{where}: {_show(parts)}")
     return found
 
@@ -165,11 +204,11 @@ def test_the_scan_finds_every_refusal_type():
 
 def test_only_read_record_wraps_a_message_with_no_word_of_its_own():
     assert [f"{where.split(':')[0]}: {_show(parts)}" for where, parts in refusals()
-            if not _words(parts)] == _WORDLESS
+            if not any(_tokens(parts))] == _WORDLESS
 
 
 def test_every_refusal_is_pinned_by_its_message():
-    sites = [(where, parts) for where, parts in refusals() if _words(parts)]
+    sites = [(where, parts) for where, parts in refusals() if any(_tokens(parts))]
     assert unpinned(sites, _texts()) == []
 
 
@@ -184,6 +223,8 @@ _SITES = [("a.py:1", ["duplicate tensor name ", None]),
     ([["duplicate"]], []),                                    # one word names nothing
     ([["duplicate tensor name 'x'"]], ["a.py:1"]),            # the whole message
     ([["tensor name"]], ["a.py:1"]),                          # two words no other has
+    ([["repeated tensor name 'x'"]], []),                     # a word the message lacks
+    ([["repeated ", None, " tensor name"]], []),              # so every piece must fit
     ([["shaped like its input"]], ["a.py:2"]),
     ([["must be >= 1"]], []),                                 # shared by two refusals
     ([["epochs must be >= 1"], ["seed must be"]], ["a.py:3", "a.py:4"]),

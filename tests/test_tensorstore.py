@@ -151,6 +151,62 @@ def test_fuzzed_header_loads_or_raises_contract_violation(header, payload):
         assert isinstance(name, str) and arr.ndim == 2
 
 
+def _typed_entry(payload_size: int):
+    """A well-typed entry, its byte offset inside the payload, so the fuzz reaches the
+    loader's checks past the field types."""
+    return st.fixed_dictionaries({
+        "name": st.sampled_from(["a", "b", "c"]), "rows": st.integers(0, 2),
+        "cols": st.integers(0, 2), "dtype": st.sampled_from(["f32", "f64", "f32", "f64", "f16"]),
+        "byte_offset": st.integers(0, payload_size)})
+
+
+_ITEMSIZE = {"f32": 4, "f64": 8}
+
+
+def _oracle(entries, payload: bytes):
+    """What a header of well-typed ``entries`` over ``payload`` loads to: the pattern of
+    the refusal it earns, in the loader's check order (per entry a duplicate name, an
+    unknown dtype, a blob past the end; then two blobs sharing a byte), or the arrays."""
+    for i, e in enumerate(entries):
+        name = repr(e["name"])
+        if e["name"] in [f["name"] for f in entries[:i]]:
+            return re.escape(f"duplicate tensor name {name}")
+        if e["dtype"] not in _ITEMSIZE:
+            return re.escape(f"tensor {name} has unknown dtype {e['dtype']!r}")
+        if e["byte_offset"] + e["rows"] * e["cols"] * _ITEMSIZE[e["dtype"]] > len(payload):
+            return re.escape(f"tensor {name} blob extends past end of file")
+    owners = [set() for _ in payload]
+    for e in entries:
+        size = e["rows"] * e["cols"] * _ITEMSIZE[e["dtype"]]
+        for byte in range(e["byte_offset"], e["byte_offset"] + size):
+            owners[byte].add(e["name"])
+    if any(len(names) > 1 for names in owners):
+        return "tensors '[abc]' and '[abc]' share bytes"
+    return {e["name"]: np.frombuffer(payload, "<f4" if e["dtype"] == "f32" else "<f8",
+                                     e["rows"] * e["cols"], e["byte_offset"]
+                                     ).reshape(e["rows"], e["cols"]) for e in entries}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_well_typed_header_loads_as_an_independent_oracle_says(data):
+    payload = data.draw(st.binary(min_size=8, max_size=64))
+    entry = _typed_entry(len(payload))
+    entries = data.draw(st.lists(entry, max_size=3, unique_by=lambda e: e["name"])
+                        | st.lists(entry, max_size=3))
+    want = _oracle(entries, payload)
+    container = io.BytesIO(_container({"tensors": entries}, payload))
+    if isinstance(want, str):
+        with pytest.raises(ContractViolationError, match=want):
+            ts.load_tensors(container)
+        return
+    got = ts.load_tensors(container)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype
+        assert np.array_equal(got[name], arr, equal_nan=True)
+
+
 @pytest.mark.parametrize("header, where", [
     ({"tensors": [], "version": 1}, "container header: field 'version'"),
     ({"tensors": [{"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "byte_offset": 0,

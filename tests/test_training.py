@@ -474,7 +474,7 @@ def test_train_rejects_insertion_at_layer_0():
 
 
 @pytest.mark.parametrize("layer", [0, 2, 3])
-def test_train_make_train_examples_and_fused_input_refuse_a_layer_with_one_message(layer):
+def test_train_from_trace_and_fused_input_refuse_a_layer_with_one_message(layer):
     """Layer 2 is the two-layer host's depth: ``train`` refuses it, and so do
     ``make_train_examples`` and ``fused_input``, rather than build an input no run
     can use."""
