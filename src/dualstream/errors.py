@@ -191,9 +191,14 @@ def read_text(path) -> str:
             raise ContractViolationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _not_a_number(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def _parse_json(text: str, where: str):
+    """``text`` parsed as standard JSON: ``NaN`` and ``Infinity`` are refused too."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_a_number)
     except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or a huge integer
         raise ContractViolationError(f"{where} is not valid JSON: {exc}") from exc
 

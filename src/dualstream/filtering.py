@@ -24,7 +24,6 @@ from .model import ForwardTrace, TinyTransformer, blocks, embed, infer
 
 Array = np.ndarray
 
-# entropy must drop by more than this (in bits) before filtering activates
 ENTROPY_DROP_THRESHOLD = -0.1
 RESCALE_MODES = ("none", "seq_len")
 DEFAULT_LAMBDA = 1.0
@@ -134,18 +133,27 @@ def energy_quotient(delta_a: Sequence[float], lam: float = DEFAULT_LAMBDA) -> Ar
     return row_softmax(da, -lam)
 
 
+def gate_fires(delta_entropy: float) -> bool:
+    """Whether the filter reweights the evidence: removing the offset layer must lower
+    the entropy by more than ``-ENTROPY_DROP_THRESHOLD`` bits.  The one statement of
+    the gate; a non-finite change decides nothing and is refused."""
+    if not math.isfinite(delta_entropy):
+        raise ContractViolationError(f"entropy change {delta_entropy} is not finite")
+    return delta_entropy < ENTROPY_DROP_THRESHOLD
+
+
 def entropy_gate(entropy_orig: float, entropy_offset: float) -> tuple[float, float]:
     """Weighting coefficient from the entropy drop caused by removing the offset layer.
 
     Returns (epsilon, delta): delta = entropy_offset - entropy_orig;
-    epsilon = ln(1 - delta/entropy_orig) when delta < -0.1, else 0.
+    epsilon = ln(1 - delta/entropy_orig) when ``gate_fires(delta)``, else 0.
     """
     if not math.isfinite(entropy_orig) or entropy_orig <= 0:
         raise ContractViolationError("baseline entropy must be finite and > 0")
     if not math.isfinite(entropy_offset):
         raise ContractViolationError("offset entropy must be finite")
     delta = entropy_offset - entropy_orig
-    if delta < ENTROPY_DROP_THRESHOLD:
+    if gate_fires(delta):
         return math.log1p(-delta / entropy_orig), delta
     return 0.0, delta
 
@@ -170,7 +178,7 @@ class FilterProfile(JsonRecord):
         validate_prob_vector(self.eq)
         if self.epsilon < 0:
             raise ContractViolationError("epsilon must be >= 0")
-        if self.delta_entropy >= ENTROPY_DROP_THRESHOLD and self.epsilon != 0.0:
+        if not gate_fires(self.delta_entropy) and self.epsilon != 0.0:
             raise ContractViolationError("epsilon must be zero when the gate is inactive")
 
 
@@ -200,7 +208,7 @@ def filter_knowledge(stream: KnowledgeStream, eq: Sequence[float], epsilon: floa
                      delta_entropy: float, rescale: str = "none") -> KnowledgeStream:
     """Reweight external token rows by epsilon * eq (* token count for seq_len mode).
 
-    When the entropy gate never activated (delta_entropy >= -0.1) the stream
+    When the gate did not fire (``gate_fires(delta_entropy)`` is false) the stream
     passes through bit-exact.
     """
     if rescale not in RESCALE_MODES:
@@ -212,7 +220,7 @@ def filter_knowledge(stream: KnowledgeStream, eq: Sequence[float], epsilon: floa
     validate_prob_vector(weights)
     if epsilon < 0:
         raise ContractViolationError("epsilon must be >= 0")
-    if delta_entropy >= ENTROPY_DROP_THRESHOLD:
+    if not gate_fires(delta_entropy):
         return KnowledgeStream(stream.tokens.copy(), stream.origin)
     factor = 1.0 if rescale == "none" else float(stream.seq_len)
     scaled = stream.tokens * (epsilon * factor * weights)[:, None]

@@ -475,6 +475,16 @@ _UNREADABLE_FILES = {
     "record_5000_digit_integer": (b'{"id": "r", "question": [' + _HUGE_INT + b"]}\n",
                                   _READ_RECORDS, "{file} line 1 is not valid JSON: "),
     "config_nested_too_deep": (b"[" * 100_000, _READ_CONFIG, "{file} is not valid JSON: "),
+    # the constants Python's json reads beyond the standard, in a trace line for eval, a
+    # config field and a record token
+    "traces_statistic_nan": (
+        json.dumps({**_TRACE, "verdict": {**_VERDICT, "statistic": np.nan}}).encode(),
+        _READ_TRACES, "{file} line 1 is not valid JSON: NaN is not a JSON number"),
+    "config_lam_nan": (b'{"lam": NaN}', _READ_CONFIG,
+                       "{file} is not valid JSON: NaN is not a JSON number"),
+    "record_token_minus_infinity": (b'{"id": "r", "question": [-Infinity]}\n', _READ_RECORDS,
+                                    "{file} line 1 is not valid JSON: -Infinity is not a JSON "
+                                    "number"),
 }
 # record fields replaced (_ABSENT: dropped), and what the error names, {file} naming the file
 _ABSENT = object()

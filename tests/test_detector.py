@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dualstream.detector import (
+    AGGREGATIONS,
     DetectionVerdict,
     DivergenceProfile,
     default_tail_k,
@@ -105,6 +106,16 @@ def test_monotonicity_raising_a_layer_never_clears_a_positive():
         bumped[i] = min(1.0, bumped[i] + rng.uniform(0.0, 1.0 - bumped[i]))
         again = detect(DivergenceProfile(bumped), delta=1.2)
         assert again.hallucination
+
+
+@pytest.mark.parametrize("aggregation", AGGREGATIONS)
+def test_a_statistic_equal_to_delta_does_not_flag(aggregation):
+    """The paper's rule flags a statistic above delta: tail_sum(1) and max of this
+    profile are exactly 1.0, and 0.5 is above the float just below it."""
+    verdict = detect(DivergenceProfile([0.0, 0.0, 0.0, 1.0]), 1.0, aggregation)
+    assert verdict.statistic == 1.0 and verdict.hallucination is False
+    below = float(np.nextafter(0.5, 0.0))
+    assert detect(DivergenceProfile([0.0, 0.0, 0.0, 0.5]), below, aggregation).hallucination
 
 
 def test_insertion_layer_argmax_with_lowest_tie():

@@ -9,7 +9,6 @@ import pytest
 from dualstream import filtering
 from dualstream.errors import ContractViolationError, LayerStructureError
 from dualstream.filtering import (
-    ENTROPY_DROP_THRESHOLD,
     Calibration,
     FilterProfile,
     PruningSweep,
@@ -19,6 +18,7 @@ from dualstream.filtering import (
     energy_quotient,
     entropy_gate,
     filter_knowledge,
+    gate_fires,
     pruning_sweep,
 )
 from dualstream.fusion import KnowledgeStream
@@ -229,9 +229,34 @@ def test_energy_quotient_errors():
 # ---------------------------------------------------------------------------
 
 def test_entropy_gate_boundary_is_inactive():
-    eps, delta = entropy_gate(1.0, 0.9)
-    assert delta == pytest.approx(-0.1)
+    eps, delta = entropy_gate(0.1, 0.0)
+    assert delta == -0.1
     assert eps == 0.0
+
+
+# (entropy_orig, entropy_offset) with entropy_offset 0, so a firing gate gives ln 2: the
+# drop of exactly 0.1 bits, of the next float past it, and of 0.15 bits
+_GATE_EDGE = {"drop_0.1": (0.1, False),
+              "drop_next_past_0.1": (float(-np.nextafter(-0.1, -1)), True),
+              "drop_0.15": (0.15, True)}
+
+
+@pytest.mark.parametrize("case", _GATE_EDGE)
+def test_the_gate_fires_only_past_a_drop_of_0_1_bits(case):
+    entropy_orig, fires = _GATE_EDGE[case]
+    eps, delta = entropy_gate(entropy_orig, 0.0)
+    assert delta == -entropy_orig and gate_fires(delta) is fires
+    assert eps == (math.log(2.0) if fires else 0.0)
+    eq = np.array([0.25, 0.75])
+    FilterProfile(1, 2, [0.0, 0.0], eq, eps, delta)
+    if not fires:
+        with pytest.raises(ContractViolationError,
+                           match="epsilon must be zero when the gate is inactive"):
+            FilterProfile(1, 2, [0.0, 0.0], eq, math.log(2.0), delta)
+    stream = KnowledgeStream(np.arange(6.0).reshape(2, 3) - 2.5, "external")
+    out = filter_knowledge(stream, eq, math.log(2.0), delta)
+    want = stream.tokens * (math.log(2.0) * eq)[:, None] if fires else stream.tokens
+    assert np.array_equal(out.tokens, want)
 
 
 def test_entropy_gate_positive_shift_inactive():
@@ -252,7 +277,7 @@ def test_entropy_gate_active_lower_bound():
         h_orig = rng.uniform(0.2, 3.0)
         h_off = rng.uniform(0.0, max(h_orig - 0.10001, 1e-6))
         eps, delta = entropy_gate(h_orig, h_off)
-        if delta < ENTROPY_DROP_THRESHOLD:
+        if delta < -0.1:
             assert eps > math.log(1 + 0.1 / h_orig)
             assert eps > 0
 
@@ -264,6 +289,20 @@ def test_entropy_gate_errors():
         entropy_gate(-1.0, 0.5)
     with pytest.raises(ContractViolationError, match="offset entropy must be finite"):
         entropy_gate(1.0, math.inf)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entropy_change_is_refused_wherever_the_gate_is_read(delta):
+    message = f"entropy change {delta} is not finite"
+    with pytest.raises(ContractViolationError, match=message):
+        gate_fires(delta)
+    with pytest.raises(ContractViolationError, match=message):
+        FilterProfile(1, 2, [0.0, 0.0], [0.5, 0.5], 0.0, delta)
+    with pytest.raises(ContractViolationError, match=message):
+        filter_knowledge(KnowledgeStream(np.ones((2, 2)), "external"), [0.5, 0.5], 0.0, delta)
+    if delta == -math.inf:  # two finite entropies whose difference overflows
+        with pytest.raises(ContractViolationError, match=message):
+            entropy_gate(1e308, -1e308)
 
 
 # ---------------------------------------------------------------------------

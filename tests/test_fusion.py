@@ -258,6 +258,19 @@ def test_select_top_t_and_tie_break():
     assert np.array_equal(out, d_mat[[0, 1]])  # equal mass: lowest index first
 
 
+def test_exact_ties_go_to_the_lowest_index_on_a_long_stream():
+    """100 external rows at three levels of the first feature; ``w_share`` drops the
+    second, the row's index, so rows of one level tie exactly.  Masses that are all
+    equal would not do: numpy's default sort keeps such an array in order, while it
+    reorders ties between levels."""
+    levels = np.random.default_rng(17).integers(0, 3, size=100)
+    d_mat = np.stack([levels, np.arange(100)], axis=1).astype(float)
+    order = sorted(range(100), key=lambda j: (-levels[j], j))
+    for top_t in (1, 64, 100):
+        out = shared_rows(np.ones((3, 2)), d_mat, np.diag([1.0, 0.0]), top_t)
+        assert np.array_equal(out, d_mat[order[:top_t]])
+
+
 def test_select_invariant_under_logit_shift():
     """A feature every external row holds at 1 shifts each similarity row's logits by
     the internal row's value of it, which the softmax, and so the choice, ignores."""
