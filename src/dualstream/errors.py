@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 
@@ -195,10 +196,18 @@ def _not_a_number(constant: str):
     raise ValueError(f"{constant} is not a JSON number")
 
 
+def _finite_float(number: str) -> float:
+    value = float(number)
+    if math.isinf(value):
+        raise ValueError(f"{number} is past the float range")
+    return value
+
+
 def _parse_json(text: str, where: str):
-    """``text`` parsed as standard JSON: ``NaN`` and ``Infinity`` are refused too."""
+    """``text`` parsed as standard JSON whose numbers are finite floats: ``NaN``,
+    ``Infinity`` and a literal past the float range (``1e400``) are refused."""
     try:
-        return json.loads(text, parse_constant=_not_a_number)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_not_a_number)
     except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or a huge integer
         raise ContractViolationError(f"{where} is not valid JSON: {exc}") from exc
 

@@ -485,6 +485,11 @@ _UNREADABLE_FILES = {
     "record_token_minus_infinity": (b'{"id": "r", "question": [-Infinity]}\n', _READ_RECORDS,
                                     "{file} line 1 is not valid JSON: -Infinity is not a JSON "
                                     "number"),
+    # a literal past the float range, which Python's json reads as infinity
+    "traces_statistic_1e400": (
+        json.dumps({**_TRACE, "verdict": _VERDICT}).replace('"statistic": 0.5',
+                                                            '"statistic": 1e400').encode(),
+        _READ_TRACES, "{file} line 1 is not valid JSON: 1e400 is past the float range"),
 }
 # record fields replaced (_ABSENT: dropped), and what the error names, {file} naming the file
 _ABSENT = object()

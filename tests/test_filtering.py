@@ -234,21 +234,23 @@ def test_entropy_gate_boundary_is_inactive():
     assert eps == 0.0
 
 
-# (entropy_orig, entropy_offset) with entropy_offset 0, so a firing gate gives ln 2: the
-# drop of exactly 0.1 bits, of the next float past it, and of 0.15 bits
-_GATE_EDGE = {"drop_0.1": (0.1, False),
-              "drop_next_past_0.1": (float(-np.nextafter(-0.1, -1)), True),
-              "drop_0.15": (0.15, True)}
+# the entropy change of a drop of exactly 0.1 bits, of the next float past it, and of 0.15
+# bits, and whether the gate fires; entropy_gate at the first is
+# test_entropy_gate_boundary_is_inactive
+_GATE_EDGE = {"drop_0.1": (-0.1, False),
+              "drop_next_past_0.1": (float(np.nextafter(-0.1, -1)), True),
+              "drop_0.15": (-0.15, True)}
 
 
 @pytest.mark.parametrize("case", _GATE_EDGE)
 def test_the_gate_fires_only_past_a_drop_of_0_1_bits(case):
-    entropy_orig, fires = _GATE_EDGE[case]
-    eps, delta = entropy_gate(entropy_orig, 0.0)
-    assert delta == -entropy_orig and gate_fires(delta) is fires
-    assert eps == (math.log(2.0) if fires else 0.0)
+    delta, fires = _GATE_EDGE[case]
+    assert gate_fires(delta) is fires
+    if fires:  # an offset entropy of 0 gives epsilon = ln(1 - delta/(-delta)) = ln 2
+        eps, gate_delta = entropy_gate(-delta, 0.0)
+        assert gate_delta == delta and eps == math.log(2.0)
     eq = np.array([0.25, 0.75])
-    FilterProfile(1, 2, [0.0, 0.0], eq, eps, delta)
+    FilterProfile(1, 2, [0.0, 0.0], eq, math.log(2.0) if fires else 0.0, delta)
     if not fires:
         with pytest.raises(ContractViolationError,
                            match="epsilon must be zero when the gate is inactive"):
